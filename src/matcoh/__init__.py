@@ -20,6 +20,7 @@ from .kernels import (
     energy_rank,
     load_csv,
     load_matrix_market,
+    spectrum_energy_rank,
 )
 from .linalg import (
     DecompositionError,

@@ -8,29 +8,33 @@ low-rank approximation errors. Trials use seed = base_seed + trial, and
 per-trial estimates share one permutation so each trial's curve is
 non-decreasing in the sample size.
 
-Config files are flat `key = value` text; '#' starts a comment. All
-rows go to a single fixed-schema CSV so one summarizer serves every
-experiment kind.
+Config files are flat `key = value` text. '#' starts a comment at the
+start of a line or after whitespace, so a value such as the path
+`runs/#3/points.csv` keeps its '#'. All rows go to a single
+fixed-schema CSV so one summarizer serves every experiment kind.
 """
 
 import csv
 import math
 import os
+import re
+import secrets
 import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coherence import estimate_coherence
+from .coherence import basis_coherence, estimate_coherence
 from .kernels import (
     KernelSpec,
     build_kernel,
     default_rbf_width,
-    energy_rank,
     load_csv,
     load_matrix_market,
+    spectrum_energy_rank,
     standardize,
 )
+from .linalg import thin_svd
 from .lowrank import column_projection, nystrom
 from .sampling import RNG_NAME, nested_samples
 from .synthetic import SynthSpec, add_noise, adversarial_spsd, low_rank_matrix
@@ -177,11 +181,15 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
+# A comment starts at a '#' that begins the line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat `key = value` lines into a raw string dict."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -300,20 +308,28 @@ def _build_kernel_matrix(config: ExperimentConfig):
     return build_kernel(dataset, spec)
 
 
-def _effective_rank(config: ExperimentConfig, X):
-    if config.r_policy == "explicit":
-        return config.r
-    if config.r_policy == "energy":
-        return energy_rank(X, config.energy_fraction)
-    return None
+def _rank_and_truth(config: ExperimentConfig, X):
+    """(truncation rank, gamma_true) of the source matrix.
+
+    The energy policy reads its rank and the truth from one SVD of X,
+    truncated as `estimate_coherence` would. The factors are freed on
+    return rather than held through the trials. A zero energy rank is
+    rejected by the first sampled estimate.
+    """
+    if config.r_policy != "energy":
+        r = config.r if config.r_policy == "explicit" else None
+        return r, estimate_coherence(X, rank=r).gamma
+    f = thin_svd(X)
+    r = spectrum_energy_rank(f.singular_values, config.energy_fraction)
+    return r, basis_coherence(f.left_basis(r)).gamma
 
 
 def run_experiment(config: ExperimentConfig):
     """Execute all trials and return the result rows in deterministic order.
 
     Rows are ordered by (trial, l, method). If `config.output` is set the
-    raw CSV is written as well; a partially written file is removed on
-    failure.
+    raw CSV is written as well; a failed run leaves any earlier file at
+    that path intact.
     """
     X = _build_matrix(config)
     m = X.shape[1]
@@ -322,8 +338,7 @@ def run_experiment(config: ExperimentConfig):
     if config.exclude and config.l_values[-1] > m - len(set(config.exclude)):
         raise ValueError("largest l infeasible with the excluded columns")
 
-    r_eff = _effective_rank(config, X)
-    gamma_true = estimate_coherence(X, rank=r_eff).gamma
+    r_eff, gamma_true = _rank_and_truth(config, X)
     with_methods = config.kind == "kernel_suite"
 
     results = []
@@ -378,10 +393,16 @@ def _fmt(value) -> str:
 
 
 def write_raw_csv(path, results):
-    """Write result rows under the fixed raw schema; atomic on failure."""
+    """Write result rows under the fixed raw schema; atomic on failure.
+
+    Rows go to a temporary file beside `path` that replaces it only once
+    complete, so a failed write leaves an earlier file at `path` intact.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", newline="")
     try:
-        with open(path, "w", newline="") as fh:
+        with fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RAW_HEADER)
             for r in results:
@@ -391,8 +412,9 @@ def write_raw_csv(path, results):
                     r.method or "", _fmt(r.normalized_error),
                     RNG_NAME, _fmt(r.wall_time_ms),
                 ])
+        os.replace(tmp, path)
     except BaseException:
-        path.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 

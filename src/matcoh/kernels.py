@@ -29,6 +29,7 @@ __all__ = [
     "median_pairwise_distance",
     "default_rbf_width",
     "energy_rank",
+    "spectrum_energy_rank",
 ]
 
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
@@ -208,9 +209,14 @@ def energy_rank(K, fraction: float) -> int:
     Energy is the cumulative sum of squared singular values (Frobenius
     mass). A zero matrix has energy rank 0.
     """
+    return spectrum_energy_rank(thin_svd(K).singular_values, fraction)
+
+
+def spectrum_energy_rank(singular_values, fraction: float) -> int:
+    """`energy_rank` of a matrix with these descending singular values."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    s = thin_svd(K).singular_values
+    s = np.asarray(singular_values, dtype=np.float64)
     energies = np.cumsum(s * s)
     total = float(energies[-1])
     if total == 0.0:

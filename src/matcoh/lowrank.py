@@ -6,9 +6,15 @@ using the left singular vectors of the subsample. The Nystrom
 reconstruction works for symmetric positive semidefinite K: with K1 the
 sampled columns and W their row/column intersection block, approximate
 K by K1 pinv(W) K1^T. Both cost O(l^2 n) for l sampled columns.
+
+The Frobenius and normalized errors are computed with the
+approximation. The spectral error needs a full SVD of the n x m
+residual, which costs far more than the approximation itself, so a
+result computes it on first access only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,45 +33,77 @@ __all__ = [
 SYMMETRY_TOL = 1e-10
 
 
+def _residual(X, approx) -> np.ndarray:
+    # Column-major like X, so that norm() sums in the same order for every
+    # caller whatever the memory layout of approx.
+    return np.subtract(X, approx, order="F")
+
+
+def _frobenius_errors(X, approx):
+    """(frobenius, normalized) distance of approx from a dense X."""
+    frob = float(np.linalg.norm(_residual(X, approx)))
+    norm_x = float(np.linalg.norm(X))
+    if norm_x > 0.0:
+        normalized = frob / norm_x
+    else:
+        normalized = 0.0 if frob == 0.0 else float("inf")
+    return frob, normalized
+
+
+def _spectral_error(X, approx, frob) -> float:
+    if frob == 0.0:
+        return 0.0
+    return float(thin_svd(_residual(X, approx)).singular_values[0])
+
+
 @dataclass(frozen=True)
 class ApproximationResult:
     """A low-rank approximation plus its error measured three ways.
 
     `normalized_error` is the Frobenius error divided by the Frobenius
     norm of the input (0/0 defined as 0), the scale-free quality metric
-    used throughout the experiment suite.
+    used throughout the experiment suite. `spectral_error`, the largest
+    singular value of the residual, is computed from `source` on first
+    access and cached; `source` is a reference to the approximated
+    matrix, not a copy, so it must not be modified before then.
     """
 
     approx: np.ndarray
     method: str
     l: int
     frobenius_error: float
-    spectral_error: float
     normalized_error: float
+    source: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.approx.setflags(write=False)
+
+    @cached_property
+    def spectral_error(self) -> float:
+        return _spectral_error(self.source, self.approx, self.frobenius_error)
 
 
 def approximation_errors(X, approx):
     """(frobenius, spectral, normalized) distance between X and approx.
 
     The spectral error is the largest singular value of the difference,
-    computed by a full SVD; fine at desk scale, no iterative shortcut.
+    computed by a full SVD of it. `column_projection` and `nystrom`
+    defer that SVD until their result's `spectral_error` is read; the
+    value is the same as here.
     """
     X = as_dense(X)
     approx = as_dense(approx)
     if X.shape != approx.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {approx.shape}")
-    diff = X - approx
-    frob = float(np.linalg.norm(diff))
-    spectral = 0.0 if frob == 0.0 else float(thin_svd(diff).singular_values[0])
-    norm_x = float(np.linalg.norm(X))
-    if norm_x > 0.0:
-        normalized = frob / norm_x
-    else:
-        normalized = 0.0 if frob == 0.0 else float("inf")
-    return frob, spectral, normalized
+    frob, normalized = _frobenius_errors(X, approx)
+    return frob, _spectral_error(X, approx, frob), normalized
+
+
+def _result(X, approx, method, sample: ColumnSample) -> ApproximationResult:
+    frob, normalized = _frobenius_errors(X, approx)
+    return ApproximationResult(approx=approx, method=method, l=sample.size,
+                               frobenius_error=frob,
+                               normalized_error=normalized, source=X)
 
 
 def _check_sample(X, sample: ColumnSample):
@@ -93,15 +131,7 @@ def column_projection(X, sample: ColumnSample) -> ApproximationResult:
     _check_sample(X, sample)
     U = thin_svd(sample.submatrix).left_basis()
     approx = U @ (U.T @ X) if U.shape[1] > 0 else np.zeros_like(X)
-    frob, spectral, normalized = approximation_errors(X, approx)
-    return ApproximationResult(
-        approx=approx,
-        method="column_projection",
-        l=sample.size,
-        frobenius_error=frob,
-        spectral_error=spectral,
-        normalized_error=normalized,
-    )
+    return _result(X, approx, "column_projection", sample)
 
 
 def nystrom(K, sample: ColumnSample) -> ApproximationResult:
@@ -124,12 +154,4 @@ def nystrom(K, sample: ColumnSample) -> ApproximationResult:
     W_pinv = (W_pinv + W_pinv.T) / 2.0
     K1 = sample.submatrix
     approx = K1 @ W_pinv @ K1.T
-    frob, spectral, normalized = approximation_errors(K, approx)
-    return ApproximationResult(
-        approx=approx,
-        method="nystrom",
-        l=sample.size,
-        frobenius_error=frob,
-        spectral_error=spectral,
-        normalized_error=normalized,
-    )
+    return _result(K, approx, "nystrom", sample)

@@ -18,8 +18,17 @@ from matcoh.experiment import (
     summarize,
     write_raw_csv,
 )
-from matcoh.kernels import PointDataset, save_csv
-from matcoh.sampling import SplitMix64
+from matcoh.coherence import estimate_coherence
+from matcoh.kernels import (
+    KernelSpec,
+    PointDataset,
+    build_kernel,
+    default_rbf_width,
+    energy_rank,
+    load_csv,
+    save_csv,
+)
+from matcoh.sampling import SplitMix64, nested_samples
 
 
 def test_parse_config_text():
@@ -27,6 +36,13 @@ def test_parse_config_text():
         "# synthetic run\nkind = synth_exact\nl_values = 2, 4\nn = 30  # dims\n"
     )
     assert raw == {"kind": "synth_exact", "l_values": "2, 4", "n": "30"}
+
+
+def test_parse_config_hash_inside_value_is_not_a_comment():
+    raw = parse_config_text(
+        "data = runs/#3/points.csv\nid = a#b\t# tab comment\n  # indented\n"
+    )
+    assert raw == {"data": "runs/#3/points.csv", "id": "a#b"}
 
 
 def test_parse_config_rejects_unknown_key():
@@ -124,6 +140,43 @@ def test_energy_policy_runs():
     assert all(r.r_used >= 1 for r in results)
 
 
+def test_energy_policy_factors_source_once_with_same_rank_and_truth(tmp_path):
+    pts = SplitMix64(4).normal_matrix(60, 3)
+    data = tmp_path / "pts.csv"
+    save_csv(PointDataset(points=pts, name="pts"), data)
+    config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
+                              l_values=(5, 20), trials=2, base_seed=2,
+                              data=str(data), kernel="rbf",
+                              r_policy="energy", energy_fraction=0.999)
+    dataset = load_csv(data)
+    K = build_kernel(dataset, KernelSpec(kind="rbf",
+                                         rbf_width=default_rbf_width(dataset)))
+    r = energy_rank(K, config.energy_fraction)
+    gamma_true = estimate_coherence(K, rank=r).gamma
+    results = run_experiment(config)
+    assert len(results) == 12
+    for trial in range(2):
+        samples = nested_samples(K, 20, 2 + trial)
+        for res in results:
+            if res.trial != trial:
+                continue
+            report = estimate_coherence(samples[res.l - 1].submatrix, rank=r)
+            assert res.gamma_true == gamma_true
+            assert (res.r_used, res.gamma_est) == (report.rank_used, report.gamma)
+
+
+def test_energy_policy_rejects_zero_source(tmp_path):
+    import scipy.io
+
+    path = tmp_path / "zero.mtx"
+    scipy.io.mmwrite(str(path), np.zeros((6, 6)))
+    config = ExperimentConfig(kind="coherence_only", experiment_id="z",
+                              l_values=(2,), matrix=str(path),
+                              r_policy="energy")
+    with pytest.raises(ValueError, match=r"^rank parameter must be >= 1, got 0$"):
+        run_experiment(config)
+
+
 def test_kernel_suite_emits_method_rows(tmp_path):
     pts = SplitMix64(3).normal_matrix(40, 3)
     data = tmp_path / "pts.csv"
@@ -156,6 +209,22 @@ def test_csv_byte_determinism(tmp_path):
     write_raw_csv(out1, run_experiment(config))
     write_raw_csv(out2, run_experiment(config))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_failed_write_keeps_earlier_csv(tmp_path):
+    out = tmp_path / "raw.csv"
+    rows = run_experiment(synth_config(timing=False))
+    write_raw_csv(out, rows)
+    good = out.read_bytes()
+
+    def failing_rows():
+        yield rows[0]
+        raise RuntimeError("row formatting failed")
+
+    with pytest.raises(RuntimeError, match="row formatting"):
+        write_raw_csv(out, failing_rows())
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
 
 
 def test_csv_stable_apart_from_timing(tmp_path):

@@ -182,3 +182,51 @@ def test_nystrom_mean_error_non_increasing_in_sample_size():
         means.append(np.mean(errs))
     for a, b in zip(means, means[1:]):
         assert b <= a + 1e-3
+
+
+def spectral_cases():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((14, 9))
+    K = spd_kernel(14, 13)
+    sample_k = uniform_sample(K, 5, seed=14)
+    return [column_projection(X, uniform_sample(X, 4, seed=15)),
+            column_projection(K, sample_k), nystrom(K, sample_k)]
+
+
+def test_spectral_error_matches_eager_metric_and_dense_norm():
+    for res in spectral_cases():
+        X = res.source
+        assert res.spectral_error == approximation_errors(X, res.approx)[1]
+        dense = np.linalg.norm(X - res.approx, 2)
+        assert res.spectral_error == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [np.zeros((6, 6)), np.diag([1.0, 0, 0, 0])])
+def test_spectral_error_zero_for_exact_reconstruction(K):
+    sample = sample_at(K, [0])
+    for res in (column_projection(K, sample), nystrom(K, sample)):
+        assert res.frobenius_error == 0.0
+        assert res.spectral_error == 0.0
+
+
+def test_results_factor_the_residual_only_on_first_access(monkeypatch):
+    import matcoh.linalg
+    import matcoh.lowrank
+
+    shapes = []
+    real = matcoh.linalg.thin_svd
+
+    def recording(X):
+        shapes.append(np.shape(X))
+        return real(X)
+
+    monkeypatch.setattr(matcoh.linalg, "thin_svd", recording)
+    monkeypatch.setattr(matcoh.lowrank, "thin_svd", recording)
+    K = spd_kernel(30, 16)
+    sample = uniform_sample(K, 6, seed=17)
+    results = [column_projection(K, sample), nystrom(K, sample)]
+    assert shapes == [(30, 6), (6, 6)]
+    first = [res.spectral_error for res in results]
+    assert shapes[2:] == [(30, 30), (30, 30)]
+    assert [res.spectral_error for res in results] == first
+    assert len(shapes) == 4
