@@ -10,6 +10,7 @@ from .coherence import (
     mu0_coherence,
     mu1_coherence,
     mu_coherence,
+    nested_coherence,
     sample_size_bound,
     update_projector,
 )

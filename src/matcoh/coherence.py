@@ -11,6 +11,13 @@ is spread evenly and column sampling sees it quickly.
 vectors of a column subsample, truncate to min(numerical rank, rank
 parameter) vectors, and read off the leverage statistics. Its cost is
 dominated by the SVD of the n x l subsample, O(n l^2).
+
+`nested_coherence` gives the same estimates for every prefix of one
+nested sample at once. A Householder QR of the n x L block is computed
+once, and the leading l columns of its R factor are the R factor of the
+l-column prefix (Chan 1982, QR-then-SVD), so each size only factors a
+small block of R. The cost is one O(n L^2) QR per trial plus O(l^3)
+per size, and O(n l q) to form the q-column basis.
 """
 
 import math
@@ -21,6 +28,7 @@ import numpy as np
 from .linalg import (
     ORTHONORMAL_TOL,
     as_dense,
+    numerical_rank,
     orthonormality_defect,
     thin_svd,
 )
@@ -33,6 +41,7 @@ __all__ = [
     "mu1_coherence",
     "basis_coherence",
     "estimate_coherence",
+    "nested_coherence",
     "update_projector",
     "sample_size_bound",
 ]
@@ -70,12 +79,26 @@ def max_leverage(U) -> float:
     return _row_leverage_max(_checked_basis(U))
 
 
-def mu_coherence(U) -> float:
-    """Entry coherence sqrt(n) * max |U_ij| of an orthonormal basis."""
-    U = _checked_basis(U)
+def _entry_coherence(U) -> float:
     if U.shape[1] == 0:
         return 0.0
     return math.sqrt(U.shape[0]) * float(np.max(np.abs(U)))
+
+
+def _cross_coherence(U, V) -> float:
+    if U.shape[1] != V.shape[1]:
+        raise ValueError(
+            f"factor column counts differ: {U.shape[1]} vs {V.shape[1]}"
+        )
+    if U.shape[1] == 0:
+        return 0.0
+    t_max = float(np.max(np.abs(U @ V.T)))
+    return math.sqrt(U.shape[0] * V.shape[0] / U.shape[1]) * t_max
+
+
+def mu_coherence(U) -> float:
+    """Entry coherence sqrt(n) * max |U_ij| of an orthonormal basis."""
+    return _entry_coherence(_checked_basis(U))
 
 
 def mu0_coherence(U) -> float:
@@ -98,16 +121,7 @@ def mu1_coherence(U, V) -> float:
     U (n x q) and V (m x q) must have the same column count; the matrix
     U V^T sums the rank-one products of paired singular vectors.
     """
-    U = _checked_basis(U)
-    V = _checked_basis(V)
-    if U.shape[1] != V.shape[1]:
-        raise ValueError(
-            f"factor column counts differ: {U.shape[1]} vs {V.shape[1]}"
-        )
-    if U.shape[1] == 0:
-        return 0.0
-    t_max = float(np.max(np.abs(U @ V.T)))
-    return math.sqrt(U.shape[0] * V.shape[0] / U.shape[1]) * t_max
+    return _cross_coherence(_checked_basis(U), _checked_basis(V))
 
 
 @dataclass(frozen=True)
@@ -144,17 +158,20 @@ class CoherenceReport:
 
 
 def basis_coherence(U, V=None) -> CoherenceReport:
-    """Full coherence report for an orthonormal basis (and optional pair)."""
+    """Full coherence report for an orthonormal basis (and optional pair).
+
+    Each basis is checked for orthonormality once.
+    """
     U = _checked_basis(U)
     n, q = U.shape
     if q == 0:
         return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0, mu1=None,
                                rank_used=0, n=n)
     g = _row_leverage_max(U)
-    report_mu1 = None if V is None else mu1_coherence(U, V)
+    report_mu1 = None if V is None else _cross_coherence(U, _checked_basis(V))
     return CoherenceReport(
         gamma=g,
-        mu=mu_coherence(U),
+        mu=_entry_coherence(U),
         mu0=g * (n / q),
         mu1=report_mu1,
         rank_used=q,
@@ -172,11 +189,61 @@ def estimate_coherence(columns, rank=None) -> CoherenceReport:
     matters only when the matrix carries noise. An all-zero subsample
     yields the rank-0 report with gamma 0 rather than an error.
     """
+    _check_rank(rank)
+    f = thin_svd(columns)
+    q = _kept_rank(f.singular_values, (f.U.shape[0], f.V.shape[0]), rank)
+    return basis_coherence(f.U[:, :q])
+
+
+def nested_coherence(columns, sizes, rank=None):
+    """Coherence estimates of the nested prefixes `columns[:, :l]`.
+
+    Returns an iterator of one report per l in `sizes`, in order, each
+    matching `estimate_coherence(columns[:, :l], rank)`: the same
+    `rank_used`, and the same gamma up to rounding wherever the kept
+    singular values are separated from the dropped ones. One Householder
+    QR of the first max(sizes) columns serves every size, and each size
+    takes the SVD of its leading block of R. `rank` and `sizes` (strictly
+    ascending, within [1, l] for an n x l `columns`) are checked on the
+    call; the QR runs when the first report is requested.
+    """
+    _check_rank(rank)
+    columns = as_dense(columns)
+    sizes = list(sizes)
+    width = columns.shape[1]
+    if not sizes or sizes != sorted(set(sizes)):
+        raise ValueError(f"sizes must be non-empty and strictly ascending, got {sizes}")
+    if sizes[0] < 1 or sizes[-1] > width:
+        raise ValueError(f"sizes must lie in [1, {width}], got {sizes}")
+    return _prefix_reports(columns[:, :sizes[-1]], sizes, rank)
+
+
+def _prefix_reports(columns, sizes, rank):
+    n = columns.shape[0]
+    Q, R = np.linalg.qr(columns)
+    for l in sizes:
+        k = min(n, l)
+        # Q[:, :k] R[:k, :l] is the prefix, so its left singular vectors
+        # are Q[:, :k] times those of the small block. The rank threshold
+        # is the prefix's, at shape (n, l), not the block's.
+        f = thin_svd(R[:k, :l])
+        q = _kept_rank(f.singular_values, (n, l), rank)
+        yield basis_coherence(Q[:, :k] @ f.U[:, :q])
+
+
+def _check_rank(rank):
     if rank is not None and rank < 1:
         raise ValueError(f"rank parameter must be >= 1, got {rank}")
-    f = thin_svd(columns)
-    q = f.numerical_rank if rank is None else min(f.numerical_rank, rank)
-    return basis_coherence(f.U[:, :q])
+
+
+def _kept_rank(singular_values, shape, rank) -> int:
+    """Basis size of a sampled estimate from its sample's spectrum.
+
+    The numerical rank of a sample of `shape`, capped at `rank` (None
+    means no cap).
+    """
+    q = numerical_rank(singular_values, shape)
+    return q if rank is None else min(q, rank)
 
 
 def update_projector(P, x):

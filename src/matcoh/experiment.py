@@ -6,7 +6,10 @@ nested column-sample family and records the coherence estimate at each
 requested sample size; kernel experiments additionally record both
 low-rank approximation errors. Trials use seed = base_seed + trial, and
 per-trial estimates share one permutation so each trial's curve is
-non-decreasing in the sample size.
+non-decreasing in the sample size. Each trial extracts its largest
+sample once and estimates every size from one QR of it
+(`nested_coherence`); an estimate row's `wall_time_ms` is that size's
+step, with the trial's QR charged to the first size.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -24,7 +27,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coherence import basis_coherence, estimate_coherence
+from .coherence import basis_coherence, estimate_coherence, nested_coherence
 from .kernels import (
     KernelSpec,
     build_kernel,
@@ -346,10 +349,12 @@ def run_experiment(config: ExperimentConfig):
         seed = config.base_seed + trial
         samples = nested_samples(X, config.l_values[-1], seed,
                                  excluded=config.exclude)
+        reports = nested_coherence(samples[-1].submatrix, config.l_values,
+                                   rank=r_eff)
         for l in config.l_values:
             sample = samples[l - 1]
             start = time.perf_counter()
-            report = estimate_coherence(sample.submatrix, rank=r_eff)
+            report = next(reports)
             est_ms = round((time.perf_counter() - start) * 1000)
             common = dict(
                 experiment_id=config.experiment_id, kind=config.kind,

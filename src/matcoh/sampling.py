@@ -10,7 +10,13 @@ generation vectorizable while staying bit-identical to the scalar path.
 Sampling without replacement is a forward Fisher-Yates shuffle. After
 step i the element at position i is final, so the first `size` positions
 of the permutation are themselves a uniform ordered sample, and prefixes
-of one permutation form a nested family of uniform samples.
+of one permutation form a nested family of uniform samples. Only those
+first positions are ever drawn: the later steps of the shuffle would not
+change them.
+
+`nested_samples` extracts the largest sample's n x L block once and
+hands out every smaller sample as a view of its leading columns, so a
+nested family costs the memory of one block, not O(n L^2) copies.
 """
 
 from dataclasses import dataclass
@@ -111,8 +117,10 @@ class SplitMix64:
 class ColumnSample:
     """An ordered sample of distinct column indices plus the extracted block.
 
-    `submatrix` column j is a bit-identical copy of source column
-    `indices[j]`; `seed` records the generator seed that produced it.
+    `submatrix` is read-only and column-major, and its column j is a
+    bit-identical copy of source column `indices[j]`; the samples of one
+    nested family share one block. `seed` records the generator seed
+    that produced it.
     """
 
     indices: tuple
@@ -181,7 +189,9 @@ def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
 
     The sample of size l extends the sample of size l-1 by exactly one
     new uniformly chosen column, and each prefix is distributed like an
-    independent uniform sample of that size.
+    independent uniform sample of that size. The columns are copied
+    once, into the largest sample's block; the sample of size l holds
+    the view of its first l columns.
     """
     X = as_dense(X)
     m = X.shape[1]
@@ -191,5 +201,8 @@ def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
             f"max size {max_size} infeasible with {len(allowed)} allowed columns"
         )
     rng = SplitMix64(seed)
-    perm = _fisher_yates_prefix(allowed, len(allowed), rng)
-    return [_extract(X, perm[:l], seed) for l in range(1, max_size + 1)]
+    perm = _fisher_yates_prefix(allowed, max_size, rng)
+    largest = _extract(X, perm, seed)
+    return [ColumnSample(indices=largest.indices[:l],
+                         submatrix=largest.submatrix[:, :l], seed=seed)
+            for l in range(1, max_size + 1)]

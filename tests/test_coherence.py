@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import matcoh.coherence
 from matcoh.coherence import (
     basis_coherence,
     estimate_coherence,
@@ -11,6 +14,7 @@ from matcoh.coherence import (
     mu0_coherence,
     mu1_coherence,
     mu_coherence,
+    nested_coherence,
     sample_size_bound,
     update_projector,
 )
@@ -196,3 +200,90 @@ def test_exactness_when_sample_rank_matches():
         sample = uniform_sample(X, 8, seed=seed)
         if thin_svd(sample.submatrix).numerical_rank == 6:
             assert abs(estimate_coherence(sample.submatrix).gamma - truth) <= 1e-10
+
+
+def test_basis_coherence_checks_each_basis_once(monkeypatch):
+    calls = []
+    real = matcoh.coherence.orthonormality_defect
+
+    def counting(U):
+        calls.append(U.shape)
+        return real(U)
+
+    monkeypatch.setattr(matcoh.coherence, "orthonormality_defect", counting)
+    U, V = random_basis(12, 3, 0), random_basis(9, 3, 1)
+    basis_coherence(U)
+    assert calls == [(12, 3)]
+    calls.clear()
+    basis_coherence(U, V)
+    assert calls == [(12, 3), (9, 3)]
+
+
+def test_basis_coherence_keeps_public_errors():
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        basis_coherence(np.ones((5, 2)))
+    with pytest.raises(ValueError, match="factor column counts differ: 3 vs 2"):
+        basis_coherence(random_basis(8, 3, 0), random_basis(8, 2, 1))
+
+
+def test_nested_coherence_rejects_bad_rank_and_sizes():
+    X = np.random.default_rng(3).standard_normal((10, 6))
+    with pytest.raises(ValueError, match=r"^rank parameter must be >= 1, got 0$"):
+        nested_coherence(X, [2, 4], rank=0)
+    for sizes in ([], [3, 2], [2, 2], [0, 3], [3, 7]):
+        with pytest.raises(ValueError):
+            nested_coherence(X, sizes)
+
+
+_PREFIX_KINDS = ("generic", "low_rank", "duplicates", "zero_columns",
+                 "all_zero", "decaying")
+
+
+@st.composite
+def _prefix_cases(draw):
+    """(columns, sizes, rank): shapes both tall and wide, and a rank
+    parameter below, at, above or without the numerical rank."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(_PREFIX_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "generic":
+        X = rng.standard_normal((n, width))
+    elif kind == "all_zero":
+        X = np.zeros((n, width))
+    elif kind == "decaying":
+        ratio = draw(st.floats(0.05, 0.95))
+        X = rng.standard_normal((n, width)) * ratio ** np.arange(width)
+    else:
+        r = draw(st.integers(1, min(n, width)))
+        X = rng.standard_normal((n, r)) @ rng.standard_normal((r, width))
+        if kind == "duplicates":
+            X = X[:, rng.integers(0, r, width)]
+        elif kind == "zero_columns":
+            X[:, rng.random(width) < 0.4] = 0.0
+    sizes = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
+    offset = draw(st.sampled_from([None, -2, -1, 0, 1, 3]))
+    rank = None if offset is None else max(1, thin_svd(X).numerical_rank + offset)
+    return X, sizes, rank
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_prefix_cases())
+def test_nested_coherence_differential_against_prefix_svd(case):
+    X, sizes, rank = case
+    got = list(nested_coherence(X, sizes, rank=rank))
+    assert len(got) == len(sizes)
+    for l, report in zip(sizes, got):
+        want = estimate_coherence(X[:, :l], rank=rank)
+        assert (report.rank_used, report.n, report.mu1) == (want.rank_used, want.n, None)
+        q = want.rank_used
+        if q == 0:
+            assert report.gamma == report.mu == 0.0
+            continue
+        # Where the kept and dropped singular values are close together,
+        # the kept subspace itself is ill-determined; gamma is compared
+        # only where the gap is resolved.
+        s = thin_svd(X[:, :l]).singular_values
+        gap = (s[q - 1] - (s[q] if q < s.size else 0.0)) / s[0]
+        if gap >= 1e-6:
+            assert abs(report.gamma - want.gamma) <= 1e-10

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -152,6 +153,49 @@ def test_nested_samples_with_exclusion():
     seq = nested_samples(X46, 5, seed=2, excluded=(0,))
     assert all(0 not in s.indices for s in seq)
     assert sorted(seq[-1].indices) == [1, 2, 3, 4, 5]
+
+
+def _full_shuffle(pool, seed):
+    # Reference: the whole-pool SplitMix64 Fisher-Yates shuffle.
+    rng = SplitMix64(seed)
+    a = list(pool)
+    for i in range(len(a) - 1):
+        j = i + rng.below(len(a) - i)
+        a[i], a[j] = a[j], a[i]
+    return a
+
+
+@pytest.mark.parametrize("excluded", [(), (0, 5, 49, 17)])
+def test_nested_indices_are_full_shuffle_prefix(excluded):
+    X = np.ones((3, 50))
+    pool = [j for j in range(50) if j not in excluded]
+    for seed in range(20):
+        seq = nested_samples(X, 7, seed=seed, excluded=excluded)
+        assert seq[-1].indices == tuple(_full_shuffle(pool, seed)[:7])
+
+
+def test_nested_samples_share_one_block():
+    X = SplitMix64(8).normal_matrix(5, 12)
+    seq = nested_samples(X, 9, seed=4)
+    largest = seq[-1].submatrix
+    np.testing.assert_array_equal(largest, X[:, list(seq[-1].indices)])
+    for s in seq:
+        assert np.shares_memory(s.submatrix, largest)
+        assert s.submatrix.flags.f_contiguous
+        assert not s.submatrix.flags.writeable
+
+
+def test_nested_samples_memory_is_one_block():
+    X = SplitMix64(6).normal_matrix(1000, 200)
+    block_bytes = X.shape[0] * 200 * X.itemsize
+    tracemalloc.start()
+    try:
+        seq = nested_samples(X, 200, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 200
+    assert peak <= 3 * block_bytes, peak
 
 
 def test_column_sample_rejects_duplicates():
