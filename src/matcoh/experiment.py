@@ -13,8 +13,11 @@ step, with the trial's QR charged to the first size.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
-`runs/#3/points.csv` keeps its '#'. All rows go to a single
-fixed-schema CSV so one summarizer serves every experiment kind.
+`runs/#3/points.csv` keeps its '#'. Each key is one `ExperimentConfig`
+field, and one table (`_SOURCES`) lists the keys each source reads and
+requires: a key that the run's source or r_policy would not read is an
+error when the config is built. All rows go to a single fixed-schema
+CSV so one summarizer serves every experiment kind.
 """
 
 import csv
@@ -24,10 +27,12 @@ import re
 import secrets
 import statistics
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
-from .coherence import basis_coherence, estimate_coherence, nested_coherence
+from .coherence import basis_coherence, nested_coherence
 from .kernels import (
     KernelSpec,
     build_kernel,
@@ -39,7 +44,7 @@ from .kernels import (
 )
 from .linalg import thin_svd
 from .lowrank import column_projection, nystrom
-from .sampling import RNG_NAME, nested_samples
+from .sampling import RNG_NAME, _allowed_pool, nested_samples
 from .synthetic import SynthSpec, add_noise, adversarial_spsd, low_rank_matrix
 
 __all__ = [
@@ -82,16 +87,6 @@ SUMMARY_HEADER = [
     "mean_normalized_error", "std_normalized_error",
 ]
 
-_KNOWN_KEYS = {
-    "id", "kind", "l_values", "trials", "base_seed", "output", "timing",
-    "r_policy", "r", "energy_fraction", "exclude", "matrix_seed",
-    "n", "m", "rank", "decay", "coherence", "noise",
-    "inflation", "inner_dim",
-    "matrix", "data", "kernel", "rbf_width", "poly_degree", "poly_offset",
-    "standardize",
-}
-
-
 @dataclass(frozen=True)
 class TrialResult:
     """One output row: a coherence estimate, optionally with a method error."""
@@ -119,7 +114,11 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one experiment run."""
+    """Validated description of one experiment run.
+
+    Each field is one config key (`experiment_id` is the key `id`); its
+    annotation picks the parser, and an unread key must keep its default.
+    """
 
     kind: str
     experiment_id: str
@@ -133,17 +132,14 @@ class ExperimentConfig:
     energy_fraction: float = 0.99
     exclude: tuple = ()
     matrix_seed: int | None = None
-    # synthetic source
     n: int | None = None
     m: int | None = None
     rank: int | None = None
     decay: str = "medium"
     coherence: str = "low"
     noise: float | None = None
-    # adversarial source
     inflation: float = 1e3
     inner_dim: int | None = None
-    # file / kernel source
     matrix: str | None = None
     data: str | None = None
     kernel: str | None = None
@@ -163,12 +159,27 @@ class ExperimentConfig:
             raise ValueError("l values must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.r_policy not in ("none", "explicit", "energy"):
+        if self.r_policy not in _POLICY_KEYS:
             raise ValueError(f"unknown r_policy {self.r_policy!r}")
         if self.r_policy == "explicit" and (self.r is None or self.r < 1):
             raise ValueError("explicit r_policy needs r >= 1")
         if self.r_policy == "energy" and not 0.0 < self.energy_fraction <= 1.0:
             raise ValueError("energy_fraction must be in (0, 1]")
+        name = _source_name(self)
+        source = _SOURCES.get(name)
+        missing = [k for k in (source.requires if source else _KERNEL_REQUIRES)
+                   if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"experiment kind {self.kind!r} needs config keys: "
+                             f"{', '.join(missing)}")
+        if source is None:
+            raise ValueError(f"unknown kernel {name!r}")
+        reads = _COMMON_KEYS + source.reads + _POLICY_KEYS[self.r_policy]
+        unread = [f.name for f in fields(self)
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"source {name!r} with r_policy {self.r_policy!r} "
+                             f"does not read config keys: {', '.join(unread)}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -182,6 +193,83 @@ def _parse_bool(raw: str) -> bool:
 
 def _parse_int_list(raw: str) -> tuple:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# Parser per field annotation; a field of any other type keeps the string.
+_PARSERS = {int: int, int | None: int, float: float, float | None: float,
+            bool: _parse_bool, tuple: _parse_int_list}
+# Config key -> its ExperimentConfig field.
+_FIELDS = {"id" if f.name == "experiment_id" else f.name: f
+           for f in fields(ExperimentConfig)}
+
+
+def _matrix_seed(config) -> int:
+    return config.base_seed if config.matrix_seed is None else config.matrix_seed
+
+
+def _synthetic(config):
+    spec = SynthSpec(n=config.n, m=config.m, rank=config.rank,
+                     decay=config.decay, coherence=config.coherence,
+                     noise=config.noise, seed=_matrix_seed(config))
+    X = low_rank_matrix(replace(spec, noise=None))
+    return X if spec.noise is None else add_noise(X, spec)
+
+
+def _kernel(spec_for):
+    """Build function of the kernel source with spec `spec_for(config, dataset)`."""
+    def build(config):
+        dataset = load_csv(config.data)
+        if config.standardize:
+            dataset = standardize(dataset)
+        return build_kernel(dataset, spec_for(config, dataset))
+    return build
+
+
+class _Source(NamedTuple):
+    reads: tuple       # keys read beyond _COMMON_KEYS
+    requires: tuple    # keys that must be set
+    build: Callable    # config -> source matrix
+
+
+_COMMON_KEYS = ("kind", "experiment_id", "l_values", "trials", "base_seed",
+                "output", "timing", "r_policy", "exclude")
+_SYNTH_KEYS = ("n", "m", "rank", "decay", "coherence", "matrix_seed")
+_KERNEL_KEYS = ("data", "kernel", "standardize")
+_KERNEL_REQUIRES = ("data", "kernel")
+
+# What each source reads, what it requires and how it is built. A kernel
+# source is named by the `kernel` key; see `_source_name`.
+_SOURCES = {
+    "synth_exact": _Source(_SYNTH_KEYS, ("n", "m", "rank"), _synthetic),
+    "synth_noisy": _Source(_SYNTH_KEYS + ("noise",),
+                           ("n", "m", "rank", "noise"), _synthetic),
+    "worst_case": _Source(
+        ("n", "inflation", "inner_dim", "matrix_seed"), ("n",),
+        lambda c: adversarial_spsd(c.n, seed=_matrix_seed(c),
+                                   inflation=c.inflation, inner_dim=c.inner_dim)),
+    "rbf": _Source(_KERNEL_KEYS + ("rbf_width",), _KERNEL_REQUIRES, _kernel(
+        lambda c, d: KernelSpec(kind="rbf", rbf_width=default_rbf_width(d)
+                                if c.rbf_width is None else c.rbf_width))),
+    "polynomial": _Source(
+        _KERNEL_KEYS + ("poly_degree", "poly_offset"), _KERNEL_REQUIRES,
+        _kernel(lambda c, d: KernelSpec(kind="polynomial", poly_degree=c.poly_degree,
+                                        poly_offset=c.poly_offset))),
+    "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES,
+                      _kernel(lambda c, d: KernelSpec(kind="linear"))),
+    "matrix": _Source(("matrix",), ("matrix",),
+                      lambda c: load_matrix_market(c.matrix)),
+}
+# r is read only under the explicit policy, energy_fraction only under energy.
+_POLICY_KEYS = {"none": (), "explicit": ("r",), "energy": ("energy_fraction",)}
+
+
+def _source_name(config):
+    """The config's `_SOURCES` entry; None for a kernel source with no kernel."""
+    if config.kind != "coherence_only":
+        return config.kernel if config.kind == "kernel_suite" else config.kind
+    if config.data:
+        return config.kernel
+    return "matrix" if config.matrix else "synth_exact"
 
 
 # A comment starts at a '#' that begins the line or follows whitespace.
@@ -198,40 +286,25 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
-
-
-_INT_KEYS = {"trials", "base_seed", "r", "matrix_seed", "n", "m", "rank",
-             "inner_dim", "poly_degree"}
-_FLOAT_KEYS = {"energy_fraction", "noise", "inflation", "rbf_width",
-               "poly_offset"}
-_BOOL_KEYS = {"timing", "standardize"}
-_LIST_KEYS = {"l_values", "exclude"}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from raw string values."""
     if "kind" not in raw:
         raise ValueError("config needs a 'kind' key")
-    kwargs = {}
+    kwargs = {"experiment_id": raw["kind"]}
     for key, value in raw.items():
+        if key not in _FIELDS:
+            raise ValueError(f"unknown config key {key!r}")
+        field = _FIELDS[key]
         try:
-            if key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _BOOL_KEYS:
-                kwargs[key] = _parse_bool(value)
-            elif key in _LIST_KEYS:
-                kwargs[key] = _parse_int_list(value)
-            else:
-                kwargs[key] = value
+            kwargs[field.name] = _PARSERS.get(field.type, str)(value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
-    kwargs["experiment_id"] = kwargs.pop("id", kwargs["kind"])
     return ExperimentConfig(**kwargs)
 
 
@@ -242,88 +315,23 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         if "=" not in item:
             raise ValueError(f"override must be key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ValueError(f"unknown override key {key!r}")
         raw[key] = value
     return config_from_dict(raw)
 
 
-def _require(config, *keys):
-    missing = [k for k in keys if getattr(config, k) is None]
-    if missing:
-        raise ValueError(
-            f"experiment kind {config.kind!r} needs config keys: {', '.join(missing)}"
-        )
-
-
-def _build_synth_spec(config: ExperimentConfig, noise) -> SynthSpec:
-    _require(config, "n", "m", "rank")
-    return SynthSpec(
-        n=config.n, m=config.m, rank=config.rank,
-        decay=config.decay, coherence=config.coherence,
-        noise=noise, seed=config.matrix_seed if config.matrix_seed is not None
-        else config.base_seed,
-    )
-
-
-def _build_matrix(config: ExperimentConfig):
-    """Source matrix for the configured experiment."""
-    kind = config.kind
-    if kind == "synth_exact":
-        return low_rank_matrix(_build_synth_spec(config, noise=None))
-    if kind == "synth_noisy":
-        _require(config, "noise")
-        spec = _build_synth_spec(config, noise=config.noise)
-        base = low_rank_matrix(_build_synth_spec(config, noise=None))
-        return add_noise(base, spec)
-    if kind == "worst_case":
-        _require(config, "n")
-        seed = config.matrix_seed if config.matrix_seed is not None else config.base_seed
-        return adversarial_spsd(config.n, seed=seed, inflation=config.inflation,
-                                inner_dim=config.inner_dim)
-    if kind == "kernel_suite" or (kind == "coherence_only" and config.data):
-        return _build_kernel_matrix(config)
-    if kind == "coherence_only":
-        if config.matrix:
-            return load_matrix_market(config.matrix)
-        return low_rank_matrix(_build_synth_spec(config, noise=None))
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def _build_kernel_matrix(config: ExperimentConfig):
-    _require(config, "data", "kernel")
-    dataset = load_csv(config.data)
-    if config.standardize:
-        dataset = standardize(dataset)
-    kind = config.kernel
-    if kind == "rbf":
-        width = config.rbf_width
-        if width is None:
-            width = default_rbf_width(dataset)
-        spec = KernelSpec(kind="rbf", rbf_width=width)
-    elif kind == "polynomial":
-        spec = KernelSpec(kind="polynomial", poly_degree=config.poly_degree,
-                          poly_offset=config.poly_offset)
-    elif kind == "linear":
-        spec = KernelSpec(kind="linear")
-    else:
-        raise ValueError(f"unknown kernel {kind!r}")
-    return build_kernel(dataset, spec)
-
-
 def _rank_and_truth(config: ExperimentConfig, X):
-    """(truncation rank, gamma_true) of the source matrix.
+    """(truncation rank, gamma_true) of the source matrix, from one SVD.
 
-    The energy policy reads its rank and the truth from one SVD of X,
-    truncated as `estimate_coherence` would. The factors are freed on
-    return rather than held through the trials. A zero energy rank is
-    rejected by the first sampled estimate.
+    The truth is truncated as `estimate_coherence(X, rank)` would be. The
+    factors are freed on return rather than held through the trials. A
+    zero energy rank is rejected by the first sampled estimate.
     """
-    if config.r_policy != "energy":
-        r = config.r if config.r_policy == "explicit" else None
-        return r, estimate_coherence(X, rank=r).gamma
     f = thin_svd(X)
-    r = spectrum_energy_rank(f.singular_values, config.energy_fraction)
+    r = config.r  # None unless r_policy is explicit
+    if config.r_policy == "energy":
+        r = spectrum_energy_rank(f.singular_values, config.energy_fraction)
     return r, basis_coherence(f.left_basis(r)).gamma
 
 
@@ -334,12 +342,9 @@ def run_experiment(config: ExperimentConfig):
     raw CSV is written as well; a failed run leaves any earlier file at
     that path intact.
     """
-    X = _build_matrix(config)
-    m = X.shape[1]
-    if config.l_values[-1] > m:
-        raise ValueError(f"largest l {config.l_values[-1]} exceeds {m} columns")
-    if config.exclude and config.l_values[-1] > m - len(set(config.exclude)):
-        raise ValueError("largest l infeasible with the excluded columns")
+    X = _SOURCES[_source_name(config)].build(config)
+    # The sampler's own check, made before the truth SVD.
+    _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
 
     r_eff, gamma_true = _rank_and_truth(config, X)
     with_methods = config.kind == "kernel_suite"

@@ -149,6 +149,23 @@ def _fisher_yates_prefix(pool, size, rng) -> list:
     return a[:size]
 
 
+def _allowed_pool(m: int, excluded, size: int) -> list:
+    """Ascending columns of 0..m-1 not `excluded`; at least `size` of them.
+
+    An excluded index outside [0, m) is an error, not silently dropped.
+    """
+    excluded = {int(j) for j in excluded}
+    outside = sorted(j for j in excluded if not 0 <= j < m)
+    if outside:
+        raise ValueError(f"excluded column indices outside [0, {m}): {outside}")
+    allowed = [j for j in range(m) if j not in excluded]
+    if not 1 <= size <= len(allowed):
+        raise ValueError(
+            f"sample size {size} infeasible with {len(allowed)} allowed columns"
+        )
+    return allowed
+
+
 def _extract(X, indices, seed) -> ColumnSample:
     return ColumnSample(
         indices=tuple(indices),
@@ -163,23 +180,13 @@ def uniform_sample(X, size: int, seed: int) -> ColumnSample:
     Deterministic given (seed, column count, size): every size-subset is
     equally likely under the seeded generator.
     """
-    X = as_dense(X)
-    m = X.shape[1]
-    if not 1 <= size <= m:
-        raise ValueError(f"sample size {size} out of range [1, {m}]")
-    rng = SplitMix64(seed)
-    return _extract(X, _fisher_yates_prefix(range(m), size, rng), seed)
+    return exclusion_sample(X, size, seed, excluded=())
 
 
 def exclusion_sample(X, size: int, seed: int, excluded) -> ColumnSample:
     """Uniform sample of `size` columns drawn only from non-excluded ones."""
     X = as_dense(X)
-    m = X.shape[1]
-    allowed = sorted(set(range(m)) - {int(j) for j in excluded})
-    if not 1 <= size <= len(allowed):
-        raise ValueError(
-            f"sample size {size} infeasible with {len(allowed)} allowed columns"
-        )
+    allowed = _allowed_pool(X.shape[1], excluded, size)
     rng = SplitMix64(seed)
     return _extract(X, _fisher_yates_prefix(allowed, size, rng), seed)
 
@@ -194,12 +201,7 @@ def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
     the view of its first l columns.
     """
     X = as_dense(X)
-    m = X.shape[1]
-    allowed = sorted(set(range(m)) - {int(j) for j in excluded})
-    if not 1 <= max_size <= len(allowed):
-        raise ValueError(
-            f"max size {max_size} infeasible with {len(allowed)} allowed columns"
-        )
+    allowed = _allowed_pool(X.shape[1], excluded, max_size)
     rng = SplitMix64(seed)
     perm = _fisher_yates_prefix(allowed, max_size, rng)
     largest = _extract(X, perm, seed)

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import statistics
 
 import numpy as np
@@ -27,6 +28,7 @@ from matcoh.kernels import (
     default_rbf_width,
     energy_rank,
     load_csv,
+    load_matrix_market,
     save_csv,
 )
 from matcoh.sampling import SplitMix64, nested_samples
@@ -63,6 +65,76 @@ def test_config_validation():
     with pytest.raises(ValueError, match="r_policy"):
         config_from_dict({"kind": "synth_exact", "l_values": "2",
                           "r_policy": "explicit"})
+
+
+# One valid, non-default value for every source key.
+SOURCE_VALUES = {
+    "n": "30", "m": "30", "rank": "3", "decay": "fast", "coherence": "high",
+    "matrix_seed": "7", "noise": "0.1", "inflation": "10", "inner_dim": "5",
+    "data": "points.csv", "kernel": "linear", "standardize": "on",
+    "rbf_width": "2.0", "poly_degree": "3", "poly_offset": "0.5",
+    "matrix": "a.mtx",
+}
+SYNTH_READS = ("n", "m", "rank", "decay", "coherence", "matrix_seed")
+KERNEL_READS = ("data", "kernel", "standardize")
+# A minimal valid config of each source, and the source keys it reads.
+SOURCE_CASES = {
+    "synth_exact": ({"kind": "synth_exact", "n": "30", "m": "30", "rank": "3"},
+                    SYNTH_READS),
+    "synth_noisy": ({"kind": "synth_noisy", "n": "30", "m": "30", "rank": "3",
+                     "noise": "0.1"}, SYNTH_READS + ("noise",)),
+    "worst_case": ({"kind": "worst_case", "n": "30"},
+                   ("n", "inflation", "inner_dim", "matrix_seed")),
+    "rbf": ({"kind": "kernel_suite", "data": "p.csv", "kernel": "rbf"},
+            KERNEL_READS + ("rbf_width",)),
+    "polynomial": ({"kind": "kernel_suite", "data": "p.csv", "kernel": "polynomial"},
+                   KERNEL_READS + ("poly_degree", "poly_offset")),
+    "linear": ({"kind": "kernel_suite", "data": "p.csv", "kernel": "linear"},
+               KERNEL_READS),
+    # `data` would make this a kernel source; see the data-with-matrix case.
+    "matrix": ({"kind": "coherence_only", "matrix": "a.mtx"}, ("matrix", "data")),
+}
+SYNTH = SOURCE_CASES["synth_exact"][0]
+UNREAD_CASES = [
+    pytest.param(base, key, SOURCE_VALUES[key], id=f"{source}-{key}")
+    for source, (base, reads) in SOURCE_CASES.items()
+    for key in SOURCE_VALUES if key not in reads
+] + [
+    pytest.param(SYNTH, "r", "2", id="none-r"),
+    pytest.param(dict(SYNTH, r_policy="energy"), "r", "2", id="energy-r"),
+    pytest.param(SYNTH, "energy_fraction", "0.5", id="none-energy_fraction"),
+    pytest.param(dict(SYNTH, r_policy="explicit", r="2"), "energy_fraction",
+                 "0.5", id="explicit-energy_fraction"),
+    pytest.param({"kind": "coherence_only", "data": "p.csv", "kernel": "rbf"},
+                 "matrix", "a.mtx", id="coherence_only-data-with-matrix"),
+]
+
+
+@pytest.mark.parametrize("base, key, value", UNREAD_CASES)
+def test_config_rejects_keys_the_run_would_not_read(tmp_path, base, key, value):
+    base = dict(base, l_values="2")
+    config_from_dict(base)
+    names_key = rf"config keys: (.*, )?{key}(,|$)"
+    with pytest.raises(ValueError, match=names_key):
+        config_from_dict(dict(base, **{key: value}))
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+    with pytest.raises(ValueError, match=names_key):
+        load_config(path, overrides=[f"{key}={value}"])
+
+
+def test_config_names_missing_and_unknown_kernel_sources():
+    with pytest.raises(ValueError, match="kind 'kernel_suite' needs config keys: kernel$"):
+        config_from_dict({"kind": "kernel_suite", "l_values": "2", "data": "p.csv"})
+    with pytest.raises(ValueError, match="needs config keys: kernel$"):
+        config_from_dict({"kind": "coherence_only", "l_values": "2",
+                          "data": "p.csv", "matrix": "a.mtx"})
+    with pytest.raises(ValueError, match="unknown kernel 'sigmoid'"):
+        config_from_dict({"kind": "kernel_suite", "l_values": "2",
+                          "data": "p.csv", "kernel": "sigmoid"})
+    with pytest.raises(ValueError, match="needs config keys: noise$"):
+        config_from_dict({"kind": "synth_noisy", "l_values": "2",
+                          "n": "30", "m": "30", "rank": "3"})
 
 
 def synth_config(**extra):
@@ -132,30 +204,65 @@ def test_run_rejects_infeasible_l(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exclude", [(1000,), (-1,), (3, 30)])
+def test_run_rejects_excluded_index_outside_the_source(monkeypatch, exclude):
+    factored = []
+    monkeypatch.setattr(matcoh.experiment, "thin_svd",
+                        lambda X: factored.append(X.shape))
+    bad = [j for j in exclude if not 0 <= j < 30]
+    with pytest.raises(ValueError, match=re.escape(f"outside [0, 30): {bad}")):
+        run_experiment(synth_config(l_values=(30,), exclude=exclude))
+    assert factored == []  # rejected before the truth SVD
+
+
+def test_run_counts_a_repeated_excluded_index_once():
+    rows = run_experiment(synth_config(l_values=(29,), trials=2, exclude=(3, 3)))
+    assert len(rows) == 2
+    with pytest.raises(ValueError, match="infeasible with 29 allowed columns"):
+        run_experiment(synth_config(l_values=(30,), exclude=(3, 3)))
+
+
+@pytest.mark.parametrize("policy", [{}, {"r_policy": "explicit", "r": 3},
+                                    {"r_policy": "energy", "energy_fraction": 0.9}])
+def test_gamma_true_is_the_truncated_full_estimate(tmp_path, policy):
+    import scipy.io
+
+    path = tmp_path / "noisy.mtx"
+    scipy.io.mmwrite(str(path), SplitMix64(8).normal_matrix(40, 30))
+    X = load_matrix_market(path)
+    r = policy.get("r")
+    if policy.get("r_policy") == "energy":
+        r = energy_rank(X, policy["energy_fraction"])
+    config = ExperimentConfig(kind="coherence_only", experiment_id="g",
+                              l_values=(10,), matrix=str(path), **policy)
+    rows = run_experiment(config)
+    assert rows[0].gamma_true == estimate_coherence(X, rank=r).gamma
+
+
 def test_sweep_factors_each_trial_once(monkeypatch):
-    sweeps, estimates = [], []
+    sweeps, factored = [], []
     real_nested = matcoh.experiment.nested_coherence
-    real_estimate = matcoh.experiment.estimate_coherence
+    real_svd = matcoh.experiment.thin_svd
 
     def nested(columns, sizes, rank=None):
         sweeps.append((columns.shape, tuple(sizes), rank))
         return real_nested(columns, sizes, rank)
 
-    def estimate(columns, rank=None):
-        estimates.append(columns.shape)
-        return real_estimate(columns, rank)
+    def svd(X):
+        factored.append(X.shape)
+        return real_svd(X)
 
     monkeypatch.setattr(matcoh.experiment, "nested_coherence", nested)
-    monkeypatch.setattr(matcoh.experiment, "estimate_coherence", estimate)
+    monkeypatch.setattr(matcoh.experiment, "thin_svd", svd)
     config = ExperimentConfig(kind="synth_exact", experiment_id="s",
                               l_values=(3, 8, 12), trials=3, base_seed=5,
                               n=30, m=20, rank=4)
     results = run_experiment(config)
     assert len(results) == 9
     # One sweep per trial over its largest sample; the only direct
-    # estimate is the full-matrix truth.
+    # factorization is the full-matrix truth.
     assert sweeps == [((30, 12), (3, 8, 12), None)] * 3
-    assert estimates == [(30, 20)]
+    assert factored == [(30, 20)]
 
 
 def test_energy_policy_runs():

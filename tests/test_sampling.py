@@ -111,6 +111,17 @@ def test_exclusion_sample_infeasible():
         exclusion_sample(X46, 6, seed=1, excluded={0})
 
 
+@pytest.mark.parametrize("draw", [
+    lambda excluded: exclusion_sample(X46, 2, seed=1, excluded=excluded),
+    lambda excluded: nested_samples(X46, 2, seed=1, excluded=excluded)[-1],
+], ids=["exclusion_sample", "nested_samples"])
+def test_excluded_index_outside_the_columns_is_an_error(draw):
+    with pytest.raises(ValueError, match=r"outside \[0, 6\): \[-1, 6\]$"):
+        draw((6, 0, -1, 6))
+    # A repeated in-range index excludes one column.
+    assert 2 not in draw((2, 2)).indices
+
+
 def test_exclusion_frequencies_uniform_over_allowed():
     counts = Counter()
     for seed in range(6000):
