@@ -190,9 +190,7 @@ def estimate_coherence(columns, rank=None) -> CoherenceReport:
     yields the rank-0 report with gamma 0 rather than an error.
     """
     _check_rank(rank)
-    f = thin_svd(columns)
-    q = _kept_rank(f.singular_values, (f.U.shape[0], f.V.shape[0]), rank)
-    return basis_coherence(f.U[:, :q])
+    return basis_coherence(thin_svd(columns).left_basis(rank))
 
 
 def nested_coherence(columns, sizes, rank=None):
@@ -227,23 +225,15 @@ def _prefix_reports(columns, sizes, rank):
         # are Q[:, :k] times those of the small block. The rank threshold
         # is the prefix's, at shape (n, l), not the block's.
         f = thin_svd(R[:k, :l])
-        q = _kept_rank(f.singular_values, (n, l), rank)
+        q = numerical_rank(f.singular_values, (n, l))
+        if rank is not None:
+            q = min(q, rank)
         yield basis_coherence(Q[:, :k] @ f.U[:, :q])
 
 
 def _check_rank(rank):
     if rank is not None and rank < 1:
         raise ValueError(f"rank parameter must be >= 1, got {rank}")
-
-
-def _kept_rank(singular_values, shape, rank) -> int:
-    """Basis size of a sampled estimate from its sample's spectrum.
-
-    The numerical rank of a sample of `shape`, capped at `rank` (None
-    means no cap).
-    """
-    q = numerical_rank(singular_values, shape)
-    return q if rank is None else min(q, rank)
 
 
 def update_projector(P, x):

@@ -14,10 +14,10 @@ step, with the trial's QR charged to the first size.
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
 `runs/#3/points.csv` keeps its '#'. Each key is one `ExperimentConfig`
-field, and one table (`_SOURCES`) lists the keys each source reads and
-requires: a key that the run's source or r_policy would not read is an
-error when the config is built. All rows go to a single fixed-schema
-CSV so one summarizer serves every experiment kind.
+field, and one table (`_SOURCES`) lists the keys and the value check of
+each source: a key that the run's source or r_policy would not read, or
+a value its spec rejects, fails when the config is built. All rows go
+to a single fixed-schema CSV so one summarizer serves every kind.
 """
 
 import csv
@@ -28,7 +28,7 @@ import secrets
 import statistics
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,7 +45,7 @@ from .kernels import (
 from .linalg import thin_svd
 from .lowrank import column_projection, nystrom
 from .sampling import RNG_NAME, _allowed_pool, nested_samples
-from .synthetic import SynthSpec, add_noise, adversarial_spsd, low_rank_matrix
+from .synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
 
 __all__ = [
     "RAW_HEADER",
@@ -180,6 +180,8 @@ class ExperimentConfig:
         if unread:
             raise ValueError(f"source {name!r} with r_policy {self.r_policy!r} "
                              f"does not read config keys: {', '.join(unread)}")
+        if source.spec:
+            source.spec(self)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -207,28 +209,41 @@ def _matrix_seed(config) -> int:
     return config.base_seed if config.matrix_seed is None else config.matrix_seed
 
 
-def _synthetic(config):
-    spec = SynthSpec(n=config.n, m=config.m, rank=config.rank,
+def _synth_spec(config) -> SynthSpec:
+    return SynthSpec(n=config.n, m=config.m, rank=config.rank,
                      decay=config.decay, coherence=config.coherence,
                      noise=config.noise, seed=_matrix_seed(config))
-    X = low_rank_matrix(replace(spec, noise=None))
-    return X if spec.noise is None else add_noise(X, spec)
 
 
-def _kernel(spec_for):
-    """Build function of the kernel source with spec `spec_for(config, dataset)`."""
-    def build(config):
-        dataset = load_csv(config.data)
-        if config.standardize:
-            dataset = standardize(dataset)
-        return build_kernel(dataset, spec_for(config, dataset))
-    return build
+def _synthetic(config):
+    return low_rank_matrix(_synth_spec(config))
+
+
+def _kernel_spec(config, dataset=None):
+    """The source's KernelSpec; without a dataset, None for a default rbf width."""
+    if config.kernel == "linear":
+        return KernelSpec(kind="linear")
+    if config.kernel == "polynomial":
+        return KernelSpec(kind="polynomial", poly_degree=config.poly_degree,
+                          poly_offset=config.poly_offset)
+    width = config.rbf_width
+    if width is None and dataset is not None:
+        width = default_rbf_width(dataset)
+    return None if width is None else KernelSpec(kind="rbf", rbf_width=width)
+
+
+def _kernel(config):
+    dataset = load_csv(config.data)
+    if config.standardize:
+        dataset = standardize(dataset)
+    return build_kernel(dataset, _kernel_spec(config, dataset))
 
 
 class _Source(NamedTuple):
     reads: tuple       # keys read beyond _COMMON_KEYS
     requires: tuple    # keys that must be set
     build: Callable    # config -> source matrix
+    spec: Callable | None = None  # config -> its spec, which checks the values
 
 
 _COMMON_KEYS = ("kind", "experiment_id", "l_values", "trials", "base_seed",
@@ -237,25 +252,22 @@ _SYNTH_KEYS = ("n", "m", "rank", "decay", "coherence", "matrix_seed")
 _KERNEL_KEYS = ("data", "kernel", "standardize")
 _KERNEL_REQUIRES = ("data", "kernel")
 
-# What each source reads, what it requires and how it is built. A kernel
-# source is named by the `kernel` key; see `_source_name`.
+# Keys each source reads and requires, its builder and the spec that checks
+# its values. A kernel source is named by the `kernel` key (`_source_name`).
+# worst_case has no spec: `adversarial_spsd` checks its values first.
 _SOURCES = {
-    "synth_exact": _Source(_SYNTH_KEYS, ("n", "m", "rank"), _synthetic),
-    "synth_noisy": _Source(_SYNTH_KEYS + ("noise",),
-                           ("n", "m", "rank", "noise"), _synthetic),
+    "synth_exact": _Source(_SYNTH_KEYS, ("n", "m", "rank"), _synthetic, _synth_spec),
+    "synth_noisy": _Source(_SYNTH_KEYS + ("noise",), ("n", "m", "rank", "noise"),
+                           _synthetic, _synth_spec),
     "worst_case": _Source(
         ("n", "inflation", "inner_dim", "matrix_seed"), ("n",),
         lambda c: adversarial_spsd(c.n, seed=_matrix_seed(c),
                                    inflation=c.inflation, inner_dim=c.inner_dim)),
-    "rbf": _Source(_KERNEL_KEYS + ("rbf_width",), _KERNEL_REQUIRES, _kernel(
-        lambda c, d: KernelSpec(kind="rbf", rbf_width=default_rbf_width(d)
-                                if c.rbf_width is None else c.rbf_width))),
-    "polynomial": _Source(
-        _KERNEL_KEYS + ("poly_degree", "poly_offset"), _KERNEL_REQUIRES,
-        _kernel(lambda c, d: KernelSpec(kind="polynomial", poly_degree=c.poly_degree,
-                                        poly_offset=c.poly_offset))),
-    "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES,
-                      _kernel(lambda c, d: KernelSpec(kind="linear"))),
+    "rbf": _Source(_KERNEL_KEYS + ("rbf_width",), _KERNEL_REQUIRES,
+                   _kernel, _kernel_spec),
+    "polynomial": _Source(_KERNEL_KEYS + ("poly_degree", "poly_offset"),
+                          _KERNEL_REQUIRES, _kernel, _kernel_spec),
+    "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES, _kernel, _kernel_spec),
     "matrix": _Source(("matrix",), ("matrix",),
                       lambda c: load_matrix_market(c.matrix)),
 }

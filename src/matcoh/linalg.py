@@ -128,10 +128,9 @@ def pseudoinverse(X) -> np.ndarray:
     """
     f = thin_svd(X)
     s = f.singular_values
-    tau = rank_threshold(s, (f.U.shape[0], f.V.shape[0]))
     inv = np.zeros_like(s)
-    keep = s > tau
-    inv[keep] = 1.0 / s[keep]
+    # s is descending, so the values above the threshold are a prefix.
+    inv[:f.numerical_rank] = 1.0 / s[:f.numerical_rank]
     return (f.V * inv) @ f.U.T
 
 

@@ -1,10 +1,11 @@
 """Reproducible generators for the synthetic experiment matrices.
 
 Four families: exact low-rank matrices with an exponentially decaying
-spectrum and a dialed-in coherence level, their noisy full-rank
-perturbations, the basis-aligned matrix whose columns are standard basis
-vectors (the case column sampling cannot recover), and an adversarial
-SPSD matrix with one hugely inflated diagonal entry.
+spectrum and a dialed-in coherence level and their noisy full-rank
+extensions (both built by `low_rank_matrix` from one factor draw), the
+basis-aligned matrix whose columns are standard basis vectors (the case
+column sampling cannot recover), and an adversarial SPSD matrix with one
+hugely inflated diagonal entry.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -14,7 +15,7 @@ at the ceil(rank/2)-th spectral position.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +109,9 @@ def low_rank_factors(spec: SynthSpec):
     """(U, s, V) factors of the exactly low-rank matrix for `spec`.
 
     U and V are built independently from the same seeded stream, each
-    containing its own peaked coherence vector.
+    containing its own peaked coherence vector. `spec.noise` is ignored.
     """
-    rng = SplitMix64(spec.seed)
-    return _factors(spec, rng)
+    return _factors(spec, SplitMix64(spec.seed))
 
 
 def _factors(spec: SynthSpec, rng: SplitMix64):
@@ -125,10 +125,19 @@ def _factors(spec: SynthSpec, rng: SplitMix64):
 
 
 def low_rank_matrix(spec: SynthSpec) -> np.ndarray:
-    """The exactly rank-`spec.rank` matrix U diag(s) V^T."""
+    """The matrix of `spec`, from one draw of its factors.
+
+    Exactly rank `spec.rank` (U diag(s) V^T) without noise. With it, the
+    noisy extension: both bases are completed to orthogonal ones by QR
+    on the same seeded stream, so the top-rank subspaces are unchanged.
+    """
+    rng = SplitMix64(spec.seed)
+    U, s, V = _factors(spec, rng)
     if spec.noise is not None:
-        raise ValueError("spec has noise set; build the noiseless base first")
-    U, s, V = low_rank_factors(spec)
+        k = min(spec.n, spec.m)
+        U = _complete_basis(U, k, rng)
+        V = _complete_basis(V, k, rng)
+        s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
     return np.asfortranarray((U * s) @ V.T)
 
 
@@ -145,30 +154,19 @@ def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
 def add_noise(X, spec: SynthSpec) -> np.ndarray:
     """Full-rank noisy version of a generated low-rank matrix.
 
-    The structural factors are regenerated from `spec` (X must match
-    them), both bases are completed to full orthogonal ones by QR, and
-    every trailing singular value is set to spec.noise times the
-    smallest structural one, so the top-rank subspaces are unchanged and
-    the spectral gap ratio is exactly the noise fraction.
+    X must be the noiseless matrix of `spec`; returns `low_rank_matrix(spec)`.
     """
     if spec.noise is None:
         raise ValueError("spec.noise must be set to add noise")
     X = as_dense(X)
-    base = replace(spec, noise=None)
-    rng = SplitMix64(spec.seed)
-    U, s, V = _factors(base, rng)
-    clean = (U * s) @ V.T
-    drift = float(np.max(np.abs(clean - X)))
+    U, s, V = low_rank_factors(spec)
+    drift = float(np.max(np.abs((U * s) @ V.T - X)))
     if drift > 1e-10:
         raise ValueError(
             f"matrix does not match the factors generated for this SynthSpec "
             f"(drift {drift:.3e})"
         )
-    k = min(spec.n, spec.m)
-    U_full = _complete_basis(U, k, rng)
-    V_full = _complete_basis(V, k, rng)
-    s_full = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-    return np.asfortranarray((U_full * s_full) @ V_full.T)
+    return low_rank_matrix(spec)
 
 
 def basis_aligned_matrix(n: int, m: int, rank: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 import csv
+import importlib.util
 import math
 import re
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import matcoh.experiment
+import matcoh.synthetic
 from matcoh.cli import main
 from matcoh.experiment import (
     RAW_HEADER,
@@ -137,6 +140,43 @@ def test_config_names_missing_and_unknown_kernel_sources():
                           "n": "30", "m": "30", "rank": "3"})
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"kind": "synth_noisy", "n": "30", "m": "30", "rank": "3", "noise": "1.5"},
+     r"noise fraction must be in \(0, 1\), got 1.5"),
+    ({"kind": "synth_exact", "n": "30", "m": "30", "rank": "3", "decay": "quick"},
+     "unknown decay 'quick'"),
+    ({"kind": "synth_exact", "n": "20", "m": "20", "rank": "30"},
+     "rank 30 out of range for 20x20"),
+    ({"kind": "kernel_suite", "kernel": "rbf", "rbf_width": "-1"},
+     "rbf kernel needs a positive rbf_width"),
+    ({"kind": "kernel_suite", "kernel": "polynomial", "poly_degree": "0"},
+     r"polynomial kernel needs poly_degree >= 1"),
+], ids=["noise", "decay", "rank", "rbf_width", "poly_degree"])
+def test_config_checks_source_values_before_reading_data(tmp_path, raw, message):
+    raw = dict(raw, l_values="2")
+    if raw["kind"] == "kernel_suite":
+        raw["data"] = str(tmp_path / "missing.csv")
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(raw)
+
+
+def test_benchmark_workload_configs_load(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "exp.cfg"
+    for name in workloads.NAMES:
+        for size in ("full", "toy"):
+            for setup in (False, True):
+                cfg = workloads.config_values(name, 300, size, setup)
+                path.write_text(workloads.config_text(cfg))
+                config = load_config(path)
+                assert (config.kind, config.l_values) == (cfg["kind"],
+                                                          cfg["l_values"])
+
+
 def synth_config(**extra):
     base = dict(kind="synth_exact", experiment_id="t", l_values=(2, 4, 8),
                 trials=3, base_seed=5, n=30, m=30, rank=4, coherence="low")
@@ -263,6 +303,22 @@ def test_sweep_factors_each_trial_once(monkeypatch):
     # factorization is the full-matrix truth.
     assert sweeps == [((30, 12), (3, 8, 12), None)] * 3
     assert factored == [(30, 20)]
+
+
+def test_noisy_run_draws_its_factors_once(monkeypatch):
+    calls = []
+    real_factors = matcoh.synthetic._factors
+
+    def factors(spec, rng):
+        calls.append(spec)
+        return real_factors(spec, rng)
+
+    monkeypatch.setattr(matcoh.synthetic, "_factors", factors)
+    config = ExperimentConfig(kind="synth_noisy", experiment_id="n",
+                              l_values=(5, 10), trials=2, n=30, m=40, rank=4,
+                              noise=0.1, r_policy="explicit", r=4)
+    assert len(run_experiment(config)) == 4
+    assert len(calls) == 1
 
 
 def test_energy_policy_runs():
@@ -434,11 +490,14 @@ def config_file(tmp_path, **overrides):
 
 def test_load_config_with_overrides(tmp_path):
     path = config_file(tmp_path)
-    config = load_config(path, overrides=["trials=5", "coherence=high"])
+    config = load_config(path, overrides=["trials=5", "coherence=mid"])
     assert config.trials == 5
-    assert config.coherence == "high"
+    assert config.coherence == "mid"
     with pytest.raises(ValueError, match="unknown override"):
         load_config(path, overrides=["nope=1"])
+    # 8 / sqrt(25) > 1: the override is applied before the values are checked.
+    with pytest.raises(ValueError, match="coherence multiplier infeasible"):
+        load_config(path, overrides=["coherence=high"])
 
 
 def test_cli_run_and_summarize(tmp_path, capsys):

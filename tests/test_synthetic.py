@@ -89,9 +89,20 @@ def test_generation_is_bit_deterministic():
     np.testing.assert_array_equal(low_rank_matrix(spec), low_rank_matrix(spec))
 
 
-def test_low_rank_matrix_rejects_noisy_spec():
-    with pytest.raises(ValueError):
-        low_rank_matrix(SynthSpec(n=20, m=20, rank=4, noise=0.5))
+@pytest.mark.parametrize("n, m, rank, coherence", [
+    (30, 45, 5, "low"),     # n < m
+    (40, 35, 6, "mid"),     # n > m
+    (80, 70, 70, "high"),   # rank == min(n, m): no completion columns
+    (50, 64, 50, "mid"),    # rank == min(n, m), n < m
+])
+def test_noisy_matrix_equals_add_noise_of_its_base(n, m, rank, coherence):
+    noisy = SynthSpec(n=n, m=m, rank=rank, coherence=coherence, noise=0.2,
+                      seed=13)
+    base = low_rank_matrix(replace(noisy, noise=None))
+    X = low_rank_matrix(noisy)
+    assert X.flags.f_contiguous
+    np.testing.assert_array_equal(X, add_noise(base, noisy))
+    assert np.array_equal(X, base) == (rank == min(n, m))
 
 
 class TestAddNoise:
