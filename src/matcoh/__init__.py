@@ -18,7 +18,6 @@ from .kernels import (
     KernelSpec,
     PointDataset,
     build_kernel,
-    energy_rank,
     load_csv,
     load_matrix_market,
     spectrum_energy_rank,
@@ -27,6 +26,7 @@ from .linalg import (
     DecompositionError,
     ThinSVD,
     as_dense,
+    left_svd,
     numerical_rank,
     projector,
     pseudoinverse,

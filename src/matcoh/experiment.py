@@ -4,10 +4,12 @@ An experiment builds one matrix (synthetic, adversarial, kernel from a
 point file, or a Matrix Market file), then for every trial draws a
 nested column-sample family and records the coherence estimate at each
 requested sample size; kernel experiments additionally record both
-low-rank approximation errors. Trials use seed = base_seed + trial, and
-per-trial estimates share one permutation so each trial's curve is
-non-decreasing in the sample size. Each trial extracts its largest
-sample once and estimates every size from one QR of it
+low-rank approximation errors. The truth (`gamma_true` and the rank) is
+one `left_svd`: `eigh` for a source `_SOURCES` declares SPSD, the QR of
+Xᵀ for a wide one, one thin SVD otherwise. Trials use seed = base_seed +
+trial, and per-trial estimates share one permutation so each trial's
+curve is non-decreasing in the sample size. Each trial extracts its
+largest sample once and estimates every size from one QR of it
 (`nested_coherence`); an estimate row's `wall_time_ms` is that size's
 step, with the trial's QR charged to the first size.
 
@@ -42,7 +44,7 @@ from .kernels import (
     spectrum_energy_rank,
     standardize,
 )
-from .linalg import thin_svd
+from .linalg import left_svd
 from .lowrank import column_projection, nystrom
 from .sampling import RNG_NAME, _allowed_pool, nested_samples
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
@@ -244,6 +246,7 @@ class _Source(NamedTuple):
     requires: tuple    # keys that must be set
     build: Callable    # config -> source matrix
     spec: Callable | None = None  # config -> its spec, which checks the values
+    spsd: bool = False  # SPSD by construction: a symmetrized Gram matrix
 
 
 _COMMON_KEYS = ("kind", "experiment_id", "l_values", "trials", "base_seed",
@@ -262,12 +265,13 @@ _SOURCES = {
     "worst_case": _Source(
         ("n", "inflation", "inner_dim", "matrix_seed"), ("n",),
         lambda c: adversarial_spsd(c.n, seed=_matrix_seed(c),
-                                   inflation=c.inflation, inner_dim=c.inner_dim)),
+                                   inflation=c.inflation, inner_dim=c.inner_dim),
+        spsd=True),
     "rbf": _Source(_KERNEL_KEYS + ("rbf_width",), _KERNEL_REQUIRES,
-                   _kernel, _kernel_spec),
+                   _kernel, _kernel_spec, spsd=True),
     "polynomial": _Source(_KERNEL_KEYS + ("poly_degree", "poly_offset"),
-                          _KERNEL_REQUIRES, _kernel, _kernel_spec),
-    "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES, _kernel, _kernel_spec),
+                          _KERNEL_REQUIRES, _kernel, _kernel_spec, spsd=True),
+    "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES, _kernel, _kernel_spec, spsd=True),
     "matrix": _Source(("matrix",), ("matrix",),
                       lambda c: load_matrix_market(c.matrix)),
 }
@@ -334,13 +338,13 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 
 
 def _rank_and_truth(config: ExperimentConfig, X):
-    """(truncation rank, gamma_true) of the source matrix, from one SVD.
+    """(truncation rank, gamma_true) of the source, from one `left_svd`.
 
-    The truth is truncated as `estimate_coherence(X, rank)` would be. The
-    factors are freed on return rather than held through the trials. A
-    zero energy rank is rejected by the first sampled estimate.
+    The truth is truncated as `estimate_coherence(X, rank)` would be, up to
+    rounding. The factors are freed on return rather than held through the
+    trials. A zero energy rank is rejected by the first sampled estimate.
     """
-    f = thin_svd(X)
+    f = left_svd(X, spsd=_SOURCES[_source_name(config)].spsd)
     r = config.r  # None unless r_policy is explicit
     if config.r_policy == "energy":
         r = spectrum_energy_rank(f.singular_values, config.energy_fraction)
@@ -355,7 +359,7 @@ def run_experiment(config: ExperimentConfig):
     that path intact.
     """
     X = _SOURCES[_source_name(config)].build(config)
-    # The sampler's own check, made before the truth SVD.
+    # The sampler's own check, made before the truth factorization.
     _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
 
     r_eff, gamma_true = _rank_and_truth(config, X)
@@ -414,34 +418,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_raw_csv(path, results):
-    """Write result rows under the fixed raw schema; atomic on failure.
+def _write_csv(target, header, rows):
+    """Write a header and rows to an open text stream, or to a path.
 
-    Rows go to a temporary file beside `path` that replaces it only once
-    complete, so a failed write leaves an earlier file at `path` intact.
+    A path's rows go to a temporary file beside it that replaces it only
+    once complete, so a failed write leaves an earlier file intact.
     """
-    path = Path(path)
+    if hasattr(target, "write"):
+        writer = csv.writer(target, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    path = Path(target)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "x", newline="")
     try:
         with fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RAW_HEADER)
-            for r in results:
-                writer.writerow([
-                    r.experiment_id, r.kind, r.trial, r.seed, r.l, r.r_used,
-                    _fmt(r.gamma_true), _fmt(r.gamma_est), _fmt(r.abs_error),
-                    r.method or "", _fmt(r.normalized_error),
-                    RNG_NAME, _fmt(r.wall_time_ms),
-                ])
+            _write_csv(fh, header, rows)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_raw_csv(path, results):
+    """Write result rows under the fixed raw schema, atomically.
+
+    A failed write leaves an earlier file at `path` intact.
+    """
+    _write_csv(path, RAW_HEADER, ([
+        r.experiment_id, r.kind, r.trial, r.seed, r.l, r.r_used,
+        _fmt(r.gamma_true), _fmt(r.gamma_est), _fmt(r.abs_error),
+        r.method or "", _fmt(r.normalized_error),
+        RNG_NAME, _fmt(r.wall_time_ms),
+    ] for r in results))
+
+
 def read_raw_csv(path):
-    """Read a raw CSV back into TrialResult rows."""
+    """Read a raw CSV back into TrialResult rows; a bad row names `path:line`."""
     results = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -449,6 +463,9 @@ def read_raw_csv(path):
         if header != RAW_HEADER:
             raise ValueError(f"{path}: not a raw result file (bad header)")
         for row in reader:
+            if len(row) != len(RAW_HEADER):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(RAW_HEADER)} fields, got {len(row)}")
             results.append(TrialResult(
                 experiment_id=row[0], kind=row[1], trial=int(row[2]),
                 seed=int(row[3]), l=int(row[4]), r_used=int(row[5]),
@@ -497,14 +514,6 @@ def summarize(results):
 
 
 def write_summary_csv(path_or_file, summary_rows):
-    """Write summary rows; accepts a path or an open text stream."""
-    own = not hasattr(path_or_file, "write")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for row in summary_rows:
-            writer.writerow([_fmt(row[k]) for k in SUMMARY_HEADER])
-    finally:
-        if own:
-            fh.close()
+    """Write summary rows to an open text stream, or atomically to a path."""
+    _write_csv(path_or_file, SUMMARY_HEADER,
+               ([_fmt(row[k]) for k in SUMMARY_HEADER] for row in summary_rows))

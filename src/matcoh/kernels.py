@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
-from .linalg import as_dense, thin_svd
+from .linalg import as_dense
 
 __all__ = [
     "KERNEL_KINDS",
@@ -28,7 +28,6 @@ __all__ = [
     "standardize",
     "median_pairwise_distance",
     "default_rbf_width",
-    "energy_rank",
     "spectrum_energy_rank",
 ]
 
@@ -203,17 +202,13 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     return np.asfortranarray((K + K.T) / 2.0)
 
 
-def energy_rank(K, fraction: float) -> int:
+def spectrum_energy_rank(singular_values, fraction: float) -> int:
     """Smallest r whose top-r singular values hold `fraction` of the energy.
 
-    Energy is the cumulative sum of squared singular values (Frobenius
-    mass). A zero matrix has energy rank 0.
+    `singular_values` are a matrix's, sorted descending. Energy is the
+    cumulative sum of squared singular values (Frobenius mass). A zero
+    matrix has energy rank 0.
     """
-    return spectrum_energy_rank(thin_svd(K).singular_values, fraction)
-
-
-def spectrum_energy_rank(singular_values, fraction: float) -> int:
-    """`energy_rank` of a matrix with these descending singular values."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     s = np.asarray(singular_values, dtype=np.float64)

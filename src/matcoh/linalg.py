@@ -4,6 +4,9 @@ All matrices are finite float64 arrays stored column-major, since every
 algorithm in this package extracts and appends columns. The numerical
 contracts (orthonormality, idempotence, rank thresholds) are centralized
 here so that the higher-level modules agree on one set of tolerances.
+
+`left_svd`, for the coherence truth, routes by structure: `eigh` if
+SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "ORTHONORMAL_TOL",
-    "RECONSTRUCTION_TOL",
     "ZERO_SPECTRUM_FLOOR",
     "DecompositionError",
     "ThinSVD",
@@ -20,6 +22,7 @@ __all__ = [
     "rank_threshold",
     "numerical_rank",
     "thin_svd",
+    "left_svd",
     "pseudoinverse",
     "projector",
     "orthonormality_defect",
@@ -27,8 +30,6 @@ __all__ = [
 
 # Entrywise tolerance for orthonormality and idempotence checks.
 ORTHONORMAL_TOL = 1e-10
-# Relative Frobenius tolerance for the SVD reconstruction invariant.
-RECONSTRUCTION_TOL = 1e-10
 # Absolute rank-threshold floor used when the whole spectrum is zero.
 ZERO_SPECTRUM_FLOOR = 1e-12
 
@@ -86,15 +87,15 @@ def numerical_rank(singular_values, shape=None, threshold=None) -> int:
 class ThinSVD:
     """Thin singular value decomposition X = U diag(s) V^T.
 
-    U is n x q and V is m x q with orthonormal columns, q = min(n, m),
-    and the singular values are sorted descending. `numerical_rank` is
-    the count of singular values above the rank threshold; columns of U
-    and V beyond it do not carry spectral information.
+    U is n x q and V is m x q (None from `left_svd`) with orthonormal
+    columns, q = min(n, m), and the singular values are sorted descending.
+    `numerical_rank` is the count of singular values above the rank
+    threshold; columns of U and V beyond it carry no spectral information.
     """
 
     U: np.ndarray
     singular_values: np.ndarray
-    V: np.ndarray
+    V: np.ndarray | None
     numerical_rank: int
 
     def left_basis(self, rank=None) -> np.ndarray:
@@ -118,6 +119,33 @@ def thin_svd(X) -> ThinSVD:
     for arr in (U, s, Vh):
         arr.setflags(write=False)
     return ThinSVD(U=U, singular_values=s, V=Vh.T, numerical_rank=rank)
+
+
+def left_svd(X, spsd=False) -> ThinSVD:
+    """`thin_svd` of X without forming V (None) on an SPSD or a wide X.
+
+    `spsd` declares X symmetric positive semidefinite, untested: `eigh`,
+    ordered by descending |eigenvalue| (stable sort). A wide X takes the
+    SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982). The rank threshold is X's.
+    """
+    X = as_dense(X)
+    if not spsd and X.shape[0] >= X.shape[1]:
+        return thin_svd(X)
+    try:
+        if spsd:
+            w, U = np.linalg.eigh(X)
+            order = np.argsort(-np.abs(w), kind="stable")
+            U, s = U[:, order], np.abs(w)[order]
+        else:
+            R = np.linalg.qr(X.T, mode="r")
+            U, s, _ = np.linalg.svd(R.T, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"factorization failed on {X.shape} matrix: {exc}") from exc
+    for arr in (U, s):
+        arr.setflags(write=False)
+    return ThinSVD(U=U, singular_values=s, V=None,
+                   numerical_rank=numerical_rank(s, X.shape))
 
 
 def pseudoinverse(X) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import matcoh.experiment
+import matcoh.linalg
 import matcoh.synthetic
 from matcoh.cli import main
 from matcoh.experiment import (
@@ -22,6 +23,7 @@ from matcoh.experiment import (
     run_experiment,
     summarize,
     write_raw_csv,
+    write_summary_csv,
 )
 from matcoh.coherence import estimate_coherence
 from matcoh.kernels import (
@@ -29,11 +31,12 @@ from matcoh.kernels import (
     PointDataset,
     build_kernel,
     default_rbf_width,
-    energy_rank,
     load_csv,
     load_matrix_market,
     save_csv,
+    spectrum_energy_rank,
 )
+from matcoh.linalg import thin_svd
 from matcoh.sampling import SplitMix64, nested_samples
 
 
@@ -247,12 +250,12 @@ def test_run_rejects_infeasible_l(tmp_path):
 @pytest.mark.parametrize("exclude", [(1000,), (-1,), (3, 30)])
 def test_run_rejects_excluded_index_outside_the_source(monkeypatch, exclude):
     factored = []
-    monkeypatch.setattr(matcoh.experiment, "thin_svd",
-                        lambda X: factored.append(X.shape))
+    monkeypatch.setattr(matcoh.experiment, "left_svd",
+                        lambda X, spsd=False: factored.append(X.shape))
     bad = [j for j in exclude if not 0 <= j < 30]
     with pytest.raises(ValueError, match=re.escape(f"outside [0, 30): {bad}")):
         run_experiment(synth_config(l_values=(30,), exclude=exclude))
-    assert factored == []  # rejected before the truth SVD
+    assert factored == []  # rejected before the truth factorization
 
 
 def test_run_counts_a_repeated_excluded_index_once():
@@ -272,7 +275,8 @@ def test_gamma_true_is_the_truncated_full_estimate(tmp_path, policy):
     X = load_matrix_market(path)
     r = policy.get("r")
     if policy.get("r_policy") == "energy":
-        r = energy_rank(X, policy["energy_fraction"])
+        r = spectrum_energy_rank(thin_svd(X).singular_values,
+                                 policy["energy_fraction"])
     config = ExperimentConfig(kind="coherence_only", experiment_id="g",
                               l_values=(10,), matrix=str(path), **policy)
     rows = run_experiment(config)
@@ -282,18 +286,18 @@ def test_gamma_true_is_the_truncated_full_estimate(tmp_path, policy):
 def test_sweep_factors_each_trial_once(monkeypatch):
     sweeps, factored = [], []
     real_nested = matcoh.experiment.nested_coherence
-    real_svd = matcoh.experiment.thin_svd
+    real_svd = matcoh.experiment.left_svd
 
     def nested(columns, sizes, rank=None):
         sweeps.append((columns.shape, tuple(sizes), rank))
         return real_nested(columns, sizes, rank)
 
-    def svd(X):
+    def svd(X, spsd=False):
         factored.append(X.shape)
-        return real_svd(X)
+        return real_svd(X, spsd)
 
     monkeypatch.setattr(matcoh.experiment, "nested_coherence", nested)
-    monkeypatch.setattr(matcoh.experiment, "thin_svd", svd)
+    monkeypatch.setattr(matcoh.experiment, "left_svd", svd)
     config = ExperimentConfig(kind="synth_exact", experiment_id="s",
                               l_values=(3, 8, 12), trials=3, base_seed=5,
                               n=30, m=20, rank=4)
@@ -303,6 +307,60 @@ def test_sweep_factors_each_trial_once(monkeypatch):
     # factorization is the full-matrix truth.
     assert sweeps == [((30, 12), (3, 8, 12), None)] * 3
     assert factored == [(30, 20)]
+
+
+def _wide_config(tmp_path):
+    return ExperimentConfig(kind="synth_noisy", experiment_id="w",
+                            l_values=(4, 10), n=12, m=40, rank=3, noise=0.1,
+                            r_policy="explicit", r=3)
+
+
+def _worst_case_config(tmp_path):
+    return ExperimentConfig(kind="worst_case", experiment_id="a",
+                            l_values=(4, 10), n=20, inner_dim=3,
+                            exclude=(0,))
+
+
+def _kernel_config(tmp_path):
+    data = tmp_path / "pts.csv"
+    save_csv(PointDataset(points=SplitMix64(6).normal_matrix(20, 3),
+                          name="pts"), data)
+    return ExperimentConfig(kind="coherence_only", experiment_id="k",
+                            l_values=(4, 10), data=str(data), kernel="rbf",
+                            r_policy="energy")
+
+
+@pytest.mark.parametrize("make_config, n, spsd", [
+    (_wide_config, 12, False), (_worst_case_config, 20, True),
+    (_kernel_config, 20, True)])
+def test_truth_of_wide_and_spsd_sources_forms_no_right_factor(
+        monkeypatch, tmp_path, make_config, n, spsd):
+    svd_shapes, eigh_shapes = [], []
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
+
+    def svd(a, *args, **kwargs):
+        svd_shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    def eigh(a, *args, **kwargs):
+        eigh_shapes.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    def no_thin_svd(X):
+        raise AssertionError(f"thin_svd of the {X.shape} source")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(matcoh.linalg, "thin_svd", no_thin_svd)
+    assert run_experiment(make_config(tmp_path))
+    # The truth takes one eigh of the n x n SPSD source, or the SVD of the
+    # n x n triangular factor of a wide one; the sweep factors square
+    # l x l blocks. No SVD sees a non-square matrix.
+    assert all(rows == cols for rows, cols in svd_shapes)
+    if spsd:
+        assert eigh_shapes == [(n, n)]
+    else:
+        assert eigh_shapes == [] and (n, n) in svd_shapes
 
 
 def test_noisy_run_draws_its_factors_once(monkeypatch):
@@ -341,7 +399,7 @@ def test_energy_policy_factors_source_once_with_same_rank_and_truth(tmp_path):
     dataset = load_csv(data)
     K = build_kernel(dataset, KernelSpec(kind="rbf",
                                          rbf_width=default_rbf_width(dataset)))
-    r = energy_rank(K, config.energy_fraction)
+    r = spectrum_energy_rank(thin_svd(K).singular_values, config.energy_fraction)
     gamma_true = estimate_coherence(K, rank=r).gamma
     results = run_experiment(config)
     assert len(results) == 12
@@ -351,7 +409,9 @@ def test_energy_policy_factors_source_once_with_same_rank_and_truth(tmp_path):
             if res.trial != trial:
                 continue
             report = estimate_coherence(samples[res.l - 1].submatrix, rank=r)
-            assert res.gamma_true == gamma_true
+            # The truth of an SPSD source comes from `eigh`, so it agrees
+            # with the dense estimate to rounding only.
+            assert abs(res.gamma_true - gamma_true) <= 1e-10
             assert res.r_used == report.rank_used
             # The sweep factors each trial once (QR, then the SVD of R),
             # so it agrees with the per-sample SVD to rounding only.
@@ -418,6 +478,22 @@ def test_failed_write_keeps_earlier_csv(tmp_path):
         write_raw_csv(out, failing_rows())
     assert out.read_bytes() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
+
+
+def test_failed_summary_write_keeps_earlier_summary(tmp_path):
+    out = tmp_path / "summary.csv"
+    rows = summarize(run_experiment(synth_config(timing=False)))
+    write_summary_csv(out, rows)
+    good = out.read_bytes()
+
+    def failing_rows():
+        yield rows[0]
+        raise RuntimeError("row formatting failed")
+
+    with pytest.raises(RuntimeError, match="row formatting"):
+        write_summary_csv(out, failing_rows())
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
 
 
 def test_csv_stable_apart_from_timing(tmp_path):
@@ -532,6 +608,15 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = config_file(tmp_path, l_values="2,400")
     assert main(["run", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(",".join(RAW_HEADER) + "\n"
+                   + "x,synth_exact,0,1,2,3\n")
+    assert main(["summarize", str(raw)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"matcoh: error: {raw}:2: expected 13 fields, got 6\n"
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -8,11 +8,11 @@ from matcoh.kernels import (
     PointDataset,
     build_kernel,
     default_rbf_width,
-    energy_rank,
     load_csv,
     load_matrix_market,
     median_pairwise_distance,
     save_csv,
+    spectrum_energy_rank,
     standardize,
 )
 from matcoh.synthetic import SynthSpec, low_rank_matrix, singular_spectrum
@@ -163,20 +163,23 @@ def test_median_subsample_deterministic():
     assert median_pairwise_distance(pts) == median_pairwise_distance(pts)
 
 
+def spectrum(X):
+    return np.linalg.svd(X, compute_uv=False)
+
+
 def test_energy_rank_rank_one():
     v = np.arange(1.0, 6.0)
-    assert energy_rank(np.outer(v, v), 0.99) == 1
+    assert spectrum_energy_rank(spectrum(np.outer(v, v)), 0.99) == 1
 
 
 def test_energy_rank_identity():
     for n in (7, 100):
-        assert energy_rank(np.eye(n), 0.99) == int(np.ceil(0.99 * n))
+        assert spectrum_energy_rank(np.ones(n), 0.99) == int(np.ceil(0.99 * n))
 
 
 def test_energy_rank_matches_cumulative_oracle():
     spec = SynthSpec(n=120, m=120, rank=50, decay="medium", seed=8)
-    X = low_rank_matrix(spec)
-    s = np.sort(np.linalg.svd(X, compute_uv=False))[::-1]
+    s = spectrum(low_rank_matrix(spec))
     # independent cumulative-sum oracle
     energy = s * s
     total = energy.sum()
@@ -186,7 +189,7 @@ def test_energy_rank_matches_cumulative_oracle():
         if running >= 0.99 * total:
             expected = i
             break
-    assert energy_rank(X, 0.99) == expected
+    assert spectrum_energy_rank(s, 0.99) == expected
     # sanity: the analytic spectrum gives the same count
     analytic = singular_spectrum(spec) ** 2
     running = np.cumsum(analytic)
@@ -194,14 +197,14 @@ def test_energy_rank_matches_cumulative_oracle():
 
 
 def test_energy_rank_monotone_in_fraction():
-    X = low_rank_matrix(SynthSpec(n=40, m=40, rank=20, decay="slow", seed=9))
-    ranks = [energy_rank(X, f) for f in (0.5, 0.9, 0.99, 1.0)]
+    s = spectrum(low_rank_matrix(SynthSpec(n=40, m=40, rank=20, decay="slow", seed=9)))
+    ranks = [spectrum_energy_rank(s, f) for f in (0.5, 0.9, 0.99, 1.0)]
     assert ranks == sorted(ranks)
 
 
 def test_energy_rank_zero_matrix_and_bad_fraction():
-    assert energy_rank(np.zeros((3, 3)) + 0.0, 0.99) == 0
+    assert spectrum_energy_rank(np.zeros(3), 0.99) == 0
     with pytest.raises(ValueError):
-        energy_rank(np.eye(2), 0.0)
+        spectrum_energy_rank(np.ones(2), 0.0)
     with pytest.raises(ValueError):
-        energy_rank(np.eye(2), 1.5)
+        spectrum_energy_rank(np.ones(2), 1.5)

@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcoh.coherence import basis_coherence
+from matcoh.kernels import KernelSpec, PointDataset, build_kernel, spectrum_energy_rank
 from matcoh.linalg import (
     as_dense,
+    left_svd,
     numerical_rank,
     projector,
     pseudoinverse,
     rank_threshold,
     thin_svd,
 )
+from matcoh.synthetic import adversarial_spsd
 
 
 def test_as_dense_rejects_bad_input():
@@ -161,7 +165,106 @@ def test_decomposition_failure_is_wrapped(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", exploding_svd)
+    monkeypatch.setattr(np.linalg, "eigh", exploding_svd)
     with pytest.raises(DecompositionError):
         thin_svd(np.ones((3, 3)))
     with pytest.raises(DecompositionError):
         pseudoinverse(np.ones((3, 3)))
+    for X, spsd in ((np.ones((3, 3)), True), (np.ones((2, 5)), False),
+                    (np.ones((5, 2)), False)):
+        with pytest.raises(DecompositionError):
+            left_svd(X, spsd=spsd)
+
+
+_TRUTH_KINDS = ("wide", "tall", "square", "duplicates", "zero", "linear",
+                "rbf", "polynomial", "adversarial")
+
+
+@st.composite
+def _truth_cases(draw):
+    """(X, spsd): general matrices of every shape, and the SPSD kernels
+    and adversarial matrices the experiment declares SPSD."""
+    kind = draw(st.sampled_from(_TRUTH_KINDS))
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("wide", "tall", "square"):
+        n, m = {"wide": (min(n, m), max(n, m) + 1),
+                "tall": (max(n, m) + 1, min(n, m)), "square": (n, n)}[kind]
+        ratio = draw(st.floats(0.05, 1.0))
+        return rng.standard_normal((n, m)) * ratio ** np.arange(m), False
+    if kind == "duplicates":
+        base = rng.standard_normal((n, draw(st.integers(1, m))))
+        return base[:, rng.integers(0, base.shape[1], m)], False
+    if kind == "zero":
+        spsd = draw(st.booleans())
+        return np.zeros((n, n if spsd else m)), spsd
+    if kind == "adversarial":
+        return adversarial_spsd(n, seed=draw(st.integers(0, 1000)),
+                                inner_dim=draw(st.integers(1, 3))), True
+    d = draw(st.integers(1, n)) if kind == "linear" else draw(st.integers(1, 4))
+    points = rng.standard_normal((n, d))
+    if draw(st.booleans()):  # repeated points give duplicate columns
+        points = points[rng.integers(0, n, n)]
+    if kind == "linear":
+        spec = KernelSpec(kind="linear")
+    elif kind == "rbf":
+        spec = KernelSpec(kind="rbf", rbf_width=draw(st.floats(0.3, 3.0)))
+    else:
+        spec = KernelSpec(kind="polynomial", poly_degree=draw(st.integers(1, 3)),
+                          poly_offset=draw(st.floats(0.0, 2.0)))
+    return build_kernel(PointDataset(points=points, name=kind), spec), True
+
+
+def _truth(f, policy):
+    """(rank parameter, gamma_true) of a factorization under a rank policy,
+    as the experiment takes them."""
+    kind, value = policy
+    r = value
+    if kind == "energy":
+        r = spectrum_energy_rank(f.singular_values, value)
+    return r, basis_coherence(f.left_basis(r)).gamma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_truth_cases(),
+       st.one_of(st.just(("none", None)),
+                 st.tuples(st.just("explicit"), st.integers(1, 32)),
+                 st.tuples(st.just("energy"), st.floats(0.5, 1.0))))
+def test_left_svd_differential_against_thin_svd(case, policy):
+    X, spsd = case
+    want, got = thin_svd(X), left_svd(X, spsd=spsd)
+    assert got.V is None or (not spsd and X.shape[0] >= X.shape[1])
+    s = want.singular_values
+    assert got.singular_values.shape == s.shape
+    np.testing.assert_allclose(got.singular_values, s, rtol=0,
+                               atol=1e-12 * max(s[0], 1.0))
+    r_want, gamma_want = _truth(want, policy)
+    r_got, gamma_got = _truth(got, policy)
+    if s[0] == 0.0:
+        assert (got.numerical_rank, r_got, gamma_got) == (0, r_want, 0.0)
+        return
+
+    def resolved(q):
+        # The q kept values are separated from the dropped ones.
+        return q == 0 or (s[q - 1] - (s[q] if q < s.size else 0.0)) / s[0] >= 1e-6
+
+    if resolved(want.numerical_rank):
+        assert got.numerical_rank == want.numerical_rank
+    q = want.left_basis(r_want).shape[1]
+    if resolved(q):
+        assert r_got == r_want
+        assert got.left_basis(r_got).shape[1] == q
+        assert abs(gamma_got - gamma_want) <= 1e-10
+
+
+def test_left_svd_thresholds_a_wide_matrix_at_its_own_shape():
+    # One singular value between the thresholds at the n x n factor's
+    # shape (n eps s_1) and at X's own (m eps s_1): only X's rank counts it.
+    n, m = 4, 400
+    rng = np.random.default_rng(1)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    s = np.array([1.0, 0.5, 0.25, 20 * n * np.finfo(float).eps])
+    X = (U * s) @ V.T
+    assert thin_svd(X).numerical_rank == left_svd(X).numerical_rank == 3
