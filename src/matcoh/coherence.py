@@ -12,21 +12,24 @@ vectors of a column subsample, truncate to min(numerical rank, rank
 parameter) vectors, and read off the leverage statistics. Its cost is
 dominated by the SVD of the n x l subsample, O(n l^2).
 
-`nested_coherence` gives the same estimates for every prefix of one
-nested sample at once. A Householder QR of the n x L block is computed
-once, and the leading l columns of its R factor are the R factor of the
-l-column prefix (Chan 1982, QR-then-SVD), so each size only factors a
-small block of R. The cost is one O(n L^2) QR per trial plus O(l^3)
-per size, and O(n l q) to form the q-column basis.
+`nested_factors` factors every prefix of one nested sample at once. A
+Householder QR of the n x L block is computed once, and the leading l
+columns of its R factor are the R factor of the l-column prefix (Chan
+1982, QR-then-SVD), so each size only factors a small block of R. The
+cost is one O(n L^2) QR per trial plus O(l^3) per size, and O(n l q) to
+form a q-column basis, which a `PrefixFactor` does only when asked.
+`nested_coherence` reads the estimates off those factors, and the
+experiment hands the same factor to `lowrank.column_projection`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (
     ORTHONORMAL_TOL,
+    ThinSVD,
     as_dense,
     numerical_rank,
     orthonormality_defect,
@@ -35,12 +38,15 @@ from .linalg import (
 
 __all__ = [
     "CoherenceReport",
+    "PrefixFactor",
     "max_leverage",
     "mu_coherence",
     "mu0_coherence",
     "mu1_coherence",
     "basis_coherence",
+    "factor_coherence",
     "estimate_coherence",
+    "nested_factors",
     "nested_coherence",
     "update_projector",
     "sample_size_bound",
@@ -179,6 +185,35 @@ def basis_coherence(U, V=None) -> CoherenceReport:
     )
 
 
+@dataclass(frozen=True)
+class PrefixFactor:
+    """Left factor of one prefix `columns[:, :l]` of a nested sample.
+
+    The prefix is Q R[:k, :l] for the leading k = min(n, l) columns Q of
+    the block's Householder QR, so its left singular vectors are Q times
+    those of `core`, the thin SVD of R[:k, :l]. `core.numerical_rank` is
+    the prefix's, at shape (n, l), not the small block's. `left_basis`
+    answers as `ThinSVD.left_basis` would on the prefix, and multiplies
+    out only the n-row columns it returns.
+    """
+
+    Q: np.ndarray
+    core: ThinSVD
+
+    def left_basis(self, rank=None) -> np.ndarray:
+        return self.Q @ self.core.left_basis(rank)
+
+
+def factor_coherence(factor, rank=None) -> CoherenceReport:
+    """Coherence report of a left factor's basis.
+
+    `factor` is a `ThinSVD` or a `PrefixFactor`; its basis is the top
+    min(numerical rank, `rank`) left singular vectors.
+    """
+    _check_rank(rank)
+    return basis_coherence(factor.left_basis(rank))
+
+
 def estimate_coherence(columns, rank=None) -> CoherenceReport:
     """Coherence report estimated from a column subsample.
 
@@ -189,8 +224,36 @@ def estimate_coherence(columns, rank=None) -> CoherenceReport:
     matters only when the matrix carries noise. An all-zero subsample
     yields the rank-0 report with gamma 0 rather than an error.
     """
-    _check_rank(rank)
-    return basis_coherence(thin_svd(columns).left_basis(rank))
+    return factor_coherence(thin_svd(columns), rank)
+
+
+def nested_factors(columns, sizes):
+    """Left factors (`PrefixFactor`) of the nested prefixes `columns[:, :l]`.
+
+    Returns an iterator of one factor per l in `sizes`, in order. One
+    Householder QR of the first max(sizes) columns serves every size, and
+    each size takes the SVD of its leading block of R. `sizes` (strictly
+    ascending, within [1, l] for an n x l `columns`) is checked on the
+    call; the QR runs when the first factor is requested.
+    """
+    columns = as_dense(columns)
+    sizes = list(sizes)
+    width = columns.shape[1]
+    if not sizes or sizes != sorted(set(sizes)):
+        raise ValueError(f"sizes must be non-empty and strictly ascending, got {sizes}")
+    if sizes[0] < 1 or sizes[-1] > width:
+        raise ValueError(f"sizes must lie in [1, {width}], got {sizes}")
+    return _prefix_factors(columns[:, :sizes[-1]], sizes)
+
+
+def _prefix_factors(columns, sizes):
+    n = columns.shape[0]
+    Q, R = np.linalg.qr(columns)
+    for l in sizes:
+        k = min(n, l)
+        f = thin_svd(R[:k, :l])
+        yield PrefixFactor(Q[:, :k], replace(
+            f, numerical_rank=numerical_rank(f.singular_values, (n, l))))
 
 
 def nested_coherence(columns, sizes, rank=None):
@@ -199,36 +262,13 @@ def nested_coherence(columns, sizes, rank=None):
     Returns an iterator of one report per l in `sizes`, in order, each
     matching `estimate_coherence(columns[:, :l], rank)`: the same
     `rank_used`, and the same gamma up to rounding wherever the kept
-    singular values are separated from the dropped ones. One Householder
-    QR of the first max(sizes) columns serves every size, and each size
-    takes the SVD of its leading block of R. `rank` and `sizes` (strictly
-    ascending, within [1, l] for an n x l `columns`) are checked on the
-    call; the QR runs when the first report is requested.
+    singular values are separated from the dropped ones. The reports are
+    read off `nested_factors(columns, sizes)`; `rank` and `sizes` are
+    checked on the call, and the QR runs when the first report is
+    requested.
     """
     _check_rank(rank)
-    columns = as_dense(columns)
-    sizes = list(sizes)
-    width = columns.shape[1]
-    if not sizes or sizes != sorted(set(sizes)):
-        raise ValueError(f"sizes must be non-empty and strictly ascending, got {sizes}")
-    if sizes[0] < 1 or sizes[-1] > width:
-        raise ValueError(f"sizes must lie in [1, {width}], got {sizes}")
-    return _prefix_reports(columns[:, :sizes[-1]], sizes, rank)
-
-
-def _prefix_reports(columns, sizes, rank):
-    n = columns.shape[0]
-    Q, R = np.linalg.qr(columns)
-    for l in sizes:
-        k = min(n, l)
-        # Q[:, :k] R[:k, :l] is the prefix, so its left singular vectors
-        # are Q[:, :k] times those of the small block. The rank threshold
-        # is the prefix's, at shape (n, l), not the block's.
-        f = thin_svd(R[:k, :l])
-        q = numerical_rank(f.singular_values, (n, l))
-        if rank is not None:
-            q = min(q, rank)
-        yield basis_coherence(Q[:, :k] @ f.U[:, :q])
+    return (factor_coherence(f, rank) for f in nested_factors(columns, sizes))
 
 
 def _check_rank(rank):

@@ -9,9 +9,12 @@ one `left_svd`: `eigh` for a source `_SOURCES` declares SPSD, the QR of
 Xᵀ for a wide one, one thin SVD otherwise. Trials use seed = base_seed +
 trial, and per-trial estimates share one permutation so each trial's
 curve is non-decreasing in the sample size. Each trial extracts its
-largest sample once and estimates every size from one QR of it
-(`nested_coherence`); an estimate row's `wall_time_ms` is that size's
-step, with the trial's QR charged to the first size.
+largest sample once and factors every size from one QR of it
+(`nested_factors`); that size's factor gives the estimate and, in a
+kernel experiment, the column projection's basis, so no sample is
+factored twice. An estimate row's `wall_time_ms` is that size's step,
+the SVD of its block of R included, with the trial's QR charged to the
+first size; a method row's is that approximation alone.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -34,7 +37,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .coherence import basis_coherence, nested_coherence
+from .coherence import basis_coherence, factor_coherence, nested_factors
 from .kernels import (
     KernelSpec,
     build_kernel,
@@ -370,12 +373,12 @@ def run_experiment(config: ExperimentConfig):
         seed = config.base_seed + trial
         samples = nested_samples(X, config.l_values[-1], seed,
                                  excluded=config.exclude)
-        reports = nested_coherence(samples[-1].submatrix, config.l_values,
-                                   rank=r_eff)
+        factors = nested_factors(samples[-1].submatrix, config.l_values)
         for l in config.l_values:
             sample = samples[l - 1]
             start = time.perf_counter()
-            report = next(reports)
+            factor = next(factors)
+            report = factor_coherence(factor, r_eff)
             est_ms = round((time.perf_counter() - start) * 1000)
             common = dict(
                 experiment_id=config.experiment_id, kind=config.kind,
@@ -386,9 +389,10 @@ def run_experiment(config: ExperimentConfig):
             results.append(TrialResult(
                 **common, wall_time_ms=est_ms if config.timing else None))
             if with_methods:
-                for fn in (column_projection, nystrom):
+                for fn, args in ((column_projection, (X, sample, factor)),
+                                 (nystrom, (X, sample))):
                     start = time.perf_counter()
-                    approx = fn(X, sample)
+                    approx = fn(*args)
                     method_ms = round((time.perf_counter() - start) * 1000)
                     results.append(TrialResult(
                         **common, method=approx.method,
@@ -463,17 +467,21 @@ def read_raw_csv(path):
         if header != RAW_HEADER:
             raise ValueError(f"{path}: not a raw result file (bad header)")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(RAW_HEADER):
-                raise ValueError(f"{path}:{reader.line_num}: expected "
+                raise ValueError(f"{where}: expected "
                                  f"{len(RAW_HEADER)} fields, got {len(row)}")
-            results.append(TrialResult(
-                experiment_id=row[0], kind=row[1], trial=int(row[2]),
-                seed=int(row[3]), l=int(row[4]), r_used=int(row[5]),
-                gamma_true=float(row[6]), gamma_est=float(row[7]),
-                abs_error=float(row[8]), method=row[9] or None,
-                normalized_error=float(row[10]) if row[10] else None,
-                wall_time_ms=int(row[12]) if row[12] else None,
-            ))
+            try:
+                results.append(TrialResult(
+                    experiment_id=row[0], kind=row[1], trial=int(row[2]),
+                    seed=int(row[3]), l=int(row[4]), r_used=int(row[5]),
+                    gamma_true=float(row[6]), gamma_est=float(row[7]),
+                    abs_error=float(row[8]), method=row[9] or None,
+                    normalized_error=float(row[10]) if row[10] else None,
+                    wall_time_ms=int(row[12]) if row[12] else None,
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
     return results
 
 

@@ -7,6 +7,7 @@ here so that the higher-level modules agree on one set of tolerances.
 
 `left_svd`, for the coherence truth, routes by structure: `eigh` if
 SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`.
+`spsd_pinv_factor` takes the same `eigh` route to a factored pseudoinverse.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "thin_svd",
     "left_svd",
     "pseudoinverse",
+    "spsd_pinv_factor",
     "projector",
     "orthonormality_defect",
 ]
@@ -129,23 +131,32 @@ def left_svd(X, spsd=False) -> ThinSVD:
     SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982). The rank threshold is X's.
     """
     X = as_dense(X)
-    if not spsd and X.shape[0] >= X.shape[1]:
+    if spsd:
+        w, U = _eigh_by_magnitude(X)
+        s = np.abs(w)
+    elif X.shape[0] >= X.shape[1]:
         return thin_svd(X)
-    try:
-        if spsd:
-            w, U = np.linalg.eigh(X)
-            order = np.argsort(-np.abs(w), kind="stable")
-            U, s = U[:, order], np.abs(w)[order]
-        else:
+    else:
+        try:
             R = np.linalg.qr(X.T, mode="r")
             U, s, _ = np.linalg.svd(R.T, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
-            f"factorization failed on {X.shape} matrix: {exc}") from exc
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(
+                f"factorization failed on {X.shape} matrix: {exc}") from exc
     for arr in (U, s):
         arr.setflags(write=False)
     return ThinSVD(U=U, singular_values=s, V=None,
                    numerical_rank=numerical_rank(s, X.shape))
+
+
+def _eigh_by_magnitude(X):
+    """(w, U) of a symmetric X = U diag(w) Uᵀ, by descending |w| (stable sort)."""
+    try:
+        w, U = np.linalg.eigh(X)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigh failed on {X.shape} matrix: {exc}") from exc
+    order = np.argsort(-np.abs(w), kind="stable")
+    return w[order], U[:, order]
 
 
 def pseudoinverse(X) -> np.ndarray:
@@ -160,6 +171,21 @@ def pseudoinverse(X) -> np.ndarray:
     # s is descending, so the values above the threshold are a prefix.
     inv[:f.numerical_rank] = 1.0 / s[:f.numerical_rank]
     return (f.V * inv) @ f.U.T
+
+
+def spsd_pinv_factor(X):
+    """(U, d) with pinv(X) = U diag(d) Uᵀ, for X declared SPSD, untested.
+
+    X takes `left_svd`'s SPSD route, `eigh` by descending |eigenvalue|.
+    The eigenpairs with |λ| above the rank threshold are kept, and
+    d = 1/λ keeps the sign of each λ, so a rounding-negative eigenvalue
+    is inverted as it is. Applying the factors rather than the n x n
+    pseudoinverse keeps a small kept λ from magnifying rounding error.
+    """
+    X = as_dense(X)
+    w, U = _eigh_by_magnitude(X)
+    q = numerical_rank(np.abs(w), X.shape)
+    return U[:, :q], 1.0 / w[:q]
 
 
 def orthonormality_defect(U) -> float:

@@ -1,24 +1,31 @@
 """Column-sampled low-rank approximation of dense and SPSD matrices.
 
 Two sampling-based approximations are provided. Column projection works
-for any rectangular X: project X onto the span of the sampled columns
-using the left singular vectors of the subsample. The Nystrom
-reconstruction works for symmetric positive semidefinite K: with K1 the
-sampled columns and W their row/column intersection block, approximate
-K by K1 pinv(W) K1^T. Both cost O(l^2 n) for l sampled columns.
+for any rectangular X: project X onto the span of the sampled columns,
+U (Uᵀ X) for the rank-truncated left singular vectors U of the
+subsample. The Nystrom reconstruction works for symmetric positive
+semidefinite K: with K1 the sampled columns and W their row/column
+intersection block, approximate K by K1 W⁺ K1ᵀ (Kumar, Mohri and
+Talwalkar 2012), applied through the `eigh` factors of W⁺. Both cost
+O(l^2 n) for l sampled columns, plus O(l n m) for the errors.
 
-The Frobenius and normalized errors are computed with the
-approximation. The spectral error needs a full SVD of the n x m
-residual, which costs far more than the approximation itself, so a
-result computes it on first access only.
+A result keeps its approximation factored, approx = left @ rightᵀ with
+at most l columns in each factor, and forms the n x m product only when
+`approx` is read. The Frobenius and normalized errors are computed with
+the approximation, one column block of width l at a time, and the
+symmetry check of Nystrom's input reads K in blocks of the same width,
+so neither method forms an n x m temporary. The spectral error needs a
+full SVD of the n x m residual, which costs far more than the
+approximation itself, so a result computes it on first access only.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_dense, pseudoinverse, thin_svd
+from .linalg import as_dense, spsd_pinv_factor, thin_svd
 from .sampling import ColumnSample
 
 __all__ = [
@@ -34,14 +41,22 @@ SYMMETRY_TOL = 1e-10
 
 
 def _residual(X, approx) -> np.ndarray:
-    # Column-major like X, so that norm() sums in the same order for every
-    # caller whatever the memory layout of approx.
+    # Column-major like X, so that the sum of squares runs in the same
+    # order for every caller whatever the memory layout of approx.
     return np.subtract(X, approx, order="F")
 
 
-def _frobenius_errors(X, approx):
-    """(frobenius, normalized) distance of approx from a dense X."""
-    frob = float(np.linalg.norm(_residual(X, approx)))
+def _column_blocks(m, width):
+    return (slice(j, j + width) for j in range(0, m, width))
+
+
+def _frobenius_errors(X, residuals):
+    """(frobenius, normalized) norm of residual blocks that tile X - approx."""
+    squares = 0.0
+    for block in residuals:
+        flat = block.ravel(order="K")
+        squares += float(flat.dot(flat))
+    frob = math.sqrt(squares)
     norm_x = float(np.linalg.norm(X))
     if norm_x > 0.0:
         normalized = frob / norm_x
@@ -58,17 +73,20 @@ def _spectral_error(X, approx, frob) -> float:
 
 @dataclass(frozen=True)
 class ApproximationResult:
-    """A low-rank approximation plus its error measured three ways.
+    """A low-rank approximation, kept factored, plus its error.
 
-    `normalized_error` is the Frobenius error divided by the Frobenius
-    norm of the input (0/0 defined as 0), the scale-free quality metric
-    used throughout the experiment suite. `spectral_error`, the largest
-    singular value of the residual, is computed from `source` on first
-    access and cached; `source` is a reference to the approximated
-    matrix, not a copy, so it must not be modified before then.
+    The approximation is `left @ right.T`; `approx` forms it on first
+    access and caches it. `normalized_error` is the Frobenius error
+    divided by the Frobenius norm of the input (0/0 defined as 0), the
+    scale-free quality metric used throughout the experiment suite.
+    `spectral_error`, the largest singular value of the residual, is
+    computed from `source` on first access and cached; `source` is a
+    reference to the approximated matrix, not a copy, so it must not be
+    modified before then.
     """
 
-    approx: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     method: str
     l: int
     frobenius_error: float
@@ -76,7 +94,14 @@ class ApproximationResult:
     source: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        self.approx.setflags(write=False)
+        self.left.setflags(write=False)
+        self.right.setflags(write=False)
+
+    @cached_property
+    def approx(self) -> np.ndarray:
+        approx = self.left @ self.right.T
+        approx.setflags(write=False)
+        return approx
 
     @cached_property
     def spectral_error(self) -> float:
@@ -95,14 +120,16 @@ def approximation_errors(X, approx):
     approx = as_dense(approx)
     if X.shape != approx.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {approx.shape}")
-    frob, normalized = _frobenius_errors(X, approx)
+    frob, normalized = _frobenius_errors(X, [_residual(X, approx)])
     return frob, _spectral_error(X, approx, frob), normalized
 
 
-def _result(X, approx, method, sample: ColumnSample) -> ApproximationResult:
-    frob, normalized = _frobenius_errors(X, approx)
-    return ApproximationResult(approx=approx, method=method, l=sample.size,
-                               frobenius_error=frob,
+def _result(X, left, right, method, sample: ColumnSample) -> ApproximationResult:
+    frob, normalized = _frobenius_errors(
+        X, (_residual(X[:, cols], left @ right[cols].T)
+            for cols in _column_blocks(X.shape[1], sample.size)))
+    return ApproximationResult(left=left, right=right, method=method,
+                               l=sample.size, frobenius_error=frob,
                                normalized_error=normalized, source=X)
 
 
@@ -112,26 +139,32 @@ def _check_sample(X, sample: ColumnSample):
             f"sample has {sample.submatrix.shape[0]} rows, matrix has {X.shape[0]}"
         )
     idx = list(sample.indices)
-    if idx and (min(idx) < 0 or max(idx) >= X.shape[1]):
+    if not idx:
+        raise ValueError("sample has no columns")
+    if min(idx) < 0 or max(idx) >= X.shape[1]:
         raise ValueError("sample indices out of range for this matrix")
     if not np.array_equal(X[:, idx], sample.submatrix):
         raise ValueError("sample columns do not match the given matrix")
     return idx
 
 
-def column_projection(X, sample: ColumnSample) -> ApproximationResult:
+def column_projection(X, sample: ColumnSample, factor=None) -> ApproximationResult:
     """Project X onto the span of its sampled columns.
 
-    The result is U U^T X for the rank-truncated left singular vectors U
+    The result is U (Uᵀ X) for the rank-truncated left singular vectors U
     of the subsample, so the residual is orthogonal to every sampled
     column. If the sample spans the full column space the projection
-    reproduces X exactly.
+    reproduces X exactly. `factor` is a left factor of
+    `sample.submatrix` that is already at hand: the experiment passes the
+    `coherence.nested_factors` entry of the sample's size. Without one,
+    the subsample takes its own `thin_svd`.
     """
     X = as_dense(X)
     _check_sample(X, sample)
-    U = thin_svd(sample.submatrix).left_basis()
-    approx = U @ (U.T @ X) if U.shape[1] > 0 else np.zeros_like(X)
-    return _result(X, approx, "column_projection", sample)
+    if factor is None:
+        factor = thin_svd(sample.submatrix)
+    U = factor.left_basis()
+    return _result(X, U, (U.T @ X).T, "column_projection", sample)
 
 
 def nystrom(K, sample: ColumnSample) -> ApproximationResult:
@@ -139,19 +172,19 @@ def nystrom(K, sample: ColumnSample) -> ApproximationResult:
 
     K must be symmetric within SYMMETRY_TOL entrywise. W is the block of
     K at sampled rows x sampled columns (no physical permutation of K is
-    performed) and its pseudoinverse uses the shared rank threshold, so
-    linearly dependent sampled columns are handled.
+    performed). Its pseudoinverse U diag(d) Uᵀ comes from
+    `linalg.spsd_pinv_factor`, cut at the shared rank threshold, so
+    linearly dependent sampled columns are handled. The result is kept
+    as (B diag(d)) Bᵀ with B = K1 U.
     """
     K = as_dense(K)
     if K.shape[0] != K.shape[1]:
         raise ValueError(f"matrix must be square, got {K.shape}")
-    asym = float(np.max(np.abs(K - K.T)))
+    idx = _check_sample(K, sample)
+    asym = max(float(np.max(np.abs(K[:, cols] - K[cols].T)))
+               for cols in _column_blocks(K.shape[1], len(idx)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    idx = _check_sample(K, sample)
-    W = K[np.ix_(idx, idx)]
-    W_pinv = pseudoinverse(W)
-    W_pinv = (W_pinv + W_pinv.T) / 2.0
-    K1 = sample.submatrix
-    approx = K1 @ W_pinv @ K1.T
-    return _result(K, approx, "nystrom", sample)
+    U, inverse = spsd_pinv_factor(K[np.ix_(idx, idx)])
+    B = sample.submatrix @ U
+    return _result(K, B * inverse, B, "nystrom", sample)

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matcoh.coherence
 import matcoh.experiment
 import matcoh.linalg
+import matcoh.lowrank
 import matcoh.synthetic
 from matcoh.cli import main
 from matcoh.experiment import (
@@ -25,7 +27,7 @@ from matcoh.experiment import (
     write_raw_csv,
     write_summary_csv,
 )
-from matcoh.coherence import estimate_coherence
+from matcoh.coherence import estimate_coherence, nested_coherence
 from matcoh.kernels import (
     KernelSpec,
     PointDataset,
@@ -38,6 +40,7 @@ from matcoh.kernels import (
 )
 from matcoh.linalg import thin_svd
 from matcoh.sampling import SplitMix64, nested_samples
+from matcoh.synthetic import SynthSpec, low_rank_matrix
 
 
 def test_parse_config_text():
@@ -285,18 +288,18 @@ def test_gamma_true_is_the_truncated_full_estimate(tmp_path, policy):
 
 def test_sweep_factors_each_trial_once(monkeypatch):
     sweeps, factored = [], []
-    real_nested = matcoh.experiment.nested_coherence
+    real_nested = matcoh.experiment.nested_factors
     real_svd = matcoh.experiment.left_svd
 
-    def nested(columns, sizes, rank=None):
-        sweeps.append((columns.shape, tuple(sizes), rank))
-        return real_nested(columns, sizes, rank)
+    def nested(columns, sizes):
+        sweeps.append((columns.shape, tuple(sizes)))
+        return real_nested(columns, sizes)
 
     def svd(X, spsd=False):
         factored.append(X.shape)
         return real_svd(X, spsd)
 
-    monkeypatch.setattr(matcoh.experiment, "nested_coherence", nested)
+    monkeypatch.setattr(matcoh.experiment, "nested_factors", nested)
     monkeypatch.setattr(matcoh.experiment, "left_svd", svd)
     config = ExperimentConfig(kind="synth_exact", experiment_id="s",
                               l_values=(3, 8, 12), trials=3, base_seed=5,
@@ -305,8 +308,15 @@ def test_sweep_factors_each_trial_once(monkeypatch):
     assert len(results) == 9
     # One sweep per trial over its largest sample; the only direct
     # factorization is the full-matrix truth.
-    assert sweeps == [((30, 12), (3, 8, 12), None)] * 3
+    assert sweeps == [((30, 12), (3, 8, 12))] * 3
     assert factored == [(30, 20)]
+    # The experiment reads the same estimates off the factors that
+    # `nested_coherence` gives.
+    X = low_rank_matrix(SynthSpec(n=30, m=20, rank=4, seed=5))
+    assert [r.gamma_est for r in results] == [
+        report.gamma for trial in range(3)
+        for report in nested_coherence(
+            nested_samples(X, 12, 5 + trial)[-1].submatrix, (3, 8, 12))]
 
 
 def _wide_config(tmp_path):
@@ -361,6 +371,44 @@ def test_truth_of_wide_and_spsd_sources_forms_no_right_factor(
         assert eigh_shapes == [(n, n)]
     else:
         assert eigh_shapes == [] and (n, n) in svd_shapes
+
+
+def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
+    svd_inputs, eigh_shapes, thin_shapes = [], [], []
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
+    real_thin = matcoh.linalg.thin_svd
+
+    def svd(a, *args, **kwargs):
+        svd_inputs.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    def eigh(a, *args, **kwargs):
+        eigh_shapes.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    def thin_svd(X):
+        thin_shapes.append(np.shape(X))
+        return real_thin(X)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for module in (matcoh.linalg, matcoh.coherence, matcoh.lowrank):
+        monkeypatch.setattr(module, "thin_svd", thin_svd)
+    data = tmp_path / "pts.csv"
+    save_csv(PointDataset(points=SplitMix64(7).normal_matrix(30, 3),
+                          name="pts"), data)
+    config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
+                              l_values=(4, 10, 30), trials=2, data=str(data),
+                              kernel="rbf", r_policy="energy")
+    assert len(run_experiment(config)) == 18
+    # One SVD per (trial, l), of the upper triangular block R[:l, :l] of
+    # the trial's QR: no n x l sample and no W is put through an SVD. The
+    # truth and every W take `eigh`.
+    sizes = list(config.l_values) * config.trials
+    assert thin_shapes == [(l, l) for l in sizes]
+    assert [a.shape for a in svd_inputs] == thin_shapes
+    assert all(np.array_equal(a, np.triu(a)) for a in svd_inputs)
+    assert eigh_shapes == [(30, 30)] + [(l, l) for l in sizes]
 
 
 def test_noisy_run_draws_its_factors_once(monkeypatch):
@@ -617,6 +665,20 @@ def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
     assert main(["summarize", str(raw)]) == 2
     err = capsys.readouterr().err
     assert err == f"matcoh: error: {raw}:2: expected 13 fields, got 6\n"
+
+
+@pytest.mark.parametrize("values, message", [
+    ("abc,0.4,0.1", "could not convert string to float: 'abc'"),
+    ("0.5,0.4,0.3", "abs_error does not match |gamma_true - gamma_est|"),
+])
+def test_cli_summarize_names_the_line_of_a_bad_value(tmp_path, capsys,
+                                                     values, message):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(",".join(RAW_HEADER) + "\n"
+                   + "x,synth_exact,0,1,2,3,0.5,0.4,0.1,,,splitmix64,\n"
+                   + f"x,synth_exact,1,2,2,3,{values},,,splitmix64,\n")
+    assert main(["summarize", str(raw)]) == 2
+    assert capsys.readouterr().err == f"matcoh: error: {raw}:3: {message}\n"
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from matcoh.linalg import (
     projector,
     pseudoinverse,
     rank_threshold,
+    spsd_pinv_factor,
     thin_svd,
 )
 from matcoh.synthetic import adversarial_spsd
@@ -106,6 +107,26 @@ def test_pseudoinverse_rank_deficient():
     assert np.max(np.abs(P)) < 1e3
 
 
+def test_spsd_pinv_factor_cuts_by_magnitude_and_keeps_signs():
+    # A kept eigenvalue is inverted with its sign, one at or below the
+    # threshold max(n, m) * max|lambda| * eps is dropped.
+    U, d = spsd_pinv_factor(np.diag([2.0, -0.25, 1e-17, 0.0]))
+    np.testing.assert_array_equal(d, [0.5, -4.0])
+    np.testing.assert_array_equal(np.abs(U), np.eye(4)[:, :2])
+    U, d = spsd_pinv_factor(np.zeros((3, 3)))
+    assert U.shape == (3, 0) and d.shape == (0,)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 6])
+def test_spsd_pinv_factor_matches_the_svd_pseudoinverse(rank):
+    G = np.random.default_rng(rank).standard_normal((6, rank))
+    K = G @ G.T
+    U, d = spsd_pinv_factor(K)
+    assert U.shape == (6, rank)
+    np.testing.assert_allclose((U * d) @ U.T, pseudoinverse(K),
+                               atol=1e-8 * np.max(np.abs(pseudoinverse(K))))
+
+
 def test_projector_basis_vector():
     np.testing.assert_allclose(
         projector(np.array([[1.0], [0.0], [0.0]])), np.diag([1.0, 0.0, 0.0])
@@ -170,6 +191,8 @@ def test_decomposition_failure_is_wrapped(monkeypatch):
         thin_svd(np.ones((3, 3)))
     with pytest.raises(DecompositionError):
         pseudoinverse(np.ones((3, 3)))
+    with pytest.raises(DecompositionError):
+        spsd_pinv_factor(np.ones((3, 3)))
     for X, spsd in ((np.ones((3, 3)), True), (np.ones((2, 5)), False),
                     (np.ones((5, 2)), False)):
         with pytest.raises(DecompositionError):

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matcoh.coherence import nested_factors
+from matcoh.linalg import thin_svd
 from matcoh.lowrank import approximation_errors, column_projection, nystrom
-from matcoh.sampling import ColumnSample, exclusion_sample, uniform_sample
+from matcoh.sampling import (
+    ColumnSample,
+    exclusion_sample,
+    nested_samples,
+    uniform_sample,
+)
 from matcoh.synthetic import SynthSpec, adversarial_spsd, basis_aligned_matrix, low_rank_matrix
 
 
@@ -225,8 +234,191 @@ def test_results_factor_the_residual_only_on_first_access(monkeypatch):
     K = spd_kernel(30, 16)
     sample = uniform_sample(K, 6, seed=17)
     results = [column_projection(K, sample), nystrom(K, sample)]
-    assert shapes == [(30, 6), (6, 6)]
+    # The projection factors its sample, and W goes through `eigh`; both
+    # results stay factored until their approximation is read.
+    assert shapes == [(30, 6)]
+    assert not any("approx" in vars(res) for res in results)
     first = [res.spectral_error for res in results]
-    assert shapes[2:] == [(30, 30), (30, 30)]
+    assert shapes[1:] == [(30, 30), (30, 30)]
     assert [res.spectral_error for res in results] == first
-    assert len(shapes) == 4
+    assert len(shapes) == 3
+
+
+# Differential tests against dense oracles. Each oracle forms the n x n
+# (or n x m) matrix from `np.linalg.svd` and cuts singular values at the
+# package's rank rule, max(shape) * sigma_1 * eps, written out here.
+EPS = np.finfo(np.float64).eps
+
+
+def _kept(s, shape):
+    return int(np.count_nonzero(s > max(shape) * s[0] * EPS)) if s[0] > 0 else 0
+
+
+def projection_oracle(X, S):
+    """Explicit projector onto the rank-cut left singular span of S, times X."""
+    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    q = _kept(s, S.shape)
+    return (U[:, :q] @ U[:, :q].T) @ X
+
+
+def nystrom_oracle(K, idx):
+    """Dense K1 W^+ K1^T with W^+ from the SVD of W, cut at the same rule."""
+    K1, W = K[:, idx], K[np.ix_(idx, idx)]
+    U, s, Vt = np.linalg.svd(W)
+    q = _kept(s, W.shape)
+    return K1 @ ((Vt[:q].T / s[:q]) @ U[:, :q].T) @ K1.T
+
+
+def _sweep(X, sizes, seed, excluded):
+    """Nested samples and the sweep's factor of each size."""
+    samples = nested_samples(X, sizes[-1], seed, excluded=excluded)
+    factors = nested_factors(samples[-1].submatrix, sizes)
+    return [(samples[l - 1], f) for l, f in zip(sizes, factors)]
+
+
+_MATRIX_KINDS = ("generic", "low_rank", "duplicates", "zero_columns",
+                 "all_zero", "near_threshold")
+
+
+@st.composite
+def _projection_cases(draw):
+    """(X, sizes, seed, excluded): tall and wide X, rank-deficient ones,
+    duplicate and zero columns, and a singular value near the threshold."""
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(1, 25))
+    kind = draw(st.sampled_from(_MATRIX_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "generic":
+        X = rng.standard_normal((n, m))
+    elif kind == "all_zero":
+        X = np.zeros((n, m))
+    else:
+        r = draw(st.integers(1, min(n, m)))
+        X = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+        if kind == "duplicates":
+            X = X[:, rng.integers(0, m, m)]
+        elif kind == "zero_columns":
+            X[:, rng.random(m) < 0.4] = 0.0
+        elif kind == "near_threshold":
+            # One more direction at the scale of the rank threshold.
+            scale = draw(st.floats(0.1, 10.0)) * max(n, m) * EPS
+            X = X / np.linalg.norm(X, 2) + scale * np.outer(
+                rng.standard_normal(n), rng.standard_normal(m))
+    excluded = set(draw(st.lists(st.integers(0, m - 1), max_size=m - 1)))
+    sizes = sorted(draw(st.sets(st.integers(1, m - len(excluded)), min_size=1)))
+    return X, sizes, draw(st.integers(0, 1000)), excluded
+
+
+def _gap(S):
+    """Relative gap between the kept and dropped singular values of S."""
+    f = thin_svd(S)
+    s, q = f.singular_values, f.numerical_rank
+    if q == 0:
+        return 1.0
+    return (s[q - 1] - (s[q] if q < s.size else 0.0)) / s[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_projection_cases())
+def test_column_projection_differential_against_dense_projector(case):
+    X, sizes, seed, excluded = case
+    scale = max(1.0, float(np.linalg.norm(X)))
+    for sample, factor in _sweep(X, sizes, seed, excluded):
+        assert not excluded & set(sample.indices)
+        want = projection_oracle(X, sample.submatrix)
+        own = column_projection(X, sample)
+        assert np.max(np.abs(own.approx - want)) <= 1e-12 * scale
+        assert abs(own.frobenius_error - np.linalg.norm(X - want)) <= 1e-12 * scale
+        swept = column_projection(X, sample, factor)
+        # A projection never grows the matrix, whichever factor it used.
+        assert swept.normalized_error <= 1.0 + 1e-12
+        # The sweep's factor agrees with the sample's own SVD wherever the
+        # kept subspace is resolved.
+        if (factor.core.numerical_rank == thin_svd(sample.submatrix).numerical_rank
+                and _gap(sample.submatrix) >= 1e-6):
+            assert np.max(np.abs(swept.approx - own.approx)) <= 1e-8 * scale
+            assert abs(swept.normalized_error - own.normalized_error) <= 1e-8
+
+
+_KERNEL_KINDS = ("full_rank", "low_rank", "duplicates", "zero_columns",
+                 "all_zero", "near_threshold", "rbf")
+
+
+@st.composite
+def _nystrom_cases(draw):
+    """(K, sizes, seed, excluded): SPSD K of full and deficient rank, with
+    duplicate and zero columns, and one eigenvalue near the threshold."""
+    n = draw(st.integers(1, 25))
+    kind = draw(st.sampled_from(_KERNEL_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = n + 2 if kind == "full_rank" else draw(st.integers(1, n))
+    G = rng.standard_normal((n, d))
+    if kind == "all_zero":
+        G[:] = 0.0
+    elif kind == "duplicates":
+        G = G[rng.integers(0, n, n)]
+    elif kind == "zero_columns":
+        G[rng.random(n) < 0.4] = 0.0
+    if kind == "rbf":
+        sq = np.sum((G[:, None, :] - G[None, :, :]) ** 2, axis=-1)
+        K = np.exp(-sq / (2.0 * d))
+    else:
+        K = G @ G.T
+    if kind == "near_threshold":
+        h = rng.standard_normal(n)
+        scale = draw(st.floats(0.1, 10.0)) * n * EPS * float(np.max(np.abs(K)))
+        K = K + scale * np.outer(h, h)
+    K = (K + K.T) / 2.0
+    excluded = set(draw(st.lists(st.integers(0, n - 1), max_size=n - 1)))
+    sizes = sorted(draw(st.sets(st.integers(1, n - len(excluded)), min_size=1)))
+    return K, sizes, draw(st.integers(0, 1000)), excluded
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_nystrom_cases())
+def test_nystrom_differential_against_dense_pseudoinverse(case):
+    K, sizes, seed, excluded = case
+    for sample, _ in _sweep(K, sizes, seed, excluded):
+        idx = list(sample.indices)
+        assert not excluded & set(idx)
+        want = nystrom_oracle(K, idx)
+        got = nystrom(K, sample)
+        s = np.linalg.svd(K[np.ix_(idx, idx)], compute_uv=False)
+        q = _kept(s, (len(idx), len(idx)))
+        if got.left.shape[1] != q:
+            # eigh and the SVD round |lambda| differently, so they may cut
+            # a value that sits at the threshold on opposite sides.
+            tau = len(idx) * s[0] * EPS
+            assert np.min(np.abs(s - tau)) <= tau
+            continue
+        if q == 0:
+            assert np.all(got.approx == 0.0) and np.all(want == 0.0)
+            continue
+        # Forward error of the dense oracle: rounding in K1 and W is
+        # magnified by |W^+| = 1/s_q.
+        tol = 100 * EPS * (np.linalg.norm(K[:, idx], 2) ** 2 / s[q - 1]
+                           + np.max(np.abs(K)))
+        assert np.max(np.abs(got.approx - want)) <= tol
+        assert abs(got.frobenius_error - np.linalg.norm(K - want)) <= K.shape[0] * tol
+
+
+@pytest.mark.parametrize("method", [column_projection, nystrom])
+def test_method_call_forms_no_square_temporary(method):
+    import tracemalloc
+
+    from matcoh.kernels import KernelSpec, PointDataset, build_kernel
+    from matcoh.sampling import SplitMix64
+
+    K = build_kernel(PointDataset(points=SplitMix64(3).normal_matrix(400, 5),
+                                  name="p"), KernelSpec(kind="rbf", rbf_width=2.0))
+    sample = uniform_sample(K, 20, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = method(K, sample)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # The approximation and its residual are n x n; neither may be formed.
+    assert peak < 0.5 * K.nbytes
+    assert result.normalized_error < 1.0
