@@ -4,13 +4,15 @@ An experiment builds one matrix (synthetic, adversarial, kernel from a
 point file, or a Matrix Market file), then for every trial draws a
 nested column-sample family and records the coherence estimate at each
 requested sample size; kernel experiments additionally record both
-low-rank approximation errors. The truth (`gamma_true` and the rank) is
-one `left_svd`: `eigh` for a source `_SOURCES` declares SPSD, the QR of
-Xᵀ for a wide one, one thin SVD otherwise. Trials use seed = base_seed +
-trial, and per-trial estimates share one permutation so each trial's
-curve is non-decreasing in the sample size. Each trial extracts its
-largest sample once and factors every size from one QR of it
-(`nested_factors`); that size's factor gives the estimate and, in a
+low-rank approximation errors. The truth (`gamma_true` and the rank)
+comes from one left factor of the source. A synthetic source brings the
+factor it was built from, so it is never factored. Any other source
+takes one `left_svd`: `eigh` for a source `_SOURCES` declares SPSD, the
+QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
+seed = base_seed + trial, and per-trial estimates share one permutation
+so each trial's curve is non-decreasing in the sample size. Each trial
+extracts its largest sample once and factors every size from one QR of
+it (`nested_factors`); that size's factor gives the estimate and, in a
 kernel experiment, the column projection's basis, so no sample is
 factored twice. An estimate row's `wall_time_ms` is that size's step,
 the SVD of its block of R included, with the trial's QR charged to the
@@ -50,7 +52,7 @@ from .kernels import (
 from .linalg import left_svd
 from .lowrank import column_projection, nystrom
 from .sampling import RNG_NAME, _allowed_pool, nested_samples
-from .synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
+from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
 
 __all__ = [
     "RAW_HEADER",
@@ -221,7 +223,7 @@ def _synth_spec(config) -> SynthSpec:
 
 
 def _synthetic(config):
-    return low_rank_matrix(_synth_spec(config))
+    return low_rank_source(_synth_spec(config))
 
 
 def _kernel_spec(config, dataset=None):
@@ -241,13 +243,13 @@ def _kernel(config):
     dataset = load_csv(config.data)
     if config.standardize:
         dataset = standardize(dataset)
-    return build_kernel(dataset, _kernel_spec(config, dataset))
+    return build_kernel(dataset, _kernel_spec(config, dataset)), None
 
 
 class _Source(NamedTuple):
     reads: tuple       # keys read beyond _COMMON_KEYS
     requires: tuple    # keys that must be set
-    build: Callable    # config -> source matrix
+    build: Callable    # config -> (source matrix, its ThinSVD or None)
     spec: Callable | None = None  # config -> its spec, which checks the values
     spsd: bool = False  # SPSD by construction: a symmetrized Gram matrix
 
@@ -267,8 +269,9 @@ _SOURCES = {
                            _synthetic, _synth_spec),
     "worst_case": _Source(
         ("n", "inflation", "inner_dim", "matrix_seed"), ("n",),
-        lambda c: adversarial_spsd(c.n, seed=_matrix_seed(c),
-                                   inflation=c.inflation, inner_dim=c.inner_dim),
+        lambda c: (adversarial_spsd(c.n, seed=_matrix_seed(c),
+                                    inflation=c.inflation,
+                                    inner_dim=c.inner_dim), None),
         spsd=True),
     "rbf": _Source(_KERNEL_KEYS + ("rbf_width",), _KERNEL_REQUIRES,
                    _kernel, _kernel_spec, spsd=True),
@@ -276,7 +279,7 @@ _SOURCES = {
                           _KERNEL_REQUIRES, _kernel, _kernel_spec, spsd=True),
     "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES, _kernel, _kernel_spec, spsd=True),
     "matrix": _Source(("matrix",), ("matrix",),
-                      lambda c: load_matrix_market(c.matrix)),
+                      lambda c: (load_matrix_market(c.matrix), None)),
 }
 # r is read only under the explicit policy, energy_fraction only under energy.
 _POLICY_KEYS = {"none": (), "explicit": ("r",), "energy": ("energy_fraction",)}
@@ -340,18 +343,26 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _rank_and_truth(config: ExperimentConfig, X):
-    """(truncation rank, gamma_true) of the source, from one `left_svd`.
+def _rank_and_truth(config: ExperimentConfig, X, factor):
+    """(truncation rank, gamma_true) of the source X from one left factor.
 
-    The truth is truncated as `estimate_coherence(X, rank)` would be, up to
-    rounding. The factors are freed on return rather than held through the
-    trials. A zero energy rank is rejected by the first sampled estimate.
+    `factor` is the `ThinSVD` a synthetic source was built from; any
+    other source (None) is factored here by one `left_svd`. The truth is
+    truncated as `estimate_coherence(X, rank)` would be, up to rounding.
+    Where the rank splits a tie in the spectrum (a noisy source's equal
+    tail), the top subspace is not unique and a built factor gives its
+    own seeded basis. An all-zero source has no energy rank and is
+    rejected here, before any trial.
     """
-    f = left_svd(X, spsd=_SOURCES[_source_name(config)].spsd)
+    if factor is None:
+        factor = left_svd(X, spsd=_SOURCES[_source_name(config)].spsd)
     r = config.r  # None unless r_policy is explicit
     if config.r_policy == "energy":
-        r = spectrum_energy_rank(f.singular_values, config.energy_fraction)
-    return r, basis_coherence(f.left_basis(r)).gamma
+        r = spectrum_energy_rank(factor.singular_values, config.energy_fraction)
+        if r == 0:
+            raise ValueError("r_policy energy needs a source with nonzero "
+                             "energy, but the source matrix is all zero")
+    return r, basis_coherence(factor.left_basis(r)).gamma
 
 
 def run_experiment(config: ExperimentConfig):
@@ -361,11 +372,12 @@ def run_experiment(config: ExperimentConfig):
     raw CSV is written as well; a failed run leaves any earlier file at
     that path intact.
     """
-    X = _SOURCES[_source_name(config)].build(config)
-    # The sampler's own check, made before the truth factorization.
+    X, factor = _SOURCES[_source_name(config)].build(config)
+    # The sampler's own check, made before the truth is taken.
     _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
 
-    r_eff, gamma_true = _rank_and_truth(config, X)
+    r_eff, gamma_true = _rank_and_truth(config, X, factor)
+    del factor  # not held through the trials
     with_methods = config.kind == "kernel_suite"
 
     results = []

@@ -91,6 +91,8 @@ class ThinSVD:
 
     U is n x q and V is m x q (None from `left_svd`) with orthonormal
     columns, q = min(n, m), and the singular values are sorted descending.
+    A factor built with its matrix (`synthetic.low_rank_source`) may hold
+    only the q < min(n, m) columns of the nonzero singular values.
     `numerical_rank` is the count of singular values above the rank
     threshold; columns of U and V beyond it carry no spectral information.
     """
@@ -112,7 +114,11 @@ class ThinSVD:
 
 def thin_svd(X) -> ThinSVD:
     """Thin SVD of a dense matrix with the package rank policy applied."""
-    X = as_dense(X)
+    return _thin_svd(as_dense(X))
+
+
+def _thin_svd(X) -> ThinSVD:
+    """`thin_svd` of an X that `as_dense` has already checked."""
     try:
         U, s, Vh = np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -135,7 +141,7 @@ def left_svd(X, spsd=False) -> ThinSVD:
         w, U = _eigh_by_magnitude(X)
         s = np.abs(w)
     elif X.shape[0] >= X.shape[1]:
-        return thin_svd(X)
+        return _thin_svd(X)
     else:
         try:
             R = np.linalg.qr(X.T, mode="r")

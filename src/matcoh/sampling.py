@@ -80,12 +80,17 @@ class SplitMix64:
                 return u % n
 
     def _uint64_block(self, count: int) -> np.ndarray:
-        ks = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        # uint64 arithmetic wraps modulo 2**64, and the mixing runs in
+        # place, so the block costs two arrays of `count` at its peak.
+        x = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
-        x = (np.uint64(self.seed) + ks * np.uint64(_GOLDEN)) & np.uint64(_MASK64)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        return x ^ (x >> np.uint64(31))
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64(self.seed)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            x ^= x >> np.uint64(shift)
+            x *= np.uint64(mix)
+        x ^= x >> np.uint64(31)
+        return x
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normal deviates via Box-Muller on stream pairs.
@@ -99,14 +104,25 @@ class SplitMix64:
             return np.zeros(0)
         pairs = (count + 1) // 2
         block = self._uint64_block(2 * pairs)
-        u1 = ((block[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (block[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return out[:count]
+        block >>= np.uint64(11)
+        # Rows u1 and u2, each contiguous; computed in place.
+        u = np.empty((2, pairs))
+        u[0], u[1] = block[0::2], block[1::2]
+        del block
+        u1, u2 = u
+        u1 += 1.0
+        u1 *= 2.0**-53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)            # radius
+        u2 *= 2.0**-53
+        u2 *= 2.0 * np.pi              # theta
+        cos = np.cos(u2)
+        np.sin(u2, out=u2)
+        u2 *= u1                       # radius sin(theta)
+        u1 *= cos                      # radius cos(theta)
+        del cos
+        return u.ravel(order="F")[:count]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """rows x cols standard normal matrix filled in row-major order."""

@@ -7,6 +7,10 @@ basis-aligned matrix whose columns are standard basis vectors (the case
 column sampling cannot recover), and an adversarial SPSD matrix with one
 hugely inflated diagonal entry.
 
+A low-rank matrix is built as X = U diag(s) Vᵀ from orthonormal U and V,
+so its exact thin SVD exists before X does: `low_rank_source` returns X
+together with that left factor, and nothing needs to factor X again.
+
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
 coordinates equal and renormalized) and completing it to an orthonormal
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_dense
+from .linalg import ThinSVD, as_dense, numerical_rank
 from .sampling import SplitMix64
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
     "singular_spectrum",
     "low_rank_factors",
     "low_rank_matrix",
+    "low_rank_source",
     "add_noise",
     "basis_aligned_matrix",
     "adversarial_spsd",
@@ -131,6 +136,18 @@ def low_rank_matrix(spec: SynthSpec) -> np.ndarray:
     noisy extension: both bases are completed to orthogonal ones by QR
     on the same seeded stream, so the top-rank subspaces are unchanged.
     """
+    return low_rank_source(spec)[0]
+
+
+def low_rank_source(spec: SynthSpec):
+    """(X, its left factor): `low_rank_matrix(spec)` and a `ThinSVD` of it.
+
+    The factor is the one X was built from, with V = None: U is n x rank
+    without noise and the completed n x min(n, m) basis with it, where
+    the singular values carry the equal noise tail. Its numerical rank
+    is taken at X's shape. A rank that splits that tie has no unique
+    top subspace; the factor gives the generator's seeded one.
+    """
     rng = SplitMix64(spec.seed)
     U, s, V = _factors(spec, rng)
     if spec.noise is not None:
@@ -138,7 +155,11 @@ def low_rank_matrix(spec: SynthSpec) -> np.ndarray:
         U = _complete_basis(U, k, rng)
         V = _complete_basis(V, k, rng)
         s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-    return np.asfortranarray((U * s) @ V.T)
+    X = np.asfortranarray((U * s) @ V.T)
+    for arr in (U, s):
+        arr.setflags(write=False)
+    return X, ThinSVD(U=U, singular_values=s, V=None,
+                      numerical_rank=numerical_rank(s, X.shape))
 
 
 def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:

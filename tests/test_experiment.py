@@ -27,7 +27,7 @@ from matcoh.experiment import (
     write_raw_csv,
     write_summary_csv,
 )
-from matcoh.coherence import estimate_coherence, nested_coherence
+from matcoh.coherence import basis_coherence, estimate_coherence, nested_coherence
 from matcoh.kernels import (
     KernelSpec,
     PointDataset,
@@ -306,10 +306,10 @@ def test_sweep_factors_each_trial_once(monkeypatch):
                               n=30, m=20, rank=4)
     results = run_experiment(config)
     assert len(results) == 9
-    # One sweep per trial over its largest sample; the only direct
-    # factorization is the full-matrix truth.
+    # One sweep per trial over its largest sample, and no other
+    # factorization: the truth comes from the generator's own factor.
     assert sweeps == [((30, 12), (3, 8, 12))] * 3
-    assert factored == [(30, 20)]
+    assert factored == []
     # The experiment reads the same estimates off the factors that
     # `nested_coherence` gives.
     X = low_rank_matrix(SynthSpec(n=30, m=20, rank=4, seed=5))
@@ -320,8 +320,12 @@ def test_sweep_factors_each_trial_once(monkeypatch):
 
 
 def _wide_config(tmp_path):
-    return ExperimentConfig(kind="synth_noisy", experiment_id="w",
-                            l_values=(4, 10), n=12, m=40, rank=3, noise=0.1,
+    import scipy.io
+
+    path = tmp_path / "wide.mtx"
+    scipy.io.mmwrite(str(path), SplitMix64(9).normal_matrix(12, 40))
+    return ExperimentConfig(kind="coherence_only", experiment_id="w",
+                            l_values=(4, 10), matrix=str(path),
                             r_policy="explicit", r=3)
 
 
@@ -411,20 +415,59 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     assert eigh_shapes == [(30, 30)] + [(l, l) for l in sizes]
 
 
-def test_noisy_run_draws_its_factors_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("kind, n, m, extra", [
+    ("synth_exact", 40, 25, {}),
+    ("synth_noisy", 40, 25, {"noise": 0.2}),
+    ("synth_noisy", 25, 40, {"noise": 0.2}),
+], ids=["exact", "noisy_tall", "noisy_wide"])
+def test_synthetic_truth_factors_no_source(monkeypatch, kind, n, m, extra):
+    seen, draws = [], []
+    real_left, real_thin = matcoh.experiment.left_svd, matcoh.linalg.thin_svd
     real_factors = matcoh.synthetic._factors
 
+    def left_svd(X, spsd=False):
+        seen.append(np.shape(X))
+        return real_left(X, spsd)
+
+    def thin_svd(X):
+        seen.append(np.shape(X))
+        return real_thin(X)
+
     def factors(spec, rng):
-        calls.append(spec)
+        draws.append(spec)
         return real_factors(spec, rng)
 
+    monkeypatch.setattr(matcoh.experiment, "left_svd", left_svd)
+    for module in (matcoh.linalg, matcoh.coherence, matcoh.lowrank):
+        monkeypatch.setattr(module, "thin_svd", thin_svd)
     monkeypatch.setattr(matcoh.synthetic, "_factors", factors)
-    config = ExperimentConfig(kind="synth_noisy", experiment_id="n",
-                              l_values=(5, 10), trials=2, n=30, m=40, rank=4,
-                              noise=0.1, r_policy="explicit", r=4)
-    assert len(run_experiment(config)) == 4
-    assert len(calls) == 1
+    config = ExperimentConfig(kind=kind, experiment_id="f", l_values=(3, 9),
+                              trials=2, base_seed=4, n=n, m=m, rank=5,
+                              r_policy="explicit", r=5, **extra)
+    results = run_experiment(config)
+    assert len(results) == 4
+    assert (n, m) not in seen
+    assert len(draws) == 1
+    # The generator's factor gives the truth that factoring X gives.
+    X = low_rank_matrix(matcoh.experiment._synth_spec(config))
+    want = basis_coherence(real_left(X).left_basis(5)).gamma
+    assert abs(results[0].gamma_true - want) <= 1e-12
+
+
+def test_rank_splitting_the_noise_tie_reports_the_generator_basis():
+    # Every singular value after `rank` is equal, so a top-10 basis is not
+    # unique; the run reports the one the matrix was built from.
+    config = ExperimentConfig(kind="synth_noisy", experiment_id="t",
+                              l_values=(20,), n=40, m=90, rank=4, noise=0.1,
+                              r_policy="explicit", r=10)
+    spec = matcoh.experiment._synth_spec(config)
+    X, factor = matcoh.synthetic.low_rank_source(spec)
+    [row] = run_experiment(config)
+    assert row.gamma_true == basis_coherence(factor.U[:, :10]).gamma
+    # An SVD of X picks some other top-10 basis between the same bounds.
+    low = basis_coherence(factor.U[:, :4]).gamma
+    other = basis_coherence(thin_svd(X).left_basis(10)).gamma
+    assert low <= row.gamma_true <= 1.0 and low <= other <= 1.0
 
 
 def test_energy_policy_runs():
@@ -474,7 +517,9 @@ def test_energy_policy_rejects_zero_source(tmp_path):
     config = ExperimentConfig(kind="coherence_only", experiment_id="z",
                               l_values=(2,), matrix=str(path),
                               r_policy="energy")
-    with pytest.raises(ValueError, match=r"^rank parameter must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^r_policy energy needs a source "
+                                         "with nonzero energy, but the source "
+                                         "matrix is all zero$"):
         run_experiment(config)
 
 
@@ -656,6 +701,26 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = config_file(tmp_path, l_values="2,400")
     assert main(["run", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("policy, rc", [("energy", 2), ("none", 0)])
+def test_cli_all_zero_source(tmp_path, capsys, policy, rc):
+    import scipy.io
+
+    matrix = tmp_path / "zero.mtx"
+    scipy.io.mmwrite(str(matrix), np.zeros((20, 30)))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"kind = coherence_only\nmatrix = {matrix}\n"
+                   f"l_values = 5\nr_policy = {policy}\n"
+                   f"output = {tmp_path / 'raw.csv'}\n")
+    assert main(["run", str(cfg)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == ("matcoh: error: r_policy energy needs a source with "
+                       "nonzero energy, but the source matrix is all zero\n")
+        assert not (tmp_path / "raw.csv").exists()
+    else:
+        assert [r.r_used for r in read_raw_csv(tmp_path / "raw.csv")] == [0]
 
 
 def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matcoh.linalg
 from matcoh.coherence import basis_coherence
 from matcoh.kernels import KernelSpec, PointDataset, build_kernel, spectrum_energy_rank
 from matcoh.linalg import (
@@ -168,7 +169,7 @@ def test_numerical_rank_basis_aligned_matrix():
     t1=st.floats(min_value=0.0, max_value=1e6),
     t2=st.floats(min_value=0.0, max_value=1e6),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_numerical_rank_monotone_in_threshold(sv, t1, t2):
     sv = sorted(sv, reverse=True)
     lo, hi = sorted([t1, t2])
@@ -279,6 +280,23 @@ def test_left_svd_differential_against_thin_svd(case, policy):
         assert r_got == r_want
         assert got.left_basis(r_got).shape[1] == q
         assert abs(gamma_got - gamma_want) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (5, 5)])
+def test_left_svd_checks_a_tall_matrix_once(monkeypatch, shape):
+    checked = []
+    real = matcoh.linalg.as_dense
+
+    def counting(a):
+        checked.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(matcoh.linalg, "as_dense", counting)
+    X = np.random.default_rng(2).standard_normal(shape)
+    f = left_svd(X)
+    assert checked == [shape]
+    want = np.linalg.svd(X, compute_uv=False)
+    np.testing.assert_allclose(f.singular_values, want, rtol=1e-13)
 
 
 def test_left_svd_thresholds_a_wide_matrix_at_its_own_shape():

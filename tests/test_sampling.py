@@ -46,6 +46,36 @@ def test_splitmix_normals_reproducible_and_sane():
     assert abs(np.std(a) - 1.0) < 0.05
 
 
+def _reference_normals(seed, counter, count):
+    """Box-Muller on draws counter+1.., spelled out with fresh arrays."""
+    pairs = (count + 1) // 2
+    ks = np.arange(counter + 1, counter + 2 * pairs + 1, dtype=np.uint64)
+    x = np.uint64(seed) + ks * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    u1 = ((x[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (x[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out[:count]
+
+
+@pytest.mark.parametrize("seed", [77, 2**63 + 12345])
+@pytest.mark.parametrize("skip", [0, 3])
+@pytest.mark.parametrize("count", [1, 10, 4097])
+def test_splitmix_normals_bit_identical_to_reference(seed, skip, count):
+    rng = SplitMix64(seed)
+    rng.normals(skip)  # an odd count consumes a whole pair: counter 4
+    start = 2 * ((skip + 1) // 2)
+    got = rng.normals(count)
+    assert got.tobytes() == _reference_normals(seed, start, count).tobytes()
+    assert rng._counter == start + 2 * ((count + 1) // 2)
+
+
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).below(0)

@@ -3,20 +3,33 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matcoh.coherence import estimate_coherence, max_leverage, mu0_coherence
-from matcoh.linalg import thin_svd
+from matcoh.coherence import (
+    basis_coherence,
+    estimate_coherence,
+    max_leverage,
+    mu0_coherence,
+)
+from matcoh.kernels import spectrum_energy_rank
+from matcoh.linalg import left_svd, rank_threshold, thin_svd
 from matcoh.lowrank import column_projection
 from matcoh.sampling import exclusion_sample, uniform_sample
 from matcoh.synthetic import (
+    COHERENCE_MULTIPLIERS,
+    DECAY_RATES,
     SynthSpec,
     add_noise,
     adversarial_spsd,
     basis_aligned_matrix,
     low_rank_factors,
     low_rank_matrix,
+    low_rank_source,
     singular_spectrum,
 )
+
+_EPS = np.finfo(np.float64).eps
 
 
 def test_spec_validation():
@@ -87,6 +100,87 @@ def test_coherence_level_ordering(seed):
 def test_generation_is_bit_deterministic():
     spec = SynthSpec(n=30, m=25, rank=6, coherence="mid", seed=11)
     np.testing.assert_array_equal(low_rank_matrix(spec), low_rank_matrix(spec))
+
+
+@st.composite
+def _specs(draw):
+    """Specs of every shape, decay and coherence level, with and without
+    noise, up to rank = min(n, m)."""
+    coherence = draw(st.sampled_from(sorted(COHERENCE_MULTIPLIERS)))
+    # The peaked entry multiplier / sqrt(min(n, m)) must stay <= 1.
+    small = draw(st.integers(max(2, math.ceil(COHERENCE_MULTIPLIERS[coherence] ** 2)),
+                             72))
+    shape = draw(st.sampled_from(("wide", "tall", "square")))
+    big = small if shape == "square" else small + draw(st.integers(1, 40))
+    n, m = (big, small) if shape == "tall" else (small, big)
+    rank = draw(st.one_of(st.just(small), st.integers(1, small)))
+    return SynthSpec(n=n, m=m, rank=rank,
+                     decay=draw(st.sampled_from(sorted(DECAY_RATES))),
+                     coherence=coherence,
+                     noise=draw(st.one_of(st.none(), st.floats(0.05, 0.5))),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _truth(f, policy):
+    """(truncation rank, gamma_true) of a factor, as the experiment takes them."""
+    kind, value = policy
+    r = spectrum_energy_rank(f.singular_values, value) if kind == "energy" else value
+    basis = f.left_basis(r)
+    return basis.shape[1], basis_coherence(basis).gamma
+
+
+def _gap_tol(gap):
+    """|Δgamma| allowed for a basis cut at relative spectral gap `gap`.
+
+    Within 1e-10 where the cut is resolved. Below that, the SVD fixes
+    the subspace only to about eps * s_1 / gap (Davis-Kahan), and the
+    tolerance follows it.
+    """
+    return 1e-10 if gap >= 1e-6 else 100 * _EPS / gap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_specs(),
+       st.one_of(st.just(("none", None)),
+                 st.tuples(st.just("explicit"), st.integers(1, 72)),
+                 st.tuples(st.just("energy"), st.floats(0.5, 1.0))))
+def test_generator_factor_matches_left_svd(spec, policy):
+    X, gen = low_rank_source(spec)
+    assert X.tobytes() == low_rank_matrix(spec).tobytes()
+    got = left_svd(X)
+    k = min(spec.n, spec.m)
+    # The generator's spectrum, with the zeros it leaves out.
+    s = np.zeros(k)
+    s[:gen.singular_values.size] = gen.singular_values
+    np.testing.assert_allclose(got.singular_values, s, rtol=0, atol=1e-12 * s[0])
+    # Ranks compare where no value sits at a cut: the rank threshold, or
+    # the energy fraction of the cumulative energy.
+    tau = rank_threshold(s, X.shape)
+    ranks_resolved = np.all(np.abs(gen.singular_values - tau) > 100 * _EPS * s[0])
+    if ranks_resolved:
+        assert got.numerical_rank == gen.numerical_rank
+    (q_gen, gamma_gen), (q_got, gamma_got) = _truth(gen, policy), _truth(got, policy)
+    if policy[0] == "energy":
+        energy = np.cumsum(s * s)
+        cut = policy[1] * energy[-1]
+        i = int(np.argmax(energy >= cut))
+        below = cut - energy[i - 1] if i else np.inf
+        ranks_resolved &= min(energy[i] - cut, below) > 1e-10 * energy[-1]
+    if spec.noise is not None and any(spec.rank < q < k for q in (q_gen, q_got)):
+        # The cut splits the noise tail's tie: any top-q basis lies between
+        # the structural subspace and the whole completed one.
+        tail = s[spec.rank]
+        tol = _gap_tol(min(s[spec.rank - 1] - tail, tail) / s[0])
+        low = basis_coherence(gen.U[:, :spec.rank]).gamma
+        high = basis_coherence(gen.U).gamma
+        assert low - tol <= gamma_gen <= high + tol
+        assert low - tol <= gamma_got <= high + tol
+        return
+    if not ranks_resolved:
+        return
+    assert q_got == q_gen
+    gap = (s[q_gen - 1] - (s[q_gen] if q_gen < k else 0.0)) / s[0] if q_gen else 1.0
+    assert abs(gamma_got - gamma_gen) <= _gap_tol(gap)
 
 
 @pytest.mark.parametrize("n, m, rank, coherence", [
