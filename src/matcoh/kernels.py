@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 
 from .linalg import as_dense
 
@@ -142,6 +141,10 @@ def save_csv(dataset: PointDataset, path):
 
 def load_matrix_market(path) -> np.ndarray:
     """Read a dense or coordinate real Matrix Market file as a matrix."""
+    # Imported here: scipy.io is most of matcoh's import time, and only
+    # this reader needs it.
+    import scipy.io
+
     try:
         m = scipy.io.mmread(str(path))
     except Exception as exc:

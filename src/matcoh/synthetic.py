@@ -10,6 +10,21 @@ hugely inflated diagonal entry.
 A low-rank matrix is built as X = U diag(s) Vᵀ from orthonormal U and V,
 so its exact thin SVD exists before X does: `low_rank_source` returns X
 together with that left factor, and nothing needs to factor X again.
+`rank` is the structural rank, the number of structural singular
+values. A fast decay can push the trailing ones below X's rank
+threshold, and then the numerical rank is lower.
+
+The noisy extension completes U and V to k = min(n, m) columns by QR
+against seeded Gaussian columns G. U's completion is formed, since it is
+the truth factor. V's is applied through the k x k R factor of
+[V | G] and never formed: its columns are [V | G] inv(R)[:, r:], so a
+triangular solve folds them into the n x k left factor, and no m x k Q
+is built. X then differs from a build through the explicit Q by
+rounding times the condition number of [V | G] with unit columns:
+about 1e-16 of max|X| for a wide source (m >> k). For a tall or square
+source [V | G] is square and its condition number has a heavy tail, so
+the difference is mostly below 1e-13 of max|X| but reached 4.7e-12 at
+condition number 1.1e5.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -47,9 +62,11 @@ COHERENCE_MULTIPLIERS = {"low": 1.0, "mid": 3.0, "high": 8.0}
 class SynthSpec:
     """Declarative description of one synthetic low-rank matrix.
 
-    `noise`, when set, is the fraction of the smallest structural
-    singular value given to every trailing singular value of the noisy
-    extension; None means exactly low-rank.
+    `rank` is the structural rank: the number of structural singular
+    values, not necessarily the numerical rank of the matrix (see
+    `low_rank_source`). `noise`, when set, is the fraction of the
+    smallest structural singular value given to every trailing singular
+    value of the noisy extension; None means exactly low-rank.
     """
 
     n: int
@@ -132,9 +149,12 @@ def _factors(spec: SynthSpec, rng: SplitMix64):
 def low_rank_matrix(spec: SynthSpec) -> np.ndarray:
     """The matrix of `spec`, from one draw of its factors.
 
-    Exactly rank `spec.rank` (U diag(s) V^T) without noise. With it, the
-    noisy extension: both bases are completed to orthogonal ones by QR
-    on the same seeded stream, so the top-rank subspaces are unchanged.
+    U diag(s) V^T of structural rank `spec.rank` without noise. With it,
+    the noisy extension: both bases are completed to orthogonal ones by
+    QR on the same seeded stream, so the top-rank subspaces are
+    unchanged. V's completion is applied through the R factor of that
+    QR and never formed (see the module docstring for the rounding this
+    costs against an explicit-Q build).
     """
     return low_rank_source(spec)[0]
 
@@ -145,17 +165,22 @@ def low_rank_source(spec: SynthSpec):
     The factor is the one X was built from, with V = None: U is n x rank
     without noise and the completed n x min(n, m) basis with it, where
     the singular values carry the equal noise tail. Its numerical rank
-    is taken at X's shape. A rank that splits that tie has no unique
-    top subspace; the factor gives the generator's seeded one.
+    is taken at X's shape, so it is below `spec.rank` when the trailing
+    structural values fall under X's rank threshold (a fast decay at a
+    rank near min(n, m)); an SVD of X finds the same lower rank. A rank
+    that splits the noise tail's tie has no unique top subspace; the
+    factor gives the generator's seeded one.
     """
     rng = SplitMix64(spec.seed)
     U, s, V = _factors(spec, rng)
-    if spec.noise is not None:
+    if spec.noise is None:
+        left = U * s
+    else:
         k = min(spec.n, spec.m)
         U = _complete_basis(U, k, rng)
-        V = _complete_basis(V, k, rng)
         s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-    X = np.asfortranarray((U * s) @ V.T)
+        left, V = _completed_product(U * s, V, rng)
+    X = np.asfortranarray(left @ V.T)
     for arr in (U, s):
         arr.setflags(write=False)
     return X, ThinSVD(U=U, singular_values=s, V=None,
@@ -170,6 +195,29 @@ def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
     block = np.concatenate([B, rng.normal_matrix(n, total - r)], axis=1)
     Q = np.linalg.qr(block)[0]
     return np.concatenate([B, Q[:, r:total]], axis=1)
+
+
+def _completed_product(left: np.ndarray, V: np.ndarray, rng: SplitMix64):
+    """(W, block) with W @ block.T == left @ [V | V_perp].T.
+
+    V_perp is the completion of the m x r orthonormal V to
+    k = left.shape[1] columns that `_complete_basis(V, k, rng)` would
+    form from the same draw: Q[:, r:] of the QR of block = [V | G], that
+    is block @ inv(R)[:, r:]. The k x k triangular R alone applies it:
+    inv(R)[:, r:] is folded into the n x k left factor, and no m x k Q
+    is formed.
+    """
+    m, r = V.shape
+    k = left.shape[1]
+    if k == r:
+        return left, V
+    block = np.concatenate([V, rng.normal_matrix(m, k - r)], axis=1)
+    R = np.linalg.qr(block, mode="r")
+    # R is upper triangular, so LU with partial pivoting never swaps a
+    # row and this is a triangular solve for the last k - r columns.
+    W = left[:, r:] @ np.linalg.solve(R, np.eye(k)[:, r:]).T
+    W[:, :r] += left[:, :r]
+    return W, block
 
 
 def add_noise(X, spec: SynthSpec) -> np.ndarray:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
 
+import matcoh
 from matcoh.kernels import (
     KernelSpec,
     PointDataset,
@@ -87,6 +93,18 @@ def test_load_matrix_market_malformed(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\nnot numbers\n")
     with pytest.raises(ValueError):
         load_matrix_market(path)
+
+
+def test_cli_import_leaves_scipy_io_unloaded():
+    # Only load_matrix_market needs scipy.io; a command that reads no
+    # Matrix Market file must not pay for importing it.
+    src = str(Path(matcoh.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, matcoh.cli; print('scipy.io' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_kernel_spec_parameter_discipline():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matcoh.coherence import (
@@ -15,7 +15,8 @@ from matcoh.coherence import (
 from matcoh.kernels import spectrum_energy_rank
 from matcoh.linalg import left_svd, rank_threshold, thin_svd
 from matcoh.lowrank import column_projection
-from matcoh.sampling import exclusion_sample, uniform_sample
+from matcoh import synthetic
+from matcoh.sampling import SplitMix64, exclusion_sample, uniform_sample
 from matcoh.synthetic import (
     COHERENCE_MULTIPLIERS,
     DECAY_RATES,
@@ -197,6 +198,103 @@ def test_noisy_matrix_equals_add_noise_of_its_base(n, m, rank, coherence):
     assert X.flags.f_contiguous
     np.testing.assert_array_equal(X, add_noise(base, noisy))
     assert np.array_equal(X, base) == (rank == min(n, m))
+
+
+def _explicit_q_source(spec):
+    """Oracle for a noisy source: (X, U, s, kappa) with V's completion
+    formed as the explicit Q of [V | G], as the build did before it
+    applied the completion through R alone.
+
+    kappa is the condition number of [V | G] with unit columns (1 when V
+    needs no completion), which bounds how far block @ inv(R) strays
+    from the Householder Q.
+    """
+    rng = SplitMix64(spec.seed)
+    U, s, V = synthetic._factors(spec, rng)
+    k = min(spec.n, spec.m)
+    kappa = 1.0
+
+    def complete(B):
+        nonlocal kappa
+        rows, r = B.shape
+        if r == k:
+            return B
+        block = np.concatenate([B, rng.normal_matrix(rows, k - r)], axis=1)
+        kappa = np.linalg.cond(block / np.linalg.norm(block, axis=0))
+        Q = np.linalg.qr(block)[0]
+        return np.concatenate([B, Q[:, r:]], axis=1)
+
+    U = complete(U)
+    V = complete(V)
+    s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
+    return (U * s) @ V.T, U, s, kappa
+
+
+@st.composite
+def _noisy_specs(draw):
+    """Noisy specs that are wide, tall, square or have m = n + 1, with
+    rank 1 and rank = min(n, m) (V not completed) drawn often."""
+    coherence = draw(st.sampled_from(sorted(COHERENCE_MULTIPLIERS)))
+    small = draw(st.integers(max(2, math.ceil(COHERENCE_MULTIPLIERS[coherence] ** 2)),
+                             72))
+    shape = draw(st.sampled_from(("wide", "tall", "square", "m = n + 1")))
+    big = {"square": small, "m = n + 1": small + 1}.get(shape)
+    if big is None:
+        big = small + draw(st.integers(1, 40))
+    n, m = (big, small) if shape == "tall" else (small, big)
+    return SynthSpec(n=n, m=m,
+                     rank=draw(st.one_of(st.just(1), st.just(small),
+                                         st.integers(1, small))),
+                     decay=draw(st.sampled_from(sorted(DECAY_RATES))),
+                     coherence=coherence, noise=draw(st.floats(0.05, 0.5)),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_noisy_specs())
+@example(SynthSpec(n=400, m=200, rank=20, decay="slow", noise=0.3, seed=0))
+@example(SynthSpec(n=200, m=400, rank=20, decay="slow", noise=0.3, seed=0))
+# [V | G] is square with condition number 1.1e5 here.
+@example(SynthSpec(n=71, m=71, rank=1, decay="slow", noise=0.33550431996701147,
+                   seed=3560167343))
+def test_noisy_source_matches_explicit_q_build(spec):
+    X, f = low_rank_source(spec)
+    X_ref, U_ref, s_ref, kappa = _explicit_q_source(spec)
+    np.testing.assert_array_equal(f.U, U_ref)
+    np.testing.assert_array_equal(f.singular_values, s_ref)
+    # block @ inv(R) differs from the Householder Q by about eps * kappa;
+    # up to kappa = 100 the bound is 1e-12.
+    tol = 1e-12 * max(1.0, kappa / 100)
+    assert np.max(np.abs(X - X_ref)) <= tol * np.max(np.abs(X))
+    gram = f.U.T @ X
+    gram = gram @ gram.T
+    s1 = f.singular_values[0]
+    assert np.max(np.abs(gram - np.diag(f.singular_values ** 2))) <= tol * s1 * s1
+
+
+def test_noisy_build_takes_only_r_of_the_wide_block(monkeypatch):
+    # V's completion needs only R of the m x k block [V | G]: no m x k Q.
+    spec = SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1)
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        calls.append((a.shape, mode))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    low_rank_source(spec)
+    assert [mode for shape, mode in calls if shape == (200, 30)] == ["r"]
+
+
+def test_structural_rank_can_exceed_numerical_rank():
+    # e^(-0.5 i) falls below the rank threshold 80 * eps * s_1 after
+    # i = 64: the spec is accepted, and its numerical rank is 64.
+    spec = SynthSpec(n=80, m=80, rank=70, decay="fast")
+    X, f = low_rank_source(spec)
+    assert f.singular_values.size == 70
+    assert f.numerical_rank == 64
+    assert left_svd(X).numerical_rank == 64
 
 
 class TestAddNoise:
