@@ -7,6 +7,9 @@ projector U U^T. A subspace with max leverage near 1 concentrates on a
 few coordinates and is easy to miss when sampling columns; near q/n it
 is spread evenly and column sampling sees it quickly.
 
+`max_leverage`, `mu_coherence`, `mu0_coherence` and `mu1_coherence`
+each return one field of `basis_coherence`'s checked report.
+
 `estimate_coherence` is the sampled estimator: take the left singular
 vectors of a column subsample, truncate to min(numerical rank, rank
 parameter) vectors, and read off the leverage statistics. Its cost is
@@ -18,7 +21,7 @@ columns of its R factor are the R factor of the l-column prefix (Chan
 1982, QR-then-SVD), so each size only factors a small block of R. The
 cost is one O(n L^2) QR per trial plus O(l^3) per size, and O(n l q) to
 form a q-column basis, which a `PrefixFactor` does only when asked.
-`nested_coherence` reads the estimates off those factors, and the
+`factor_coherence` reads each estimate off its factor, and the
 experiment hands the same factor to `lowrank.column_projection`.
 """
 
@@ -27,14 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (
-    ORTHONORMAL_TOL,
-    ThinSVD,
-    as_dense,
-    numerical_rank,
-    orthonormality_defect,
-    thin_svd,
-)
+from .linalg import ThinSVD, _checked_basis, as_dense, numerical_rank, thin_svd
 
 __all__ = [
     "CoherenceReport",
@@ -47,7 +43,6 @@ __all__ = [
     "factor_coherence",
     "estimate_coherence",
     "nested_factors",
-    "nested_coherence",
     "update_projector",
     "sample_size_bound",
 ]
@@ -57,54 +52,18 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 
 
-def _checked_basis(U) -> np.ndarray:
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    defect = orthonormality_defect(U)
-    if defect > ORTHONORMAL_TOL:
-        raise ValueError(
-            f"basis columns are not orthonormal (defect {defect:.3e})"
-        )
-    return U
-
-
-def _row_leverage_max(U) -> float:
-    # Row norms of U, never the n x n projector: O(nq) instead of O(n^2 q).
-    if U.shape[1] == 0:
-        return 0.0
-    return min(float(np.max(np.einsum("ij,ij->i", U, U))), 1.0)
-
-
 def max_leverage(U) -> float:
     """Largest squared row norm of an orthonormal-column basis.
 
     Equals max_i ||P e_i||^2 for the projector P = U U^T, and lies in
     [q/n, 1] for a basis of q columns in dimension n.
     """
-    return _row_leverage_max(_checked_basis(U))
-
-
-def _entry_coherence(U) -> float:
-    if U.shape[1] == 0:
-        return 0.0
-    return math.sqrt(U.shape[0]) * float(np.max(np.abs(U)))
-
-
-def _cross_coherence(U, V) -> float:
-    if U.shape[1] != V.shape[1]:
-        raise ValueError(
-            f"factor column counts differ: {U.shape[1]} vs {V.shape[1]}"
-        )
-    if U.shape[1] == 0:
-        return 0.0
-    t_max = float(np.max(np.abs(U @ V.T)))
-    return math.sqrt(U.shape[0] * V.shape[0] / U.shape[1]) * t_max
+    return basis_coherence(U).gamma
 
 
 def mu_coherence(U) -> float:
     """Entry coherence sqrt(n) * max |U_ij| of an orthonormal basis."""
-    return _entry_coherence(_checked_basis(U))
+    return basis_coherence(U).mu
 
 
 def mu0_coherence(U) -> float:
@@ -114,11 +73,7 @@ def mu0_coherence(U) -> float:
     basis-aligned one at n/q; it relates to `max_leverage` by
     max_leverage = (q/n) * mu0.
     """
-    U = _checked_basis(U)
-    q = U.shape[1]
-    if q == 0:
-        return 0.0
-    return _row_leverage_max(U) * (U.shape[0] / q)
+    return basis_coherence(U).mu0
 
 
 def mu1_coherence(U, V) -> float:
@@ -127,7 +82,7 @@ def mu1_coherence(U, V) -> float:
     U (n x q) and V (m x q) must have the same column count; the matrix
     U V^T sums the rank-one products of paired singular vectors.
     """
-    return _cross_coherence(_checked_basis(U), _checked_basis(V))
+    return basis_coherence(U, V).mu1
 
 
 @dataclass(frozen=True)
@@ -166,20 +121,26 @@ class CoherenceReport:
 def basis_coherence(U, V=None) -> CoherenceReport:
     """Full coherence report for an orthonormal basis (and optional pair).
 
-    Each basis is checked for orthonormality once.
+    Each basis is checked for orthonormality once, and V's column count
+    against U's. mu1 is None without V, and 0 for two empty bases.
     """
     U = _checked_basis(U)
     n, q = U.shape
+    if V is not None:
+        V = _checked_basis(V)
+        if V.shape[1] != q:
+            raise ValueError(f"factor column counts differ: {q} vs {V.shape[1]}")
     if q == 0:
-        return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0, mu1=None,
-                               rank_used=0, n=n)
-    g = _row_leverage_max(U)
-    report_mu1 = None if V is None else _cross_coherence(U, _checked_basis(V))
+        return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0,
+                               mu1=None if V is None else 0.0, rank_used=0, n=n)
+    # Row norms of U, never the n x n projector: O(nq) instead of O(n^2 q).
+    g = min(float(np.max(np.einsum("ij,ij->i", U, U))), 1.0)
     return CoherenceReport(
         gamma=g,
-        mu=_entry_coherence(U),
+        mu=math.sqrt(n) * float(np.max(np.abs(U))),
         mu0=g * (n / q),
-        mu1=report_mu1,
+        mu1=None if V is None else (
+            math.sqrt(n * V.shape[0] / q) * float(np.max(np.abs(U @ V.T)))),
         rank_used=q,
         n=n,
     )
@@ -210,7 +171,8 @@ def factor_coherence(factor, rank=None) -> CoherenceReport:
     `factor` is a `ThinSVD` or a `PrefixFactor`; its basis is the top
     min(numerical rank, `rank`) left singular vectors.
     """
-    _check_rank(rank)
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank parameter must be >= 1, got {rank}")
     return basis_coherence(factor.left_basis(rank))
 
 
@@ -254,26 +216,6 @@ def _prefix_factors(columns, sizes):
         f = thin_svd(R[:k, :l])
         yield PrefixFactor(Q[:, :k], replace(
             f, numerical_rank=numerical_rank(f.singular_values, (n, l))))
-
-
-def nested_coherence(columns, sizes, rank=None):
-    """Coherence estimates of the nested prefixes `columns[:, :l]`.
-
-    Returns an iterator of one report per l in `sizes`, in order, each
-    matching `estimate_coherence(columns[:, :l], rank)`: the same
-    `rank_used`, and the same gamma up to rounding wherever the kept
-    singular values are separated from the dropped ones. The reports are
-    read off `nested_factors(columns, sizes)`; `rank` and `sizes` are
-    checked on the call, and the QR runs when the first report is
-    requested.
-    """
-    _check_rank(rank)
-    return (factor_coherence(f, rank) for f in nested_factors(columns, sizes))
-
-
-def _check_rank(rank):
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank parameter must be >= 1, got {rank}")
 
 
 def update_projector(P, x):

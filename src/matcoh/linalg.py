@@ -203,20 +203,23 @@ def orthonormality_defect(U) -> float:
     return float(np.max(np.abs(U.T @ U - np.eye(q))))
 
 
+def _checked_basis(U) -> np.ndarray:
+    """U as a float64 matrix (1-D as one column) with orthonormal columns."""
+    U = np.asarray(U, dtype=np.float64)
+    if U.ndim == 1:
+        U = U.reshape(-1, 1)
+    defect = orthonormality_defect(U)
+    if defect > ORTHONORMAL_TOL:
+        raise ValueError(f"basis columns are not orthonormal "
+                         f"(defect {defect:.3e} > {ORTHONORMAL_TOL:.0e})")
+    return U
+
+
 def projector(U) -> np.ndarray:
     """Orthogonal projector U U^T onto the column span of U.
 
     U must have orthonormal columns (within ORTHONORMAL_TOL); a matrix
     with zero columns yields the zero projector.
     """
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    defect = orthonormality_defect(U)
-    if defect > ORTHONORMAL_TOL:
-        raise ValueError(
-            f"columns are not orthonormal (defect {defect:.3e} > {ORTHONORMAL_TOL:.0e})"
-        )
-    if U.shape[1] == 0:
-        return np.zeros((U.shape[0], U.shape[0]))
+    U = _checked_basis(U)
     return U @ U.T

@@ -14,9 +14,10 @@ of one permutation form a nested family of uniform samples. Only those
 first positions are ever drawn: the later steps of the shuffle would not
 change them.
 
-`nested_samples` extracts the largest sample's n x L block once and
-hands out every smaller sample as a view of its leading columns, so a
-nested family costs the memory of one block, not O(n L^2) copies.
+`nested_samples` draws the largest sample with `exclusion_sample`, which
+copies its n x L block once, and hands out every smaller sample as a
+view of the block's leading columns, so a nested family costs the
+memory of one block, not O(n L^2) copies.
 """
 
 from dataclasses import dataclass
@@ -63,10 +64,6 @@ class SplitMix64:
     def next_uint64(self) -> int:
         self._counter += 1
         return _mix64((self.seed + self._counter * _GOLDEN) & _MASK64)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -182,14 +179,6 @@ def _allowed_pool(m: int, excluded, size: int) -> list:
     return allowed
 
 
-def _extract(X, indices, seed) -> ColumnSample:
-    return ColumnSample(
-        indices=tuple(indices),
-        submatrix=np.asfortranarray(X[:, list(indices)]),
-        seed=seed,
-    )
-
-
 def uniform_sample(X, size: int, seed: int) -> ColumnSample:
     """Sample `size` distinct columns of X uniformly at random.
 
@@ -203,8 +192,9 @@ def exclusion_sample(X, size: int, seed: int, excluded) -> ColumnSample:
     """Uniform sample of `size` columns drawn only from non-excluded ones."""
     X = as_dense(X)
     allowed = _allowed_pool(X.shape[1], excluded, size)
-    rng = SplitMix64(seed)
-    return _extract(X, _fisher_yates_prefix(allowed, size, rng), seed)
+    indices = _fisher_yates_prefix(allowed, size, SplitMix64(seed))
+    return ColumnSample(indices=tuple(indices),
+                        submatrix=np.asfortranarray(X[:, indices]), seed=seed)
 
 
 def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
@@ -216,11 +206,7 @@ def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
     once, into the largest sample's block; the sample of size l holds
     the view of its first l columns.
     """
-    X = as_dense(X)
-    allowed = _allowed_pool(X.shape[1], excluded, max_size)
-    rng = SplitMix64(seed)
-    perm = _fisher_yates_prefix(allowed, max_size, rng)
-    largest = _extract(X, perm, seed)
+    largest = exclusion_sample(X, max_size, seed, excluded)
     return [ColumnSample(indices=largest.indices[:l],
                          submatrix=largest.submatrix[:, :l], seed=seed)
             for l in range(1, max_size + 1)]

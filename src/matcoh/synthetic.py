@@ -29,8 +29,8 @@ condition number 1.1e5.
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
 coordinates equal and renormalized) and completing it to an orthonormal
-basis by QR against seeded Gaussian columns. The peaked vector is placed
-at the ceil(rank/2)-th spectral position.
+basis by QR against seeded Gaussian columns, as the noisy extension
+does. The peaked vector sits at the ceil(rank/2)-th spectral position.
 """
 
 import math
@@ -113,18 +113,10 @@ def _peaked_unit_vector(n: int, multiplier: float) -> np.ndarray:
 def _basis_containing(v: np.ndarray, rank: int, position: int,
                       rng: SplitMix64) -> np.ndarray:
     """Orthonormal n x rank basis with `v` exactly at column `position`."""
-    n = v.shape[0]
-    block = np.empty((n, rank), order="F")
-    block[:, 0] = v
-    if rank > 1:
-        block[:, 1:] = rng.normal_matrix(n, rank - 1)
-    Q = np.linalg.qr(block)[0]
-    # QR reproduces the leading column only up to sign and roundoff;
-    # write the exact vector back (the rest stay orthogonal to it).
-    Q[:, 0] = v
+    B = _complete_basis(v[:, None], rank, rng)
     order = list(range(1, rank))
     order.insert(position, 0)
-    return np.asfortranarray(Q[:, order])
+    return np.asfortranarray(B[:, order])
 
 
 def low_rank_factors(spec: SynthSpec):
@@ -194,6 +186,8 @@ def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
         return B
     block = np.concatenate([B, rng.normal_matrix(n, total - r)], axis=1)
     Q = np.linalg.qr(block)[0]
+    # QR reproduces B only up to sign and roundoff: keep B exactly and
+    # take from Q only the new columns, which stay orthogonal to it.
     return np.concatenate([B, Q[:, r:total]], axis=1)
 
 

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import matcoh.coherence
+import matcoh.linalg
 from matcoh.coherence import (
     basis_coherence,
     estimate_coherence,
+    factor_coherence,
     max_leverage,
     mu0_coherence,
     mu1_coherence,
     mu_coherence,
-    nested_coherence,
+    nested_factors,
     sample_size_bound,
     update_projector,
 )
@@ -204,13 +205,13 @@ def test_exactness_when_sample_rank_matches():
 
 def test_basis_coherence_checks_each_basis_once(monkeypatch):
     calls = []
-    real = matcoh.coherence.orthonormality_defect
+    real = matcoh.linalg.orthonormality_defect
 
     def counting(U):
         calls.append(U.shape)
         return real(U)
 
-    monkeypatch.setattr(matcoh.coherence, "orthonormality_defect", counting)
+    monkeypatch.setattr(matcoh.linalg, "orthonormality_defect", counting)
     U, V = random_basis(12, 3, 0), random_basis(9, 3, 1)
     basis_coherence(U)
     assert calls == [(12, 3)]
@@ -226,13 +227,23 @@ def test_basis_coherence_keeps_public_errors():
         basis_coherence(random_basis(8, 3, 0), random_basis(8, 2, 1))
 
 
+def test_basis_coherence_checks_v_when_u_is_empty():
+    empty = np.zeros((5, 0))
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        basis_coherence(empty, np.ones((4, 3)))
+    with pytest.raises(ValueError, match="factor column counts differ: 0 vs 2"):
+        basis_coherence(empty, random_basis(4, 2, 0))
+    V = np.zeros((4, 0))
+    assert basis_coherence(empty, V).mu1 == 0.0 == mu1_coherence(empty, V)
+
+
 def test_nested_coherence_rejects_bad_rank_and_sizes():
     X = np.random.default_rng(3).standard_normal((10, 6))
     with pytest.raises(ValueError, match=r"^rank parameter must be >= 1, got 0$"):
-        nested_coherence(X, [2, 4], rank=0)
+        [factor_coherence(f, 0) for f in nested_factors(X, [2, 4])]
     for sizes in ([], [3, 2], [2, 2], [0, 3], [3, 7]):
         with pytest.raises(ValueError):
-            nested_coherence(X, sizes)
+            nested_factors(X, sizes)
 
 
 _PREFIX_KINDS = ("generic", "low_rank", "duplicates", "zero_columns",
@@ -271,7 +282,7 @@ def _prefix_cases(draw):
 @given(_prefix_cases())
 def test_nested_coherence_differential_against_prefix_svd(case):
     X, sizes, rank = case
-    got = list(nested_coherence(X, sizes, rank=rank))
+    got = [factor_coherence(f, rank) for f in nested_factors(X, sizes)]
     assert len(got) == len(sizes)
     for l, report in zip(sizes, got):
         want = estimate_coherence(X[:, :l], rank=rank)

@@ -27,7 +27,12 @@ from matcoh.experiment import (
     write_raw_csv,
     write_summary_csv,
 )
-from matcoh.coherence import basis_coherence, estimate_coherence, nested_coherence
+from matcoh.coherence import (
+    basis_coherence,
+    estimate_coherence,
+    factor_coherence,
+    nested_factors,
+)
 from matcoh.kernels import (
     KernelSpec,
     PointDataset,
@@ -311,11 +316,11 @@ def test_sweep_factors_each_trial_once(monkeypatch):
     assert sweeps == [((30, 12), (3, 8, 12))] * 3
     assert factored == []
     # The experiment reads the same estimates off the factors that
-    # `nested_coherence` gives.
+    # `nested_factors` gives.
     X = low_rank_matrix(SynthSpec(n=30, m=20, rank=4, seed=5))
     assert [r.gamma_est for r in results] == [
-        report.gamma for trial in range(3)
-        for report in nested_coherence(
+        factor_coherence(f).gamma for trial in range(3)
+        for f in nested_factors(
             nested_samples(X, 12, 5 + trial)[-1].submatrix, (3, 8, 12))]
 
 

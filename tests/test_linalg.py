@@ -148,6 +148,11 @@ def test_projector_idempotent():
     assert abs(np.trace(P) - 4.0) <= 1e-10
 
 
+def test_projector_of_empty_basis_is_zero():
+    P = projector(np.zeros((4, 0)))
+    assert P.shape == (4, 4) and P.dtype == np.float64 and not P.any()
+
+
 def test_projector_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         projector(np.ones((4, 2)))
