@@ -6,10 +6,6 @@ from .coherence import (
     CoherenceReport,
     basis_coherence,
     estimate_coherence,
-    max_leverage,
-    mu0_coherence,
-    mu1_coherence,
-    mu_coherence,
     sample_size_bound,
     update_projector,
 )
@@ -28,12 +24,10 @@ from .linalg import (
     left_svd,
     numerical_rank,
     projector,
-    pseudoinverse,
     thin_svd,
 )
 from .lowrank import (
     ApproximationResult,
-    approximation_errors,
     column_projection,
     nystrom,
 )
@@ -41,7 +35,6 @@ from .sampling import (
     RNG_NAME,
     ColumnSample,
     SplitMix64,
-    exclusion_sample,
     nested_samples,
     uniform_sample,
 )

@@ -5,10 +5,8 @@ coordinate axes. The central statistic here is the maximum leverage
 score of a basis U: max_i ||U_(i)||^2, the largest diagonal entry of the
 projector U U^T. A subspace with max leverage near 1 concentrates on a
 few coordinates and is easy to miss when sampling columns; near q/n it
-is spread evenly and column sampling sees it quickly.
-
-`max_leverage`, `mu_coherence`, `mu0_coherence` and `mu1_coherence`
-each return one field of `basis_coherence`'s checked report.
+is spread evenly and column sampling sees it quickly. `basis_coherence`
+checks a basis and reports gamma with the coherences mu, mu0 and mu1.
 
 `estimate_coherence` is the sampled estimator: take the left singular
 vectors of a column subsample, truncate to min(numerical rank, rank
@@ -35,10 +33,6 @@ from .linalg import ThinSVD, _checked_basis, as_dense, numerical_rank, thin_svd
 __all__ = [
     "CoherenceReport",
     "PrefixFactor",
-    "max_leverage",
-    "mu_coherence",
-    "mu0_coherence",
-    "mu1_coherence",
     "basis_coherence",
     "factor_coherence",
     "estimate_coherence",
@@ -52,48 +46,21 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 
 
-def max_leverage(U) -> float:
-    """Largest squared row norm of an orthonormal-column basis.
-
-    Equals max_i ||P e_i||^2 for the projector P = U U^T, and lies in
-    [q/n, 1] for a basis of q columns in dimension n.
-    """
-    return basis_coherence(U).gamma
-
-
-def mu_coherence(U) -> float:
-    """Entry coherence sqrt(n) * max |U_ij| of an orthonormal basis."""
-    return basis_coherence(U).mu
-
-
-def mu0_coherence(U) -> float:
-    """Row coherence (n/q) * max_i ||U_(i)||^2 of an orthonormal basis.
-
-    The (n/q) scaling puts a perfectly spread basis at 1 and a
-    basis-aligned one at n/q; it relates to `max_leverage` by
-    max_leverage = (q/n) * mu0.
-    """
-    return basis_coherence(U).mu0
-
-
-def mu1_coherence(U, V) -> float:
-    """Cross coherence sqrt(nm/q) * max |(U V^T)_ij| of a factor pair.
-
-    U (n x q) and V (m x q) must have the same column count; the matrix
-    U V^T sums the rank-one products of paired singular vectors.
-    """
-    return basis_coherence(U, V).mu1
-
-
 @dataclass(frozen=True)
 class CoherenceReport:
     """Coherence statistics of one (possibly truncated) singular basis.
 
-    gamma is the maximum leverage score; mu and mu0 are the entry and row
-    coherences; mu1 is the cross coherence and is None when no right
-    factor was available. rank_used is the number of basis columns the
-    statistics were computed from (0 for an all-zero input, in which case
-    every statistic is 0).
+    For an n x q basis U with orthonormal columns, and an m x q V:
+    - gamma = max_i ||U_(i)||^2, the maximum leverage score, in [q/n, 1];
+    - mu = sqrt(n) * max |U_ij|, the entry coherence;
+    - mu0 = (n/q) * max_i ||U_(i)||^2, the row coherence, which puts a
+      perfectly spread basis at 1 and a basis-aligned one at n/q, so
+      gamma = (q/n) * mu0;
+    - mu1 = sqrt(nm/q) * max |(U V^T)_ij|, the cross coherence, None
+      when no right factor was available.
+    rank_used is q, the number of basis columns the statistics were
+    computed from (0 for an all-zero input, in which case every statistic
+    is 0).
     """
 
     gamma: float
@@ -256,14 +223,15 @@ def sample_size_bound(rank: int, mu0: float, failure_prob: float,
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if mu0 < 1.0:
-        raise ValueError("mu0 must be >= 1")
+    if not (math.isfinite(mu0) and mu0 >= 1.0):
+        raise ValueError(f"mu0 must be finite and >= 1, got {mu0}")
     if not 0.0 < failure_prob < 3.0:
         raise ValueError(
             f"failure probability must be in (0, 3), got {failure_prob}"
         )
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("constants c1 and c2 must be positive")
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"constant {name} must be finite and positive, got {c}")
     log_rank = math.log(rank) if rank > 1 else 1.0
     value = rank * rank * mu0 * max(c1 * log_rank, c2 * math.log(3.0 / failure_prob))
     return math.ceil(value)

@@ -204,9 +204,17 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
+def _parse_finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # Parser per field annotation; a field of any other type keeps the string.
-_PARSERS = {int: int, int | None: int, float: float, float | None: float,
-            bool: _parse_bool, tuple: _parse_int_list}
+_PARSERS = {int: int, int | None: int, float: _parse_finite_float,
+            float | None: _parse_finite_float, bool: _parse_bool,
+            tuple: _parse_int_list}
 # Config key -> its ExperimentConfig field.
 _FIELDS = {"id" if f.name == "experiment_id" else f.name: f
            for f in fields(ExperimentConfig)}

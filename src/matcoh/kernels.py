@@ -1,10 +1,11 @@
 """Point-dataset ingestion and SPSD kernel matrix construction.
 
-Datasets are plain CSV, one point per row, optional header. Matrices can
-also be read directly from Matrix Market files. Kernels: linear
-(x . y), RBF (exp(-||x - y||^2 / 2w^2)) and polynomial ((x . y + c)^d
-with c >= 0), all of which are symmetric positive semidefinite by
-construction.
+Datasets are plain CSV, one point per row; a first row with a token that
+is not a number is a header. Matrices can also be read directly from
+Matrix Market files. Kernels: linear (x . y), RBF (exp(-||x - y||^2 /
+2w^2), w by default the median pairwise distance) and polynomial
+((x . y + c)^d with c >= 0), all of which are symmetric positive
+semidefinite by construction.
 """
 
 import csv
@@ -25,12 +26,14 @@ __all__ = [
     "load_matrix_market",
     "build_kernel",
     "standardize",
-    "median_pairwise_distance",
     "default_rbf_width",
     "spectrum_energy_rank",
 ]
 
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
+
+# `default_rbf_width` reads at most this many evenly spaced points.
+_MEDIAN_MAX_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,9 @@ def _parse_row(tokens, path, lineno):
 def load_csv(path, name=None) -> PointDataset:
     """Read a comma-separated point dataset, one point per row.
 
-    A first row with any non-numeric token is treated as a header and
-    skipped. Malformed data rows raise ValueError with the line number.
+    A first row with a token that does not parse as a float is a header
+    and is skipped. Malformed data rows, the first one included, raise
+    ValueError with the line number.
     """
     path = Path(path)
     rows = []
@@ -116,10 +120,9 @@ def load_csv(path, name=None) -> PointDataset:
             if not first_row_seen:
                 first_row_seen = True
                 try:
-                    rows.append(_parse_row(tokens, path, lineno))
+                    list(map(float, tokens))
                 except ValueError:
                     continue  # header row
-                continue
             if rows and len(tokens) != len(rows[0]):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(tokens)}"
@@ -163,16 +166,17 @@ def standardize(dataset: PointDataset) -> PointDataset:
     return PointDataset(points=(pts - mean) / std, name=dataset.name)
 
 
-def median_pairwise_distance(points, max_points: int = 1000) -> float:
-    """Median Euclidean pairwise distance, on an evenly spaced subsample.
+def default_rbf_width(dataset: PointDataset) -> float:
+    """Default RBF width: the median Euclidean pairwise distance.
 
-    The deterministic subsample keeps the value reproducible without
-    touching any random stream.
+    Beyond 1000 points it is the median over an evenly spaced
+    subsample, which keeps the value reproducible without touching any
+    random stream.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(dataset.points, dtype=np.float64)
     n = pts.shape[0]
-    if n > max_points:
-        idx = np.unique(np.linspace(0, n - 1, max_points).round().astype(int))
+    if n > _MEDIAN_MAX_POINTS:
+        idx = np.unique(np.linspace(0, n - 1, _MEDIAN_MAX_POINTS).round().astype(int))
         pts = pts[idx]
     sq = np.einsum("ij,ij->i", pts, pts)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
@@ -183,11 +187,6 @@ def median_pairwise_distance(points, max_points: int = 1000) -> float:
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (duplicate points)")
     return med
-
-
-def default_rbf_width(dataset: PointDataset) -> float:
-    """Default RBF width: median pairwise distance of the dataset."""
-    return median_pairwise_distance(dataset.points)
 
 
 def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:

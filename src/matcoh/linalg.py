@@ -7,7 +7,8 @@ here so that the higher-level modules agree on one set of tolerances.
 
 `left_svd`, for the coherence truth, routes by structure: `eigh` if
 SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`.
-`spsd_pinv_factor` takes the same `eigh` route to a factored pseudoinverse.
+`spsd_pinv_factor`, the package's one pseudoinverse, takes the same
+`eigh` route and keeps the result factored.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ __all__ = [
     "numerical_rank",
     "thin_svd",
     "left_svd",
-    "pseudoinverse",
     "spsd_pinv_factor",
     "projector",
     "orthonormality_defect",
@@ -70,19 +70,13 @@ def rank_threshold(singular_values, shape) -> float:
     return tau if tau > 0.0 else ZERO_SPECTRUM_FLOOR
 
 
-def numerical_rank(singular_values, shape=None, threshold=None) -> int:
-    """Count singular values strictly above the rank threshold.
+def numerical_rank(singular_values, shape) -> int:
+    """Count singular values strictly above `rank_threshold` at `shape`.
 
-    `singular_values` must be sorted descending and non-negative. Either
-    an explicit `threshold` or the matrix `shape` (for the default
-    policy) must be supplied.
+    `singular_values` must be sorted descending and non-negative.
     """
     s = np.asarray(singular_values, dtype=np.float64)
-    if threshold is None:
-        if shape is None:
-            raise ValueError("need either a shape or an explicit threshold")
-        threshold = rank_threshold(s, shape)
-    return int(np.count_nonzero(s > threshold))
+    return int(np.count_nonzero(s > rank_threshold(s, shape)))
 
 
 @dataclass(frozen=True)
@@ -163,20 +157,6 @@ def _eigh_by_magnitude(X):
         raise DecompositionError(f"eigh failed on {X.shape} matrix: {exc}") from exc
     order = np.argsort(-np.abs(w), kind="stable")
     return w[order], U[:, order]
-
-
-def pseudoinverse(X) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the thin SVD.
-
-    Singular values at or below the rank threshold are treated as exactly
-    zero, so rank-deficient inputs are handled without blow-up.
-    """
-    f = thin_svd(X)
-    s = f.singular_values
-    inv = np.zeros_like(s)
-    # s is descending, so the values above the threshold are a prefix.
-    inv[:f.numerical_rank] = 1.0 / s[:f.numerical_rank]
-    return (f.V * inv) @ f.U.T
 
 
 def spsd_pinv_factor(X):

@@ -14,13 +14,11 @@ at most l columns in each factor, and forms the n x m product only when
 `approx` is read. The Frobenius and normalized errors are computed with
 the approximation, one column block of width l at a time, and the
 symmetry check of Nystrom's input reads K in blocks of the same width,
-so neither method forms an n x m temporary. The spectral error needs a
-full SVD of the n x m residual, which costs far more than the
-approximation itself, so a result computes it on first access only.
+so neither method forms an n x m temporary.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +29,6 @@ from .sampling import ColumnSample
 __all__ = [
     "SYMMETRY_TOL",
     "ApproximationResult",
-    "approximation_errors",
     "column_projection",
     "nystrom",
 ]
@@ -40,35 +37,8 @@ __all__ = [
 SYMMETRY_TOL = 1e-10
 
 
-def _residual(X, approx) -> np.ndarray:
-    # Column-major like X, so that the sum of squares runs in the same
-    # order for every caller whatever the memory layout of approx.
-    return np.subtract(X, approx, order="F")
-
-
 def _column_blocks(m, width):
     return (slice(j, j + width) for j in range(0, m, width))
-
-
-def _frobenius_errors(X, residuals):
-    """(frobenius, normalized) norm of residual blocks that tile X - approx."""
-    squares = 0.0
-    for block in residuals:
-        flat = block.ravel(order="K")
-        squares += float(flat.dot(flat))
-    frob = math.sqrt(squares)
-    norm_x = float(np.linalg.norm(X))
-    if norm_x > 0.0:
-        normalized = frob / norm_x
-    else:
-        normalized = 0.0 if frob == 0.0 else float("inf")
-    return frob, normalized
-
-
-def _spectral_error(X, approx, frob) -> float:
-    if frob == 0.0:
-        return 0.0
-    return float(thin_svd(_residual(X, approx)).singular_values[0])
 
 
 @dataclass(frozen=True)
@@ -79,10 +49,6 @@ class ApproximationResult:
     access and caches it. `normalized_error` is the Frobenius error
     divided by the Frobenius norm of the input (0/0 defined as 0), the
     scale-free quality metric used throughout the experiment suite.
-    `spectral_error`, the largest singular value of the residual, is
-    computed from `source` on first access and cached; `source` is a
-    reference to the approximated matrix, not a copy, so it must not be
-    modified before then.
     """
 
     left: np.ndarray
@@ -91,7 +57,6 @@ class ApproximationResult:
     l: int
     frobenius_error: float
     normalized_error: float
-    source: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.left.setflags(write=False)
@@ -103,34 +68,24 @@ class ApproximationResult:
         approx.setflags(write=False)
         return approx
 
-    @cached_property
-    def spectral_error(self) -> float:
-        return _spectral_error(self.source, self.approx, self.frobenius_error)
-
-
-def approximation_errors(X, approx):
-    """(frobenius, spectral, normalized) distance between X and approx.
-
-    The spectral error is the largest singular value of the difference,
-    computed by a full SVD of it. `column_projection` and `nystrom`
-    defer that SVD until their result's `spectral_error` is read; the
-    value is the same as here.
-    """
-    X = as_dense(X)
-    approx = as_dense(approx)
-    if X.shape != approx.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {approx.shape}")
-    frob, normalized = _frobenius_errors(X, [_residual(X, approx)])
-    return frob, _spectral_error(X, approx, frob), normalized
-
 
 def _result(X, left, right, method, sample: ColumnSample) -> ApproximationResult:
-    frob, normalized = _frobenius_errors(
-        X, (_residual(X[:, cols], left @ right[cols].T)
-            for cols in _column_blocks(X.shape[1], sample.size)))
+    """The result, its errors summed over column blocks of width l."""
+    squares = 0.0
+    for cols in _column_blocks(X.shape[1], sample.size):
+        # Column-major like X, so the sum of squares runs in one fixed order.
+        block = np.subtract(X[:, cols], left @ right[cols].T, order="F")
+        flat = block.ravel(order="K")
+        squares += float(flat.dot(flat))
+    frob = math.sqrt(squares)
+    norm_x = float(np.linalg.norm(X))
+    if norm_x > 0.0:
+        normalized = frob / norm_x
+    else:
+        normalized = 0.0 if frob == 0.0 else float("inf")
     return ApproximationResult(left=left, right=right, method=method,
                                l=sample.size, frobenius_error=frob,
-                               normalized_error=normalized, source=X)
+                               normalized_error=normalized)
 
 
 def _check_sample(X, sample: ColumnSample):

@@ -14,10 +14,11 @@ of one permutation form a nested family of uniform samples. Only those
 first positions are ever drawn: the later steps of the shuffle would not
 change them.
 
-`nested_samples` draws the largest sample with `exclusion_sample`, which
-copies its n x L block once, and hands out every smaller sample as a
-view of the block's leading columns, so a nested family costs the
-memory of one block, not O(n L^2) copies.
+`uniform_sample` draws from the columns that are not `excluded`.
+`nested_samples` draws its largest sample with it, which copies the
+n x L block once, and hands out every smaller sample as a view of the
+block's leading columns, so a nested family costs the memory of one
+block, not O(n L^2) copies.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ __all__ = [
     "SplitMix64",
     "ColumnSample",
     "uniform_sample",
-    "exclusion_sample",
     "nested_samples",
 ]
 
@@ -132,13 +132,11 @@ class ColumnSample:
 
     `submatrix` is read-only and column-major, and its column j is a
     bit-identical copy of source column `indices[j]`; the samples of one
-    nested family share one block. `seed` records the generator seed
-    that produced it.
+    nested family share one block.
     """
 
     indices: tuple
     submatrix: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -179,22 +177,18 @@ def _allowed_pool(m: int, excluded, size: int) -> list:
     return allowed
 
 
-def uniform_sample(X, size: int, seed: int) -> ColumnSample:
+def uniform_sample(X, size: int, seed: int, excluded=()) -> ColumnSample:
     """Sample `size` distinct columns of X uniformly at random.
 
-    Deterministic given (seed, column count, size): every size-subset is
-    equally likely under the seeded generator.
+    The columns are drawn from those not `excluded`. Deterministic given
+    (seed, column count, excluded, size): every size-subset of the
+    allowed columns is equally likely under the seeded generator.
     """
-    return exclusion_sample(X, size, seed, excluded=())
-
-
-def exclusion_sample(X, size: int, seed: int, excluded) -> ColumnSample:
-    """Uniform sample of `size` columns drawn only from non-excluded ones."""
     X = as_dense(X)
     allowed = _allowed_pool(X.shape[1], excluded, size)
     indices = _fisher_yates_prefix(allowed, size, SplitMix64(seed))
     return ColumnSample(indices=tuple(indices),
-                        submatrix=np.asfortranarray(X[:, indices]), seed=seed)
+                        submatrix=np.asfortranarray(X[:, indices]))
 
 
 def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
@@ -206,7 +200,7 @@ def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:
     once, into the largest sample's block; the sample of size l holds
     the view of its first l columns.
     """
-    largest = exclusion_sample(X, max_size, seed, excluded)
+    largest = uniform_sample(X, max_size, seed, excluded)
     return [ColumnSample(indices=largest.indices[:l],
-                         submatrix=largest.submatrix[:, :l], seed=seed)
+                         submatrix=largest.submatrix[:, :l])
             for l in range(1, max_size + 1)]

@@ -11,10 +11,6 @@ from matcoh.coherence import (
     basis_coherence,
     estimate_coherence,
     factor_coherence,
-    max_leverage,
-    mu0_coherence,
-    mu1_coherence,
-    mu_coherence,
     nested_factors,
     sample_size_bound,
     update_projector,
@@ -31,35 +27,35 @@ def random_basis(n, q, seed):
 
 def test_max_leverage_basis_aligned():
     U = np.eye(10)[:, :3]
-    assert max_leverage(U) == 1.0
+    assert basis_coherence(U).gamma == 1.0
 
 
 def test_max_leverage_spread_vector():
     u = np.full((4, 1), 0.5)
-    assert max_leverage(u) == pytest.approx(0.25)
+    assert basis_coherence(u).gamma == pytest.approx(0.25)
 
 
 def test_max_leverage_matches_explicit_projector():
     U = thin_svd(np.random.default_rng(7).standard_normal((12, 3))).left_basis()
     diag = np.diagonal(projector(U))
-    assert max_leverage(U) == pytest.approx(float(np.max(diag)), abs=1e-13)
+    assert basis_coherence(U).gamma == pytest.approx(float(np.max(diag)), abs=1e-13)
 
 
 def test_max_leverage_rejects_non_orthonormal():
     with pytest.raises(ValueError):
-        max_leverage(np.ones((5, 2)))
+        basis_coherence(np.ones((5, 2)))
 
 
 def test_mu_values_basis_aligned():
     U = np.eye(10)[:, :2]
-    assert mu0_coherence(U) == pytest.approx(5.0)
-    assert mu_coherence(U) == pytest.approx(math.sqrt(10.0))
+    assert basis_coherence(U).mu0 == pytest.approx(5.0)
+    assert basis_coherence(U).mu == pytest.approx(math.sqrt(10.0))
 
 
 def test_mu_values_spread():
     u = np.full((4, 1), 0.5)
-    assert mu0_coherence(u) == pytest.approx(1.0)
-    assert mu_coherence(u) == pytest.approx(1.0)
+    assert basis_coherence(u).mu0 == pytest.approx(1.0)
+    assert basis_coherence(u).mu == pytest.approx(1.0)
 
 
 def test_mu1_against_entrywise_sum():
@@ -70,12 +66,12 @@ def test_mu1_against_entrywise_sum():
     for k in range(4):
         T += np.outer(U[:, k], V[:, k])
     expected = math.sqrt(16 * 16 / 4) * np.max(np.abs(T))
-    assert abs(mu1_coherence(U, V) - expected) <= 1e-12
+    assert abs(basis_coherence(U, V).mu1 - expected) <= 1e-12
 
 
 def test_mu1_dimension_mismatch():
     with pytest.raises(ValueError):
-        mu1_coherence(random_basis(8, 3, 0), random_basis(8, 2, 1))
+        basis_coherence(random_basis(8, 3, 0), random_basis(8, 2, 1))
 
 
 @pytest.mark.parametrize("n,q,seed", [(20, 1, 0), (20, 5, 1), (30, 12, 2), (15, 15, 3)])
@@ -94,7 +90,7 @@ def test_report_invariants(n, q, seed):
 def test_estimate_full_sample_matches_truth():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 25))
-    truth = max_leverage(thin_svd(X).left_basis())
+    truth = basis_coherence(thin_svd(X).left_basis()).gamma
     rep = estimate_coherence(X)
     assert abs(rep.gamma - truth) <= 1e-10
     assert rep.mu1 is None  # no right factor available from a column sample
@@ -105,7 +101,7 @@ def test_estimate_zero_columns_is_degenerate_zero():
     zeros = X[:, 5:9]  # none of the basis columns
     rep = estimate_coherence(zeros)
     assert rep.gamma == 0.0 and rep.rank_used == 0
-    assert max_leverage(thin_svd(X).left_basis()) == 1.0
+    assert basis_coherence(thin_svd(X).left_basis()).gamma == 1.0
 
 
 def test_estimate_exhaustive_rank3_subsets():
@@ -188,9 +184,18 @@ def test_sample_size_bound_linear_in_mu0():
 
 
 def test_sample_size_bound_rejects_bad_delta():
-    for bad in (0.0, -0.5, 3.0, 7.0):
+    for bad in (0.0, -0.5, 3.0, 7.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             sample_size_bound(2, 1.0, bad, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["mu0", "c1", "c2"])
+def test_sample_size_bound_rejects_non_finite_arguments(name, value):
+    args = {"rank": 2, "mu0": 1.0, "failure_prob": 0.1, "c1": 1.0, "c2": 1.0}
+    args[name] = value
+    with pytest.raises(ValueError, match=rf"^(constant )?{name} must be finite"):
+        sample_size_bound(**args)
 
 
 def test_exactness_when_sample_rank_matches():
@@ -234,7 +239,7 @@ def test_basis_coherence_checks_v_when_u_is_empty():
     with pytest.raises(ValueError, match="factor column counts differ: 0 vs 2"):
         basis_coherence(empty, random_basis(4, 2, 0))
     V = np.zeros((4, 0))
-    assert basis_coherence(empty, V).mu1 == 0.0 == mu1_coherence(empty, V)
+    assert basis_coherence(empty, V).mu1 == 0.0
 
 
 def test_nested_coherence_rejects_bad_rank_and_sizes():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import math
 import re
@@ -168,6 +169,18 @@ def test_config_checks_source_values_before_reading_data(tmp_path, raw, message)
     if raw["kind"] == "kernel_suite":
         raw["data"] = str(tmp_path / "missing.csv")
     with pytest.raises(ValueError, match=message):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                 if f.type in (float, float | None)])
+def test_config_rejects_a_non_finite_float_at_load(key, value):
+    # Any source will do: the value is checked when it is parsed.
+    raw = {"kind": "synth_exact", "l_values": "2", "n": "30", "m": "30",
+           "rank": "3", key: value}
+    with pytest.raises(ValueError, match=rf"^config key '{key}': not a finite "
+                                         rf"number: '{value}'$"):
         config_from_dict(raw)
 
 
@@ -697,6 +710,16 @@ def test_cli_bound_output(capsys):
     main(["bound", "--r", "2", "--mu0", "1", "--delta", str(3.0 / math.e),
           "--c1", "1", "--c2", "1"])
     assert capsys.readouterr().out.strip() == "4"
+
+
+@pytest.mark.parametrize("flag, value", [("--mu0", "inf"), ("--mu0", "nan"),
+                                         ("--c1", "inf"), ("--c2", "nan")])
+def test_cli_bound_rejects_a_non_finite_argument(capsys, flag, value):
+    args = {"--r": "2", "--mu0": "1", "--delta": "0.1", "--c1": "1", "--c2": "1"}
+    args[flag] = value
+    assert main(["bound", *(tok for item in args.items() for tok in item)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("matcoh: error: ") and f"{flag[2:]} must be finite" in err
 
 
 def test_cli_error_paths(tmp_path, capsys):

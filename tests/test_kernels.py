@@ -16,7 +16,6 @@ from matcoh.kernels import (
     default_rbf_width,
     load_csv,
     load_matrix_market,
-    median_pairwise_distance,
     save_csv,
     spectrum_energy_rank,
     standardize,
@@ -40,6 +39,9 @@ def test_load_csv_basic(tmp_path):
 def test_load_csv_skips_header(tmp_path):
     ds = load_csv(write(tmp_path, "x,y\n1,2\n3,4\n"))
     assert ds.points.shape == (2, 2)
+    # One token that is not a number makes the first row a header.
+    ds = load_csv(write(tmp_path, "x,nan\n1,2\n", name="mixed.csv"))
+    np.testing.assert_array_equal(ds.points, [[1.0, 2.0]])
 
 
 def test_load_csv_reports_line_numbers(tmp_path):
@@ -51,6 +53,10 @@ def test_load_csv_reports_line_numbers(tmp_path):
 def test_load_csv_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError, match=r"non-finite"):
         load_csv(write(tmp_path, "1,2\n3,inf\n"))
+    # A first row of numbers is data, not a header, even when one is not finite.
+    for token in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=rf":1: non-finite value: '{token}'$"):
+            load_csv(write(tmp_path, f"1.0,{token}\n3,4\n"))
 
 
 def test_load_csv_rejects_ragged_rows(tmp_path):
@@ -177,8 +183,13 @@ def test_median_width_positive_and_guarded():
 
 
 def test_median_subsample_deterministic():
-    pts = np.random.default_rng(7).standard_normal((2500, 3))
-    assert median_pairwise_distance(pts) == median_pairwise_distance(pts)
+    ds = PointDataset(points=np.random.default_rng(7).standard_normal((2500, 3)),
+                      name="big")
+    assert default_rbf_width(ds) == default_rbf_width(ds)
+    # Beyond 1000 points the width is read off 1000 evenly spaced ones.
+    sub = PointDataset(points=ds.points[np.linspace(0, 2499, 1000).round().astype(int)],
+                       name="sub")
+    assert default_rbf_width(ds) == default_rbf_width(sub)
 
 
 def spectrum(X):

@@ -5,47 +5,42 @@ from hypothesis import strategies as st
 
 from matcoh.coherence import nested_factors
 from matcoh.linalg import thin_svd
-from matcoh.lowrank import approximation_errors, column_projection, nystrom
-from matcoh.sampling import (
-    ColumnSample,
-    exclusion_sample,
-    nested_samples,
-    uniform_sample,
-)
+from matcoh.lowrank import column_projection, nystrom
+from matcoh.sampling import ColumnSample, nested_samples, uniform_sample
 from matcoh.synthetic import SynthSpec, adversarial_spsd, basis_aligned_matrix, low_rank_matrix
 
 
 def sample_at(X, indices):
     return ColumnSample(indices=tuple(indices),
-                        submatrix=np.array(X[:, list(indices)], order="F"),
-                        seed=-1)
+                        submatrix=np.array(X[:, list(indices)], order="F"))
 
 
 def test_error_metrics_zero_for_exact():
-    X = np.random.default_rng(0).standard_normal((5, 5))
-    assert approximation_errors(X, X.copy()) == (0.0, 0.0, 0.0)
+    X = np.eye(5)
+    sample = sample_at(X, range(5))
+    for res in (column_projection(X, sample), nystrom(X, sample)):
+        assert (res.frobenius_error, res.normalized_error) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("K", [np.zeros((6, 6)), np.diag([1.0, 0, 0, 0])])
+def test_spectral_error_zero_for_exact_reconstruction(K):
+    # The spectral norm is gone from the results; an exact reconstruction
+    # still has to read exactly zero in the Frobenius norm that remains.
+    sample = sample_at(K, [0])
+    for res in (column_projection(K, sample), nystrom(K, sample)):
+        assert res.frobenius_error == 0.0
+        assert res.normalized_error == 0.0
 
 
 def test_error_metrics_forced_values():
-    X = np.diag([3.0, 4.0])
-    frob, spectral, normalized = approximation_errors(X, np.zeros((2, 2)))
-    assert frob == pytest.approx(5.0)
-    assert spectral == pytest.approx(4.0)
-    assert normalized == pytest.approx(1.0)
-
-
-def test_error_metrics_shape_mismatch():
-    with pytest.raises(ValueError):
-        approximation_errors(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_spectral_never_exceeds_frobenius():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        frob, spectral, _ = approximation_errors(
-            rng.standard_normal((9, 9)), rng.standard_normal((9, 9))
-        )
-        assert spectral <= frob + 1e-12
+    X = np.diag([3.0, 4.0, 0.0])
+    # The zero column spans nothing, so the residual is all of X.
+    res = column_projection(X, sample_at(X, [2]))
+    assert res.frobenius_error == pytest.approx(5.0)
+    assert res.normalized_error == pytest.approx(1.0)
+    res = column_projection(X, sample_at(X, [0]))
+    assert res.frobenius_error == pytest.approx(4.0)
+    assert res.normalized_error == pytest.approx(0.8)
 
 
 def test_column_projection_full_sample_is_exact():
@@ -128,7 +123,7 @@ def test_nystrom_rank_one_exact():
 def test_nystrom_misses_inflated_entry():
     K = adversarial_spsd(60, seed=3, inflation=1e3)
     for size in (5, 20, 40):
-        res = nystrom(K, exclusion_sample(K, size, seed=size, excluded={0}))
+        res = nystrom(K, uniform_sample(K, size, seed=size, excluded={0}))
         assert res.normalized_error > 0.5
 
 
@@ -193,32 +188,7 @@ def test_nystrom_mean_error_non_increasing_in_sample_size():
         assert b <= a + 1e-3
 
 
-def spectral_cases():
-    rng = np.random.default_rng(12)
-    X = rng.standard_normal((14, 9))
-    K = spd_kernel(14, 13)
-    sample_k = uniform_sample(K, 5, seed=14)
-    return [column_projection(X, uniform_sample(X, 4, seed=15)),
-            column_projection(K, sample_k), nystrom(K, sample_k)]
-
-
-def test_spectral_error_matches_eager_metric_and_dense_norm():
-    for res in spectral_cases():
-        X = res.source
-        assert res.spectral_error == approximation_errors(X, res.approx)[1]
-        dense = np.linalg.norm(X - res.approx, 2)
-        assert res.spectral_error == pytest.approx(dense, rel=1e-12)
-
-
-@pytest.mark.parametrize("K", [np.zeros((6, 6)), np.diag([1.0, 0, 0, 0])])
-def test_spectral_error_zero_for_exact_reconstruction(K):
-    sample = sample_at(K, [0])
-    for res in (column_projection(K, sample), nystrom(K, sample)):
-        assert res.frobenius_error == 0.0
-        assert res.spectral_error == 0.0
-
-
-def test_results_factor_the_residual_only_on_first_access(monkeypatch):
+def test_results_stay_factored_until_approx_is_read(monkeypatch):
     import matcoh.linalg
     import matcoh.lowrank
 
@@ -238,10 +208,9 @@ def test_results_factor_the_residual_only_on_first_access(monkeypatch):
     # results stay factored until their approximation is read.
     assert shapes == [(30, 6)]
     assert not any("approx" in vars(res) for res in results)
-    first = [res.spectral_error for res in results]
-    assert shapes[1:] == [(30, 30), (30, 30)]
-    assert [res.spectral_error for res in results] == first
-    assert len(shapes) == 3
+    first = [res.approx for res in results]
+    assert all(res.approx is a for res, a in zip(results, first))
+    assert shapes == [(30, 6)]
 
 
 # Differential tests against dense oracles. Each oracle forms the n x n

@@ -8,7 +8,6 @@ from matcoh.sampling import (
     RNG_NAME,
     ColumnSample,
     SplitMix64,
-    exclusion_sample,
     nested_samples,
     uniform_sample,
 )
@@ -127,22 +126,22 @@ def test_uniform_subset_frequencies_chi_square():
 
 
 def test_exclusion_sample_takes_remainder():
-    s = exclusion_sample(X46, 5, seed=11, excluded={0})
+    s = uniform_sample(X46, 5, seed=11, excluded={0})
     assert sorted(s.indices) == [1, 2, 3, 4, 5]
 
 
 def test_exclusion_sample_forced_column():
-    s = exclusion_sample(X46, 1, seed=4, excluded={0, 1, 2, 4, 5})
+    s = uniform_sample(X46, 1, seed=4, excluded={0, 1, 2, 4, 5})
     assert s.indices == (3,)
 
 
 def test_exclusion_sample_infeasible():
     with pytest.raises(ValueError):
-        exclusion_sample(X46, 6, seed=1, excluded={0})
+        uniform_sample(X46, 6, seed=1, excluded={0})
 
 
 @pytest.mark.parametrize("draw", [
-    lambda excluded: exclusion_sample(X46, 2, seed=1, excluded=excluded),
+    lambda excluded: uniform_sample(X46, 2, seed=1, excluded=excluded),
     lambda excluded: nested_samples(X46, 2, seed=1, excluded=excluded)[-1],
 ], ids=["exclusion_sample", "nested_samples"])
 def test_excluded_index_outside_the_columns_is_an_error(draw):
@@ -155,7 +154,7 @@ def test_excluded_index_outside_the_columns_is_an_error(draw):
 def test_exclusion_frequencies_uniform_over_allowed():
     counts = Counter()
     for seed in range(6000):
-        counts[exclusion_sample(X46, 1, seed=seed, excluded={1, 3}).indices[0]] += 1
+        counts[uniform_sample(X46, 1, seed=seed, excluded={1, 3}).indices[0]] += 1
     assert set(counts) == {0, 2, 4, 5}
     expected = 6000 / 4
     sigma = np.sqrt(6000 * 0.25 * 0.75)
@@ -241,4 +240,4 @@ def test_nested_samples_memory_is_one_block():
 
 def test_column_sample_rejects_duplicates():
     with pytest.raises(ValueError):
-        ColumnSample(indices=(1, 1), submatrix=np.ones((2, 2)), seed=0)
+        ColumnSample(indices=(1, 1), submatrix=np.ones((2, 2)))

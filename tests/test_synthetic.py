@@ -6,17 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matcoh.coherence import (
-    basis_coherence,
-    estimate_coherence,
-    max_leverage,
-    mu0_coherence,
-)
+from matcoh.coherence import basis_coherence, estimate_coherence
 from matcoh.kernels import spectrum_energy_rank
 from matcoh.linalg import left_svd, rank_threshold, thin_svd
 from matcoh.lowrank import column_projection
 from matcoh import synthetic
-from matcoh.sampling import SplitMix64, exclusion_sample, uniform_sample
+from matcoh.sampling import SplitMix64, uniform_sample
 from matcoh.synthetic import (
     COHERENCE_MULTIPLIERS,
     DECAY_RATES,
@@ -75,14 +70,14 @@ def test_low_coherence_stays_near_floor():
     # concentrates at (rank/n) * (1 + ~sqrt(8/rank))
     for n, r in ((1000, 50), (600, 60)):
         U, _, _ = low_rank_factors(SynthSpec(n=n, m=n, rank=r, seed=3))
-        assert max_leverage(U) <= 2 * r / n
+        assert basis_coherence(U).gamma <= 2 * r / n
 
 
 def test_high_coherence_hits_multiplier_floor():
     U, _, _ = low_rank_factors(
         SynthSpec(n=1000, m=1000, rank=50, coherence="high", seed=4)
     )
-    assert max_leverage(U) >= 0.9 * 64 / 1000
+    assert basis_coherence(U).gamma >= 0.9 * 64 / 1000
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -90,8 +85,8 @@ def test_coherence_level_ordering(seed):
     # low vs mid can invert by ~1e-4 of completion-leverage noise at
     # desk scale, hence the small slack
     gammas = [
-        max_leverage(low_rank_factors(
-            SynthSpec(n=1000, m=1000, rank=50, coherence=level, seed=seed))[0])
+        basis_coherence(low_rank_factors(
+            SynthSpec(n=1000, m=1000, rank=50, coherence=level, seed=seed))[0]).gamma
         for level in ("low", "mid", "high")
     ]
     assert gammas[0] <= gammas[1] + 1e-3
@@ -336,8 +331,9 @@ class TestAddNoise:
 def test_basis_aligned_matrix_properties():
     X = basis_aligned_matrix(10, 8, 3)
     assert thin_svd(X).numerical_rank == 3
-    assert max_leverage(thin_svd(X).left_basis()) == 1.0
-    assert mu0_coherence(thin_svd(X).left_basis()) == pytest.approx(10 / 3)
+    report = basis_coherence(thin_svd(X).left_basis())
+    assert report.gamma == 1.0
+    assert report.mu0 == pytest.approx(10 / 3)
 
 
 def test_basis_aligned_sampling_miss_costs_error():
@@ -354,13 +350,13 @@ def test_adversarial_spsd_is_spsd_and_coherent():
     eigs = np.linalg.eigvalsh(K)
     assert eigs.min() >= -1e-8 * eigs.max()
     top = thin_svd(K).U[:, :1]
-    assert max_leverage(top) > 0.99
+    assert basis_coherence(top).gamma > 0.99
 
 
 def test_adversarial_spsd_defeats_excluded_estimation():
     K = adversarial_spsd(400, seed=2, inflation=1e3, inner_dim=10)
     truth = estimate_coherence(K).gamma
-    sample = exclusion_sample(K, 40, seed=3, excluded={0})
+    sample = uniform_sample(K, 40, seed=3, excluded={0})
     est = estimate_coherence(sample.submatrix).gamma
     assert truth - est >= 0.9
 
