@@ -10,13 +10,16 @@ factor it was built from, so it is never factored. Any other source
 takes one `left_svd`: `eigh` for a source `_SOURCES` declares SPSD, the
 QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
 seed = base_seed + trial, and per-trial estimates share one permutation
-so each trial's curve is non-decreasing in the sample size. Each trial
-extracts its largest sample once and factors every size from one QR of
-it (`nested_factors`); that size's factor gives the estimate and, in a
-kernel experiment, the column projection's basis, so no sample is
-factored twice. An estimate row's `wall_time_ms` is that size's step,
-the SVD of its block of R included, with the trial's QR charged to the
-first size; a method row's is that approximation alone.
+so each trial's curve is non-decreasing in the sample size. The source
+is checked (`as_dense`) and the sampler's column pool built once per
+run, not once per trial. Each trial extracts its largest sample once,
+through the sampler's private draw, and factors every size from one QR
+of it (`nested_factors`); that size's factor gives the estimate and, in
+a kernel experiment, the column projection's basis, so no sample is
+factored twice. A `ColumnSample` is made only where a method reads
+one. An estimate row's `wall_time_ms` is that size's step, the SVD of
+its block of R included, with the trial's QR charged to the first size;
+a method row's is that approximation alone.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -49,9 +52,9 @@ from .kernels import (
     spectrum_energy_rank,
     standardize,
 )
-from .linalg import left_svd
+from .linalg import as_dense, left_svd
 from .lowrank import column_projection, nystrom
-from .sampling import RNG_NAME, _allowed_pool, nested_samples
+from .sampling import RNG_NAME, ColumnSample, _allowed_pool, _draw_columns
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
 
 __all__ = [
@@ -381,8 +384,10 @@ def run_experiment(config: ExperimentConfig):
     that path intact.
     """
     X, factor = _SOURCES[_source_name(config)].build(config)
-    # The sampler's own check, made before the truth is taken.
-    _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
+    # The run's one check of the source and one build of the sampler's
+    # pool, both before the truth is taken; every trial draws from them.
+    X = as_dense(X)
+    allowed = _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
 
     r_eff, gamma_true = _rank_and_truth(config, X, factor)
     del factor  # not held through the trials
@@ -391,11 +396,9 @@ def run_experiment(config: ExperimentConfig):
     results = []
     for trial in range(config.trials):
         seed = config.base_seed + trial
-        samples = nested_samples(X, config.l_values[-1], seed,
-                                 excluded=config.exclude)
-        factors = nested_factors(samples[-1].submatrix, config.l_values)
+        indices, block = _draw_columns(X, allowed, config.l_values[-1], seed)
+        factors = nested_factors(block, config.l_values)
         for l in config.l_values:
-            sample = samples[l - 1]
             start = time.perf_counter()
             factor = next(factors)
             report = factor_coherence(factor, r_eff)
@@ -409,6 +412,7 @@ def run_experiment(config: ExperimentConfig):
             results.append(TrialResult(
                 **common, wall_time_ms=est_ms if config.timing else None))
             if with_methods:
+                sample = ColumnSample(indices=indices[:l], submatrix=block[:, :l])
                 for fn, args in ((column_projection, (X, sample, factor)),
                                  (nystrom, (X, sample))):
                     start = time.perf_counter()

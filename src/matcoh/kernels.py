@@ -72,6 +72,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        for name in ("rbf_width", "poly_degree", "poly_offset"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "rbf":
             if self.rbf_width is None or self.rbf_width <= 0:
                 raise ValueError("rbf kernel needs a positive rbf_width")
@@ -183,10 +187,24 @@ def default_rbf_width(dataset: PointDataset) -> float:
     iu = np.triu_indices(pts.shape[0], k=1)
     if iu[0].size == 0:
         raise ValueError("need at least two points for a pairwise distance")
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    med = _median(np.sqrt(np.maximum(d2[iu], 0.0)))
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (duplicate points)")
     return med
+
+
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a finite 1-D array, bit for bit.
+
+    The middle value, or the mean of the two middle values formed as
+    `np.mean` forms it, (a + b) / 2. `np.median` would also run its NaN
+    check, whose first use imports `numpy.ma`.
+    """
+    mid = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, mid)[mid])
+    part = np.partition(values, (mid - 1, mid))
+    return float((part[mid - 1] + part[mid]) / 2.0)
 
 
 def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:

@@ -18,7 +18,15 @@ change them.
 `nested_samples` draws its largest sample with it, which copies the
 n x L block once, and hands out every smaller sample as a view of the
 block's leading columns, so a nested family costs the memory of one
-block, not O(n L^2) copies.
+block, not O(n L^2) copies. `uniform_sample` checks X and builds the
+allowed pool on every call, then draws through a private core
+(`_draw_columns`) that a caller which has already checked its source
+calls once per trial instead.
+
+Normal deviates come in row-major order. `normal_matrix` draws them in
+chunks of whole rows, each starting on a Box-Muller pair, straight into
+its column-major result, so its temporaries are the size of one chunk,
+not of the matrix; `_fill_normals` fills any given buffer the same way.
 """
 
 from dataclasses import dataclass
@@ -42,6 +50,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Normal deviates per chunk of `SplitMix64._fill_normals`: 0.5 MB of values.
+_NORMAL_CHUNK = 1 << 16
 
 
 def _mix64(x: int) -> int:
@@ -102,7 +112,8 @@ class SplitMix64:
         pairs = (count + 1) // 2
         block = self._uint64_block(2 * pairs)
         block >>= np.uint64(11)
-        # Rows u1 and u2, each contiguous; computed in place.
+        # Rows u1 and u2, each contiguous; computed in place, and the two
+        # products written straight into the interleaved result.
         u = np.empty((2, pairs))
         u[0], u[1] = block[0::2], block[1::2]
         del block
@@ -116,14 +127,36 @@ class SplitMix64:
         u2 *= 2.0 * np.pi              # theta
         cos = np.cos(u2)
         np.sin(u2, out=u2)
-        u2 *= u1                       # radius sin(theta)
-        u1 *= cos                      # radius cos(theta)
-        del cos
-        return u.ravel(order="F")[:count]
+        out = np.empty((pairs, 2))
+        np.multiply(u1, cos, out=out[:, 0])    # radius cos(theta)
+        np.multiply(u1, u2, out=out[:, 1])     # radius sin(theta)
+        return out.ravel()[:count]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """rows x cols standard normal matrix filled in row-major order."""
-        return np.asfortranarray(self.normals(rows * cols).reshape(rows, cols))
+        """rows x cols standard normal matrix filled in row-major order.
+
+        Column-major, with the values and stream use of
+        `normals(rows * cols)`.
+        """
+        out = np.empty((rows, cols), order="F")
+        self._fill_normals(out)
+        return out
+
+    def _fill_normals(self, out: np.ndarray) -> None:
+        """Write `normals(out.size)` into the 2-D `out` in row-major order.
+
+        The values are drawn a chunk of whole rows at a time. Every chunk
+        but the last has an even length, so each starts on a stream pair
+        and the values and the draws consumed equal one `normals` call.
+        """
+        rows, cols = out.shape
+        if out.size == 0:
+            return
+        step = max(1, _NORMAL_CHUNK // cols)
+        step += step * cols % 2
+        for i in range(0, rows, step):
+            chunk = out[i:i + step]
+            chunk[...] = self.normals(chunk.size).reshape(chunk.shape)
 
 
 @dataclass(frozen=True)
@@ -177,6 +210,19 @@ def _allowed_pool(m: int, excluded, size: int) -> list:
     return allowed
 
 
+def _draw_columns(X, allowed: list, size: int, seed: int):
+    """(indices, block): `size` seeded draws from `allowed` and X's columns there.
+
+    X must have passed `as_dense` and `allowed` come from `_allowed_pool`
+    for `size`; nothing is checked here. The block is a read-only,
+    column-major copy of X[:, indices].
+    """
+    indices = _fisher_yates_prefix(allowed, size, SplitMix64(seed))
+    block = np.asfortranarray(X[:, indices])
+    block.setflags(write=False)
+    return tuple(indices), block
+
+
 def uniform_sample(X, size: int, seed: int, excluded=()) -> ColumnSample:
     """Sample `size` distinct columns of X uniformly at random.
 
@@ -185,10 +231,9 @@ def uniform_sample(X, size: int, seed: int, excluded=()) -> ColumnSample:
     allowed columns is equally likely under the seeded generator.
     """
     X = as_dense(X)
-    allowed = _allowed_pool(X.shape[1], excluded, size)
-    indices = _fisher_yates_prefix(allowed, size, SplitMix64(seed))
-    return ColumnSample(indices=tuple(indices),
-                        submatrix=np.asfortranarray(X[:, indices]))
+    indices, block = _draw_columns(X, _allowed_pool(X.shape[1], excluded, size),
+                                   size, seed)
+    return ColumnSample(indices=indices, submatrix=block)
 
 
 def nested_samples(X, max_size: int, seed: int, excluded=()) -> list:

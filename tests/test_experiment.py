@@ -11,8 +11,10 @@ import pytest
 
 import matcoh.coherence
 import matcoh.experiment
+import matcoh.kernels
 import matcoh.linalg
 import matcoh.lowrank
+import matcoh.sampling
 import matcoh.synthetic
 from matcoh.cli import main
 from matcoh.experiment import (
@@ -335,6 +337,37 @@ def test_sweep_factors_each_trial_once(monkeypatch):
         factor_coherence(f).gamma for trial in range(3)
         for f in nested_factors(
             nested_samples(X, 12, 5 + trial)[-1].submatrix, (3, 8, 12))]
+
+
+def test_run_checks_its_source_and_builds_its_pool_once(monkeypatch):
+    # Every as_dense binding in the package is watched, so a per-trial
+    # re-check of the n x m source would show wherever it came from.
+    scans, pools = [], []
+    real_dense = matcoh.linalg.as_dense
+    real_pool = matcoh.experiment._allowed_pool
+
+    def dense(a):
+        out = real_dense(a)
+        scans.append(out.shape)
+        return out
+
+    def pool(m, excluded, size):
+        pools.append((m, tuple(excluded), size))
+        return real_pool(m, excluded, size)
+
+    for module in (matcoh.experiment, matcoh.linalg, matcoh.coherence,
+                   matcoh.lowrank, matcoh.sampling, matcoh.kernels,
+                   matcoh.synthetic):
+        if hasattr(module, "as_dense"):
+            monkeypatch.setattr(module, "as_dense", dense)
+    monkeypatch.setattr(matcoh.experiment, "_allowed_pool", pool)
+    config = ExperimentConfig(kind="synth_noisy", experiment_id="v",
+                              l_values=(5, 10, 20), trials=20, n=30, m=400,
+                              rank=5, noise=0.1, r_policy="explicit", r=5,
+                              exclude=(0, 1, 2, 3))
+    assert len(run_experiment(config)) == 60
+    assert scans.count((30, 400)) == 1
+    assert pools == [(400, (0, 1, 2, 3), 20)]
 
 
 def _wide_config(tmp_path):

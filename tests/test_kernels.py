@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,36 @@ def test_cli_import_leaves_scipy_io_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_kernel_run_leaves_numpy_ma_unloaded(tmp_path):
+    # The default RBF width takes its median without `np.median`, whose
+    # first call imports numpy.ma for its NaN check.
+    save_csv(cloud(30), tmp_path / "points.csv")
+    (tmp_path / "run.cfg").write_text(
+        "kind = coherence_only\ndata = points.csv\nkernel = rbf\n"
+        "l_values = 5\noutput = out.csv\n")
+    src = str(Path(matcoh.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("MATCOH_OUTPUT_DIR", None)
+    code = ("import sys, matcoh.cli; rc = matcoh.cli.main(['run', 'run.cfg']); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("rbf_width", {"kind": "rbf", "rbf_width": 1.0}),
+    ("poly_offset", {"kind": "polynomial", "poly_degree": 2, "poly_offset": 1.0}),
+    ("poly_degree", {"kind": "polynomial", "poly_degree": 2, "poly_offset": 1.0}),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_kernel_spec_rejects_non_finite_parameters(name, params, value):
+    with pytest.raises(ValueError, match=name):
+        KernelSpec(**{**params, name: value})
+
+
 def test_kernel_spec_parameter_discipline():
     with pytest.raises(ValueError):
         KernelSpec(kind="rbf")
@@ -180,6 +211,18 @@ def test_median_width_positive_and_guarded():
     dup = PointDataset(points=np.ones((4, 2)), name="dup")
     with pytest.raises(ValueError):
         default_rbf_width(dup)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 40])
+def test_median_width_equals_np_median(n):
+    # n (n - 1) / 2 pairs: odd for n = 2, 3, 6, even for n = 4, 5, 8, 40.
+    pts = cloud(n, d=3, seed=n).points
+    sq = np.einsum("ij,ij->i", pts, pts)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    dist = np.sqrt(np.maximum(d2[np.triu_indices(n, k=1)], 0.0))
+    want = np.median(dist)
+    got = default_rbf_width(PointDataset(points=pts, name="c"))
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_median_subsample_deterministic():

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from matcoh import sampling
 from matcoh.sampling import (
     RNG_NAME,
     ColumnSample,
@@ -73,6 +74,38 @@ def test_splitmix_normals_bit_identical_to_reference(seed, skip, count):
     got = rng.normals(count)
     assert got.tobytes() == _reference_normals(seed, start, count).tobytes()
     assert rng._counter == start + 2 * ((count + 1) // 2)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (7, 5),     # odd columns: chunks of two rows keep every chunk pair-aligned
+    (6, 8),     # even columns
+    (13, 3),    # odd columns, an odd final chunk
+    (1, 9),     # a row wider than a chunk
+    (9, 1),
+])
+@pytest.mark.parametrize("skip", [0, 3])
+def test_normal_matrix_in_chunks_is_one_normals_draw(monkeypatch, rows, cols, skip):
+    # With 4 values per chunk every shape above spans several chunks.
+    monkeypatch.setattr(sampling, "_NORMAL_CHUNK", 4)
+    rng = SplitMix64(31)
+    rng.normals(skip)  # a non-zero counter, 4 after an odd skip
+    start = rng._counter
+    got = rng.normal_matrix(rows, cols)
+    count = rows * cols
+    assert got.flags.f_contiguous
+    assert got.tobytes(order="C") == _reference_normals(31, start, count).tobytes()
+    assert rng._counter == start + 2 * ((count + 1) // 2)
+
+
+def test_normal_matrix_across_full_size_chunks():
+    chunk = sampling._NORMAL_CHUNK
+    # Rows wider than a chunk, and many rows per chunk, even and odd.
+    for rows, cols in ((3, chunk + 1), (chunk // 10, 30), (chunk // 14, 29)):
+        rng = SplitMix64(2**40 + 3)
+        rng.normals(1)
+        got = rng.normal_matrix(rows, cols)
+        ref = _reference_normals(2**40 + 3, 2, rows * cols)
+        assert got.tobytes(order="C") == ref.tobytes(), (rows, cols)
 
 
 def test_below_rejects_nonpositive():

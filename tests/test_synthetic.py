@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,70 @@ def test_noisy_build_takes_only_r_of_the_wide_block(monkeypatch):
     assert [mode for shape, mode in calls if shape == (200, 30)] == ["r"]
 
 
+def _product_operands(monkeypatch, spec):
+    """(X, left, right) of `low_rank_source(spec)`: X and the two factors
+    its streamed product `_product` formed it from."""
+    seen = []
+    product = synthetic._product
+
+    def spy(left, right):
+        seen.append((left, right))
+        return product(left, right)
+
+    monkeypatch.setattr(synthetic, "_product", spy)
+    X = low_rank_source(spec)[0]
+    assert len(seen) == 1
+    return (X, *seen[0])
+
+
+@pytest.mark.parametrize("n, m, rank", [
+    (300, 10000, 20),   # wide: noisy_wide's source
+    (2000, 600, 40),    # tall: synth_tall_sweep's source
+    (800, 800, 20),     # square
+])
+@pytest.mark.parametrize("noise", [None, 0.1])
+def test_streamed_product_equals_one_shot_product(monkeypatch, n, m, rank, noise):
+    # Bit-identity is a property of the BLAS kernel. With OpenBLAS 0.3.31
+    # it holds single-threaded on the SkylakeX, Haswell and SandyBridge
+    # kernels and on SkylakeX with two threads; on Haswell with two
+    # threads the last block of the 300 x 10 000 product moves by rounding.
+    spec = SynthSpec(n=n, m=m, rank=rank, noise=noise, seed=3)
+    X, left, right = _product_operands(monkeypatch, spec)
+    assert m > max(1, synthetic._PRODUCT_CHUNK // n)  # several column blocks
+    assert X.flags.f_contiguous
+    assert np.array_equal(X, np.asfortranarray(left @ right.T))
+
+
+@pytest.mark.parametrize("n, m, rank", [(1000, 300, 20), (1500, 700, 30),
+                                        (700, 1500, 30)])
+@pytest.mark.parametrize("noise", [None, 0.1])
+def test_streamed_product_is_within_rounding_elsewhere(monkeypatch, n, m, rank, noise):
+    # At these shapes the BLAS kernel sums some entries of the last column
+    # block in another order than the one-shot product does. Each result
+    # is within k * eps * (|left| |right|ᵀ) of the exact product, so they
+    # differ by at most twice that.
+    spec = SynthSpec(n=n, m=m, rank=rank, noise=noise, seed=3)
+    X, left, right = _product_operands(monkeypatch, spec)
+    bound = 2 * left.shape[1] * _EPS * (np.abs(left) @ np.abs(right).T)
+    assert np.all(np.abs(X - left @ right.T) <= bound)
+
+
+def test_noisy_wide_build_holds_two_source_sized_arrays():
+    # The normals are drawn in chunks straight into [V | G], and X is
+    # formed a column block at a time: no full-size uint64 block and no
+    # C-ordered copy of X. At the peak, two arrays of X's size are live:
+    # [V | G] and either QR's copy of it or X.
+    spec = SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5)
+    tracemalloc.start()
+    try:
+        X = low_rank_source(spec)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A full-size uint64 block (10 000 x 280 draws) is 0.93 X.nbytes.
+    assert peak <= 2.25 * X.nbytes, peak / X.nbytes
+
+
 def test_structural_rank_can_exceed_numerical_rank():
     # e^(-0.5 i) falls below the rank threshold 80 * eps * s_1 after
     # i = 64: the spec is accepted, and its numerical rank is 64.
@@ -359,6 +424,12 @@ def test_adversarial_spsd_defeats_excluded_estimation():
     sample = uniform_sample(K, 40, seed=3, excluded={0})
     est = estimate_coherence(sample.submatrix).gamma
     assert truth - est >= 0.9
+
+
+@pytest.mark.parametrize("inflation", [math.inf, -math.inf, math.nan])
+def test_adversarial_spsd_rejects_non_finite_inflation(inflation):
+    with pytest.raises(ValueError, match="inflation"):
+        adversarial_spsd(5, seed=0, inflation=inflation)
 
 
 def test_adversarial_spsd_validation():
