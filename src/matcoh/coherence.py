@@ -16,11 +16,21 @@ dominated by the SVD of the n x l subsample, O(n l^2).
 `nested_factors` factors every prefix of one nested sample at once. A
 Householder QR of the n x L block is computed once, and the leading l
 columns of its R factor are the R factor of the l-column prefix (Chan
-1982, QR-then-SVD), so each size only factors a small block of R. The
-cost is one O(n L^2) QR per trial plus O(l^3) per size, and O(n l q) to
-form a q-column basis, which a `PrefixFactor` does only when asked.
-`factor_coherence` reads each estimate off its factor, and the
-experiment hands the same factor to `lowrank.column_projection`.
+1982, QR-then-SVD), so each size only factors a small block of R: its
+own k x l block R[:k, :l], k = min(n, l), at O(l^3), until a prefix
+drops a direction. From then on each size carries the last prefix's
+kept factor U_q diag(s_q) forward, and factors the k x (q + d) block
+[[U_q diag(s_q), R[:k', l':l]], [0, R[k':k, l':l]]] of its d = l - l'
+new columns, where l' and k' = min(n, l') are the last prefix's, at
+O(k (q + d)^2) (the deflation step of an incremental thin SVD, Brand
+2006). The dropped part has 2-norm at most the rank
+threshold, which does not decrease with l, so a later singular value
+moves by at most the sum of the dropped norms: rounding, on an exactly
+low-rank sample. The cost is one O(n L^2) QR per trial plus the SVD per
+size, and O(n l q) to form a q-column basis, which a `PrefixFactor`
+does only when asked. `factor_coherence` reads each estimate off its
+factor, and the experiment hands the same factor to
+`lowrank.column_projection`.
 """
 
 import math
@@ -119,10 +129,14 @@ class PrefixFactor:
 
     The prefix is Q R[:k, :l] for the leading k = min(n, l) columns Q of
     the block's Householder QR, so its left singular vectors are Q times
-    those of `core`, the thin SVD of R[:k, :l]. `core.numerical_rank` is
-    the prefix's, at shape (n, l), not the small block's. `left_basis`
-    answers as `ThinSVD.left_basis` would on the prefix, and multiplies
-    out only the n-row columns it returns.
+    those of `core`, the thin SVD of the k-row block the sweep factored:
+    R[:k, :l] itself until a prefix drops a direction, then the carried
+    block of the kept factor and the new columns (see the module
+    docstring). Either way `core.U` and `core.singular_values` are the
+    prefix's, up to rounding; `core.V` belongs to the block.
+    `core.numerical_rank` is the prefix's, at shape (n, l), not the
+    small block's. `left_basis` answers as `ThinSVD.left_basis` would on
+    the prefix, and multiplies out only the n-row columns it returns.
     """
 
     Q: np.ndarray
@@ -161,9 +175,11 @@ def nested_factors(columns, sizes):
 
     Returns an iterator of one factor per l in `sizes`, in order. One
     Householder QR of the first max(sizes) columns serves every size, and
-    each size takes the SVD of its leading block of R. `sizes` (strictly
-    ascending, within [1, l] for an n x l `columns`) is checked on the
-    call; the QR runs when the first factor is requested.
+    each size takes one SVD: of its leading block of R, or, once a prefix
+    has dropped a direction, of the kept factor beside its new columns of
+    R. `sizes` (strictly ascending, within [1, l] for an n x l `columns`)
+    is checked on the call; the QR runs when the first factor is
+    requested.
     """
     columns = as_dense(columns)
     sizes = list(sizes)
@@ -178,11 +194,24 @@ def nested_factors(columns, sizes):
 def _prefix_factors(columns, sizes):
     n = columns.shape[0]
     Q, R = np.linalg.qr(columns)
+    # (U_q diag(s_q), l) of the last prefix, from the first prefix that
+    # dropped a direction on.
+    kept = None
     for l in sizes:
         k = min(n, l)
-        f = thin_svd(R[:k, :l])
-        yield PrefixFactor(Q[:, :k], replace(
-            f, numerical_rank=numerical_rank(f.singular_values, (n, l))))
+        if kept is None:
+            block = R[:k, :l]
+        else:
+            carried, done = kept
+            k_prev, q = carried.shape
+            block = np.zeros((k, q + l - done), order="F")
+            block[:k_prev, :q] = carried
+            block[:, q:] = R[:k, done:l]
+        f = thin_svd(block)
+        q = numerical_rank(f.singular_values, (n, l))
+        if kept is not None or q < f.singular_values.size:
+            kept = (f.U[:, :q] * f.singular_values[:q], l)
+        yield PrefixFactor(Q[:, :k], replace(f, numerical_rank=q))
 
 
 def update_projector(P, x):

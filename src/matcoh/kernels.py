@@ -158,7 +158,10 @@ def load_matrix_market(path) -> np.ndarray:
         raise ValueError(f"{path}: cannot parse Matrix Market file: {exc}") from exc
     if hasattr(m, "toarray"):
         m = m.toarray()
-    return as_dense(m)
+    try:
+        return as_dense(m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def standardize(dataset: PointDataset) -> PointDataset:

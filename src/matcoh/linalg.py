@@ -43,10 +43,14 @@ class DecompositionError(RuntimeError):
 def as_dense(a) -> np.ndarray:
     """Coerce input to a finite float64 column-major matrix.
 
-    1-D input is treated as a single column. Empty input or any NaN/Inf
-    entry raises ValueError.
+    1-D input is treated as a single column. Complex, empty input or any
+    NaN/Inf entry raises ValueError: a cast to float64 would silently drop
+    the imaginary parts.
     """
-    m = np.asarray(a, dtype=np.float64)
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError(f"matrix entries must be real, got dtype {m.dtype}")
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:

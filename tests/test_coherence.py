@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matcoh.coherence
 import matcoh.linalg
 from matcoh.coherence import (
     basis_coherence,
@@ -15,7 +17,7 @@ from matcoh.coherence import (
     sample_size_bound,
     update_projector,
 )
-from matcoh.linalg import projector, thin_svd
+from matcoh.linalg import projector, rank_threshold, thin_svd
 from matcoh.sampling import uniform_sample
 from matcoh.synthetic import basis_aligned_matrix
 
@@ -252,13 +254,17 @@ def test_nested_coherence_rejects_bad_rank_and_sizes():
 
 
 _PREFIX_KINDS = ("generic", "low_rank", "duplicates", "zero_columns",
-                 "all_zero", "decaying")
+                 "leading_zeros", "leading_duplicates", "all_zero", "decaying")
 
 
 @st.composite
 def _prefix_cases(draw):
-    """(columns, sizes, rank): shapes both tall and wide, and a rank
-    parameter below, at, above or without the numerical rank."""
+    """(columns, sizes, rank): shapes both tall and wide, sizes consecutive
+    or jumping, and a rank parameter below, at, above or without the
+    numerical rank. The exactly low-rank kinds drop directions in the
+    sweep; their prefixes may start at rank 0 or 1 (leading zero or
+    duplicate columns) and may gain a new direction at the rank
+    threshold."""
     n = draw(st.integers(1, 30))
     width = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(_PREFIX_KINDS))
@@ -277,13 +283,27 @@ def _prefix_cases(draw):
             X = X[:, rng.integers(0, r, width)]
         elif kind == "zero_columns":
             X[:, rng.random(width) < 0.4] = 0.0
-    sizes = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
+        elif kind != "low_rank":
+            lead = draw(st.integers(0, width - 1))
+            X[:, :lead] = 0.0 if kind == "leading_zeros" else X[:, [lead]]
+        if r < n and draw(st.booleans()):
+            # One column gains a unit direction orthogonal to X's span, at
+            # a tenth of X's rank threshold (rounding, to drop) or ten
+            # times it (a direction to keep).
+            basis = np.linalg.qr(np.column_stack([X, rng.standard_normal(n)]))[0]
+            tau = rank_threshold(thin_svd(X).singular_values, X.shape)
+            c = draw(st.sampled_from([0.1, 10.0]))
+            X[:, draw(st.integers(0, width - 1))] += c * tau * basis[:, -1]
+    if draw(st.booleans()):
+        sizes = list(range(draw(st.integers(1, width)), width + 1))
+    else:
+        sizes = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
     offset = draw(st.sampled_from([None, -2, -1, 0, 1, 3]))
     rank = None if offset is None else max(1, thin_svd(X).numerical_rank + offset)
     return X, sizes, rank
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(_prefix_cases())
 def test_nested_coherence_differential_against_prefix_svd(case):
     X, sizes, rank = case
@@ -303,3 +323,61 @@ def test_nested_coherence_differential_against_prefix_svd(case):
         gap = (s[q - 1] - (s[q] if q < s.size else 0.0)) / s[0]
         if gap >= 1e-6:
             assert abs(report.gamma - want.gamma) <= 1e-10
+
+
+def _sweep_steps(X, sizes):
+    """(l, numerical rank, SVD input width, singular value count) per size."""
+    widths = []
+
+    def recording(block):
+        widths.append(np.shape(block)[1])
+        return thin_svd(block)
+
+    with mock.patch.object(matcoh.coherence, "thin_svd", recording):
+        factors = list(nested_factors(X, sizes))
+    return [(l, f.core.numerical_rank, w, f.core.singular_values.size)
+            for l, f, w in zip(sizes, factors, widths, strict=True)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_prefix_cases())
+def test_deflated_sweep_factors_only_the_kept_directions_and_new_columns(case):
+    X, sizes, _ = case
+    steps = _sweep_steps(X, sizes)
+    # The first size factors R's own (min(n, l) x l) block.
+    assert steps[0][2] == sizes[0]
+    dropped = False
+    for (l_prev, q_prev, _, count_prev), (l, _, width, _) in zip(steps, steps[1:]):
+        dropped = dropped or q_prev < count_prev
+        if dropped:
+            assert width <= q_prev + (l - l_prev)
+        else:
+            assert width == l
+
+
+def test_sweep_without_dropped_directions_factors_r_blocks_exactly():
+    # A full-rank sample never deflates: each size's core is the SVD of
+    # R's own leading block, bit for bit.
+    X = np.random.default_rng(11).standard_normal((30, 20))
+    sizes = [3, 4, 9, 15, 20]
+    R = np.linalg.qr(X)[1]
+    for l, factor in zip(sizes, nested_factors(X, sizes), strict=True):
+        want = thin_svd(R[:l, :l])
+        np.testing.assert_array_equal(factor.core.singular_values, want.singular_values)
+        np.testing.assert_array_equal(factor.core.U, want.U)
+        assert factor.core.numerical_rank == l
+
+
+def test_deflated_sweep_of_a_rank_deficient_sample():
+    # Rank 4 from 2000 x 200 down to a (k x (4 + 10)) block per size once
+    # the sample has reached its rank, and the same estimates as the SVD
+    # of each prefix.
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2000, 4)) @ rng.standard_normal((4, 200))
+    sizes = list(range(10, 201, 10))
+    steps = _sweep_steps(X, sizes)
+    assert [w for _, _, w, _ in steps] == [10] + [14] * 19
+    assert {q for _, q, _, _ in steps} == {4}
+    for l, factor in zip(sizes, nested_factors(X, sizes), strict=True):
+        want = estimate_coherence(X[:, :l])
+        assert factor_coherence(factor).gamma == pytest.approx(want.gamma, abs=1e-12)

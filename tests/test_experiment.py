@@ -370,11 +370,14 @@ def test_run_checks_its_source_and_builds_its_pool_once(monkeypatch):
     assert pools == [(400, (0, 1, 2, 3), 20)]
 
 
+_WIDE_COLUMNS = 40
+
+
 def _wide_config(tmp_path):
     import scipy.io
 
     path = tmp_path / "wide.mtx"
-    scipy.io.mmwrite(str(path), SplitMix64(9).normal_matrix(12, 40))
+    scipy.io.mmwrite(str(path), SplitMix64(9).normal_matrix(12, _WIDE_COLUMNS))
     return ExperimentConfig(kind="coherence_only", experiment_id="w",
                             l_values=(4, 10), matrix=str(path),
                             r_policy="explicit", r=3)
@@ -419,9 +422,11 @@ def test_truth_of_wide_and_spsd_sources_forms_no_right_factor(
     monkeypatch.setattr(matcoh.linalg, "thin_svd", no_thin_svd)
     assert run_experiment(make_config(tmp_path))
     # The truth takes one eigh of the n x n SPSD source, or the SVD of the
-    # n x n triangular factor of a wide one; the sweep factors square
-    # l x l blocks. No SVD sees a non-square matrix.
-    assert all(rows == cols for rows, cols in svd_shapes)
+    # n x n triangular factor of a wide one; the sweep factors only small
+    # blocks of its samples' R factors. No SVD sees the source or its
+    # transpose.
+    shape = (n, n) if spsd else (n, _WIDE_COLUMNS)
+    assert shape not in svd_shapes and shape[::-1] not in svd_shapes
     if spsd:
         assert eigh_shapes == [(n, n)]
     else:
@@ -782,6 +787,20 @@ def test_cli_all_zero_source(tmp_path, capsys, policy, rc):
         assert not (tmp_path / "raw.csv").exists()
     else:
         assert [r.r_used for r in read_raw_csv(tmp_path / "raw.csv")] == [0]
+
+
+def test_cli_rejects_complex_matrix_market_source(tmp_path, capsys):
+    matrix = tmp_path / "complex.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                      "2 2 2\n1 1 1.0 2.0\n2 2 3.0 -1.0\n")
+    cfg = tmp_path / "complex.cfg"
+    cfg.write_text(f"kind = coherence_only\nmatrix = {matrix}\n"
+                   f"l_values = 1\noutput = {tmp_path / 'raw.csv'}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"matcoh: error: {matrix}: matrix entries must be real, "
+        "got dtype complex128\n")
+    assert not (tmp_path / "raw.csv").exists()
 
 
 def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):

@@ -114,23 +114,39 @@ def test_cli_import_leaves_scipy_io_unloaded():
     assert out.stdout.strip() == "False"
 
 
+_IMPORT_GUARD_RUNS = {
+    "rbf": "kind = coherence_only\ndata = points.csv\nkernel = rbf\nl_values = 5\n",
+    "suite": ("kind = kernel_suite\ndata = points.csv\nkernel = rbf\n"
+              "r_policy = energy\nl_values = 5, 10\ntrials = 2\n"),
+    "exact": ("kind = synth_exact\nn = 150\nm = 80\nrank = 6\n"
+              "coherence = high\nl_values = 4, 8, 12\ntrials = 2\n"),
+    "noisy": ("kind = synth_noisy\nn = 20\nm = 60\nrank = 3\nnoise = 0.1\n"
+              "r_policy = explicit\nr = 3\nexclude = 0, 1\n"
+              "l_values = 3, 6\ntrials = 2\n"),
+}
+
+
 def test_kernel_run_leaves_numpy_ma_unloaded(tmp_path):
     # The default RBF width takes its median without `np.median`, whose
-    # first call imports numpy.ma for its NaN check.
+    # first call imports numpy.ma for its NaN check. No run that reads no
+    # Matrix Market file imports scipy at all: `scipy.linalg` alone costs
+    # more start-up time and memory than a toy run.
     save_csv(cloud(30), tmp_path / "points.csv")
-    (tmp_path / "run.cfg").write_text(
-        "kind = coherence_only\ndata = points.csv\nkernel = rbf\n"
-        "l_values = 5\noutput = out.csv\n")
+    for name, text in _IMPORT_GUARD_RUNS.items():
+        (tmp_path / f"{name}.cfg").write_text(f"{text}output = {name}.csv\n")
     src = str(Path(matcoh.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     env.pop("MATCOH_OUTPUT_DIR", None)
-    code = ("import sys, matcoh.cli; rc = matcoh.cli.main(['run', 'run.cfg']); "
-            "print(rc, 'numpy.ma' in sys.modules)")
+    code = ("import sys, matcoh.cli\n"
+            f"rcs = [matcoh.cli.main(['run', f'{{name}}.cfg']) for name in {list(_IMPORT_GUARD_RUNS)}]\n"
+            "loaded = [m for m in sys.modules if m == 'numpy.ma' or m.split('.')[0] == 'scipy']\n"
+            "print(rcs, sorted(loaded))")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          check=True, capture_output=True, text=True, timeout=120)
-    assert out.stdout.split()[-2:] == ["0", "False"]
-    assert (tmp_path / "out.csv").exists()
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(_IMPORT_GUARD_RUNS)} []"
+    for name in _IMPORT_GUARD_RUNS:
+        assert (tmp_path / f"{name}.csv").exists()
 
 
 @pytest.mark.parametrize("name, params", [

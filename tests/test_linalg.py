@@ -29,6 +29,18 @@ def test_as_dense_rejects_bad_input():
         as_dense(np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("a, dtype", [
+    (np.array([[1 + 2j, 0], [0, 3 - 1j]]), "complex128"),
+    (np.array([[1.0, 2.0]], dtype=np.complex64), "complex64"),
+    ([[1.0, 2j]], "complex128"),
+])
+def test_as_dense_rejects_complex_input(a, dtype):
+    # A cast to float64 would keep only the real parts, even where every
+    # imaginary part is zero.
+    with pytest.raises(ValueError, match=f"^matrix entries must be real, got dtype {dtype}$"):
+        as_dense(a)
+
+
 def test_as_dense_column_major_and_vector():
     m = as_dense([[1, 2], [3, 4]])
     assert m.flags.f_contiguous
