@@ -23,13 +23,21 @@ kept factor U_q diag(s_q) forward, and factors the k x (q + d) block
 [[U_q diag(s_q), R[:k', l':l]], [0, R[k':k, l':l]]] of its d = l - l'
 new columns, where l' and k' = min(n, l') are the last prefix's, at
 O(k (q + d)^2) (the deflation step of an incremental thin SVD, Brand
-2006). The dropped part has 2-norm at most the rank
-threshold, which does not decrease with l, so a later singular value
-moves by at most the sum of the dropped norms: rounding, on an exactly
-low-rank sample. The cost is one O(n L^2) QR per trial plus the SVD per
-size, and O(n l q) to form a q-column basis, which a `PrefixFactor`
-does only when asked. `factor_coherence` reads each estimate off its
-factor, and the experiment hands the same factor to
+2006). What the carried blocks dropped since R's own block was last
+factored has 2-norm at most delta, the root sum of squares of the
+dropped singular values (each step's dropped part is orthogonal to the
+rows of the earlier ones), so each singular value of the prefix lies
+within delta of the block's (Weyl). Where a block's singular value
+lies within delta of the rank threshold, the count could differ from
+the prefix's: that size factors R[:k, :l] instead and delta restarts
+there. A direction below the threshold in every new column but above
+it over many is thus kept where the prefix's SVD keeps it. On an
+exactly low-rank sample delta stays at rounding level, so the fallback
+runs only for a singular value within rounding of the threshold. The
+cost is one O(n L^2) QR per trial plus the
+SVD per size, and O(n l q) to form a q-column basis, which a
+`PrefixFactor` does only when asked. `factor_coherence` reads each
+estimate off its factor, and the experiment hands the same factor to
 `lowrank.column_projection`.
 """
 
@@ -38,7 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import ThinSVD, _checked_basis, as_dense, numerical_rank, thin_svd
+from .linalg import (ThinSVD, _checked_basis, as_dense, numerical_rank,
+                     rank_threshold, thin_svd)
 
 __all__ = [
     "CoherenceReport",
@@ -132,10 +141,13 @@ class PrefixFactor:
     those of `core`, the thin SVD of the k-row block the sweep factored:
     R[:k, :l] itself until a prefix drops a direction, then the carried
     block of the kept factor and the new columns (see the module
-    docstring). Either way `core.U` and `core.singular_values` are the
-    prefix's, up to rounding; `core.V` belongs to the block.
-    `core.numerical_rank` is the prefix's, at shape (n, l), not the
-    small block's. `left_basis` answers as `ThinSVD.left_basis` would on
+    docstring). `core.numerical_rank` is the prefix's, at shape (n, l),
+    not the small block's. In R's own block `core.U` and
+    `core.singular_values` are the prefix's up to rounding; in a
+    carried block each singular value is within the dropped norm delta
+    of the prefix's, and the kept subspace within an angle of about
+    delta over the gap to the dropped values (Wedin). `core.V` belongs
+    to the block. `left_basis` answers as `ThinSVD.left_basis` would on
     the prefix, and multiplies out only the n-row columns it returns.
     """
 
@@ -177,7 +189,8 @@ def nested_factors(columns, sizes):
     Householder QR of the first max(sizes) columns serves every size, and
     each size takes one SVD: of its leading block of R, or, once a prefix
     has dropped a direction, of the kept factor beside its new columns of
-    R. `sizes` (strictly ascending, within [1, l] for an n x l `columns`)
+    R, plus the SVD of R's block where that one's spectrum comes within
+    the dropped norm of the rank threshold. `sizes` (strictly ascending, within [1, l] for an n x l `columns`)
     is checked on the call; the QR runs when the first factor is
     requested.
     """
@@ -194,23 +207,34 @@ def nested_factors(columns, sizes):
 def _prefix_factors(columns, sizes):
     n = columns.shape[0]
     Q, R = np.linalg.qr(columns)
-    # (U_q diag(s_q), l) of the last prefix, from the first prefix that
-    # dropped a direction on.
+    eps = np.finfo(np.float64).eps
+    # From the first prefix that dropped a direction on: the last prefix's
+    # kept factor U_q diag(s_q), its width, and the bound on the 2-norm of
+    # all it dropped since R's own block was last factored.
     kept = None
     for l in sizes:
         k = min(n, l)
-        if kept is None:
-            block = R[:k, :l]
-        else:
-            carried, done = kept
+        f = None
+        if kept is not None:
+            carried, done, dropped = kept
             k_prev, q = carried.shape
             block = np.zeros((k, q + l - done), order="F")
             block[:k_prev, :q] = carried
             block[:, q:] = R[:k, done:l]
-        f = thin_svd(block)
-        q = numerical_rank(f.singular_values, (n, l))
-        if kept is not None or q < f.singular_values.size:
-            kept = (f.U[:, :q] * f.singular_values[:q], l)
+            f = thin_svd(block)
+            s = f.singular_values
+            # Each singular value of the prefix, s_1 (and with it the
+            # threshold) included, lies within `dropped` of the block's.
+            margin = dropped * (1.0 + max(n, l) * eps)
+            if np.any(np.abs(s - rank_threshold(s, (n, l))) <= margin):
+                f = None
+        if f is None:
+            f, dropped = thin_svd(R[:k, :l]), 0.0
+        s = f.singular_values
+        q = numerical_rank(s, (n, l))
+        if kept is not None or q < s.size:
+            dropped = math.hypot(dropped, float(np.linalg.norm(s[q:])))
+            kept = (f.U[:, :q] * s[:q], l, dropped)
         yield PrefixFactor(Q[:, :k], replace(f, numerical_rank=q))
 
 

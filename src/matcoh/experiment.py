@@ -14,13 +14,12 @@ so each trial's curve is non-decreasing in the sample size. The source
 is checked (`as_dense`) and the sampler's column pool built once per
 run, not once per trial. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
-of it (`nested_factors`), which once a prefix drops a direction factors
-only the kept directions and the new columns; that size's factor gives
-the estimate and, in a kernel experiment, the column projection's
-basis, so no sample is factored twice. A `ColumnSample` is made only
-where a method reads one. An estimate row's `wall_time_ms` is that
-size's step, its one small SVD included, with the trial's QR charged
-to the first size; a method row's is that approximation alone.
+of it (`nested_factors`); that size's factor gives the estimate and, in
+a kernel experiment, the column projection's basis, so no sample is
+factored twice. A `ColumnSample` is made only where a method reads
+one. An estimate row's `wall_time_ms` is that size's step, its SVD
+included, with the trial's QR charged to the first size; a method
+row's is that approximation alone.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path

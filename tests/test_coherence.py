@@ -254,7 +254,23 @@ def test_nested_coherence_rejects_bad_rank_and_sizes():
 
 
 _PREFIX_KINDS = ("generic", "low_rank", "duplicates", "zero_columns",
-                 "leading_zeros", "leading_duplicates", "all_zero", "decaying")
+                 "leading_zeros", "leading_duplicates", "all_zero", "decaying",
+                 "shared_drift")
+
+
+def _shared_drift(n, width, lead, r, rng):
+    """Rank-r X (leading `lead` columns one duplicate) plus a direction e
+    orthogonal to its span, in every column after the lead with
+    alternating signs: below each prefix's rank threshold in any one
+    column, about twice the threshold over the whole sample."""
+    X = rng.standard_normal((n, r)) @ rng.standard_normal((r, width))
+    X[:, :lead] = X[:, [0]]
+    e = np.linalg.qr(np.column_stack([X, rng.standard_normal(n)]))[0][:, r]
+    tau = rank_threshold(thin_svd(X).singular_values, X.shape)
+    drift = width - lead
+    signs = np.where(np.arange(drift) % 2 == 0, 1.0, -1.0)
+    X[:, lead:] += np.outer(e, 2.0 * tau / math.sqrt(drift - r) * signs)
+    return X
 
 
 @st.composite
@@ -264,11 +280,20 @@ def _prefix_cases(draw):
     numerical rank. The exactly low-rank kinds drop directions in the
     sweep; their prefixes may start at rank 0 or 1 (leading zero or
     duplicate columns) and may gain a new direction at the rank
-    threshold."""
+    threshold, in one column or spread below it over many."""
     n = draw(st.integers(1, 30))
     width = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(_PREFIX_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "shared_drift":
+        # Tall, consecutive sizes from within the duplicate lead, so every
+        # step sees one drift column.
+        width = draw(st.integers(16, 30))
+        n = draw(st.integers(width + 1, 40))
+        lead = draw(st.integers(4, 6))
+        X = _shared_drift(n, width, lead, draw(st.integers(1, 2)), rng)
+        rank = draw(st.sampled_from([None, 1, 2, 3]))
+        return X, list(range(draw(st.integers(2, lead)), width + 1)), rank
     if kind == "generic":
         X = rng.standard_normal((n, width))
     elif kind == "all_zero":
@@ -326,17 +351,21 @@ def test_nested_coherence_differential_against_prefix_svd(case):
 
 
 def _sweep_steps(X, sizes):
-    """(l, numerical rank, SVD input width, singular value count) per size."""
+    """(l, numerical rank, SVD input widths, singular value count) per size."""
     widths = []
 
     def recording(block):
-        widths.append(np.shape(block)[1])
+        widths[-1].append(np.shape(block)[1])
         return thin_svd(block)
 
+    steps = []
     with mock.patch.object(matcoh.coherence, "thin_svd", recording):
-        factors = list(nested_factors(X, sizes))
-    return [(l, f.core.numerical_rank, w, f.core.singular_values.size)
-            for l, f, w in zip(sizes, factors, widths, strict=True)]
+        factors = nested_factors(X, sizes)
+        for l in sizes:
+            widths.append([])
+            f = next(factors)
+            steps.append((l, f.core.numerical_rank, widths[-1], f.core.singular_values.size))
+    return steps
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -345,14 +374,49 @@ def test_deflated_sweep_factors_only_the_kept_directions_and_new_columns(case):
     X, sizes, _ = case
     steps = _sweep_steps(X, sizes)
     # The first size factors R's own (min(n, l) x l) block.
-    assert steps[0][2] == sizes[0]
+    assert steps[0][2] == [sizes[0]]
     dropped = False
-    for (l_prev, q_prev, _, count_prev), (l, _, width, _) in zip(steps, steps[1:]):
+    for (l_prev, q_prev, _, count_prev), (l, _, widths, _) in zip(steps, steps[1:]):
         dropped = dropped or q_prev < count_prev
         if dropped:
-            assert width <= q_prev + (l - l_prev)
+            # The carried block, then R's own block only where the carried
+            # spectrum came within the dropped norm of the threshold.
+            assert widths[0] <= q_prev + (l - l_prev)
+            assert widths[1:] in ([], [l])
         else:
-            assert width == l
+            assert widths == [l]
+
+
+def test_sweep_keeps_a_direction_spread_below_the_threshold_over_many_columns():
+    # Columns 0..19 are one unit vector a, and columns 20..99 add +-c e_0
+    # with e_0 orthogonal to a. No one new column lifts e_0 above the rank
+    # threshold, but the prefix does: by l = 100 its second singular
+    # value is about twice the threshold. The sweep must keep e_0 where
+    # the prefix's SVD does, and e_0 is a coordinate vector, so gamma
+    # then jumps from 1/(n - 1) to 1.
+    n, width, lead = 200, 100, 20
+    a = np.ones(n) / math.sqrt(n - 1)
+    a[0] = 0.0
+    c = 2.0 * n * np.finfo(np.float64).eps
+    X = np.tile(a[:, None], (1, width))
+    X[0, lead:] = c * np.where(np.arange(width - lead) % 2 == 0, 1.0, -1.0)
+    sizes = list(range(1, width + 1))
+    got = [factor_coherence(f) for f in nested_factors(X, sizes)]
+    for l, report in zip(sizes, got, strict=True):
+        want = estimate_coherence(X[:, :l])
+        assert report.rank_used == want.rank_used
+        # e_0's singular value is about 1e-13 of a's, so any SVD of the
+        # prefix, this one's too, tilts it by rounding.
+        assert report.gamma == pytest.approx(want.gamma, abs=1e-4)
+    ranks = [report.rank_used for report in got]
+    assert ranks[0] == ranks[lead] == 1 and ranks[-1] == 2
+    assert got[lead].gamma == pytest.approx(1.0 / (n - 1))
+    assert got[-1].gamma == pytest.approx(1.0, abs=1e-4)
+    # Sizes whose carried spectrum comes near the threshold factor R's own
+    # block again; once e_0 is kept the sweep carries two directions.
+    widths = [w for _, _, w, _ in _sweep_steps(X, sizes)]
+    assert any(w[1:] == [l] for l, w in zip(sizes, widths))
+    assert widths[-1] == [3]
 
 
 def test_sweep_without_dropped_directions_factors_r_blocks_exactly():
@@ -376,7 +440,7 @@ def test_deflated_sweep_of_a_rank_deficient_sample():
     X = rng.standard_normal((2000, 4)) @ rng.standard_normal((4, 200))
     sizes = list(range(10, 201, 10))
     steps = _sweep_steps(X, sizes)
-    assert [w for _, _, w, _ in steps] == [10] + [14] * 19
+    assert [w for _, _, w, _ in steps] == [[10]] + [[14]] * 19
     assert {q for _, q, _, _ in steps} == {4}
     for l, factor in zip(sizes, nested_factors(X, sizes), strict=True):
         want = estimate_coherence(X[:, :l])
