@@ -6,7 +6,9 @@ contracts (orthonormality, idempotence, rank thresholds) are centralized
 here so that the higher-level modules agree on one set of tolerances.
 
 `left_svd`, for the coherence truth, routes by structure: `eigh` if
-SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`.
+SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`. The R factor
+of a tall matrix, here and in the noisy synthetic build, comes from
+`_r_factor`, which compresses row chunks and copies no full-size block.
 `spsd_pinv_factor`, the package's one pseudoinverse, takes the same
 `eigh` route and keeps the result factored.
 """
@@ -34,6 +36,8 @@ __all__ = [
 ORTHONORMAL_TOL = 1e-10
 # Absolute rank-threshold floor used when the whole spectrum is zero.
 ZERO_SPECTRUM_FLOOR = 1e-12
+# Entries of A per row chunk that `_r_factor` compresses (4 MB of float64).
+_R_CHUNK = 1 << 19
 
 
 class DecompositionError(RuntimeError):
@@ -132,7 +136,8 @@ def left_svd(X, spsd=False) -> ThinSVD:
 
     `spsd` declares X symmetric positive semidefinite, untested: `eigh`,
     ordered by descending |eigenvalue| (stable sort). A wide X takes the
-    SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982). The rank threshold is X's.
+    SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982), with R taken from row
+    chunks of Xᵀ (`_r_factor`). The rank threshold is X's.
     """
     X = as_dense(X)
     if spsd:
@@ -142,7 +147,7 @@ def left_svd(X, spsd=False) -> ThinSVD:
         return _thin_svd(X)
     else:
         try:
-            R = np.linalg.qr(X.T, mode="r")
+            R = _r_factor(X.T)
             U, s, _ = np.linalg.svd(R.T, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(
@@ -151,6 +156,32 @@ def left_svd(X, spsd=False) -> ThinSVD:
         arr.setflags(write=False)
     return ThinSVD(U=U, singular_values=s, V=None,
                    numerical_rank=numerical_rank(s, X.shape))
+
+
+def _r_factor(A) -> np.ndarray:
+    """`np.linalg.qr(A, mode="r")` of a tall m x k A, up to rounding.
+
+    Householder QR takes every pivot from A's top k rows, and an
+    orthogonal map of the rows below changes neither those pivots nor
+    the norms below them. So R, its diagonal signs included, is the R of
+    A[:k] stacked on any R of A[k:] (TSQR; Demmel, Grigori, Hoemmen and
+    Langou 2012). The rows below are compressed one chunk of about
+    `_R_CHUNK` entries at a time, and the chunks' R factors are folded
+    into one once they pass a chunk's height. No QR sees more than
+    chunk + k rows, so the temporaries stay O(chunk) whatever m is, and
+    no full-size copy of A is made. An A of at most one chunk below its
+    top k rows takes the one QR.
+    """
+    m, k = A.shape
+    step = max(k, _R_CHUNK // k)
+    if m <= k + step:
+        return np.linalg.qr(A, mode="r")
+    stack = []  # R factors of at most k rows each
+    for i in range(k, m, step):
+        stack.append(np.linalg.qr(A[i:i + step], mode="r"))
+        if len(stack) * k > step:
+            stack = [np.linalg.qr(np.vstack(stack), mode="r")]
+    return np.linalg.qr(np.vstack([A[:k], *stack]), mode="r")
 
 
 def _eigh_by_magnitude(X):

@@ -27,10 +27,12 @@ the difference is mostly below 1e-13 of max|X| but reached 4.7e-12 at
 condition number 1.1e5.
 
 The build touches each large array once. G is drawn straight into the
-column-major [V | G] buffer, a chunk of normals at a time, and X is
-formed column-major from column blocks of the product, on the exact
-path as on the noisy one. No full-size block of random draws and no
-C-ordered copy of X is made.
+column-major [V | G] buffer, a chunk of normals at a time. R is taken
+from row chunks of [V | G] (`linalg._r_factor`), so no QR copies the
+m x k block, and X is formed column-major from column blocks of the
+product, on the exact path as on the noisy one. No full-size block of
+random draws, no copy of [V | G] and no C-ordered copy of X is made:
+at the peak, [V | G] and X are the only arrays of X's size.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ThinSVD, as_dense, numerical_rank
+from .linalg import ThinSVD, _r_factor, as_dense, numerical_rank
 from .sampling import SplitMix64
 
 __all__ = [
@@ -239,14 +241,16 @@ def _completed_product(left: np.ndarray, V: np.ndarray, rng: SplitMix64):
     form from the same draw: Q[:, r:] of the QR of block = [V | G], that
     is block @ inv(R)[:, r:]. The k x k triangular R alone applies it:
     inv(R)[:, r:] is folded into the n x k left factor, and no m x k Q
-    is formed.
+    is formed. R, with the one QR's diagonal signs, comes from row
+    chunks of the block, so no QR copies it either; R then differs from
+    the one QR's by rounding, and X by about 1e-16 of max|X|.
     """
     r = V.shape[1]
     k = left.shape[1]
     if k == r:
         return left, V
     block = _with_normal_columns(V, k, rng)
-    R = np.linalg.qr(block, mode="r")
+    R = _r_factor(block)
     # R is upper triangular, so LU with partial pivoting never swaps a
     # row and this is a triangular solve for the last k - r columns.
     W = left[:, r:] @ np.linalg.solve(R, np.eye(k)[:, r:]).T

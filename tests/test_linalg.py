@@ -331,3 +331,39 @@ def test_left_svd_thresholds_a_wide_matrix_at_its_own_shape():
     s = np.array([1.0, 0.5, 0.25, 20 * n * np.finfo(float).eps])
     X = (U * s) @ V.T
     assert thin_svd(X).numerical_rank == left_svd(X).numerical_rank == 3
+
+
+@pytest.mark.parametrize("k, r", [(1, 0), (1, 1), (6, 2), (6, 6), (20, 5)])
+@pytest.mark.parametrize("chunks", [0, 1, 1 + 1 / 8, 5 + 3 / 8, 40 + 5 / 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_r_factor_matches_one_qr(monkeypatch, k, r, chunks, seed):
+    # Chunks of 8 rows (k rows when k > 8), so toy shapes take the
+    # chunked path: from m = k + 1, one QR, up to many chunks folded
+    # several times, with m not a multiple of the chunk.
+    step = max(k, 8)
+    monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", 8 * k)
+    m = k + max(1, round(chunks * step))
+    rng = np.random.default_rng(seed)  # [V | G] as the noisy build forms it
+    V = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    A = np.asfortranarray(np.hstack([V, rng.standard_normal((m, k - r))]))
+    R, want = matcoh.linalg._r_factor(A), np.linalg.qr(A, mode="r")
+    assert R.shape == want.shape
+    # One flipped sign would flip a column of the completion R applies.
+    np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
+    bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
+    assert np.max(np.abs(R - want)) <= bound
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_left_svd_of_a_rank_deficient_wide_matrix_from_row_chunks(monkeypatch, seed):
+    n, m, q = 12, 300, 5
+    monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", 8 * n)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, q)) @ rng.standard_normal((q, m))
+    X[3] = 0.0  # a zero row and a zero column
+    X[:, 7] = 0.0
+    f = left_svd(X)
+    want = np.linalg.svd(X, compute_uv=False)
+    np.testing.assert_allclose(f.singular_values, want, rtol=0,
+                               atol=m * np.finfo(float).eps * want[0])
+    assert f.numerical_rank == numerical_rank(want, X.shape) == q

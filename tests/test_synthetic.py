@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import matcoh.linalg
 from matcoh.coherence import basis_coherence, estimate_coherence
 from matcoh.kernels import spectrum_energy_rank
 from matcoh.linalg import left_svd, rank_threshold, thin_svd
@@ -253,6 +258,9 @@ def _noisy_specs(draw):
 # [V | G] is square with condition number 1.1e5 here.
 @example(SynthSpec(n=71, m=71, rank=1, decay="slow", noise=0.33550431996701147,
                    seed=3560167343))
+# R of [V | G] comes from two and three row chunks here.
+@example(SynthSpec(n=100, m=12000, rank=20, decay="slow", noise=0.3, seed=0))
+@example(SynthSpec(n=64, m=20000, rank=1, coherence="high", noise=0.1, seed=1))
 def test_noisy_source_matches_explicit_q_build(spec):
     X, f = low_rank_source(spec)
     X_ref, U_ref, s_ref, kappa = _explicit_q_source(spec)
@@ -269,8 +277,12 @@ def test_noisy_source_matches_explicit_q_build(spec):
 
 
 def test_noisy_build_takes_only_r_of_the_wide_block(monkeypatch):
-    # V's completion needs only R of the m x k block [V | G]: no m x k Q.
+    # V's completion needs only R of the m x k block [V | G], and the wide
+    # truth only R of Xᵀ. Both come from row chunks: no QR forms an m x k
+    # Q, and none sees more than chunk + k rows.
     spec = SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1)
+    k, step = 30, 40
+    monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", step * k)
     calls = []
     qr = np.linalg.qr
 
@@ -279,8 +291,18 @@ def test_noisy_build_takes_only_r_of_the_wide_block(monkeypatch):
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    low_rank_source(spec)
-    assert [mode for shape, mode in calls if shape == (200, 30)] == ["r"]
+    X = low_rank_source(spec)[0]
+    build = list(calls)
+    calls.clear()
+    left_svd(X)
+    # The only m-row Q is V's own m x rank basis, a factor of X.
+    assert [shape for shape, mode in build
+            if mode != "r" and shape[0] == spec.m] == [(spec.m, spec.rank)]
+    assert all(mode == "r" for _, mode in calls)
+    for seen in (build, calls):
+        rows = [shape[0] for shape, mode in seen if mode == "r"]
+        assert len(rows) > (spec.m - k) // step  # one QR per chunk, at least
+        assert max(rows) <= step + k
 
 
 def _product_operands(monkeypatch, spec):
@@ -331,11 +353,27 @@ def test_streamed_product_is_within_rounding_elsewhere(monkeypatch, n, m, rank, 
     assert np.all(np.abs(X - left @ right.T) <= bound)
 
 
+_PEAK_RSS_CHILD = """
+from matcoh.synthetic import SynthSpec, low_rank_source
+
+def status(key):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) * 1024
+
+low_rank_source(SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1))  # warm-up
+before = status("VmRSS")
+X = low_rank_source(SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5))[0]
+print((status("VmHWM") - before) / X.nbytes)
+"""
+
+
 def test_noisy_wide_build_holds_two_source_sized_arrays():
-    # The normals are drawn in chunks straight into [V | G], and X is
-    # formed a column block at a time: no full-size uint64 block and no
-    # C-ordered copy of X. At the peak, two arrays of X's size are live:
-    # [V | G] and either QR's copy of it or X.
+    # The normals are drawn in chunks straight into [V | G], R comes from
+    # row chunks of it, and X is formed a column block at a time: no
+    # full-size uint64 block, no QR copy of [V | G] and no C-ordered copy
+    # of X. At the peak, two arrays of X's size are live: [V | G] and X.
     spec = SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5)
     tracemalloc.start()
     try:
@@ -345,6 +383,19 @@ def test_noisy_wide_build_holds_two_source_sized_arrays():
         tracemalloc.stop()
     # A full-size uint64 block (10 000 x 280 draws) is 0.93 X.nbytes.
     assert peak <= 2.25 * X.nbytes, peak / X.nbytes
+    # tracemalloc misses LAPACK's buffers, so the same build runs again in
+    # a fresh process, which measures its peak RSS above its start. A QR
+    # of the whole [V | G] holds two copies of it and rises 3.2 X.nbytes.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    src = str(Path(matcoh.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    rise = float(out.stdout.split()[-1])
+    assert rise <= 2.75, rise
 
 
 def test_structural_rank_can_exceed_numerical_rank():
