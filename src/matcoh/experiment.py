@@ -6,9 +6,11 @@ nested column-sample family and records the coherence estimate at each
 requested sample size; kernel experiments additionally record both
 low-rank approximation errors. The truth (`gamma_true` and the rank)
 comes from one left factor of the source. A synthetic source brings the
-factor it was built from, so it is never factored. Any other source
-takes one `left_svd`: `eigh` for a source `_SOURCES` declares SPSD, the
-QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
+factor it was built from, so it is never factored. A source `_SOURCES`
+declares SPSD, under an explicit or energy rank, takes its top
+eigenpairs by subspace iteration (`linalg._spsd_top`) unless that
+declines. Any other source takes one `left_svd`: `eigh` for an SPSD
+source, the QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
 seed = base_seed + trial, and per-trial estimates share one permutation
 so each trial's curve is non-decreasing in the sample size. The source
 is checked (`as_dense`) and the sampler's column pool built once per
@@ -52,7 +54,7 @@ from .kernels import (
     spectrum_energy_rank,
     standardize,
 )
-from .linalg import as_dense, left_svd
+from .linalg import _spsd_top, as_dense, left_svd
 from .lowrank import column_projection, nystrom
 from .sampling import RNG_NAME, ColumnSample, _allowed_pool, _draw_columns
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
@@ -357,22 +359,36 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 def _rank_and_truth(config: ExperimentConfig, X, factor):
     """(truncation rank, gamma_true) of the source X from one left factor.
 
-    `factor` is the `ThinSVD` a synthetic source was built from; any
-    other source (None) is factored here by one `left_svd`. The truth is
-    truncated as `estimate_coherence(X, rank)` would be, up to rounding.
-    Where the rank splits a tie in the spectrum (a noisy source's equal
-    tail), the top subspace is not unique and a built factor gives its
-    own seeded basis. An all-zero source has no energy rank and is
-    rejected here, before any trial.
+    `factor` is the `ThinSVD` a synthetic source was built from. An SPSD
+    source under an explicit or energy rank takes its top eigenpairs by
+    subspace iteration (`_spsd_top`), which also gives the energy rank.
+    Any other source, or one the iteration declines (None), is factored
+    here by one `left_svd`. The truth is truncated as
+    `estimate_coherence(X, rank)` would be, up to rounding. Where the
+    rank splits a tie in the spectrum (a noisy source's equal tail), the
+    top subspace is not unique and a built factor gives its own seeded
+    basis; the iteration declines a cut whose certified gap is small. An
+    all-zero source has no energy rank and is rejected here, before any
+    trial.
     """
-    if factor is None:
-        factor = left_svd(X, spsd=_SOURCES[_source_name(config)].spsd)
+    spsd = _SOURCES[_source_name(config)].spsd
     r = config.r  # None unless r_policy is explicit
-    if config.r_policy == "energy":
-        r = spectrum_energy_rank(factor.singular_values, config.energy_fraction)
-        if r == 0:
-            raise ValueError("r_policy energy needs a source with nonzero "
-                             "energy, but the source matrix is all zero")
+    energy = config.r_policy == "energy"
+    top = None
+    if factor is None and spsd and config.r_policy != "none":
+        top = _spsd_top(X, rank=r,
+                        fraction=config.energy_fraction if energy else None)
+    if top is not None:
+        r, factor = top
+    else:
+        if factor is None:
+            factor = left_svd(X, spsd=spsd)
+        if energy:
+            r = spectrum_energy_rank(factor.singular_values,
+                                     config.energy_fraction)
+            if r == 0:
+                raise ValueError("r_policy energy needs a source with nonzero "
+                                 "energy, but the source matrix is all zero")
     return r, basis_coherence(factor.left_basis(r)).gamma
 
 

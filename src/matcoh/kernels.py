@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_dense
+from .linalg import _energy_rank, as_dense
 
 __all__ = [
     "KERNEL_KINDS",
@@ -34,6 +34,8 @@ KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 # `default_rbf_width` reads at most this many evenly spaced points.
 _MEDIAN_MAX_POINTS = 1000
+# Entries per temporary block of `build_kernel` (0.5 MB of float64).
+_BUILD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -211,18 +213,57 @@ def _median(values: np.ndarray) -> float:
 
 
 def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
-    """SPSD kernel matrix K with K_ij = k(x_i, x_j)."""
+    """SPSD kernel matrix K with K_ij = k(x_i, x_j), column-major.
+
+    K is formed in place in the Gram matrix P Pᵀ and symmetrized as
+    (K + Kᵀ)/2, with the bits of the whole-array formulas. Only the RBF
+    row sums ‖x_i‖² + ‖x_j‖² and the symmetrization need temporaries, and
+    they take one block of about `_BUILD_CHUNK` entries at a time, so the
+    build holds one n x n matrix. The symmetric C-ordered result is
+    returned as its transpose, which is column-major and the same matrix.
+    """
     P = dataset.points
-    gram = P @ P.T
-    if spec.kind == "linear":
-        K = gram
-    elif spec.kind == "rbf":
+    K = P @ P.T
+    if spec.kind == "rbf":
+        n = K.shape[0]
         sq = np.einsum("ij,ij->i", P, P)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-        K = np.exp(-d2 / (2.0 * spec.rbf_width**2))
-    else:
-        K = (gram + spec.poly_offset) ** spec.poly_degree
-    return np.asfortranarray((K + K.T) / 2.0)
+        K *= 2.0
+        step = max(1, _BUILD_CHUNK // n)
+        pair_sums = np.empty((step, n))
+        for i in range(0, n, step):
+            rows = K[i:i + step]
+            sums = pair_sums[:rows.shape[0]]
+            np.add(sq[i:i + step, None], sq, out=sums)
+            np.subtract(sums, rows, out=rows)
+        del pair_sums
+        np.maximum(K, 0.0, out=K)  # d2
+        np.negative(K, out=K)
+        K /= 2.0 * spec.rbf_width**2
+        np.exp(K, out=K)
+    elif spec.kind == "polynomial":
+        K += spec.poly_offset
+        K **= spec.poly_degree
+    _symmetrize(K)
+    return K.T
+
+
+def _symmetrize(K):
+    """K = (K + Kᵀ)/2 in place, one pair of mirrored tiles at a time.
+
+    A sum a + b is commutative bit for bit, so each pair's halves are
+    written from one tile and K comes out exactly symmetric.
+    """
+    n = K.shape[0]
+    step = max(1, math.isqrt(_BUILD_CHUNK))
+    buf = np.empty((min(step, n), min(step, n)))
+    for i in range(0, n, step):
+        for j in range(i, n, step):
+            upper, lower = K[i:i + step, j:j + step], K[j:j + step, i:i + step]
+            tile = buf[:upper.shape[0], :upper.shape[1]]
+            np.add(upper, lower.T, out=tile)
+            tile /= 2.0
+            upper[...] = tile
+            lower[...] = tile.T
 
 
 def spectrum_energy_rank(singular_values, fraction: float) -> int:
@@ -234,9 +275,4 @@ def spectrum_energy_rank(singular_values, fraction: float) -> int:
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    s = np.asarray(singular_values, dtype=np.float64)
-    energies = np.cumsum(s * s)
-    total = float(energies[-1])
-    if total == 0.0:
-        return 0
-    return int(np.argmax(energies >= fraction * total)) + 1
+    return _energy_rank(np.asarray(singular_values, dtype=np.float64), fraction)

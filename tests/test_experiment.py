@@ -46,9 +46,9 @@ from matcoh.kernels import (
     save_csv,
     spectrum_energy_rank,
 )
-from matcoh.linalg import thin_svd
+from matcoh.linalg import _spsd_top, as_dense, left_svd, thin_svd
 from matcoh.sampling import SplitMix64, nested_samples
-from matcoh.synthetic import SynthSpec, low_rank_matrix
+from matcoh.synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
 
 
 def test_parse_config_text():
@@ -469,6 +469,142 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     assert [a.shape for a in svd_inputs] == thin_shapes
     assert all(np.array_equal(a, np.triu(a)) for a in svd_inputs)
     assert eigh_shapes == [(30, 30)] + [(l, l) for l in sizes]
+
+
+def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
+    eigh_shapes = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        eigh_shapes.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    data = tmp_path / "pts.csv"
+    save_csv(PointDataset(points=SplitMix64(7).normal_matrix(300, 3),
+                          name="pts"), data)
+    config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
+                              l_values=(5, 10, 30), trials=2, data=str(data),
+                              kernel="rbf", r_policy="energy")
+    assert len(run_experiment(config)) == 18
+    # The truth takes the top eigenpairs by subspace iteration: its only
+    # eigh calls are of 16 x 16 Rayleigh-Ritz blocks. Every other eigh is
+    # one trial's W, one per (trial, l).
+    ritz = eigh_shapes.count((16, 16))
+    assert ritz >= 1 and (300, 300) not in eigh_shapes
+    sizes = list(config.l_values) * config.trials
+    assert [a for a in eigh_shapes if a != (16, 16)] == [(l, l) for l in sizes]
+
+
+def _truth_config(**policy):
+    """A config whose source `_SOURCES` declares SPSD; the tests below
+    hand `_rank_and_truth` the matrix itself."""
+    return ExperimentConfig(kind="worst_case", experiment_id="t",
+                            l_values=(1,), n=2, **policy)
+
+
+def _eigh_truth(config, K):
+    """(r, gamma_true) by the dense route: one eigh of K."""
+    f = left_svd(K, spsd=True)
+    r = config.r
+    if config.r_policy == "energy":
+        r = spectrum_energy_rank(f.singular_values, config.energy_fraction)
+    return r, basis_coherence(f.left_basis(r)).gamma
+
+
+def _spectral_matrix(eigenvalues, seed=3):
+    """Q diag(eigenvalues) Qᵀ for a seeded orthogonal Q, symmetrized."""
+    n = len(eigenvalues)
+    Q = np.linalg.qr(SplitMix64(seed).normal_matrix(n, n))[0]
+    K = (Q * eigenvalues) @ Q.T
+    return as_dense((K + K.T) / 2.0)
+
+
+_GEOMETRIC = 0.7 ** np.arange(200.0)
+
+
+def _tied(r, gap=0.0):
+    w = _GEOMETRIC.copy()
+    w[r] = w[r - 1] * (1.0 - gap)  # lambda_{r+1} = lambda_r (1 - gap)
+    return w
+
+
+@pytest.mark.parametrize("case", ["tie", "near_tie", "block_cap",
+                                  "energy_growth_cap", "pass_cap", "worst_case"])
+def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(monkeypatch,
+                                                              case):
+    if case == "tie":  # the gap guard
+        K, policy = _spectral_matrix(_tied(4)), {"r_policy": "explicit", "r": 4}
+    elif case == "near_tie":  # converges, but the gap is 3.4e-4 of lambda_1
+        K = _spectral_matrix(_tied(4, gap=1e-3))
+        policy = {"r_policy": "explicit", "r": 4}
+    elif case == "block_cap":  # r + 8 columns exceed n/10
+        K, policy = _spectral_matrix(_GEOMETRIC), {"r_policy": "explicit", "r": 13}
+    elif case == "energy_growth_cap":  # the block doubles past n/10
+        K = _spectral_matrix(0.999 ** np.arange(200.0))
+        policy = {"r_policy": "energy", "energy_fraction": 0.9}
+    elif case == "pass_cap":
+        monkeypatch.setattr(matcoh.linalg, "_TOP_MAX_PASSES", 1)
+        K, policy = _spectral_matrix(_GEOMETRIC), {"r_policy": "explicit", "r": 4}
+    else:  # an inflated lambda_1 leaves every later certified gap below 0
+        K = as_dense(adversarial_spsd(300, seed=1))
+        policy = {"r_policy": "explicit", "r": 3}
+    config = _truth_config(**policy)
+    fraction = config.energy_fraction if config.r_policy == "energy" else None
+    assert _spsd_top(K, rank=config.r, fraction=fraction) is None
+    assert matcoh.experiment._rank_and_truth(config, K, None) == _eigh_truth(config, K)
+
+
+def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatch):
+    # The control for the fall-backs above: the same matrix without a tie,
+    # at the same rank, is taken by the iteration.
+    K = _spectral_matrix(_GEOMETRIC)
+    config = _truth_config(r_policy="explicit", r=4)
+    assert _spsd_top(K, rank=4) is not None
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    want = _eigh_truth(config, K)
+    assert r == want[0] and abs(gamma - want[1]) <= 1e-14
+    # r_policy = none needs the whole spectrum and never tries it.
+
+    def no_top(*args, **kwargs):
+        raise AssertionError("r_policy none took the subspace iteration")
+
+    monkeypatch.setattr(matcoh.experiment, "_spsd_top", no_top)
+    config = _truth_config()
+    assert matcoh.experiment._rank_and_truth(config, K, None) == _eigh_truth(config, K)
+
+
+def _ulp_below(x):
+    return np.nextafter(x, 0.0)
+
+
+def _ulp_above(x):
+    return np.nextafter(x, 1.0)
+
+
+@pytest.mark.parametrize("move, r_want, iterates", [
+    (lambda x: x * (1 - 1e-9), 5, True),
+    (_ulp_below, 5, False),
+    (lambda x: x, None, False),
+    (_ulp_above, None, False),
+    (lambda x: x * (1 + 1e-9), 6, True),
+], ids=["-1e-9", "-ulp", "at", "+ulp", "+1e-9"])
+def test_both_truth_routes_read_one_energy_rank(move, r_want, iterates):
+    # The fraction sits at, one value either side of, or 1e-9 away from
+    # the energy share of the top 5 eigenvalues. The iteration's total,
+    # ||K||_F^2, differs from the sum of the eigh spectrum's squares by
+    # rounding, so at the three closest cuts it declines and eigh gives r;
+    # 1e-9 away it takes the cut itself. Where rounding decides between 5
+    # and 6 (r_want None), only the agreement is checked.
+    K = _spectral_matrix(_GEOMETRIC)
+    energies = np.cumsum(left_svd(K, spsd=True).singular_values ** 2)
+    fraction = float(move(energies[4] / energies[-1]))
+    config = _truth_config(r_policy="energy", energy_fraction=fraction)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    want = _eigh_truth(config, K)
+    assert r == want[0] and r_want in (None, r)
+    assert abs(gamma - want[1]) <= 1e-14
+    assert (_spsd_top(K, fraction=fraction) is not None) == iterates
 
 
 @pytest.mark.parametrize("kind, n, m, extra", [

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from matcoh.kernels import (
     spectrum_energy_rank,
     standardize,
 )
+from matcoh.sampling import SplitMix64
 from matcoh.synthetic import SynthSpec, low_rank_matrix, singular_spectrum
 
 
@@ -116,6 +118,9 @@ def test_cli_import_leaves_scipy_io_unloaded():
 
 _IMPORT_GUARD_RUNS = {
     "rbf": "kind = coherence_only\ndata = points.csv\nkernel = rbf\nl_values = 5\n",
+    # 300 points: the truth takes the subspace iteration, not eigh.
+    "suite300": ("kind = kernel_suite\ndata = points300.csv\nkernel = rbf\n"
+                 "r_policy = energy\nl_values = 5, 10\n"),
     "suite": ("kind = kernel_suite\ndata = points.csv\nkernel = rbf\n"
               "r_policy = energy\nl_values = 5, 10\ntrials = 2\n"),
     "exact": ("kind = synth_exact\nn = 150\nm = 80\nrank = 6\n"
@@ -132,6 +137,7 @@ def test_kernel_run_leaves_numpy_ma_unloaded(tmp_path):
     # Matrix Market file imports scipy at all: `scipy.linalg` alone costs
     # more start-up time and memory than a toy run.
     save_csv(cloud(30), tmp_path / "points.csv")
+    save_csv(cloud(300), tmp_path / "points300.csv")
     for name, text in _IMPORT_GUARD_RUNS.items():
         (tmp_path / f"{name}.cfg").write_text(f"{text}output = {name}.csv\n")
     src = str(Path(matcoh.__file__).resolve().parents[1])
@@ -175,6 +181,65 @@ def test_kernel_spec_parameter_discipline():
 def cloud(n=20, d=4, seed=0):
     return PointDataset(points=np.random.default_rng(seed).standard_normal((n, d)),
                         name="cloud")
+
+
+def _formula_kernel(dataset, spec):
+    """The whole-array kernel formulas, the in-place build's oracle."""
+    P = dataset.points
+    gram = P @ P.T
+    if spec.kind == "linear":
+        K = gram
+    elif spec.kind == "rbf":
+        sq = np.einsum("ij,ij->i", P, P)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+        K = np.exp(-d2 / (2.0 * spec.rbf_width**2))
+    else:
+        K = (gram + spec.poly_offset) ** spec.poly_degree
+    return np.asfortranarray((K + K.T) / 2.0)
+
+
+_BUILD_SPECS = [
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="rbf", rbf_width=1.3),
+    KernelSpec(kind="rbf", rbf_width=0.2),
+    KernelSpec(kind="polynomial", poly_degree=1, poly_offset=0.5),
+    KernelSpec(kind="polynomial", poly_degree=2, poly_offset=1.0),
+    KernelSpec(kind="polynomial", poly_degree=3, poly_offset=0.0),
+]
+
+
+# Odd sizes, and sizes that are not a multiple of the RBF row block or of
+# the symmetrization's 256 x 256 tile.
+@pytest.mark.parametrize("n", [1, 7, 257, 600])
+@pytest.mark.parametrize("spec", _BUILD_SPECS, ids=lambda s: s.kind)
+def test_in_place_build_gives_the_formulas_bits(n, spec):
+    # C-ordered, F-ordered and strided points. numpy forms P Pᵀ exactly
+    # symmetric from the first two, but not from a strided P, so only
+    # that one shows the symmetrization at work.
+    for points in (cloud(n, d=5, seed=n).points,
+                   SplitMix64(n).normal_matrix(n, 5),
+                   cloud(n, d=10, seed=n).points[:, ::2]):
+        dataset = PointDataset(points=points, name="p")
+        K = build_kernel(dataset, spec)
+        assert K.flags.f_contiguous
+        assert np.array_equal(K, _formula_kernel(dataset, spec))
+        assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("spec", _BUILD_SPECS[:2] + _BUILD_SPECS[4:5],
+                         ids=lambda s: s.kind)
+def test_build_kernel_holds_one_n_by_n_matrix(spec):
+    # The whole-array formulas peaked at 3 (linear), 4 (polynomial) and
+    # 5 (rbf) n x n matrices.
+    n = 1000
+    dataset = cloud(n, d=8)
+    tracemalloc.start()
+    try:
+        build_kernel(dataset, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_rbf_diagonal_is_one():
