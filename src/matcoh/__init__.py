@@ -43,7 +43,6 @@ from .synthetic import (
     add_noise,
     adversarial_spsd,
     basis_aligned_matrix,
-    low_rank_factors,
     low_rank_matrix,
 )
 

@@ -264,7 +264,7 @@ class _Source(NamedTuple):
     requires: tuple    # keys that must be set
     build: Callable    # config -> (source matrix, its ThinSVD or None)
     spec: Callable | None = None  # config -> its spec, which checks the values
-    spsd: bool = False  # SPSD by construction: a symmetrized Gram matrix
+    spsd: bool = False  # SPSD by construction: an exactly symmetric Gram matrix
 
 
 _COMMON_KEYS = ("kind", "experiment_id", "l_values", "trials", "base_seed",
@@ -312,7 +312,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat `key = value` lines into a raw string dict."""
+    """Parse flat `key = value` lines, each key set once, into a raw dict."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(line, maxsplit=1)[0].strip()
@@ -323,6 +323,8 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ValueError(f"config line {lineno}: key {key!r} is set twice")
         raw[key] = value
     return raw
 
@@ -499,7 +501,10 @@ def write_raw_csv(path, results):
 
 
 def read_raw_csv(path):
-    """Read a raw CSV back into TrialResult rows; a bad row names `path:line`."""
+    """Read a raw CSV back into TrialResult rows; a bad row names `path:line`.
+
+    A row drawn by another generator than `RNG_NAME` is a bad row.
+    """
     results = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -511,6 +516,9 @@ def read_raw_csv(path):
             if len(row) != len(RAW_HEADER):
                 raise ValueError(f"{where}: expected "
                                  f"{len(RAW_HEADER)} fields, got {len(row)}")
+            if row[11] != RNG_NAME:
+                raise ValueError(f"{where}: rows drawn by rng {row[11]!r}, "
+                                 f"not {RNG_NAME!r}, cannot be pooled")
             try:
                 results.append(TrialResult(
                     experiment_id=row[0], kind=row[1], trial=int(row[2]),

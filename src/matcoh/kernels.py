@@ -6,6 +6,12 @@ Matrix Market files. Kernels: linear (x . y), RBF (exp(-||x - y||^2 /
 2w^2), w by default the median pairwise distance) and polynomial
 ((x . y + c)^d with c >= 0), all of which are symmetric positive
 semidefinite by construction.
+
+A `PointDataset` holds its points C-contiguous, so numpy forms the Gram
+matrix P Pᵀ by a symmetric rank-k update and it is exactly symmetric.
+Every later kernel step is elementwise or adds ‖x_i‖² + ‖x_j‖², whose
+bits do not depend on the order of the two terms, so `build_kernel`
+returns an exactly symmetric K with no symmetrization pass.
 """
 
 import csv
@@ -40,7 +46,11 @@ _BUILD_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class PointDataset:
-    """n points with d features each, one point per row."""
+    """n points with d features each, one point per row.
+
+    Stored C-contiguous and read-only (see the module docstring): a
+    C-ordered array is kept as the same object, any other is copied.
+    """
 
     points: np.ndarray
     name: str
@@ -49,6 +59,8 @@ class PointDataset:
         pts = self.points
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"need an n x d point array, got shape {pts.shape}")
+        pts = np.ascontiguousarray(pts)
+        object.__setattr__(self, "points", pts)
         if not np.all(np.isfinite(pts)):
             raise ValueError("dataset contains non-finite values")
         pts.setflags(write=False)
@@ -215,12 +227,12 @@ def _median(values: np.ndarray) -> float:
 def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     """SPSD kernel matrix K with K_ij = k(x_i, x_j), column-major.
 
-    K is formed in place in the Gram matrix P Pᵀ and symmetrized as
-    (K + Kᵀ)/2, with the bits of the whole-array formulas. Only the RBF
-    row sums ‖x_i‖² + ‖x_j‖² and the symmetrization need temporaries, and
-    they take one block of about `_BUILD_CHUNK` entries at a time, so the
-    build holds one n x n matrix. The symmetric C-ordered result is
-    returned as its transpose, which is column-major and the same matrix.
+    K is formed in place in the Gram matrix P Pᵀ, with the bits of the
+    whole-array formulas. Only the RBF row sums ‖x_i‖² + ‖x_j‖² need a
+    temporary, one block of about `_BUILD_CHUNK` entries at a time, so
+    the build holds one n x n matrix. The points are C-contiguous, so K
+    is exactly symmetric with no symmetrization pass (see the module
+    docstring) and is returned as its transpose, column-major.
     """
     P = dataset.points
     K = P @ P.T
@@ -229,13 +241,9 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
         sq = np.einsum("ij,ij->i", P, P)
         K *= 2.0
         step = max(1, _BUILD_CHUNK // n)
-        pair_sums = np.empty((step, n))
         for i in range(0, n, step):
             rows = K[i:i + step]
-            sums = pair_sums[:rows.shape[0]]
-            np.add(sq[i:i + step, None], sq, out=sums)
-            np.subtract(sums, rows, out=rows)
-        del pair_sums
+            np.subtract(sq[i:i + step, None] + sq, rows, out=rows)
         np.maximum(K, 0.0, out=K)  # d2
         np.negative(K, out=K)
         K /= 2.0 * spec.rbf_width**2
@@ -243,27 +251,7 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     elif spec.kind == "polynomial":
         K += spec.poly_offset
         K **= spec.poly_degree
-    _symmetrize(K)
     return K.T
-
-
-def _symmetrize(K):
-    """K = (K + Kᵀ)/2 in place, one pair of mirrored tiles at a time.
-
-    A sum a + b is commutative bit for bit, so each pair's halves are
-    written from one tile and K comes out exactly symmetric.
-    """
-    n = K.shape[0]
-    step = max(1, math.isqrt(_BUILD_CHUNK))
-    buf = np.empty((min(step, n), min(step, n)))
-    for i in range(0, n, step):
-        for j in range(i, n, step):
-            upper, lower = K[i:i + step, j:j + step], K[j:j + step, i:i + step]
-            tile = buf[:upper.shape[0], :upper.shape[1]]
-            np.add(upper, lower.T, out=tile)
-            tile /= 2.0
-            upper[...] = tile
-            lower[...] = tile.T
 
 
 def spectrum_energy_rank(singular_values, fraction: float) -> int:

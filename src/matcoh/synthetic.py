@@ -5,11 +5,11 @@ spectrum and a dialed-in coherence level and their noisy full-rank
 extensions (both built by `low_rank_matrix` from one factor draw), the
 basis-aligned matrix whose columns are standard basis vectors (the case
 column sampling cannot recover), and an adversarial SPSD matrix with one
-hugely inflated diagonal entry.
+hugely inflated diagonal entry, exactly symmetric as built.
 
 A low-rank matrix is built as X = U diag(s) Vᵀ from orthonormal U and V,
-so its exact thin SVD exists before X does: `low_rank_source` returns X
-together with that left factor, and nothing needs to factor X again.
+so its exact thin SVD exists before X does: `low_rank_source`, the one
+builder, returns X with that left factor, and nothing factors X again.
 `rank` is the structural rank, the number of structural singular
 values. A fast decay can push the trailing ones below X's rank
 threshold, and then the numerical rank is lower.
@@ -42,7 +42,7 @@ does. The peaked vector sits at the ceil(rank/2)-th spectral position.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "COHERENCE_MULTIPLIERS",
     "SynthSpec",
     "singular_spectrum",
-    "low_rank_factors",
     "low_rank_matrix",
     "low_rank_source",
     "add_noise",
@@ -131,16 +130,8 @@ def _basis_containing(v: np.ndarray, rank: int, position: int,
     return np.asfortranarray(B[:, order])
 
 
-def low_rank_factors(spec: SynthSpec):
-    """(U, s, V) factors of the exactly low-rank matrix for `spec`.
-
-    U and V are built independently from the same seeded stream, each
-    containing its own peaked coherence vector. `spec.noise` is ignored.
-    """
-    return _factors(spec, SplitMix64(spec.seed))
-
-
 def _factors(spec: SynthSpec, rng: SplitMix64):
+    """(U, s, V) of `spec` without noise; U and V each hold a peaked vector."""
     multiplier = COHERENCE_MULTIPLIERS[spec.coherence]
     position = math.ceil(spec.rank / 2) - 1
     U = _basis_containing(_peaked_unit_vector(spec.n, multiplier),
@@ -261,13 +252,13 @@ def _completed_product(left: np.ndarray, V: np.ndarray, rng: SplitMix64):
 def add_noise(X, spec: SynthSpec) -> np.ndarray:
     """Full-rank noisy version of a generated low-rank matrix.
 
-    X must be the noiseless matrix of `spec`; returns `low_rank_matrix(spec)`.
+    X must be `spec`'s matrix with `noise=None`, to within 1e-10;
+    returns `low_rank_matrix(spec)`, built from its own draw.
     """
     if spec.noise is None:
         raise ValueError("spec.noise must be set to add noise")
     X = as_dense(X)
-    U, s, V = low_rank_factors(spec)
-    drift = float(np.max(np.abs((U * s) @ V.T - X)))
+    drift = float(np.max(np.abs(low_rank_matrix(replace(spec, noise=None)) - X)))
     if drift > 1e-10:
         raise ValueError(
             f"matrix does not match the factors generated for this SynthSpec "
@@ -296,10 +287,12 @@ def adversarial_spsd(n: int, seed: int, inflation: float = 1e3,
 
     Builds G^T G for a seeded Gaussian G (inner_dim x n, default n x n)
     and then multiplies the largest existing diagonal entry by
-    `inflation` and writes it at (0, 0). Inflating a diagonal entry of
-    an SPSD matrix keeps it SPSD, and the top eigenvector becomes
-    essentially e_0, so the matrix has near-maximal coherence that a
-    sampler excluding column 0 can never detect.
+    `inflation` and writes it at (0, 0). numpy forms G^T G by a
+    symmetric rank-k update, so K is exactly symmetric as built and its
+    transpose is the same matrix, column-major, with no copy. Inflating
+    a diagonal entry of an SPSD matrix keeps it SPSD, and the top
+    eigenvector becomes essentially e_0, so the matrix has near-maximal
+    coherence that a sampler excluding column 0 can never detect.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -310,9 +303,7 @@ def adversarial_spsd(n: int, seed: int, inflation: float = 1e3,
     k = n if inner_dim is None else int(inner_dim)
     if k < 1:
         raise ValueError("inner_dim must be >= 1")
-    rng = SplitMix64(seed)
-    G = rng.normal_matrix(k, n)
+    G = SplitMix64(seed).normal_matrix(k, n)
     K = G.T @ G
-    K = (K + K.T) / 2.0
     K[0, 0] = inflation * float(np.max(np.diagonal(K)))
-    return np.asfortranarray(K)
+    return K.T

@@ -72,6 +72,13 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("just words\n")
 
 
+def test_parse_config_rejects_a_repeated_key():
+    # A `--set` override still replaces a file's value
+    # (test_load_config_with_overrides); a file sets each key once.
+    with pytest.raises(ValueError, match=r"^config line 3: key 'n' is set twice$"):
+        parse_config_text("kind = synth_exact\nn = 30\nn = 40\n")
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="ascending"):
         config_from_dict({"kind": "synth_exact", "l_values": "4,2"})
@@ -948,16 +955,20 @@ def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
     assert err == f"matcoh: error: {raw}:2: expected 13 fields, got 6\n"
 
 
+# `values` are the bad row's fields from gamma_true on; a case's id
+# leaves out the good fields it ends with.
 @pytest.mark.parametrize("values, message", [
-    ("abc,0.4,0.1", "could not convert string to float: 'abc'"),
-    ("0.5,0.4,0.3", "abs_error does not match |gamma_true - gamma_est|"),
-])
+    ("abc,0.4,0.1,,,splitmix64,", "could not convert string to float: 'abc'"),
+    ("0.5,0.4,0.3,,,splitmix64,", "abs_error does not match |gamma_true - gamma_est|"),
+    ("0.5,0.4,0.1,,,pcg64,",
+     "rows drawn by rng 'pcg64', not 'splitmix64', cannot be pooled"),
+], ids=lambda value: value.removesuffix(",,,splitmix64,"))
 def test_cli_summarize_names_the_line_of_a_bad_value(tmp_path, capsys,
                                                      values, message):
     raw = tmp_path / "raw.csv"
     raw.write_text(",".join(RAW_HEADER) + "\n"
                    + "x,synth_exact,0,1,2,3,0.5,0.4,0.1,,,splitmix64,\n"
-                   + f"x,synth_exact,1,2,2,3,{values},,,splitmix64,\n")
+                   + f"x,synth_exact,1,2,2,3,{values}\n")
     assert main(["summarize", str(raw)]) == 2
     assert capsys.readouterr().err == f"matcoh: error: {raw}:3: {message}\n"
 

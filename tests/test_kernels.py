@@ -208,14 +208,14 @@ _BUILD_SPECS = [
 ]
 
 
-# Odd sizes, and sizes that are not a multiple of the RBF row block or of
-# the symmetrization's 256 x 256 tile.
+# Odd sizes, and sizes that are not a multiple of the RBF row block.
 @pytest.mark.parametrize("n", [1, 7, 257, 600])
 @pytest.mark.parametrize("spec", _BUILD_SPECS, ids=lambda s: s.kind)
 def test_in_place_build_gives_the_formulas_bits(n, spec):
     # C-ordered, F-ordered and strided points. numpy forms P Pᵀ exactly
-    # symmetric from the first two, but not from a strided P, so only
-    # that one shows the symmetrization at work.
+    # symmetric from a C- or F-contiguous P, but not from a strided one;
+    # the dataset stores every P C-contiguous, so the build needs no
+    # symmetrization pass and K equals its transpose bit for bit.
     for points in (cloud(n, d=5, seed=n).points,
                    SplitMix64(n).normal_matrix(n, 5),
                    cloud(n, d=10, seed=n).points[:, ::2]):
@@ -240,6 +240,15 @@ def test_build_kernel_holds_one_n_by_n_matrix(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * n * n
+
+
+def test_point_dataset_stores_its_points_c_contiguous():
+    points = np.random.default_rng(0).standard_normal((9, 6))
+    assert PointDataset(points=points, name="c").points is points
+    for other in (np.asfortranarray(points), points[:, ::2], points[::2]):
+        stored = PointDataset(points=other, name="p").points
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert np.array_equal(stored, other)
 
 
 def test_rbf_diagonal_is_one():

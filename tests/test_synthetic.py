@@ -25,7 +25,6 @@ from matcoh.synthetic import (
     add_noise,
     adversarial_spsd,
     basis_aligned_matrix,
-    low_rank_factors,
     low_rank_matrix,
     low_rank_source,
     singular_spectrum,
@@ -63,26 +62,29 @@ def test_generated_matrix_matches_spectrum():
 
 def test_factors_are_orthonormal_with_peak_in_place():
     spec = SynthSpec(n=80, m=70, rank=8, coherence="high", seed=2)
-    U, s, V = low_rank_factors(spec)
+    U = low_rank_source(spec)[1].U
+    # V is not returned: its columns are X's right singular vectors, up
+    # to sign, as the spectrum has no ties.
+    V = thin_svd(low_rank_matrix(spec)).V[:, :8]
     assert np.max(np.abs(U.T @ U - np.eye(8))) < 1e-12
     assert np.max(np.abs(V.T @ V - np.eye(8))) < 1e-12
     position = math.ceil(8 / 2) - 1
     assert U[0, position] == pytest.approx(8.0 / math.sqrt(80))
-    assert V[0, position] == pytest.approx(8.0 / math.sqrt(70))
+    assert abs(V[0, position]) == pytest.approx(8.0 / math.sqrt(70))
 
 
 def test_low_coherence_stays_near_floor():
     # needs paper-sized rank: max leverage of a random completion
     # concentrates at (rank/n) * (1 + ~sqrt(8/rank))
     for n, r in ((1000, 50), (600, 60)):
-        U, _, _ = low_rank_factors(SynthSpec(n=n, m=n, rank=r, seed=3))
+        U = low_rank_source(SynthSpec(n=n, m=n, rank=r, seed=3))[1].U
         assert basis_coherence(U).gamma <= 2 * r / n
 
 
 def test_high_coherence_hits_multiplier_floor():
-    U, _, _ = low_rank_factors(
+    U = low_rank_source(
         SynthSpec(n=1000, m=1000, rank=50, coherence="high", seed=4)
-    )
+    )[1].U
     assert basis_coherence(U).gamma >= 0.9 * 64 / 1000
 
 
@@ -91,8 +93,8 @@ def test_coherence_level_ordering(seed):
     # low vs mid can invert by ~1e-4 of completion-leverage noise at
     # desk scale, hence the small slack
     gammas = [
-        basis_coherence(low_rank_factors(
-            SynthSpec(n=1000, m=1000, rank=50, coherence=level, seed=seed))[0]).gamma
+        basis_coherence(low_rank_source(
+            SynthSpec(n=1000, m=1000, rank=50, coherence=level, seed=seed))[1].U).gamma
         for level in ("low", "mid", "high")
     ]
     assert gammas[0] <= gammas[1] + 1e-3
@@ -429,7 +431,7 @@ class TestAddNoise:
         np.testing.assert_allclose(s[6:], s[6], rtol=1e-10)
 
     def test_top_subspace_preserved(self):
-        U, _, _ = low_rank_factors(replace(self.spec, noise=None))
+        U = low_rank_source(replace(self.spec, noise=None))[1].U
         U_noisy = thin_svd(add_noise(self.base(), self.spec)).left_basis(6)
         # principal angles: all singular values of U^T U_noisy near 1
         overlap = np.linalg.svd(U.T @ U_noisy, compute_uv=False)
@@ -467,6 +469,34 @@ def test_adversarial_spsd_is_spsd_and_coherent():
     assert eigs.min() >= -1e-8 * eigs.max()
     top = thin_svd(K).U[:, :1]
     assert basis_coherence(top).gamma > 0.99
+
+
+@pytest.mark.parametrize("n, inner_dim", [(400, 12), (301, 7), (200, None)])
+def test_adversarial_spsd_has_the_symmetrized_bits(n, inner_dim):
+    # The build once symmetrized K as (GᵀG + (GᵀG)ᵀ)/2 and copied it to
+    # column-major order. GᵀG is exactly symmetric as numpy forms it, so
+    # the one product gives the same bits.
+    G = SplitMix64(5).normal_matrix(n if inner_dim is None else inner_dim, n)
+    K = G.T @ G
+    K = (K + K.T) / 2.0
+    K[0, 0] = 1e3 * float(np.max(np.diagonal(K)))
+    built = adversarial_spsd(n, seed=5, inner_dim=inner_dim)
+    assert np.array_equal(built, np.asfortranarray(K))
+    assert np.array_equal(built, built.T)
+    assert built.flags.f_contiguous
+
+
+def test_adversarial_spsd_holds_g_and_one_n_by_n_matrix():
+    # Symmetrizing and then copying to column-major order peaked at
+    # 3 n x n arrays.
+    n = 1000
+    tracemalloc.start()
+    try:
+        adversarial_spsd(n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_adversarial_spsd_defeats_excluded_estimation():
