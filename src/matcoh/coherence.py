@@ -36,9 +36,9 @@ exactly low-rank sample delta stays at rounding level, so the fallback
 runs only for a singular value within rounding of the threshold. The
 cost is one O(n L^2) QR per trial plus the
 SVD per size, and O(n l q) to form a q-column basis, which a
-`PrefixFactor` does only when asked. `factor_coherence` reads each
-estimate off its factor, and the experiment hands the same factor to
-`lowrank.column_projection`.
+`PrefixFactor` does only when asked. The experiment reads each
+estimate as `basis_coherence` of its factor's left basis, and hands the
+same factor to `lowrank.column_projection`.
 """
 
 import math
@@ -53,7 +53,6 @@ __all__ = [
     "CoherenceReport",
     "PrefixFactor",
     "basis_coherence",
-    "factor_coherence",
     "estimate_coherence",
     "nested_factors",
     "update_projector",
@@ -158,17 +157,6 @@ class PrefixFactor:
         return self.Q @ self.core.left_basis(rank)
 
 
-def factor_coherence(factor, rank=None) -> CoherenceReport:
-    """Coherence report of a left factor's basis.
-
-    `factor` is a `ThinSVD` or a `PrefixFactor`; its basis is the top
-    min(numerical rank, `rank`) left singular vectors.
-    """
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank parameter must be >= 1, got {rank}")
-    return basis_coherence(factor.left_basis(rank))
-
-
 def estimate_coherence(columns, rank=None) -> CoherenceReport:
     """Coherence report estimated from a column subsample.
 
@@ -179,7 +167,9 @@ def estimate_coherence(columns, rank=None) -> CoherenceReport:
     matters only when the matrix carries noise. An all-zero subsample
     yields the rank-0 report with gamma 0 rather than an error.
     """
-    return factor_coherence(thin_svd(columns), rank)
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank parameter must be >= 1, got {rank}")
+    return basis_coherence(thin_svd(columns).left_basis(rank))
 
 
 def nested_factors(columns, sizes):

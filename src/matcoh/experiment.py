@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .coherence import basis_coherence, factor_coherence, nested_factors
+from .coherence import basis_coherence, nested_factors
 from .kernels import (
     KernelSpec,
     build_kernel,
@@ -419,7 +419,7 @@ def run_experiment(config: ExperimentConfig):
         for l in config.l_values:
             start = time.perf_counter()
             factor = next(factors)
-            report = factor_coherence(factor, r_eff)
+            report = basis_coherence(factor.left_basis(r_eff))
             est_ms = round((time.perf_counter() - start) * 1000)
             common = dict(
                 experiment_id=config.experiment_id, kind=config.kind,

@@ -7,11 +7,12 @@ Matrix Market files. Kernels: linear (x . y), RBF (exp(-||x - y||^2 /
 ((x . y + c)^d with c >= 0), all of which are symmetric positive
 semidefinite by construction.
 
-A `PointDataset` holds its points C-contiguous, so numpy forms the Gram
-matrix P Pᵀ by a symmetric rank-k update and it is exactly symmetric.
-Every later kernel step is elementwise or adds ‖x_i‖² + ‖x_j‖², whose
-bits do not depend on the order of the two terms, so `build_kernel`
-returns an exactly symmetric K with no symmetrization pass.
+A `PointDataset` holds its points as C-contiguous float64, so numpy
+forms the Gram matrix P Pᵀ by a symmetric rank-k update and it is
+exactly symmetric. Every later kernel step is elementwise or adds
+‖x_i‖² + ‖x_j‖², whose bits do not depend on the order of the two
+terms, so `build_kernel` returns an exactly symmetric K with no
+symmetrization pass.
 """
 
 import csv
@@ -40,7 +41,7 @@ KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 # `default_rbf_width` reads at most this many evenly spaced points.
 _MEDIAN_MAX_POINTS = 1000
-# Entries per temporary block of `build_kernel` (0.5 MB of float64).
+# Entries per temporary block of `_squared_distances` (0.5 MB of float64).
 _BUILD_CHUNK = 1 << 16
 
 
@@ -48,8 +49,8 @@ _BUILD_CHUNK = 1 << 16
 class PointDataset:
     """n points with d features each, one point per row.
 
-    Stored C-contiguous and read-only (see the module docstring): a
-    C-ordered array is kept as the same object, any other is copied.
+    Stored as C-contiguous float64, read-only (see the module docstring):
+    such an array is kept as the same object, any other is converted.
     """
 
     points: np.ndarray
@@ -59,19 +60,13 @@ class PointDataset:
         pts = self.points
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"need an n x d point array, got shape {pts.shape}")
-        pts = np.ascontiguousarray(pts)
+        if np.iscomplexobj(pts):
+            raise ValueError(f"dataset points must be real, got dtype {pts.dtype}")
+        pts = np.ascontiguousarray(pts, dtype=np.float64)
         object.__setattr__(self, "points", pts)
         if not np.all(np.isfinite(pts)):
             raise ValueError("dataset contains non-finite values")
         pts.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -194,17 +189,15 @@ def default_rbf_width(dataset: PointDataset) -> float:
     subsample, which keeps the value reproducible without touching any
     random stream.
     """
-    pts = np.asarray(dataset.points, dtype=np.float64)
+    pts = dataset.points
     n = pts.shape[0]
+    if n < 2:
+        raise ValueError("need at least two points for a pairwise distance")
     if n > _MEDIAN_MAX_POINTS:
         idx = np.unique(np.linspace(0, n - 1, _MEDIAN_MAX_POINTS).round().astype(int))
         pts = pts[idx]
-    sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    iu = np.triu_indices(pts.shape[0], k=1)
-    if iu[0].size == 0:
-        raise ValueError("need at least two points for a pairwise distance")
-    med = _median(np.sqrt(np.maximum(d2[iu], 0.0)))
+    d2 = _squared_distances(pts)
+    med = _median(np.sqrt(d2[np.triu_indices(pts.shape[0], k=1)]))
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (duplicate points)")
     return med
@@ -224,27 +217,36 @@ def _median(values: np.ndarray) -> float:
     return float((part[mid - 1] + part[mid]) / 2.0)
 
 
+def _squared_distances(P: np.ndarray) -> np.ndarray:
+    """max(‖x_i‖² + ‖x_j‖² − 2 x_i·x_j, 0) over the rows of C-contiguous P.
+
+    Formed in place in P Pᵀ, with the bits of the whole-array formula;
+    the row sums are formed one block of `_BUILD_CHUNK` entries at a time.
+    """
+    D = P @ P.T
+    n = D.shape[0]
+    sq = np.einsum("ij,ij->i", P, P)
+    D *= 2.0
+    step = max(1, _BUILD_CHUNK // n)
+    for i in range(0, n, step):
+        rows = D[i:i + step]
+        np.subtract(sq[i:i + step, None] + sq, rows, out=rows)
+    np.maximum(D, 0.0, out=D)
+    return D
+
+
 def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     """SPSD kernel matrix K with K_ij = k(x_i, x_j), column-major.
 
-    K is formed in place in the Gram matrix P Pᵀ, with the bits of the
-    whole-array formulas. Only the RBF row sums ‖x_i‖² + ‖x_j‖² need a
-    temporary, one block of about `_BUILD_CHUNK` entries at a time, so
-    the build holds one n x n matrix. The points are C-contiguous, so K
-    is exactly symmetric with no symmetrization pass (see the module
-    docstring) and is returned as its transpose, column-major.
+    K is formed in place in the Gram matrix P Pᵀ (`_squared_distances`
+    for RBF), with the bits of the whole-array formulas, so the build
+    holds one n x n matrix. The points are C-contiguous, so K is exactly
+    symmetric with no symmetrization pass (see the module docstring) and
+    is returned as its transpose, column-major.
     """
     P = dataset.points
-    K = P @ P.T
+    K = _squared_distances(P) if spec.kind == "rbf" else P @ P.T
     if spec.kind == "rbf":
-        n = K.shape[0]
-        sq = np.einsum("ij,ij->i", P, P)
-        K *= 2.0
-        step = max(1, _BUILD_CHUNK // n)
-        for i in range(0, n, step):
-            rows = K[i:i + step]
-            np.subtract(sq[i:i + step, None] + sq, rows, out=rows)
-        np.maximum(K, 0.0, out=K)  # d2
         np.negative(K, out=K)
         K /= 2.0 * spec.rbf_width**2
         np.exp(K, out=K)

@@ -111,9 +111,7 @@ def singular_spectrum(spec: SynthSpec) -> np.ndarray:
 
 
 def _peaked_unit_vector(n: int, multiplier: float) -> np.ndarray:
-    peak = multiplier / math.sqrt(n)
-    if peak > 1.0:
-        raise ValueError(f"multiplier {multiplier} infeasible for n={n}")
+    peak = multiplier / math.sqrt(n)  # at most 1: `SynthSpec` checks it
     v = np.empty(n)
     v[0] = peak
     if n > 1:

@@ -12,7 +12,6 @@ import matcoh.linalg
 from matcoh.coherence import (
     basis_coherence,
     estimate_coherence,
-    factor_coherence,
     nested_factors,
     sample_size_bound,
     update_projector,
@@ -247,7 +246,7 @@ def test_basis_coherence_checks_v_when_u_is_empty():
 def test_nested_coherence_rejects_bad_rank_and_sizes():
     X = np.random.default_rng(3).standard_normal((10, 6))
     with pytest.raises(ValueError, match=r"^rank parameter must be >= 1, got 0$"):
-        [factor_coherence(f, 0) for f in nested_factors(X, [2, 4])]
+        estimate_coherence(X[:, :2], 0)
     for sizes in ([], [3, 2], [2, 2], [0, 3], [3, 7]):
         with pytest.raises(ValueError):
             nested_factors(X, sizes)
@@ -332,7 +331,7 @@ def _prefix_cases(draw):
 @given(_prefix_cases())
 def test_nested_coherence_differential_against_prefix_svd(case):
     X, sizes, rank = case
-    got = [factor_coherence(f, rank) for f in nested_factors(X, sizes)]
+    got = [basis_coherence(f.left_basis(rank)) for f in nested_factors(X, sizes)]
     assert len(got) == len(sizes)
     for l, report in zip(sizes, got):
         want = estimate_coherence(X[:, :l], rank=rank)
@@ -401,7 +400,7 @@ def test_sweep_keeps_a_direction_spread_below_the_threshold_over_many_columns():
     X = np.tile(a[:, None], (1, width))
     X[0, lead:] = c * np.where(np.arange(width - lead) % 2 == 0, 1.0, -1.0)
     sizes = list(range(1, width + 1))
-    got = [factor_coherence(f) for f in nested_factors(X, sizes)]
+    got = [basis_coherence(f.left_basis()) for f in nested_factors(X, sizes)]
     for l, report in zip(sizes, got, strict=True):
         want = estimate_coherence(X[:, :l])
         assert report.rank_used == want.rank_used
@@ -444,4 +443,5 @@ def test_deflated_sweep_of_a_rank_deficient_sample():
     assert {q for _, q, _, _ in steps} == {4}
     for l, factor in zip(sizes, nested_factors(X, sizes), strict=True):
         want = estimate_coherence(X[:, :l])
-        assert factor_coherence(factor).gamma == pytest.approx(want.gamma, abs=1e-12)
+        assert basis_coherence(factor.left_basis()).gamma == pytest.approx(
+            want.gamma, abs=1e-12)

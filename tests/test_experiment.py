@@ -33,7 +33,6 @@ from matcoh.experiment import (
 from matcoh.coherence import (
     basis_coherence,
     estimate_coherence,
-    factor_coherence,
     nested_factors,
 )
 from matcoh.kernels import (
@@ -341,7 +340,7 @@ def test_sweep_factors_each_trial_once(monkeypatch):
     # `nested_factors` gives.
     X = low_rank_matrix(SynthSpec(n=30, m=20, rank=4, seed=5))
     assert [r.gamma_est for r in results] == [
-        factor_coherence(f).gamma for trial in range(3)
+        basis_coherence(f.left_basis()).gamma for trial in range(3)
         for f in nested_factors(
             nested_samples(X, 12, 5 + trial)[-1].submatrix, (3, 8, 12))]
 
@@ -403,6 +402,25 @@ def _kernel_config(tmp_path):
     return ExperimentConfig(kind="coherence_only", experiment_id="k",
                             l_values=(4, 10), data=str(data), kernel="rbf",
                             r_policy="energy")
+
+
+def _kernel_suite_config(tmp_path):
+    # 160 points: the smallest source whose truth the subspace iteration
+    # may take (its block must stay within n/10).
+    data = tmp_path / "suite.csv"
+    save_csv(PointDataset(points=SplitMix64(3).normal_matrix(160, 8),
+                          name="suite"), data)
+    return ExperimentConfig(kind="kernel_suite", experiment_id="s",
+                            l_values=(10, 20, 40), trials=2, data=str(data),
+                            kernel="rbf", r_policy="energy",
+                            energy_fraction=0.999)
+
+
+def _noisy_wide_config(tmp_path):
+    return ExperimentConfig(kind="synth_noisy", experiment_id="v",
+                            l_values=(5, 10, 20), trials=3, n=30, m=400,
+                            rank=5, noise=0.1, r_policy="explicit", r=5,
+                            exclude=(0, 1, 2, 3))
 
 
 @pytest.mark.parametrize("make_config, n, spsd", [
@@ -748,12 +766,29 @@ def test_kernel_suite_emits_method_rows(tmp_path):
             assert s["mean_normalized_error"] is None
 
 
-def test_csv_byte_determinism(tmp_path):
+@pytest.mark.parametrize("make_config, iterates", [
+    (lambda tmp_path: synth_config(), False),
+    (_noisy_wide_config, False),
+    (_kernel_suite_config, True),
+    (_worst_case_config, False),
+    (_wide_config, False),
+], ids=["synth_exact", "synth_noisy", "kernel_suite", "worst_case", "matrix"])
+def test_csv_byte_determinism(tmp_path, monkeypatch, make_config, iterates):
+    # `iterates`: the kernel truth is the subspace iteration's, not eigh's.
+    tops = []
+    real_top = matcoh.experiment._spsd_top
+
+    def top(*args, **kwargs):
+        tops.append(real_top(*args, **kwargs))
+        return tops[-1]
+
+    monkeypatch.setattr(matcoh.experiment, "_spsd_top", top)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    config = synth_config(timing=False)
+    config = dataclasses.replace(make_config(tmp_path), timing=False)
     write_raw_csv(out1, run_experiment(config))
     write_raw_csv(out2, run_experiment(config))
     assert out1.read_bytes() == out2.read_bytes()
+    assert any(t is not None for t in tops) == iterates
 
 
 def test_failed_write_keeps_earlier_csv(tmp_path):
@@ -798,14 +833,17 @@ def test_csv_stable_apart_from_timing(tmp_path):
 
 
 def test_raw_csv_round_trip(tmp_path):
+    # Method rows, the empty cells of estimate rows and wall times all
+    # come back as they were written, field for field.
     out = tmp_path / "raw.csv"
-    results = run_experiment(synth_config(output=str(out)))
-    assert out.exists()
+    results = run_experiment(dataclasses.replace(_kernel_suite_config(tmp_path),
+                                                 output=str(out)))
+    assert {r.method for r in results} == {None, "column_projection", "nystrom"}
+    assert all(r.wall_time_ms is not None for r in results)
     with open(out) as fh:
         header = fh.readline().strip().split(",")
     assert header == RAW_HEADER
-    back = read_raw_csv(out)
-    assert [r.gamma_est for r in back] == [r.gamma_est for r in results]
+    assert read_raw_csv(out) == results
 
 
 def test_summarize_single_trial_std_zero():

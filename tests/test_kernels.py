@@ -251,6 +251,21 @@ def test_point_dataset_stores_its_points_c_contiguous():
         assert np.array_equal(stored, other)
 
 
+@pytest.mark.parametrize("spec", _BUILD_SPECS[:2] + _BUILD_SPECS[4:5],
+                         ids=lambda s: s.kind)
+def test_point_dataset_stores_real_points_as_float64(spec):
+    # Integer and bool points give the kernel of the same points as
+    # floats; complex ones would lose their imaginary parts.
+    points = np.arange(-6, 6).reshape(4, 3)
+    for other in (points, points > 0):
+        got = build_kernel(PointDataset(points=other, name="p"), spec)
+        want = build_kernel(PointDataset(points=other.astype(float), name="f"), spec)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    with pytest.raises(ValueError, match=r"^dataset points must be real, "
+                                         r"got dtype complex128$"):
+        PointDataset(points=points + 1j, name="c")
+
+
 def test_rbf_diagonal_is_one():
     K = build_kernel(cloud(), KernelSpec(kind="rbf", rbf_width=2.0))
     np.testing.assert_allclose(np.diagonal(K), 1.0, atol=1e-14)
@@ -303,15 +318,21 @@ def test_median_width_positive_and_guarded():
         default_rbf_width(dup)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 40])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 40, 500, 1000, 2500])
 def test_median_width_equals_np_median(n):
-    # n (n - 1) / 2 pairs: odd for n = 2, 3, 6, even for n = 4, 5, 8, 40.
+    # n (n - 1) / 2 pairs: odd for n = 2, 3, 6, even for n = 4, 5, 8, 40,
+    # 500 and 1000; several row blocks of the in-place distances from
+    # n = 500. Beyond 1000 points the width is the formula's on 1000
+    # evenly spaced ones.
     pts = cloud(n, d=3, seed=n).points
+    got = default_rbf_width(PointDataset(points=pts, name="c"))
+    if n > 1000:
+        pts = pts[np.linspace(0, n - 1, 1000).round().astype(int)]
+        n = 1000
     sq = np.einsum("ij,ij->i", pts, pts)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     dist = np.sqrt(np.maximum(d2[np.triu_indices(n, k=1)], 0.0))
     want = np.median(dist)
-    got = default_rbf_width(PointDataset(points=pts, name="c"))
     assert np.float64(got).tobytes() == want.tobytes()
 
 
