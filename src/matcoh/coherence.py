@@ -6,7 +6,7 @@ score of a basis U: max_i ||U_(i)||^2, the largest diagonal entry of the
 projector U U^T. A subspace with max leverage near 1 concentrates on a
 few coordinates and is easy to miss when sampling columns; near q/n it
 is spread evenly and column sampling sees it quickly. `basis_coherence`
-checks a basis and reports gamma with the coherences mu, mu0 and mu1.
+checks a basis and reports gamma with the coherences mu and mu0.
 
 `estimate_coherence` is the sampled estimator: take the left singular
 vectors of a column subsample, truncate to min(numerical rank, rank
@@ -68,14 +68,12 @@ RESIDUAL_RTOL = 1e-10
 class CoherenceReport:
     """Coherence statistics of one (possibly truncated) singular basis.
 
-    For an n x q basis U with orthonormal columns, and an m x q V:
+    For an n x q basis U with orthonormal columns:
     - gamma = max_i ||U_(i)||^2, the maximum leverage score, in [q/n, 1];
     - mu = sqrt(n) * max |U_ij|, the entry coherence;
     - mu0 = (n/q) * max_i ||U_(i)||^2, the row coherence, which puts a
       perfectly spread basis at 1 and a basis-aligned one at n/q, so
-      gamma = (q/n) * mu0;
-    - mu1 = sqrt(nm/q) * max |(U V^T)_ij|, the cross coherence, None
-      when no right factor was available.
+      gamma = (q/n) * mu0.
     rank_used is q, the number of basis columns the statistics were
     computed from (0 for an all-zero input, in which case every statistic
     is 0).
@@ -84,7 +82,6 @@ class CoherenceReport:
     gamma: float
     mu: float
     mu0: float
-    mu1: float | None
     rank_used: int
     n: int
 
@@ -103,29 +100,18 @@ class CoherenceReport:
                 raise ValueError("gamma and mu0 disagree")
 
 
-def basis_coherence(U, V=None) -> CoherenceReport:
-    """Full coherence report for an orthonormal basis (and optional pair).
-
-    Each basis is checked for orthonormality once, and V's column count
-    against U's. mu1 is None without V, and 0 for two empty bases.
-    """
+def basis_coherence(U) -> CoherenceReport:
+    """Full coherence report for an orthonormal basis, checked once."""
     U = _checked_basis(U)
     n, q = U.shape
-    if V is not None:
-        V = _checked_basis(V)
-        if V.shape[1] != q:
-            raise ValueError(f"factor column counts differ: {q} vs {V.shape[1]}")
     if q == 0:
-        return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0,
-                               mu1=None if V is None else 0.0, rank_used=0, n=n)
+        return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0, rank_used=0, n=n)
     # Row norms of U, never the n x n projector: O(nq) instead of O(n^2 q).
     g = min(float(np.max(np.einsum("ij,ij->i", U, U))), 1.0)
     return CoherenceReport(
         gamma=g,
         mu=math.sqrt(n) * float(np.max(np.abs(U))),
         mu0=g * (n / q),
-        mu1=None if V is None else (
-            math.sqrt(n * V.shape[0] / q) * float(np.max(np.abs(U @ V.T)))),
         rank_used=q,
         n=n,
     )

@@ -29,7 +29,9 @@ start of a line or after whitespace, so a value such as the path
 field, and one table (`_SOURCES`) lists the keys and the value check of
 each source: a key that the run's source or r_policy would not read, or
 a value its spec rejects, fails when the config is built. All rows go
-to a single fixed-schema CSV so one summarizer serves every kind.
+to a single fixed-schema CSV so one summarizer serves every kind. Its
+columns are `TrialResult`'s fields, in order: the header, the writer
+and the reader all read them from the dataclass.
 """
 
 import csv
@@ -42,7 +44,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args
 
 from .coherence import basis_coherence, nested_factors
 from .kernels import (
@@ -87,12 +89,6 @@ EXPERIMENT_KINDS = (
 
 OUTPUT_DIR_ENV = "MATCOH_OUTPUT_DIR"
 
-RAW_HEADER = [
-    "experiment_id", "kind", "trial", "seed", "l", "r_used",
-    "gamma_true", "gamma_est", "abs_error", "method", "normalized_error",
-    "rng_name", "wall_time_ms",
-]
-
 SUMMARY_HEADER = [
     "experiment_id", "l", "method", "trials",
     "mean_abs_error", "std_abs_error",
@@ -101,7 +97,10 @@ SUMMARY_HEADER = [
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One output row: a coherence estimate, optionally with a method error."""
+    """One raw CSV row: a coherence estimate, optionally with a method error.
+
+    The fields, in order, are the raw columns (`RAW_HEADER`).
+    """
 
     experiment_id: str
     kind: str
@@ -114,14 +113,21 @@ class TrialResult:
     abs_error: float
     method: str | None = None
     normalized_error: float | None = None
+    rng_name: str = RNG_NAME
     wall_time_ms: int | None = None
 
     def __post_init__(self):
+        if self.rng_name != RNG_NAME:
+            raise ValueError(f"rows drawn by rng {self.rng_name!r}, "
+                             f"not {RNG_NAME!r}, cannot be pooled")
         for v in (self.gamma_true, self.gamma_est, self.abs_error):
             if not math.isfinite(v):
                 raise ValueError("result values must be finite")
         if abs(self.abs_error - abs(self.gamma_true - self.gamma_est)) > 1e-15:
             raise ValueError("abs_error does not match |gamma_true - gamma_est|")
+
+
+RAW_HEADER = [f.name for f in fields(TrialResult)]
 
 
 @dataclass(frozen=True)
@@ -492,12 +498,13 @@ def write_raw_csv(path, results):
 
     A failed write leaves an earlier file at `path` intact.
     """
-    _write_csv(path, RAW_HEADER, ([
-        r.experiment_id, r.kind, r.trial, r.seed, r.l, r.r_used,
-        _fmt(r.gamma_true), _fmt(r.gamma_est), _fmt(r.abs_error),
-        r.method or "", _fmt(r.normalized_error),
-        RNG_NAME, _fmt(r.wall_time_ms),
-    ] for r in results))
+    _write_csv(path, RAW_HEADER,
+               ([_fmt(getattr(r, name)) for name in RAW_HEADER] for r in results))
+
+
+# (name, parser, optional) of each raw column; an empty optional cell is None.
+_COLUMNS = [(f.name, (get_args(f.type) or (f.type,))[0], bool(get_args(f.type)))
+            for f in fields(TrialResult)]
 
 
 def read_raw_csv(path):
@@ -516,18 +523,10 @@ def read_raw_csv(path):
             if len(row) != len(RAW_HEADER):
                 raise ValueError(f"{where}: expected "
                                  f"{len(RAW_HEADER)} fields, got {len(row)}")
-            if row[11] != RNG_NAME:
-                raise ValueError(f"{where}: rows drawn by rng {row[11]!r}, "
-                                 f"not {RNG_NAME!r}, cannot be pooled")
             try:
-                results.append(TrialResult(
-                    experiment_id=row[0], kind=row[1], trial=int(row[2]),
-                    seed=int(row[3]), l=int(row[4]), r_used=int(row[5]),
-                    gamma_true=float(row[6]), gamma_est=float(row[7]),
-                    abs_error=float(row[8]), method=row[9] or None,
-                    normalized_error=float(row[10]) if row[10] else None,
-                    wall_time_ms=int(row[12]) if row[12] else None,
-                ))
+                results.append(TrialResult(**{
+                    name: None if optional and not cell else parse(cell)
+                    for (name, parse, optional), cell in zip(_COLUMNS, row)}))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
     return results
@@ -559,13 +558,8 @@ def summarize(results):
         norm_values = [r.normalized_error for r in bucket
                        if r.normalized_error is not None]
         mean_norm, std_norm = _mean_std(norm_values)
-        rows.append({
-            "experiment_id": key[0], "l": key[1], "method": key[2],
-            "trials": len(bucket),
-            "mean_abs_error": mean_abs, "std_abs_error": std_abs,
-            "mean_normalized_error": mean_norm,
-            "std_normalized_error": std_norm,
-        })
+        rows.append(dict(zip(SUMMARY_HEADER, (
+            *key, len(bucket), mean_abs, std_abs, mean_norm, std_norm))))
     return rows
 
 

@@ -26,7 +26,11 @@ doubles. The helper gives up (None, and the caller takes the dense
 converge within `_TOP_MAX_PASSES`, where the certified gap
 (θ_r − θ_{r+1} − res_{r+1})/θ₁ at the cut is below `_TOP_MIN_GAP` (a
 Ritz basis is only as accurate as residual/gap, Davis and Kahan 1970),
-and where rounding of the total could move the energy cut.
+and where rounding of the total could move the energy cut. Under an
+explicit rank it gives up early, once the r-th residual's contraction
+predicts that it cannot meet the bound in time (see `_spsd_top`), so
+a cut inside an eigenvalue cluster, where that pair contracts by
+λ_{b+1}/λ_r ≈ 1 a pass, does not spend the whole cap before the `eigh`.
 """
 
 from dataclasses import dataclass
@@ -55,11 +59,14 @@ ZERO_SPECTRUM_FLOOR = 1e-12
 # Entries of A per row chunk that `_r_factor` compresses (4 MB of float64).
 _R_CHUNK = 1 << 19
 # `_spsd_top`: the energy policy's start block, the columns carried beyond
-# an explicit rank, the pass cap, the smallest certified relative gap at
-# the cut, and the seed of the fixed start block.
+# an explicit rank, the pass cap, the passes a contraction rate is read
+# over and the factor by which it must miss to decline, the smallest
+# certified relative gap at the cut, and the seed of the fixed start block.
 _TOP_BLOCK = 16
 _TOP_OVERSAMPLE = 8
 _TOP_MAX_PASSES = 50
+_TOP_RATE_PASSES = 3
+_TOP_RATE_MARGIN = 1.5
 _TOP_MIN_GAP = 3e-3
 _TOP_SEED = 0
 
@@ -231,6 +238,19 @@ def _spsd_top(K, rank=None, fraction=None):
     |Δγ| against `eigh` over 87 RBF kernels from 1.8e-14 to 5e-16. The
     (r+1)-th pair need not converge; it enters only the gap. None in
     the cases the module docstring lists, and for a zero K.
+
+    Under `rank`, each pass also reads the r-th residual's mean
+    contraction a pass, over the last `_TOP_RATE_PASSES` passes, both
+    residuals in units of that pass's bound. It declines where that
+    rate would leave the residual above the bound after
+    `_TOP_RATE_MARGIN` times the passes left. Early passes contract
+    slower than later ones, so a one-pass rate, or no margin, declined
+    pairs the full cap converges. Calibration, over 958 explicit-rank
+    cuts of RBF (2- to 16-dimensional points, 0.3 to 3 times the median
+    width), polynomial, `worst_case` and spectral matrices with
+    n = 300 to 1000: no cut the cap converges was declined, and of the
+    384 that spend the whole cap, 351 were declined within 10 passes
+    (median 5).
     """
     from .sampling import SplitMix64  # sampling imports this module
 
@@ -247,7 +267,8 @@ def _spsd_top(K, rank=None, fraction=None):
     rng = SplitMix64(_TOP_SEED)
     start = rng.normal_matrix(n, b)
     settled = False
-    for _ in range(_TOP_MAX_PASSES):
+    history = []  # the r-th residual of each pass, under an explicit rank
+    for passes_left in range(_TOP_MAX_PASSES - 1, -1, -1):
         Q = np.linalg.qr(start)[0]
         Y = K @ Q
         T = Q.T @ Y
@@ -255,8 +276,16 @@ def _spsd_top(K, rank=None, fraction=None):
         U, KU = Q @ S, Y @ S
         s = np.abs(w)
         res = np.linalg.norm(KU - U * w, axis=0)
-        converged = res <= np.sqrt(n) * eps * s[0]
+        tol = np.sqrt(n) * eps * s[0]
+        converged = res <= tol
         c = b if converged.all() else int(np.argmin(converged))
+        if rank is not None:
+            history.append(res[rank - 1] / tol)
+            if len(history) > _TOP_RATE_PASSES and not converged[rank - 1]:
+                rate = (history[-1] / history[-1 - _TOP_RATE_PASSES]) ** (
+                    1.0 / _TOP_RATE_PASSES)
+                if history[-1] * rate ** (_TOP_RATE_MARGIN * passes_left) > 1.0:
+                    return None
         r = rank
         if fraction is not None and c:
             # The (r+1)-th column must stay in the block. r must not move

@@ -54,7 +54,6 @@ class ApproximationResult:
     left: np.ndarray
     right: np.ndarray
     method: str
-    l: int
     frobenius_error: float
     normalized_error: float
 
@@ -84,8 +83,7 @@ def _result(X, left, right, method, sample: ColumnSample) -> ApproximationResult
     else:
         normalized = 0.0 if frob == 0.0 else float("inf")
     return ApproximationResult(left=left, right=right, method=method,
-                               l=sample.size, frobenius_error=frob,
-                               normalized_error=normalized)
+                               frobenius_error=frob, normalized_error=normalized)
 
 
 def _check_sample(X, sample: ColumnSample):

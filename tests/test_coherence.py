@@ -59,33 +59,16 @@ def test_mu_values_spread():
     assert basis_coherence(u).mu == pytest.approx(1.0)
 
 
-def test_mu1_against_entrywise_sum():
-    U = random_basis(16, 4, 0)
-    V = random_basis(16, 4, 1)
-    # independent oracle: accumulate the rank-one products entry by entry
-    T = np.zeros((16, 16))
-    for k in range(4):
-        T += np.outer(U[:, k], V[:, k])
-    expected = math.sqrt(16 * 16 / 4) * np.max(np.abs(T))
-    assert abs(basis_coherence(U, V).mu1 - expected) <= 1e-12
-
-
-def test_mu1_dimension_mismatch():
-    with pytest.raises(ValueError):
-        basis_coherence(random_basis(8, 3, 0), random_basis(8, 2, 1))
-
-
 @pytest.mark.parametrize("n,q,seed", [(20, 1, 0), (20, 5, 1), (30, 12, 2), (15, 15, 3)])
 def test_report_invariants(n, q, seed):
     U = random_basis(n, q, seed)
-    rep = basis_coherence(U, random_basis(n, q, seed + 100))
+    rep = basis_coherence(U)
     assert q / n - 1e-12 <= rep.gamma <= 1.0
     assert rep.mu >= 1.0 - 1e-9
     assert rep.mu0 == rep.gamma * (rep.n / rep.rank_used)
     assert rep.mu**2 / rep.rank_used <= rep.mu0 + 1e-9
     assert rep.mu0 <= rep.mu**2 + 1e-9
     assert 1.0 - 1e-9 <= rep.mu0 <= n / q + 1e-9
-    assert rep.mu1 is not None
 
 
 def test_estimate_full_sample_matches_truth():
@@ -94,7 +77,6 @@ def test_estimate_full_sample_matches_truth():
     truth = basis_coherence(thin_svd(X).left_basis()).gamma
     rep = estimate_coherence(X)
     assert abs(rep.gamma - truth) <= 1e-10
-    assert rep.mu1 is None  # no right factor available from a column sample
 
 
 def test_estimate_zero_columns_is_degenerate_zero():
@@ -218,29 +200,13 @@ def test_basis_coherence_checks_each_basis_once(monkeypatch):
         return real(U)
 
     monkeypatch.setattr(matcoh.linalg, "orthonormality_defect", counting)
-    U, V = random_basis(12, 3, 0), random_basis(9, 3, 1)
-    basis_coherence(U)
+    basis_coherence(random_basis(12, 3, 0))
     assert calls == [(12, 3)]
-    calls.clear()
-    basis_coherence(U, V)
-    assert calls == [(12, 3), (9, 3)]
 
 
 def test_basis_coherence_keeps_public_errors():
     with pytest.raises(ValueError, match="basis columns are not orthonormal"):
         basis_coherence(np.ones((5, 2)))
-    with pytest.raises(ValueError, match="factor column counts differ: 3 vs 2"):
-        basis_coherence(random_basis(8, 3, 0), random_basis(8, 2, 1))
-
-
-def test_basis_coherence_checks_v_when_u_is_empty():
-    empty = np.zeros((5, 0))
-    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
-        basis_coherence(empty, np.ones((4, 3)))
-    with pytest.raises(ValueError, match="factor column counts differ: 0 vs 2"):
-        basis_coherence(empty, random_basis(4, 2, 0))
-    V = np.zeros((4, 0))
-    assert basis_coherence(empty, V).mu1 == 0.0
 
 
 def test_nested_coherence_rejects_bad_rank_and_sizes():
@@ -335,7 +301,7 @@ def test_nested_coherence_differential_against_prefix_svd(case):
     assert len(got) == len(sizes)
     for l, report in zip(sizes, got):
         want = estimate_coherence(X[:, :l], rank=rank)
-        assert (report.rank_used, report.n, report.mu1) == (want.rank_used, want.n, None)
+        assert (report.rank_used, report.n) == (want.rank_used, want.n)
         q = want.rank_used
         if q == 0:
             assert report.gamma == report.mu == 0.0

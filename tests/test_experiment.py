@@ -846,6 +846,36 @@ def test_raw_csv_round_trip(tmp_path):
     assert read_raw_csv(out) == results
 
 
+def test_raw_csv_bytes_are_pinned(tmp_path):
+    # Hand-built rows, so no LAPACK result is involved: an estimate row
+    # without a timing, and method rows with one, holding floats that
+    # need 17 significant digits and an exponent.
+    common = dict(experiment_id="pin", kind="kernel_suite", trial=1, seed=8,
+                  l=3, r_used=2, gamma_true=0.1 + 0.2, gamma_est=1 / 3,
+                  abs_error=abs(0.1 + 0.2 - 1 / 3))
+    rows = [
+        TrialResult(**common, wall_time_ms=None),
+        TrialResult(**common, method="column_projection",
+                    normalized_error=1.2345678901234568e-05, wall_time_ms=0),
+        TrialResult(**common, method="nystrom",
+                    normalized_error=0.1 + 0.7, wall_time_ms=12),
+    ]
+    out = tmp_path / "raw.csv"
+    write_raw_csv(out, rows)
+    assert out.read_bytes() == (
+        b"experiment_id,kind,trial,seed,l,r_used,gamma_true,gamma_est,"
+        b"abs_error,method,normalized_error,rng_name,wall_time_ms\n"
+        b"pin,kernel_suite,1,8,3,2,0.30000000000000004,0.3333333333333333,"
+        b"0.03333333333333327,,,splitmix64,\n"
+        b"pin,kernel_suite,1,8,3,2,0.30000000000000004,0.3333333333333333,"
+        b"0.03333333333333327,column_projection,1.2345678901234568e-05,"
+        b"splitmix64,0\n"
+        b"pin,kernel_suite,1,8,3,2,0.30000000000000004,0.3333333333333333,"
+        b"0.03333333333333327,nystrom,0.7999999999999999,splitmix64,12\n"
+    )
+    assert read_raw_csv(out) == rows
+
+
 def test_summarize_single_trial_std_zero():
     rows = run_experiment(synth_config(trials=1))
     summary = summarize(rows)

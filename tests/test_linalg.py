@@ -416,3 +416,27 @@ def test_spsd_top_matches_the_dense_eigh_route(n, width_scale, policy):
     assert np.array_equal(again.U, f.U)
     assert np.array_equal(again.singular_values, f.singular_values)
 
+
+
+@pytest.mark.parametrize("n, width_scale", [(300, 0.5), (500, 0.5), (800, 0.7)])
+def test_spsd_top_declines_a_cut_inside_a_cluster_early(monkeypatch, n,
+                                                        width_scale):
+    # r = 10 cuts the cluster of the RBF kernel's quadratic-order
+    # eigenvalues, where the 10th pair contracts by about 0.8 a pass.
+    K = _rbf_kernel(n, width_scale)
+    passes = []
+    qr = np.linalg.qr  # one QR of the block a pass
+
+    def counting_qr(*args, **kwargs):
+        passes.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    assert _spsd_top(K, rank=10) is None
+    assert len(passes) <= 10
+    # Without the early decline, the whole cap runs and declines too.
+    passes.clear()
+    monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
+                        matcoh.linalg._TOP_MAX_PASSES)
+    assert _spsd_top(K, rank=10) is None
+    assert len(passes) == matcoh.linalg._TOP_MAX_PASSES
