@@ -8,7 +8,10 @@ here so that the higher-level modules agree on one set of tolerances.
 `left_svd`, for the coherence truth, routes by structure: `eigh` if
 SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`. The R factor
 of a tall matrix, here and in the noisy synthetic build, comes from
-`_r_factor`, which compresses row chunks and copies no full-size block.
+`_r_factor`, which copies no full-size block: the rows below a top
+block of twice the width enter through the Cholesky factor of their
+Gram where a condition-number certificate holds, and through a fold of
+row chunks' QRs elsewhere.
 `spsd_pinv_factor`, the package's one pseudoinverse, takes the same
 `eigh` route and keeps the result factored.
 
@@ -26,11 +29,12 @@ doubles. The helper gives up (None, and the caller takes the dense
 converge within `_TOP_MAX_PASSES`, where the certified gap
 (θ_r − θ_{r+1} − res_{r+1})/θ₁ at the cut is below `_TOP_MIN_GAP` (a
 Ritz basis is only as accurate as residual/gap, Davis and Kahan 1970),
-and where rounding of the total could move the energy cut. Under an
-explicit rank it gives up early, once the r-th residual's contraction
-predicts that it cannot meet the bound in time (see `_spsd_top`), so
-a cut inside an eigenvalue cluster, where that pair contracts by
-λ_{b+1}/λ_r ≈ 1 a pass, does not spend the whole cap before the `eigh`.
+and where rounding of the total could move the energy cut. It gives
+up early, once the contraction of the residual it waits for (the r-th,
+or the one at the energy rank all Ritz values give) predicts that it
+cannot meet the bound in time (see `_spsd_top`), so a cut inside an
+eigenvalue cluster, where that pair contracts by λ_{b+1}/λ_r ≈ 1 a
+pass, does not spend the whole cap before the `eigh`.
 """
 
 from dataclasses import dataclass
@@ -56,8 +60,14 @@ __all__ = [
 ORTHONORMAL_TOL = 1e-10
 # Absolute rank-threshold floor used when the whole spectrum is zero.
 ZERO_SPECTRUM_FLOOR = 1e-12
-# Entries of A per row chunk that `_r_factor` compresses (4 MB of float64).
+# Entries of A per row chunk that `_r_factor` compresses (4 MB of float64),
+# the largest condition number of the Gram matrix (unit diagonal) of the
+# rows below its top block for which it takes their Cholesky factor, and,
+# per row, the smallest squared column norm it takes: below it, products
+# that underflow could move that Gram by more than eps of itself.
 _R_CHUNK = 1 << 19
+_R_MAX_GRAM_COND = 100.0
+_R_MIN_SQUARE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # `_spsd_top`: the energy policy's start block, the columns carried beyond
 # an explicit rank, the pass cap, the passes a contraction rate is read
 # over and the factor by which it must miss to decline, the smallest
@@ -168,8 +178,10 @@ def left_svd(X, spsd=False) -> ThinSVD:
 
     `spsd` declares X symmetric positive semidefinite, untested: `eigh`,
     ordered by descending |eigenvalue| (stable sort). A wide X takes the
-    SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982), with R taken from row
-    chunks of Xᵀ (`_r_factor`). The rank threshold is X's.
+    SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982), with R taken from the
+    Gram of Xᵀ's rows below the top 2n where it is well-conditioned, and
+    from row chunks of Xᵀ elsewhere (`_r_factor`). The rank threshold is
+    X's.
     """
     X = as_dense(X)
     if spsd:
@@ -196,18 +208,56 @@ def _r_factor(A) -> np.ndarray:
     Householder QR takes every pivot from A's top k rows, and an
     orthogonal map of the rows below changes neither those pivots nor
     the norms below them. So R, its diagonal signs included, is the R of
-    A[:k] stacked on any R of A[k:] (TSQR; Demmel, Grigori, Hoemmen and
-    Langou 2012). The rows below are compressed one chunk of about
-    `_R_CHUNK` entries at a time, and the chunks' R factors are folded
-    into one once they pass a chunk's height. No QR sees more than
-    chunk + k rows, so the temporaries stay O(chunk) whatever m is, and
-    no full-size copy of A is made. An A of at most one chunk below its
-    top k rows takes the one QR.
+    A's top rows stacked on any R of the rows below (TSQR; Demmel,
+    Grigori, Hoemmen and Langou 2012). An A of at most one chunk of
+    about `_R_CHUNK` entries below its top k rows takes the one QR.
+
+    A taller A takes the R of its rows below the top 2k from the
+    Cholesky factor of their Gram matrix (CholeskyQR): one BLAS-3
+    product over the rows in place, at half a QR's flops, then one QR of
+    the top rows stacked on that factor. Its error grows like eps·κ², κ
+    the condition number of those rows with unit columns (Yamamoto,
+    Nakatsukasa, Yanagisawa and Fukaya 2015), so it is taken only where
+    a certificate holds: every column's squares neither vanish,
+    underflow nor overflow, and κ², read off `eigvalsh` of the k x k
+    Gram scaled to a unit diagonal, is at most `_R_MAX_GRAM_COND`. Over
+    random, column-scaled and nearly parallel columns, R's largest error
+    was then 0.04 of the m·eps·‖A‖₂ bound the tests hold it to (0.8 at
+    κ² = 5000).
+
+    The top block has 2k rows, not k, and the factor is taken before
+    the certificate, for memory alone: both set where glibc places the
+    final QR's few-MB temporaries. With them, those stay on its heap
+    below R, the noisy build's triangular solve reuses them, and glibc
+    trims the heap once both are freed, as it did the chunk fold's.
+    Peak RSS of a noisy_wide run (glibc 2.36): 86.1 MB with the fold,
+    86.7 MB as here, 89.3 MB with the certificate first and 91.5 MB
+    with a top block of k rows.
+
+    Elsewhere (rank-deficient or ill-conditioned rows below, or a column
+    that fails the scale test) the rows below row k are compressed one
+    chunk at a time, and the chunks' R factors are folded into one once
+    they pass a chunk's height. Either way no QR sees more than
+    max(3k, chunk + k) rows, so the temporaries stay O(chunk) whatever
+    m is, and no full-size copy of A is made.
     """
     m, k = A.shape
     step = max(k, _R_CHUNK // k)
     if m <= k + step:
         return np.linalg.qr(A, mode="r")
+    below = A[2 * k:]
+    with np.errstate(over="ignore"):
+        gram = below.T @ below  # one SYRK over the view, no copy
+    d, w = np.sqrt(np.diagonal(gram)), None
+    # A zero column, or one whose squares underflow or overflow, fails.
+    if np.all((d * d > m * _R_MIN_SQUARE) & (d < np.inf)):
+        try:  # the factor before the certificate: see the docstring
+            C = np.linalg.cholesky(gram)
+            w = np.linalg.eigvalsh(gram / d / d[:, None])
+        except np.linalg.LinAlgError:  # not numerically positive definite
+            pass
+    if w is not None and w[0] * _R_MAX_GRAM_COND >= w[-1]:
+        return np.linalg.qr(np.vstack([A[:2 * k], C.T]), mode="r")
     stack = []  # R factors of at most k rows each
     for i in range(k, m, step):
         stack.append(np.linalg.qr(A[i:i + step], mode="r"))
@@ -239,17 +289,22 @@ def _spsd_top(K, rank=None, fraction=None):
     (r+1)-th pair need not converge; it enters only the gap. None in
     the cases the module docstring lists, and for a zero K.
 
-    Under `rank`, each pass also reads the r-th residual's mean
-    contraction a pass, over the last `_TOP_RATE_PASSES` passes, both
-    residuals in units of that pass's bound. It declines where that
-    rate would leave the residual above the bound after
-    `_TOP_RATE_MARGIN` times the passes left. Early passes contract
-    slower than later ones, so a one-pass rate, or no margin, declined
-    pairs the full cap converges. Calibration, over 958 explicit-rank
-    cuts of RBF (2- to 16-dimensional points, 0.3 to 3 times the median
-    width), polynomial, `worst_case` and spectral matrices with
-    n = 300 to 1000: no cut the cap converges was declined, and of the
-    384 that spend the whole cap, 351 were declined within 10 passes
+    Each pass also reads the mean contraction a pass of one watched
+    pair's residual, over the last `_TOP_RATE_PASSES` passes that watched
+    the same pair with the same b, both residuals in units of that
+    pass's bound. It watches the r-th pair, or, while an energy rank
+    cannot be read yet, the pair at the energy rank of all b − 1 leading
+    Ritz values (the (b − 1)-th where they fall short). Ritz values of an
+    SPSD K lie below its eigenvalues, so that pair is the r-th or a
+    later one. It declines where that rate would leave the residual above
+    the bound after `_TOP_RATE_MARGIN` times the passes left. Early
+    passes contract slower than later ones, so a one-pass rate, or no
+    margin, declined pairs the full cap converges. Calibration, over
+    958 explicit-rank and 420 energy cuts of RBF (2- to 16-dimensional
+    points, 0.3 to 3 times the median width), polynomial, `worst_case`
+    and spectral matrices with n = 300 to 1000: no cut the cap converges
+    was declined, and of the cuts that spend the whole cap, 351 of 384
+    explicit and 128 of 145 energy ones were declined within 10 passes
     (median 5).
     """
     from .sampling import SplitMix64  # sampling imports this module
@@ -267,7 +322,7 @@ def _spsd_top(K, rank=None, fraction=None):
     rng = SplitMix64(_TOP_SEED)
     start = rng.normal_matrix(n, b)
     settled = False
-    history = []  # the r-th residual of each pass, under an explicit rank
+    watched, history = None, []  # (pair, b) and its residual each pass
     for passes_left in range(_TOP_MAX_PASSES - 1, -1, -1):
         Q = np.linalg.qr(start)[0]
         Y = K @ Q
@@ -279,13 +334,6 @@ def _spsd_top(K, rank=None, fraction=None):
         tol = np.sqrt(n) * eps * s[0]
         converged = res <= tol
         c = b if converged.all() else int(np.argmin(converged))
-        if rank is not None:
-            history.append(res[rank - 1] / tol)
-            if len(history) > _TOP_RATE_PASSES and not converged[rank - 1]:
-                rate = (history[-1] / history[-1 - _TOP_RATE_PASSES]) ** (
-                    1.0 / _TOP_RATE_PASSES)
-                if history[-1] * rate ** (_TOP_RATE_MARGIN * passes_left) > 1.0:
-                    return None
         r = rank
         if fraction is not None and c:
             # The (r+1)-th column must stay in the block. r must not move
@@ -302,6 +350,16 @@ def _spsd_top(K, rank=None, fraction=None):
                     return None
                 start = np.hstack([KU, rng.normal_matrix(n, b // 2)])
                 continue
+        # The watched pair (see the docstring); r is None or at least 1.
+        j = (r or _energy_rank(s[:b - 1], fraction, total) or b - 1) - 1
+        if watched != (j, b):
+            watched, history = (j, b), []
+        history.append(res[j] / tol)
+        if len(history) > _TOP_RATE_PASSES and not converged[j]:
+            rate = (history[-1] / history[-1 - _TOP_RATE_PASSES]) ** (
+                1.0 / _TOP_RATE_PASSES)
+            if history[-1] * rate ** (_TOP_RATE_MARGIN * passes_left) > 1.0:
+                return None
         if r is not None and r <= c and r < b:
             if settled:
                 if not s[r - 1] - s[r] - res[r] > _TOP_MIN_GAP * s[0]:

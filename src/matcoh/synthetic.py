@@ -28,11 +28,13 @@ condition number 1.1e5.
 
 The build touches each large array once. G is drawn straight into the
 column-major [V | G] buffer, a chunk of normals at a time. R is taken
-from row chunks of [V | G] (`linalg._r_factor`), so no QR copies the
-m x k block, and X is formed column-major from column blocks of the
-product, on the exact path as on the noisy one. No full-size block of
-random draws, no copy of [V | G] and no C-ordered copy of X is made:
-at the peak, [V | G] and X are the only arrays of X's size.
+from the Gram of [V | G]'s rows below its top 2k, or from row chunks
+where that Gram is ill-conditioned (`linalg._r_factor`), so no QR
+copies the m x k block, and X is formed column-major from column
+blocks of the product, on the exact path as on the noisy one. No
+full-size block of random draws, no copy of [V | G] and no C-ordered
+copy of X is made: at the peak, [V | G] and X are the only arrays of
+X's size.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -230,9 +232,11 @@ def _completed_product(left: np.ndarray, V: np.ndarray, rng: SplitMix64):
     form from the same draw: Q[:, r:] of the QR of block = [V | G], that
     is block @ inv(R)[:, r:]. The k x k triangular R alone applies it:
     inv(R)[:, r:] is folded into the n x k left factor, and no m x k Q
-    is formed. R, with the one QR's diagonal signs, comes from row
-    chunks of the block, so no QR copies it either; R then differs from
-    the one QR's by rounding, and X by about 1e-16 of max|X|.
+    is formed. R, with the one QR's diagonal signs, comes from
+    `_r_factor`: the Cholesky factor of the Gram of the rows below the
+    block's top 2k, or row chunks, so no QR copies the block either; R
+    then differs from the one QR's by rounding, and X by about 1e-16 of
+    max|X|.
     """
     r = V.shape[1]
     k = left.shape[1]

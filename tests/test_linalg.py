@@ -362,6 +362,78 @@ def test_r_factor_matches_one_qr(monkeypatch, k, r, chunks, seed):
     assert np.max(np.abs(R - want)) <= bound
 
 
+def _r_mode_qr_shapes(monkeypatch):
+    """Shapes of the matrices `np.linalg.qr(..., mode="r")` factors from
+    here on."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        if mode == "r":
+            shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return shapes
+
+
+def _rows_below_at_gram_cond(rng, rows, k, cond):
+    """rows x k matrix whose Gram, scaled to a unit diagonal, has condition
+    number `cond`: orthonormal columns, the second turned toward the first
+    (cosine c, eigenvalues 1 ± c), each then scaled by its own factor."""
+    Q = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+    c = (cond - 1) / (cond + 1)
+    Q[:, 1] = c * Q[:, 0] + np.sqrt(1 - c * c) * Q[:, 1]
+    return Q * np.geomspace(1.0, 1e3, k)
+
+
+_BOUND = matcoh.linalg._R_MAX_GRAM_COND
+
+
+@pytest.mark.parametrize("case, certified", [
+    ("well conditioned", True),
+    ("scaled columns, just below the bound", True),
+    ("zero column below the top block", False),
+    ("rank-deficient rows below the top block", False),
+    ("just above the bound", False),
+    ("Gram overflows", False),
+    ("Gram underflows", False),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_r_factor_routes(monkeypatch, case, certified, seed):
+    # The rows below the top 2k enter through the Cholesky factor of their
+    # Gram only where its certificate holds; every other case takes the
+    # chunk fold. Either way R is the one QR's, to rounding.
+    k, m = 6, 200
+    monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", 8 * k)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, k))
+    below = A[2 * k:]
+    if case == "scaled columns, just below the bound":
+        below[:] = _rows_below_at_gram_cond(rng, m - 2 * k, k, 0.99 * _BOUND)
+    elif case == "zero column below the top block":
+        below[:, 2] = 0.0
+    elif case == "rank-deficient rows below the top block":
+        below[:] = (rng.standard_normal((m - 2 * k, k - 2))
+                    @ rng.standard_normal((k - 2, k)))
+    elif case == "just above the bound":
+        below[:] = _rows_below_at_gram_cond(rng, m - 2 * k, k, 1.01 * _BOUND)
+    elif case == "Gram overflows":
+        A *= 1e160
+    elif case == "Gram underflows":
+        A *= 1e-150
+    A = np.asfortranarray(A)
+    shapes = _r_mode_qr_shapes(monkeypatch)
+    R = matcoh.linalg._r_factor(A)
+    # The Cholesky route ends in one QR of the top rows on the factor;
+    # the fold takes one QR per chunk.
+    assert (shapes == [(3 * k, k)]) == certified, shapes
+    want = np.linalg.qr(A, mode="r")
+    np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
+    bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
+    assert np.max(np.abs(R - want)) <= bound
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_left_svd_of_a_rank_deficient_wide_matrix_from_row_chunks(monkeypatch, seed):
     n, m, q = 12, 300, 5
@@ -377,10 +449,11 @@ def test_left_svd_of_a_rank_deficient_wide_matrix_from_row_chunks(monkeypatch, s
     assert f.numerical_rank == numerical_rank(want, X.shape) == q
 
 
-def _rbf_kernel(n, width_scale):
-    """RBF kernel of n 8-dimensional Gaussian points, its width a multiple
-    of the median pairwise distance."""
-    dataset = PointDataset(points=SplitMix64(n).normal_matrix(n, 8), name="rbf")
+def _rbf_kernel(n, width_scale, seed=None):
+    """RBF kernel of n 8-dimensional Gaussian points (seed n by default),
+    its width a multiple of the median pairwise distance."""
+    points = SplitMix64(n if seed is None else seed).normal_matrix(n, 8)
+    dataset = PointDataset(points=points, name="rbf")
     width = width_scale * default_rbf_width(dataset)
     return as_dense(build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=width)))
 
@@ -439,4 +512,31 @@ def test_spsd_top_declines_a_cut_inside_a_cluster_early(monkeypatch, n,
     monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
                         matcoh.linalg._TOP_MAX_PASSES)
     assert _spsd_top(K, rank=10) is None
+    assert len(passes) == matcoh.linalg._TOP_MAX_PASSES
+
+
+@pytest.mark.parametrize("seed", [301, 302, 303])
+def test_spsd_top_declines_an_energy_cut_past_the_block_early(monkeypatch, seed):
+    # At 0.5 times the median width, 0.99 of the energy needs 39
+    # eigenvalues, well past the 16-column block and inside the cluster of
+    # quadratic-order eigenvalues that starts at the 10th. The energy rank
+    # read from all 15 leading Ritz values is None, so the 15th pair is
+    # watched, and it contracts by about 0.8 a pass.
+    K = _rbf_kernel(300, 0.5, seed)
+    assert spectrum_energy_rank(left_svd(K, spsd=True).singular_values, 0.99) == 39
+    passes = []
+    qr = np.linalg.qr  # one QR of the block a pass
+
+    def counting_qr(*args, **kwargs):
+        passes.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    assert _spsd_top(K, fraction=0.99) is None
+    assert len(passes) <= 10
+    # Without the early decline, the whole cap runs and declines too.
+    passes.clear()
+    monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
+                        matcoh.linalg._TOP_MAX_PASSES)
+    assert _spsd_top(K, fraction=0.99) is None
     assert len(passes) == matcoh.linalg._TOP_MAX_PASSES

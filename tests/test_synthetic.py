@@ -280,31 +280,58 @@ def test_noisy_source_matches_explicit_q_build(spec):
 
 def test_noisy_build_takes_only_r_of_the_wide_block(monkeypatch):
     # V's completion needs only R of the m x k block [V | G], and the wide
-    # truth only R of Xᵀ. Both come from row chunks: no QR forms an m x k
-    # Q, and none sees more than chunk + k rows.
+    # truth only R of Xᵀ. Neither forms an m x k Q, and no QR sees the
+    # whole block: the build's rows below its top 2k enter through the
+    # Cholesky factor of their k x k Gram, and Xᵀ, whose Gram is too
+    # ill-conditioned for that, is compressed in row chunks instead.
     spec = SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1)
     k, step = 30, 40
     monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", step * k)
     calls = []
-    qr = np.linalg.qr
+    qr, cholesky = np.linalg.qr, np.linalg.cholesky
 
-    def spy(a, mode="reduced"):
+    def qr_spy(a, mode="reduced"):
         calls.append((a.shape, mode))
         return qr(a, mode=mode)
 
-    monkeypatch.setattr(np.linalg, "qr", spy)
+    def cholesky_spy(a):
+        calls.append((a.shape, "cholesky"))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
     X = low_rank_source(spec)[0]
     build = list(calls)
     calls.clear()
     left_svd(X)
     # The only m-row Q is V's own m x rank basis, a factor of X.
     assert [shape for shape, mode in build
-            if mode != "r" and shape[0] == spec.m] == [(spec.m, spec.rank)]
+            if mode == "reduced" and shape[0] == spec.m] == [(spec.m, spec.rank)]
+    assert [(shape, mode) for shape, mode in build if mode != "reduced"] == [
+        ((k, k), "cholesky"), ((3 * k, k), "r")]
+    calls = [(shape, mode) for shape, mode in calls if mode != "cholesky"]
     assert all(mode == "r" for _, mode in calls)
-    for seen in (build, calls):
-        rows = [shape[0] for shape, mode in seen if mode == "r"]
-        assert len(rows) > (spec.m - k) // step  # one QR per chunk, at least
-        assert max(rows) <= step + k
+    rows = [shape[0] for shape, _ in calls]
+    assert len(rows) > (spec.m - k) // step  # one QR per chunk, at least
+    assert max(rows) <= step + k
+
+
+def test_noisy_wide_block_takes_the_cholesky_route(monkeypatch):
+    # The benchmark's noisy_wide source: [V | G] is 10 000 x 300, and its
+    # rows below the top 600, scaled to unit columns, have a Gram with
+    # condition number about 2, far inside the certificate's bound. Its
+    # R then comes from one QR of the top 600 rows on the Cholesky factor.
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        if mode == "r":
+            shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    low_rank_source(SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5))
+    assert shapes == [(900, 300)]
 
 
 def _product_operands(monkeypatch, spec):
@@ -371,9 +398,21 @@ print((status("VmHWM") - before) / X.nbytes)
 """
 
 
+def _fresh_process_output(code):
+    """Standard output of `code` run by a fresh, single-threaded Python
+    that imports this checkout's package."""
+    src = str(Path(matcoh.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
 def test_noisy_wide_build_holds_two_source_sized_arrays():
     # The normals are drawn in chunks straight into [V | G], R comes from
-    # row chunks of it, and X is formed a column block at a time: no
+    # the Gram of its rows below the top block (or from row chunks of
+    # it), and X is formed a column block at a time: no
     # full-size uint64 block, no QR copy of [V | G] and no C-ordered copy
     # of X. At the peak, two arrays of X's size are live: [V | G] and X.
     spec = SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5)
@@ -390,14 +429,37 @@ def test_noisy_wide_build_holds_two_source_sized_arrays():
     # of the whole [V | G] holds two copies of it and rises 3.2 X.nbytes.
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status to read the peak RSS from")
-    src = str(Path(matcoh.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD], env=env,
-                         check=True, capture_output=True, text=True, timeout=120)
-    rise = float(out.stdout.split()[-1])
+    rise = float(_fresh_process_output(_PEAK_RSS_CHILD).split()[-1])
     assert rise <= 2.75, rise
+
+
+_WIDE_SVD_RSS_CHILD = """
+import numpy as np
+from matcoh.linalg import left_svd
+
+def status(key):
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) * 1024
+
+left_svd(np.random.default_rng(0).standard_normal((30, 200)))  # warm-up
+X = np.random.default_rng(1).standard_normal((10000, 300)).T  # column-major
+before = status("VmRSS")
+left_svd(X)
+print((status("VmHWM") - before) / X.nbytes)
+"""
+
+
+def test_wide_left_svd_rises_less_than_half_its_matrix():
+    # R of Xᵀ for a well-conditioned 300 x 10 000 X comes from the Gram of
+    # its rows below the top 600 and one 900 x 300 QR, and copies no row
+    # chunk: the peak RSS rises 0.45 X.nbytes, against 1.04 when every
+    # chunk is copied twice by its own QR.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    rise = float(_fresh_process_output(_WIDE_SVD_RSS_CHILD).split()[-1])
+    assert rise <= 0.6, rise
 
 
 def test_structural_rank_can_exceed_numerical_rank():
