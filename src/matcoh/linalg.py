@@ -10,8 +10,9 @@ SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`. The R factor
 of a tall matrix, here and in the noisy synthetic build, comes from
 `_r_factor`, which copies no full-size block: the rows below a top
 block of twice the width enter through the Cholesky factor of their
-Gram where a condition-number certificate holds, and through a fold of
-row chunks' QRs elsewhere.
+Gram where a condition-number certificate holds, first on a head chunk
+of them and then on all, and through a fold of row chunks' QRs
+elsewhere.
 `spsd_pinv_factor`, the package's one pseudoinverse, takes the same
 `eigh` route and keeps the result factored.
 
@@ -37,6 +38,7 @@ eigenvalue cluster, where that pair contracts by λ_{b+1}/λ_r ≈ 1 a
 pass, does not spend the whole cap before the `eigh`.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,12 +141,18 @@ class ThinSVD:
     one from `_spsd_top` only the top r eigenpairs.
     `numerical_rank` is the count of singular values above the rank
     threshold; columns of U and V beyond it carry no spectral information.
+    The arrays are made read-only.
     """
 
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray | None
     numerical_rank: int
+
+    def __post_init__(self):
+        for arr in (self.U, self.singular_values, self.V):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def left_basis(self, rank=None) -> np.ndarray:
         """Leading left singular vectors, truncated to the numerical rank.
@@ -167,10 +175,8 @@ def _thin_svd(X) -> ThinSVD:
         U, s, Vh = np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed on {X.shape} matrix: {exc}") from exc
-    rank = numerical_rank(s, X.shape)
-    for arr in (U, s, Vh):
-        arr.setflags(write=False)
-    return ThinSVD(U=U, singular_values=s, V=Vh.T, numerical_rank=rank)
+    return ThinSVD(U=U, singular_values=s, V=Vh.T,
+                   numerical_rank=numerical_rank(s, X.shape))
 
 
 def left_svd(X, spsd=False) -> ThinSVD:
@@ -196,8 +202,6 @@ def left_svd(X, spsd=False) -> ThinSVD:
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(
                 f"factorization failed on {X.shape} matrix: {exc}") from exc
-    for arr in (U, s):
-        arr.setflags(write=False)
     return ThinSVD(U=U, singular_values=s, V=None,
                    numerical_rank=numerical_rank(s, X.shape))
 
@@ -213,10 +217,10 @@ def _r_factor(A) -> np.ndarray:
     about `_R_CHUNK` entries below its top k rows takes the one QR.
 
     A taller A takes the R of its rows below the top 2k from the
-    Cholesky factor of their Gram matrix (CholeskyQR): one BLAS-3
-    product over the rows in place, at half a QR's flops, then one QR of
-    the top rows stacked on that factor. Its error grows like eps·κ², κ
-    the condition number of those rows with unit columns (Yamamoto,
+    Cholesky factor of their Gram matrix (CholeskyQR): BLAS-3 products
+    over the rows in place, at half a QR's flops, then one QR of the top
+    rows stacked on that factor. Its error grows like eps·κ², κ the
+    condition number of those rows with unit columns (Yamamoto,
     Nakatsukasa, Yanagisawa and Fukaya 2015), so it is taken only where
     a certificate holds: every column's squares neither vanish,
     underflow nor overflow, and κ², read off `eigvalsh` of the k x k
@@ -225,14 +229,24 @@ def _r_factor(A) -> np.ndarray:
     was then 0.04 of the m·eps·‖A‖₂ bound the tests hold it to (0.8 at
     κ² = 5000).
 
-    The top block has 2k rows, not k, and the factor is taken before
-    the certificate, for memory alone: both set where glibc places the
-    final QR's few-MB temporaries. With them, those stay on its heap
-    below R, the noisy build's triangular solve reuses them, and glibc
-    trims the heap once both are freed, as it did the chunk fold's.
-    Peak RSS of a noisy_wide run (glibc 2.36): 86.1 MB with the fold,
-    86.7 MB as here, 89.3 MB with the certificate first and 91.5 MB
-    with a top block of k rows.
+    The certificate is read first off the Gram of a head chunk of
+    max(chunk, 4k) rows below the top block, and only where that holds
+    is the rest added and the whole certified. A low-rank-plus-noise
+    matrix, the kind this package studies, fails at the head, so its
+    fallback pays one chunk's Gram and one `eigvalsh`, not a Gram of
+    all its rows. A head of fewer rows than the whole has the larger κ
+    where the rows are alike (Gaussian rows: κ² ≈ 5.8 at 5.8k rows,
+    2.0 over 9400), so a matrix just inside the bound can fail there and
+    take the fold. 4k rows keep a Gaussian head near κ² = 9.
+
+    The top block has 2k rows, not k, and the whole Gram's factor is
+    taken before its certificate, for memory alone: both set where
+    glibc places the final QR's few-MB temporaries. With them, those
+    stay on its heap below R, the noisy build's triangular solve reuses
+    them, and glibc trims the heap once both are freed, as it did the
+    chunk fold's. Peak RSS of a noisy_wide run (glibc 2.36): 86.1 MB
+    with the fold, 86.8 MB as here, 89.3 MB with the certificate first
+    and 91.5 MB with a top block of k rows.
 
     Elsewhere (rank-deficient or ill-conditioned rows below, or a column
     that fails the scale test) the rows below row k are compressed one
@@ -245,25 +259,35 @@ def _r_factor(A) -> np.ndarray:
     step = max(k, _R_CHUNK // k)
     if m <= k + step:
         return np.linalg.qr(A, mode="r")
-    below = A[2 * k:]
+    below, head = A[2 * k:], max(step, 4 * k)
+    # The head chunk's Gram is certified before the rest is added, and
+    # the factor is taken before the whole is: see the docstring. An
+    # overflow fails the certificate.
     with np.errstate(over="ignore"):
-        gram = below.T @ below  # one SYRK over the view, no copy
-    d, w = np.sqrt(np.diagonal(gram)), None
-    # A zero column, or one whose squares underflow or overflow, fails.
-    if np.all((d * d > m * _R_MIN_SQUARE) & (d < np.inf)):
-        try:  # the factor before the certificate: see the docstring
-            C = np.linalg.cholesky(gram)
-            w = np.linalg.eigvalsh(gram / d / d[:, None])
-        except np.linalg.LinAlgError:  # not numerically positive definite
-            pass
-    if w is not None and w[0] * _R_MAX_GRAM_COND >= w[-1]:
-        return np.linalg.qr(np.vstack([A[:2 * k], C.T]), mode="r")
+        gram = below[:head].T @ below[:head]  # SYRKs over views, no copy
+        if _gram_certified(gram, m):
+            gram += below[head:].T @ below[head:]
+            with suppress(np.linalg.LinAlgError):  # not positive definite
+                C = np.linalg.cholesky(gram)
+                if _gram_certified(gram, m):
+                    return np.linalg.qr(np.vstack([A[:2 * k], C.T]), mode="r")
     stack = []  # R factors of at most k rows each
     for i in range(k, m, step):
         stack.append(np.linalg.qr(A[i:i + step], mode="r"))
         if len(stack) * k > step:
             stack = [np.linalg.qr(np.vstack(stack), mode="r")]
     return np.linalg.qr(np.vstack([A[:k], *stack]), mode="r")
+
+
+def _gram_certified(gram, m) -> bool:
+    """Whether `_r_factor` of an m-row A may take the rows whose Gram
+    matrix is `gram` through its Cholesky factor."""
+    d = np.sqrt(np.diagonal(gram))
+    # A zero column, or one whose squares underflow or overflow, fails.
+    if np.all((d * d > m * _R_MIN_SQUARE) & (d < np.inf)):
+        w = np.linalg.eigvalsh(gram / d / d[:, None])
+        return bool(w[0] * _R_MAX_GRAM_COND >= w[-1])
+    return False
 
 
 def _spsd_top(K, rank=None, fraction=None):
@@ -305,7 +329,10 @@ def _spsd_top(K, rank=None, fraction=None):
     and spectral matrices with n = 300 to 1000: no cut the cap converges
     was declined, and of the cuts that spend the whole cap, 351 of 384
     explicit and 128 of 145 energy ones were declined within 10 passes
-    (median 5).
+    (median 5). Cuts placed next to a drop in the spectrum near the
+    block's last column (n = 200 spectral matrices) can be lost: there
+    5 of 450 energy and 3 of 301 explicit cuts that the cap converges,
+    each after 43 to 50 passes, were declined, and `eigh` took them.
     """
     from .sampling import SplitMix64  # sampling imports this module
 
@@ -365,8 +392,6 @@ def _spsd_top(K, rank=None, fraction=None):
                 if not s[r - 1] - s[r] - res[r] > _TOP_MIN_GAP * s[0]:
                     return None
                 U, s = U[:, :r], s[:r]
-                for arr in (U, s):
-                    arr.setflags(write=False)
                 return r, ThinSVD(U=U, singular_values=s, V=None,
                                   numerical_rank=numerical_rank(s, K.shape))
             settled = True

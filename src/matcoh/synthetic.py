@@ -176,8 +176,6 @@ def low_rank_source(spec: SynthSpec):
         s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
         left, V = _completed_product(U * s, V, rng)
     X = _product(left, V)
-    for arr in (U, s):
-        arr.setflags(write=False)
     return X, ThinSVD(U=U, singular_values=s, V=None,
                       numerical_rank=numerical_rank(s, X.shape))
 

@@ -362,22 +362,7 @@ def test_r_factor_matches_one_qr(monkeypatch, k, r, chunks, seed):
     assert np.max(np.abs(R - want)) <= bound
 
 
-def _r_mode_qr_shapes(monkeypatch):
-    """Shapes of the matrices `np.linalg.qr(..., mode="r")` factors from
-    here on."""
-    shapes = []
-    qr = np.linalg.qr
-
-    def spy(a, mode="reduced"):
-        if mode == "r":
-            shapes.append(a.shape)
-        return qr(a, mode=mode)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    return shapes
-
-
-def _rows_below_at_gram_cond(rng, rows, k, cond):
+def _rows_at_gram_cond(rng, rows, k, cond):
     """rows x k matrix whose Gram, scaled to a unit diagonal, has condition
     number `cond`: orthonormal columns, the second turned toward the first
     (cosine c, eigenvalues 1 ± c), each then scaled by its own factor."""
@@ -390,44 +375,57 @@ def _rows_below_at_gram_cond(rng, rows, k, cond):
 _BOUND = matcoh.linalg._R_MAX_GRAM_COND
 
 
-@pytest.mark.parametrize("case, certified", [
-    ("well conditioned", True),
-    ("scaled columns, just below the bound", True),
-    ("zero column below the top block", False),
-    ("rank-deficient rows below the top block", False),
-    ("just above the bound", False),
-    ("Gram overflows", False),
-    ("Gram underflows", False),
+@pytest.mark.parametrize("case, certified, certificates", [
+    ("well conditioned", True, 2),
+    ("scaled columns, just below the bound", True, 2),
+    ("zero column below the top block", False, 0),
+    ("rank-deficient rows below the top block", False, 1),
+    ("just above the bound", False, 1),
+    ("rows below the head chunk past the bound", False, 2),
+    ("Gram overflows", False, 0),
+    ("Gram underflows", False, 0),
 ])
 @pytest.mark.parametrize("seed", range(3))
-def test_r_factor_routes(monkeypatch, case, certified, seed):
+def test_r_factor_routes(linalg_calls, monkeypatch, case, certified,
+                         certificates, seed):
     # The rows below the top 2k enter through the Cholesky factor of their
-    # Gram only where its certificate holds; every other case takes the
-    # chunk fold. Either way R is the one QR's, to rounding.
+    # Gram only where its certificate holds, read first off the Gram of
+    # the head chunk below the top block and then off the whole; every
+    # other case takes the chunk fold. A column that fails the scale test
+    # fails before any condition number is read, and a head chunk that
+    # fails leaves the rest out. Either way R is the one QR's, to rounding.
     k, m = 6, 200
     monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", 8 * k)
+    head = 4 * k  # max(chunk of 8 rows, 4k)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, k))
     below = A[2 * k:]
-    if case == "scaled columns, just below the bound":
-        below[:] = _rows_below_at_gram_cond(rng, m - 2 * k, k, 0.99 * _BOUND)
+    if case in ("scaled columns, just below the bound", "just above the bound"):
+        # The head chunk and the rest share a Gram, so each has the same
+        # condition number, and so does their sum.
+        cond = (0.99 if certified else 1.01) * _BOUND
+        for rows in (below[:head], below[head:]):
+            rows[:] = _rows_at_gram_cond(rng, len(rows), k, cond)
     elif case == "zero column below the top block":
         below[:, 2] = 0.0
     elif case == "rank-deficient rows below the top block":
         below[:] = (rng.standard_normal((m - 2 * k, k - 2))
                     @ rng.standard_normal((k - 2, k)))
-    elif case == "just above the bound":
-        below[:] = _rows_below_at_gram_cond(rng, m - 2 * k, k, 1.01 * _BOUND)
+    elif case == "rows below the head chunk past the bound":
+        rest = below[head:]
+        rest[:] = 1e3 * _rows_at_gram_cond(rng, len(rest), k, 10 * _BOUND)
     elif case == "Gram overflows":
         A *= 1e160
     elif case == "Gram underflows":
         A *= 1e-150
     A = np.asfortranarray(A)
-    shapes = _r_mode_qr_shapes(monkeypatch)
+    linalg_calls.clear()
     R = matcoh.linalg._r_factor(A)
     # The Cholesky route ends in one QR of the top rows on the factor;
     # the fold takes one QR per chunk.
+    shapes = [shape for f, shape, mode in linalg_calls if mode == "r"]
     assert (shapes == [(3 * k, k)]) == certified, shapes
+    assert sum(f == "eigvalsh" for f, _, _ in linalg_calls) == certificates
     want = np.linalg.qr(A, mode="r")
     np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
     bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
@@ -516,7 +514,8 @@ def test_spsd_top_declines_a_cut_inside_a_cluster_early(monkeypatch, n,
 
 
 @pytest.mark.parametrize("seed", [301, 302, 303])
-def test_spsd_top_declines_an_energy_cut_past_the_block_early(monkeypatch, seed):
+def test_spsd_top_declines_an_energy_cut_past_the_block_early(linalg_calls,
+                                                              monkeypatch, seed):
     # At 0.5 times the median width, 0.99 of the energy needs 39
     # eigenvalues, well past the 16-column block and inside the cluster of
     # quadratic-order eigenvalues that starts at the 10th. The energy rank
@@ -524,19 +523,37 @@ def test_spsd_top_declines_an_energy_cut_past_the_block_early(monkeypatch, seed)
     # watched, and it contracts by about 0.8 a pass.
     K = _rbf_kernel(300, 0.5, seed)
     assert spectrum_energy_rank(left_svd(K, spsd=True).singular_values, 0.99) == 39
-    passes = []
-    qr = np.linalg.qr  # one QR of the block a pass
-
-    def counting_qr(*args, **kwargs):
-        passes.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    linalg_calls.clear()  # one QR of the block a pass
     assert _spsd_top(K, fraction=0.99) is None
-    assert len(passes) <= 10
+    assert len(linalg_calls) <= 10
     # Without the early decline, the whole cap runs and declines too.
-    passes.clear()
+    linalg_calls.clear()
     monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
                         matcoh.linalg._TOP_MAX_PASSES)
     assert _spsd_top(K, fraction=0.99) is None
-    assert len(passes) == matcoh.linalg._TOP_MAX_PASSES
+    assert len(linalg_calls) == matcoh.linalg._TOP_MAX_PASSES
+
+
+def test_spsd_top_takes_a_late_energy_cut_while_a_later_pair_is_watched(
+        linalg_calls, monkeypatch):
+    # Eigenvalues 0.99^i up to i = 15, then a drop by 0.3: 0.8506 of the
+    # energy needs 14. While r cannot be read, the energy rank of all 15
+    # leading Ritz values, which lie below the eigenvalues, picks the 15th
+    # pair, and the rate it declines by is read off that pair for two
+    # passes. The iteration takes the cut after 29 passes, with the bits
+    # it has without the early decline.
+    n = 200
+    U = np.linalg.qr(SplitMix64(n).normal_matrix(n, n))[0]
+    lam = np.r_[0.99 ** np.arange(16), 0.3 * 0.99 ** 16 * 0.95 ** np.arange(n - 16)]
+    K = as_dense((U * lam) @ U.T)
+    K = (K + K.T) / 2
+    assert spectrum_energy_rank(lam, 0.850574) == 14
+    linalg_calls.clear()  # one QR of the block a pass
+    r, f = _spsd_top(K, fraction=0.850574)
+    assert r == 14 and len(linalg_calls) > 10
+    monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
+                        matcoh.linalg._TOP_MAX_PASSES)
+    r_all, f_all = _spsd_top(K, fraction=0.850574)
+    assert r_all == r
+    assert np.array_equal(f_all.U, f.U)
+    assert np.array_equal(f_all.singular_values, f.singular_values)

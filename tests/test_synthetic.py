@@ -278,60 +278,30 @@ def test_noisy_source_matches_explicit_q_build(spec):
     assert np.max(np.abs(gram - np.diag(f.singular_values ** 2))) <= tol * s1 * s1
 
 
-def test_noisy_build_takes_only_r_of_the_wide_block(monkeypatch):
+def test_noisy_build_takes_only_r_of_the_wide_block(linalg_calls, monkeypatch):
     # V's completion needs only R of the m x k block [V | G], and the wide
     # truth only R of Xᵀ. Neither forms an m x k Q, and no QR sees the
     # whole block: the build's rows below its top 2k enter through the
-    # Cholesky factor of their k x k Gram, and Xᵀ, whose Gram is too
-    # ill-conditioned for that, is compressed in row chunks instead.
+    # Cholesky factor of their k x k Gram, and Xᵀ, whose head chunk below
+    # the top block already fails the Gram's certificate, is compressed in
+    # row chunks instead, with no Gram of the rest and no Cholesky factor.
     spec = SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1)
     k, step = 30, 40
     monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", step * k)
-    calls = []
-    qr, cholesky = np.linalg.qr, np.linalg.cholesky
-
-    def qr_spy(a, mode="reduced"):
-        calls.append((a.shape, mode))
-        return qr(a, mode=mode)
-
-    def cholesky_spy(a):
-        calls.append((a.shape, "cholesky"))
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "qr", qr_spy)
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
     X = low_rank_source(spec)[0]
-    build = list(calls)
-    calls.clear()
+    build = list(linalg_calls)
+    linalg_calls.clear()
     left_svd(X)
     # The only m-row Q is V's own m x rank basis, a factor of X.
-    assert [shape for shape, mode in build
-            if mode == "reduced" and shape[0] == spec.m] == [(spec.m, spec.rank)]
-    assert [(shape, mode) for shape, mode in build if mode != "reduced"] == [
-        ((k, k), "cholesky"), ((3 * k, k), "r")]
-    calls = [(shape, mode) for shape, mode in calls if mode != "cholesky"]
-    assert all(mode == "r" for _, mode in calls)
-    rows = [shape[0] for shape, _ in calls]
+    assert [shape for f, shape, mode in build if f == "qr" and mode != "r"
+            and shape[0] == spec.m] == [(spec.m, spec.rank)]
+    assert [(f, shape) for f, shape, mode in build
+            if f == "cholesky" or mode == "r"] == [("cholesky", (k, k)), ("qr", (3 * k, k))]
+    assert [f for f, _, _ in linalg_calls if f != "qr"] == ["eigvalsh"]
+    assert all(mode == "r" for f, _, mode in linalg_calls if f == "qr")
+    rows = [shape[0] for f, shape, _ in linalg_calls if f == "qr"]
     assert len(rows) > (spec.m - k) // step  # one QR per chunk, at least
     assert max(rows) <= step + k
-
-
-def test_noisy_wide_block_takes_the_cholesky_route(monkeypatch):
-    # The benchmark's noisy_wide source: [V | G] is 10 000 x 300, and its
-    # rows below the top 600, scaled to unit columns, have a Gram with
-    # condition number about 2, far inside the certificate's bound. Its
-    # R then comes from one QR of the top 600 rows on the Cholesky factor.
-    shapes = []
-    qr = np.linalg.qr
-
-    def spy(a, mode="reduced"):
-        if mode == "r":
-            shapes.append(a.shape)
-        return qr(a, mode=mode)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    low_rank_source(SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5))
-    assert shapes == [(900, 300)]
 
 
 def _product_operands(monkeypatch, spec):
@@ -409,12 +379,12 @@ def _fresh_process_output(code):
                           capture_output=True, text=True, timeout=120).stdout
 
 
-def test_noisy_wide_build_holds_two_source_sized_arrays():
+def test_noisy_wide_build_holds_two_source_sized_arrays(linalg_calls):
     # The normals are drawn in chunks straight into [V | G], R comes from
-    # the Gram of its rows below the top block (or from row chunks of
-    # it), and X is formed a column block at a time: no
-    # full-size uint64 block, no QR copy of [V | G] and no C-ordered copy
-    # of X. At the peak, two arrays of X's size are live: [V | G] and X.
+    # the Gram of its rows below the top block, and X is formed a column
+    # block at a time: no full-size uint64 block, no QR copy of [V | G]
+    # and no C-ordered copy of X. At the peak, two arrays of X's size are
+    # live: [V | G] and X.
     spec = SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5)
     tracemalloc.start()
     try:
@@ -422,6 +392,11 @@ def test_noisy_wide_build_holds_two_source_sized_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # The benchmark's noisy_wide source: [V | G] is 10 000 x 300, and its
+    # rows below the top 600, scaled to unit columns, have a Gram with
+    # condition number about 2, far inside the certificate's bound. Its
+    # R comes from one QR of the top 600 rows on the Cholesky factor.
+    assert [shape for _, shape, mode in linalg_calls if mode == "r"] == [(900, 300)]
     # A full-size uint64 block (10 000 x 280 draws) is 0.93 X.nbytes.
     assert peak <= 2.25 * X.nbytes, peak / X.nbytes
     # tracemalloc misses LAPACK's buffers, so the same build runs again in
