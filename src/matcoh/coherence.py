@@ -33,12 +33,23 @@ the prefix's: that size factors R[:k, :l] instead and delta restarts
 there. A direction below the threshold in every new column but above
 it over many is thus kept where the prefix's SVD keeps it. On an
 exactly low-rank sample delta stays at rounding level, so the fallback
-runs only for a singular value within rounding of the threshold. The
-cost is one O(n L^2) QR per trial plus the
-SVD per size, and O(n l q) to form a q-column basis, which a
-`PrefixFactor` does only when asked. The experiment reads each
-estimate as `basis_coherence` of its factor's left basis, and hands the
-same factor to `lowrank.column_projection`.
+runs only for a singular value within rounding of the threshold.
+
+Per trial the cost is one O(n L^2) Householder QR, one SVD per size,
+and O(n k q) to form a q-column basis Q_k W, which a `PrefixFactor`
+does only when asked. The n x L Q is never formed: multiplying it out
+would cost more than the QR itself, and the sweep only ever reads it
+as Q_k W. R is copied out of the QR's copy of the block, and the
+reflectors left there are made its compact WY form Q = I - V T V^T
+(Schreiber and Van Loan 1989) in place. The p x p triangle T,
+p = min(n, L), is the inverse of the UT transform's diag(1/tau) +
+striu(V^T V) (Joffrain, Low, Quintana-Orti, van de Geijn and Van Zee
+2006), at the cost of one Gram of V. Q_k W then takes the same
+O(n k q) product as with Q at hand, plus O(k^2 q). Beyond the QR's
+copy of the block, the sweep holds R, T and the blocks it factors.
+The experiment reads each estimate as `basis_coherence` of its
+factor's left basis, and hands the same factor to
+`lowrank.column_projection`.
 """
 
 import math
@@ -121,26 +132,41 @@ def basis_coherence(U) -> CoherenceReport:
 class PrefixFactor:
     """Left factor of one prefix `columns[:, :l]` of a nested sample.
 
-    The prefix is Q R[:k, :l] for the leading k = min(n, l) columns Q of
-    the block's Householder QR, so its left singular vectors are Q times
-    those of `core`, the thin SVD of the k-row block the sweep factored:
-    R[:k, :l] itself until a prefix drops a direction, then the carried
-    block of the kept factor and the new columns (see the module
-    docstring). `core.numerical_rank` is the prefix's, at shape (n, l),
-    not the small block's. In R's own block `core.U` and
+    The prefix is Q_k R[:k, :l] for the leading k = min(n, l) columns Q_k
+    of the block's Householder QR, so its left singular vectors are Q_k
+    times those of `core`, the thin SVD of the k-row block the sweep
+    factored: R[:k, :l] itself until a prefix drops a direction, then
+    the carried block of the kept factor and the new columns (see the
+    module docstring). `core.numerical_rank` is the prefix's, at shape
+    (n, l), not the small block's. In R's own block `core.U` and
     `core.singular_values` are the prefix's up to rounding; in a
     carried block each singular value is within the dropped norm delta
     of the prefix's, and the kept subspace within an angle of about
     delta over the gap to the dropped values (Wedin). `core.V` belongs
-    to the block. `left_basis` answers as `ThinSVD.left_basis` would on
-    the prefix, and multiplies out only the n-row columns it returns.
+    to the block.
+
+    Q_k is never formed. It is held in compact WY form (Schreiber and
+    Van Loan 1989), as the first k columns of I - V T V^T: `V` is the
+    n x k unit lower trapezoidal matrix of the first k Householder
+    vectors, and `T` the k x k upper triangular factor of the UT
+    transform (Joffrain, Low, Quintana-Orti, van de Geijn and Van Zee
+    2006). `left_basis` answers as `ThinSVD.left_basis` would on the
+    prefix: for the k x q factor W of `core` it returns Q_k W = [W; 0] -
+    V (T (V[:k]^T W)), at O(n k q + k^2 q), and forms only those q
+    columns.
     """
 
-    Q: np.ndarray
+    V: np.ndarray
+    T: np.ndarray
     core: ThinSVD
 
     def left_basis(self, rank=None) -> np.ndarray:
-        return self.Q @ self.core.left_basis(rank)
+        W = self.core.left_basis(rank)
+        k = W.shape[0]
+        U = self.V @ (self.T @ (self.V[:k].T @ W))
+        np.negative(U, out=U)
+        U[:k] += W
+        return U
 
 
 def estimate_coherence(columns, rank=None) -> CoherenceReport:
@@ -166,9 +192,9 @@ def nested_factors(columns, sizes):
     each size takes one SVD: of its leading block of R, or, once a prefix
     has dropped a direction, of the kept factor beside its new columns of
     R, plus the SVD of R's block where that one's spectrum comes within
-    the dropped norm of the rank threshold. `sizes` (strictly ascending, within [1, l] for an n x l `columns`)
-    is checked on the call; the QR runs when the first factor is
-    requested.
+    the dropped norm of the rank threshold. `sizes` (strictly ascending,
+    within [1, l] for an n x l `columns`) is checked on the call; the QR
+    runs when the first factor is requested.
     """
     columns = as_dense(columns)
     sizes = list(sizes)
@@ -182,7 +208,23 @@ def nested_factors(columns, sizes):
 
 def _prefix_factors(columns, sizes):
     n = columns.shape[0]
-    Q, R = np.linalg.qr(columns)
+    # LAPACK's compact QR: R on and above the diagonal, the Householder
+    # vectors below it. R is `np.linalg.qr`'s own, bit for bit.
+    A, tau = np.linalg.qr(columns, mode="raw")
+    p = tau.size
+    R = np.triu(A.T[:p])
+    # Q = I - V T V^T. V, the unit lower trapezoidal matrix of the
+    # vectors, is made in place; a reflector with tau 0 is the identity,
+    # and its column is zeroed so it adds nothing. T is the inverse of
+    # diag(1/tau) + striu(V^T V), with 1 standing in for 1/tau at tau 0.
+    V = A.T[:, :p]
+    V[:p] = np.tril(V[:p], -1)
+    np.fill_diagonal(V, 1.0)
+    trivial = tau == 0.0
+    V[:, trivial] = 0.0
+    T = np.triu(V.T @ V, 1)
+    np.fill_diagonal(T, 1.0 / np.where(trivial, 1.0, tau))
+    _invert_upper(T)
     eps = np.finfo(np.float64).eps
     # From the first prefix that dropped a direction on: the last prefix's
     # kept factor U_q diag(s_q), its width, and the bound on the 2-norm of
@@ -211,7 +253,22 @@ def _prefix_factors(columns, sizes):
         if kept is not None or q < s.size:
             dropped = math.hypot(dropped, float(np.linalg.norm(s[q:])))
             kept = (f.U[:, :q] * s[:q], l, dropped)
-        yield PrefixFactor(Q[:, :k], replace(f, numerical_rank=q))
+        yield PrefixFactor(V[:, :k], T[:k, :k], replace(f, numerical_rank=q))
+
+
+def _invert_upper(U):
+    """Invert a nonsingular upper triangular matrix in place by 2 x 2
+    blocking, inv([[A, B], [0, C]]) = [[inv(A), -inv(A) B inv(C)], [0,
+    inv(C)]], down to leaves of at most 32 rows. A leaf's LU takes no
+    row swaps, so its inverse keeps exact zeros below the diagonal."""
+    m = U.shape[0]
+    if m <= 32:
+        U[:] = np.linalg.inv(U)
+        return
+    h = m // 2
+    _invert_upper(U[:h, :h])
+    _invert_upper(U[h:, h:])
+    U[:h, h:] = -(U[:h, :h] @ U[:h, h:]) @ U[h:, h:]
 
 
 def update_projector(P, x):

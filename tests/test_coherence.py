@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,8 @@ from matcoh.coherence import (
     sample_size_bound,
     update_projector,
 )
-from matcoh.linalg import projector, rank_threshold, thin_svd
+from matcoh.linalg import (ThinSVD, orthonormality_defect, projector,
+                           rank_threshold, thin_svd)
 from matcoh.sampling import uniform_sample
 from matcoh.synthetic import basis_aligned_matrix
 
@@ -411,3 +414,98 @@ def test_deflated_sweep_of_a_rank_deficient_sample():
         want = estimate_coherence(X[:, :l])
         assert basis_coherence(factor.left_basis()).gamma == pytest.approx(
             want.gamma, abs=1e-12)
+
+
+def _wy_case(kind):
+    """(columns, sizes) of one shape or reflector case of the sweep's QR."""
+    rng = np.random.default_rng(21)
+    if kind == "tall_rank_40":
+        X = rng.standard_normal((2000, 40)) @ rng.standard_normal((40, 200))
+        return X, list(range(10, 201, 10))
+    if kind == "near_square":
+        return rng.standard_normal((300, 200)), [1, 50, 100, 199, 200]
+    if kind == "wide":
+        return rng.standard_normal((50, 120)), [1, 30, 49, 50, 51, 120]
+    if kind == "one_column":
+        return rng.standard_normal((40, 1)), [1]
+    if kind == "square":
+        return rng.standard_normal((30, 30)), [10, 29, 30]
+    if kind == "zero_and_duplicate_columns":
+        X = rng.standard_normal((60, 30))
+        X[:, [0, 5, 17]] = 0.0
+        X[:, [7, 20]] = X[:, [3, 8]]
+        return X, list(range(1, 31))
+    assert kind == "all_zero"
+    return np.zeros((20, 10)), list(range(1, 11))
+
+
+_WY_KINDS = ("tall_rank_40", "near_square", "wide", "one_column", "square",
+             "zero_and_duplicate_columns", "all_zero")
+# Blocks whose QR has a reflector with tau 0: a zero column, or the last
+# reflector of a square or wide block, which acts on one entry.
+_TRIVIAL_REFLECTOR_KINDS = ("wide", "square", "zero_and_duplicate_columns",
+                            "all_zero")
+
+
+@pytest.mark.parametrize("kind", _WY_KINDS)
+def test_left_basis_matches_the_explicit_q(kind):
+    # Differential: Q_k W from the compact WY form against the n x k Q of
+    # `np.linalg.qr`, for the core's W and for W = I (Q_k itself).
+    X, sizes = _wy_case(kind)
+    tau = np.linalg.qr(X, mode="raw")[1]
+    assert (0.0 in tau) == (kind in _TRIVIAL_REFLECTOR_KINDS)
+    Q = np.linalg.qr(X)[0]
+    for l, factor in zip(sizes, nested_factors(X, sizes), strict=True):
+        k = min(X.shape[0], l)
+        identity = ThinSVD(np.eye(k), np.ones(k), None, k)
+        for f in (factor, replace(factor, core=identity)):
+            W = f.core.left_basis()
+            got = f.left_basis()
+            assert got.shape == (X.shape[0], W.shape[1])
+            if got.size:
+                assert np.max(np.abs(got - Q[:, :k] @ W)) <= 1e-13
+            assert orthonormality_defect(got) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", _WY_KINDS)
+def test_sweep_factors_numpy_qr_r_byte_for_byte(kind):
+    # With one size, the sweep's one SVD is of the whole R.
+    X, _ = _wy_case(kind)
+    seen = []
+
+    def recording(block):
+        seen.append(np.array(block))
+        return thin_svd(block)
+
+    with mock.patch.object(matcoh.coherence, "thin_svd", recording):
+        next(nested_factors(X, [X.shape[1]]))
+    R = np.linalg.qr(X)[1]
+    assert seen[0].shape == R.shape
+    assert seen[0].tobytes() == np.ascontiguousarray(R).tobytes()
+
+
+def test_invert_upper_keeps_the_triangle():
+    rng = np.random.default_rng(4)
+    for m in (1, 32, 33, 100, 200):
+        U = np.triu(rng.standard_normal((m, m)) / math.sqrt(m), 1)
+        np.fill_diagonal(U, rng.uniform(0.5, 1.0, m))
+        inv = U.copy()
+        matcoh.coherence._invert_upper(inv)
+        assert not np.any(np.tril(inv, -1))
+        np.testing.assert_allclose(inv @ U, np.eye(m), rtol=0, atol=1e-12)
+
+
+def test_sweep_peak_memory_stays_within_twice_the_block():
+    # The QR's copy of the block, R, T and bases of the sample's rank:
+    # no n x L Q. The experiment's blocks are read-only and column-major.
+    rng = np.random.default_rng(8)
+    X = np.asfortranarray(rng.standard_normal((2000, 40)) @ rng.standard_normal((40, 200)))
+    X.setflags(write=False)
+    tracemalloc.start()
+    try:
+        for f in nested_factors(X, list(range(10, 201, 10))):
+            f.left_basis()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * X.nbytes, peak / X.nbytes
