@@ -8,15 +8,16 @@ Usage, from the root of a checkout:
 OLD_SRC and NEW_SRC are directories that hold a `matcoh` package (the
 `src` of two checkouts). The workload's inputs are written once, by
 `perfbench/workloads.py`, into a temporary directory. After one untimed
-set-up run of each tree, N pairs of full runs follow, each one a fresh
+set-up run of each tree, N pairs follow. In each, each tree runs the
+workload's set-up config and then its full config, each run a fresh
 `perfbench/child.py` process with the thread variables pinned to 1. The
 order within a pair alternates (old first, then new first), so a drift
 in the host's speed does not favour one side.
 
-It prints the median `cpu_s` and `peak_rss_mb` of each side, in how
-many of the N pairs the new tree read lower, and whether the two
-trees' CSVs are byte-identical. A failed child run stops it with an
-error.
+It prints the median set-up `cpu_s` and the median full-run `cpu_s` and
+`peak_rss_mb` of each side, in how many of the N pairs the new tree read
+lower on each, and whether the two trees' set-up and full-run CSVs are
+byte-identical. A failed child run stops it with an error.
 """
 
 import argparse
@@ -35,7 +36,8 @@ sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
 from run import CHILD_TIMEOUT_S, THREAD_VARS  # noqa: E402
 
-METRICS = ("cpu_s", "peak_rss_mb")
+# The metrics read from each config's runs, set-up first.
+METRICS = {"setup": ("cpu_s",), "run": ("cpu_s", "peak_rss_mb")}
 
 
 def child(src: Path, config: str, workdir: Path) -> dict:
@@ -75,15 +77,15 @@ def main(argv=None) -> int:
         if not (src / "matcoh" / "__init__.py").is_file():
             parser.error(f"no matcoh package in {src}")
 
-    samples = {side: {m: [] for m in METRICS} for side in sides}
+    samples = {side: {(run, m): [] for run, ms in METRICS.items() for m in ms}
+               for side in sides}
     csv = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         workdir = Path(tmp)
-        for setup in (False, True):
+        for run in METRICS:  # writes setup.cfg and run.cfg
             cfg = workloads.config_values(args.workload, args.seed, args.size,
-                                          setup=setup)
-            name = "setup.cfg" if setup else "run.cfg"
-            (workdir / name).write_text(workloads.config_text(cfg))
+                                          setup=run == "setup")
+            (workdir / f"{run}.cfg").write_text(workloads.config_text(cfg))
         pts = workloads.points(args.workload, args.seed, args.size)
         if pts is not None:
             (workdir / "points.csv").write_text(workloads.points_text(pts))
@@ -92,19 +94,23 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("old", "new") if i % 2 == 0 else ("new", "old")
             for side in order:
-                result = child(sides[side], "run.cfg", workdir)
-                for m in METRICS:
-                    samples[side][m].append(result[m])
-                csv.setdefault(side, (workdir / "run.csv").read_bytes())
+                for run, ms in METRICS.items():
+                    result = child(sides[side], f"{run}.cfg", workdir)
+                    for m in ms:
+                        samples[side][run, m].append(result[m])
+                    csv.setdefault((side, run),
+                                   (workdir / f"{run}.csv").read_bytes())
 
     print(f"{args.workload} seed {args.seed} size {args.size}, {args.pairs} pairs")
-    for m in METRICS:
-        old, new = samples["old"][m], samples["new"][m]
+    for key in samples["old"]:
+        old, new = samples["old"][key], samples["new"][key]
         lower = sum(b < a for a, b in zip(old, new))
-        print(f"{m}: old {statistics.median(old):.6g}, "
+        print(f"{key[0]} {key[1]}: old {statistics.median(old):.6g}, "
               f"new {statistics.median(new):.6g}, "
               f"new lower in {lower} of {args.pairs}")
-    print(f"CSV byte-identical: {'yes' if csv['old'] == csv['new'] else 'no'}")
+    for run in METRICS:
+        same = csv["old", run] == csv["new", run]
+        print(f"{run} CSV byte-identical: {'yes' if same else 'no'}")
     return 0
 
 

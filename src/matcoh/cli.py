@@ -12,6 +12,7 @@ from .experiment import (
     summarize,
     write_summary_csv,
 )
+from .linalg import DecompositionError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
                 write_summary_csv(sys.stdout, rows)
         else:
             print(sample_size_bound(args.r, args.mu0, args.delta, args.c1, args.c2))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DecompositionError) as exc:
         print(f"matcoh: error: {exc}", file=sys.stderr)
         return 2
     return 0

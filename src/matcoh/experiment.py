@@ -8,8 +8,8 @@ low-rank approximation errors. The truth (`gamma_true` and the rank)
 comes from one left factor of the source. A synthetic source brings the
 factor it was built from, so it is never factored. A source `_SOURCES`
 declares SPSD, under an explicit or energy rank, takes its top
-eigenpairs by subspace iteration (`linalg._spsd_top`) unless that
-declines. Any other source takes one `left_svd`: `eigh` for an SPSD
+eigenpairs by block Krylov (`linalg._spsd_top`) unless that declines.
+Any other source takes one `left_svd`: `eigh` for an SPSD
 source, the QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
 seed = base_seed + trial, and per-trial estimates share one permutation
 so each trial's curve is non-decreasing in the sample size. The source
@@ -369,15 +369,16 @@ def _rank_and_truth(config: ExperimentConfig, X, factor):
 
     `factor` is the `ThinSVD` a synthetic source was built from. An SPSD
     source under an explicit or energy rank takes its top eigenpairs by
-    subspace iteration (`_spsd_top`), which also gives the energy rank.
-    Any other source, or one the iteration declines (None), is factored
-    here by one `left_svd`. The truth is truncated as
-    `estimate_coherence(X, rank)` would be, up to rounding. Where the
+    block Krylov (`_spsd_top`), which also gives the energy rank. Any
+    other source, or one the Krylov route declines (None: a small
+    certified gap at the cut, or a space that reaches its cap of columns
+    first), is factored here by one `left_svd`. The truth is truncated
+    as `estimate_coherence(X, rank)` would be, up to rounding. Where the
     rank splits a tie in the spectrum (a noisy source's equal tail), the
     top subspace is not unique and a built factor gives its own seeded
-    basis; the iteration declines a cut whose certified gap is small. An
-    all-zero source has no energy rank and is rejected here, before any
-    trial.
+    basis; the Krylov route declines a cut whose certified gap is small.
+    An all-zero source has no energy rank and is rejected here, before
+    any trial.
     """
     spsd = _SOURCES[_source_name(config)].spsd
     r = config.r  # None unless r_policy is explicit

@@ -17,25 +17,37 @@ elsewhere.
 `eigh` route and keeps the result factored.
 
 Where only the top r eigenpairs of an SPSD K are read (an explicit or
-energy rank), `_spsd_top` takes them by block subspace iteration with
-Rayleigh–Ritz (orthogonal iteration, Golub and Van Loan §8.2) from a
-fixed SplitMix64 start block, so reruns give the same bits. Each pass
-costs one K @ Q of b columns, not `eigh`'s O(n³). It stops one pass
+energy rank), `_spsd_top` takes them by block Krylov with Rayleigh–Ritz
+(block Lanczos with full reorthogonalization; Golub and Underwood 1977,
+Musco and Musco 2015) from a fixed SplitMix64 start block, so reruns
+give the same bits. The space grows by `_TOP_BLOCK` columns a pass, at
+one K @ Q of b columns each, not `eigh`'s O(n³). It stops one pass
 after each of the top r Ritz pairs has ‖K u − θu‖ ≤ √n·eps·θ₁. An
 energy rank is read from converged Ritz values only, against ‖K‖_F² as
 the total, through the one rule `spectrum_energy_rank` also reads
-(`_energy_rank`); where the block cannot reach the fraction, it
-doubles. The helper gives up (None, and the caller takes the dense
-`eigh`) where the block would exceed n/10, where the top r do not
-converge within `_TOP_MAX_PASSES`, where the certified gap
-(θ_r − θ_{r+1} − res_{r+1})/θ₁ at the cut is below `_TOP_MIN_GAP` (a
-Ritz basis is only as accurate as residual/gap, Davis and Kahan 1970),
-and where rounding of the total could move the energy cut. It gives
-up early, once the contraction of the residual it waits for (the r-th,
-or the one at the energy rank all Ritz values give) predicts that it
-cannot meet the bound in time (see `_spsd_top`), so a cut inside an
-eigenvalue cluster, where that pair contracts by λ_{b+1}/λ_r ≈ 1 a
-pass, does not spend the whole cap before the `eigh`.
+(`_energy_rank`). The helper gives up (None, and the caller takes the
+dense `eigh`) where the certified gap (θ_r − θ_{r+1} − res_{r+1})/θ₁ at
+the cut is below `_TOP_MIN_GAP` (a Ritz basis is only as accurate as
+residual/gap, Davis and Kahan 1970), where rounding of the total could
+move the energy cut, and where the space reaches its cap before the
+top r settle.
+
+The cap is min(0.6·n, 9·√n) columns, down to a multiple of b. The
+columns a cut needs follow its spectrum more than n: over a
+calibration sweep of RBF, polynomial, `worst_case` and spectral
+matrices (n = 200–1000), every cut the subspace iteration this routine
+replaced took converged within 120 columns at n = 200, 152 at n = 300
+and 600 and 176 at n = 1000. A run to P columns reads K once a pass
+(2n²P flops in all), reorthogonalizes (about 5nP²) and solves one Ritz
+problem a pass (Σ p³ ≈ P⁴/4b), so against an `eigh`'s O(n³) it gets
+cheaper as n grows. Measured on flat spectra that never converge, one
+BLAS thread, a run to the cap cost 0.4 of one `eigh` of K at n = 4000,
+0.7 at 2000 and 0.9–1.1 at 1000, but 1.9–3.4 (at most 80 ms) at
+n = 160–500, where numpy's per-call cost of the small Ritz `eigh`s
+dominates. A cut inside a cluster converges and then fails the gap
+guard: a Ritz value bounds its eigenvalue only from below, so the gap
+has no upper bound before the r-th pair converges, one pass before the
+guard reads it.
 """
 
 from contextlib import suppress
@@ -70,15 +82,9 @@ ZERO_SPECTRUM_FLOOR = 1e-12
 _R_CHUNK = 1 << 19
 _R_MAX_GRAM_COND = 100.0
 _R_MIN_SQUARE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-# `_spsd_top`: the energy policy's start block, the columns carried beyond
-# an explicit rank, the pass cap, the passes a contraction rate is read
-# over and the factor by which it must miss to decline, the smallest
+# `_spsd_top`: the columns its Krylov space grows by a pass, the smallest
 # certified relative gap at the cut, and the seed of the fixed start block.
-_TOP_BLOCK = 16
-_TOP_OVERSAMPLE = 8
-_TOP_MAX_PASSES = 50
-_TOP_RATE_PASSES = 3
-_TOP_RATE_MARGIN = 1.5
+_TOP_BLOCK = 8
 _TOP_MIN_GAP = 3e-3
 _TOP_SEED = 0
 
@@ -295,50 +301,31 @@ def _spsd_top(K, rank=None, fraction=None):
 
     K is symmetric positive semidefinite and already checked (`as_dense`).
     With `rank`, r is that rank; with `fraction`, r is the energy rank
-    `spectrum_energy_rank` would give, the total taken as ‖K‖_F². The
-    block holds rank + `_TOP_OVERSAMPLE` columns, or `_TOP_BLOCK` under
-    `fraction`. Each pass takes Y = K Q of an orthonormal Q, the Ritz
-    pairs of Qᵀ Y by descending |θ| (stable sort) and their residuals
-    ‖K u − θu‖, and Q for the next pass from the QR of K U.
+    `spectrum_energy_rank` would give, the total taken as ‖K‖_F². Block
+    Krylov with Rayleigh–Ritz (Golub and Underwood 1977): the basis V
+    starts from a fixed SplitMix64 block of `_TOP_BLOCK` columns, and
+    each pass appends K times the last block, projected off V and
+    orthonormalized twice (full reorthogonalization), keeps K V beside
+    V, and takes the Ritz pairs of Vᵀ K V by descending |θ| (stable
+    sort). Under `fraction`, r is the energy rank of all Ritz values but
+    the last, which lie below K's eigenvalues, so r is at or after K's
+    cut until the top r converge, and K's cut then.
 
-    r is read from the leading Ritz values that meet the residual bound
-    √n·eps·θ₁: unconverged ones are low, so an energy test on them would
-    fail early. The block doubles, continuing the start block's stream,
-    when even a block whose unconverged values all equal the last
-    converged one could not reach the fraction before its last column.
-    Once the top r all meet the bound, one more pass settles them: θ₁
-    is at its rounding floor by then, but the smaller pairs still
-    contract by about λ_{b+1}/λ_j a pass, and that pass cut the largest
-    |Δγ| against `eigh` over 87 RBF kernels from 1.8e-14 to 5e-16. The
-    (r+1)-th pair need not converge; it enters only the gap. None in
-    the cases the module docstring lists, and for a zero K.
-
-    Each pass also reads the mean contraction a pass of one watched
-    pair's residual, over the last `_TOP_RATE_PASSES` passes that watched
-    the same pair with the same b, both residuals in units of that
-    pass's bound. It watches the r-th pair, or, while an energy rank
-    cannot be read yet, the pair at the energy rank of all b − 1 leading
-    Ritz values (the (b − 1)-th where they fall short). Ritz values of an
-    SPSD K lie below its eigenvalues, so that pair is the r-th or a
-    later one. It declines where that rate would leave the residual above
-    the bound after `_TOP_RATE_MARGIN` times the passes left. Early
-    passes contract slower than later ones, so a one-pass rate, or no
-    margin, declined pairs the full cap converges. Calibration, over
-    958 explicit-rank and 420 energy cuts of RBF (2- to 16-dimensional
-    points, 0.3 to 3 times the median width), polynomial, `worst_case`
-    and spectral matrices with n = 300 to 1000: no cut the cap converges
-    was declined, and of the cuts that spend the whole cap, 351 of 384
-    explicit and 128 of 145 energy ones were declined within 10 passes
-    (median 5). Cuts placed next to a drop in the spectrum near the
-    block's last column (n = 200 spectral matrices) can be lost: there
-    5 of 450 energy and 3 of 301 explicit cuts that the cap converges,
-    each after 43 to 50 passes, were declined, and `eigh` took them.
+    The top r + 1 Ritz pairs get their residuals ‖K u − θu‖. Once the
+    top r all meet √n·eps·θ₁, one more pass settles them: the smaller
+    pairs still gain accuracy, and on the subspace iteration this
+    routine replaced that pass cut the largest |Δγ| against `eigh` over
+    87 RBF kernels from 1.8e-14 to 5e-16. The (r+1)-th pair need not
+    converge; it enters only the gap. None in the cases the module
+    docstring lists, and for a zero K. A Krylov space holds at most b
+    copies of a repeated eigenvalue, so a cut b or more places into an
+    exact tie of more than b copies shows a gap that K does not have.
     """
     from .sampling import SplitMix64  # sampling imports this module
 
-    n = K.shape[0]
-    b = _TOP_BLOCK if rank is None else rank + _TOP_OVERSAMPLE
-    if 10 * b > n:
+    n, b = K.shape[0], _TOP_BLOCK
+    cap = int(min(0.6 * n, 9.0 * n ** 0.5)) // b * b  # see the module docstring
+    if (rank or b) + b >= cap:  # no room for the cut and a settling block
         return None
     if fraction is not None:
         flat = K.ravel(order="K")
@@ -346,67 +333,46 @@ def _spsd_top(K, rank=None, fraction=None):
         if total == 0.0:
             return None
     eps = np.finfo(np.float64).eps
-    rng = SplitMix64(_TOP_SEED)
-    start = rng.normal_matrix(n, b)
+    V = np.empty((n, cap), order="F")
+    KV = np.empty((n, cap), order="F")
+    T = np.zeros((cap, cap), order="F")  # Vᵀ K V, lower triangle
+    block = SplitMix64(_TOP_SEED).normal_matrix(n, b)
     settled = False
-    watched, history = None, []  # (pair, b) and its residual each pass
-    for passes_left in range(_TOP_MAX_PASSES - 1, -1, -1):
-        Q = np.linalg.qr(start)[0]
-        Y = K @ Q
-        T = Q.T @ Y
-        w, S = _eigh_by_magnitude((T + T.T) / 2.0)
-        U, KU = Q @ S, Y @ S
+    for p in range(b, cap + 1, b):
+        q = p - b
+        # Project off V and orthonormalize, twice: once the space is
+        # nearly invariant a block's columns are nearly dependent, and
+        # one QR of them lets V drift from orthonormal.
+        for _ in range(2):
+            block = block - V[:, :q] @ (V[:, :q].T @ block)
+            block = np.linalg.qr(block)[0]
+        V[:, q:p] = block
+        KV[:, q:p] = K @ block
+        T[q:p, :p] = KV[:, q:p].T @ V[:, :p]
+        w, S = _eigh_by_magnitude(T[:p, :p])
         s = np.abs(w)
-        res = np.linalg.norm(KU - U * w, axis=0)
-        tol = np.sqrt(n) * eps * s[0]
-        converged = res <= tol
-        c = b if converged.all() else int(np.argmin(converged))
-        r = rank
-        if fraction is not None and c:
-            # The (r+1)-th column must stay in the block. r must not move
-            # when the total moves by its rounding, n·eps of itself.
-            kept = min(c, b - 1)
-            low, r = (_energy_rank(s[:kept], fraction, total * (1.0 + d))
-                      for d in (-n * eps, n * eps))
-            if low is not None and low != r:
-                return None
-            if low is None and _energy_out_of_reach(s, res, kept,
-                                                     fraction * total):
-                b *= 2
-                if 10 * b > n:
+        # The (r+1)-th pair must be in the space.
+        r = rank if fraction is None else _energy_rank(s[:p - 1], fraction,
+                                                       total)
+        if r is not None and r < p:
+            U, KU = V[:, :p] @ S[:, :r + 1], KV[:, :p] @ S[:, :r + 1]
+            res = np.linalg.norm(KU - U * w[:r + 1], axis=0)
+            if np.all(res[:r] <= np.sqrt(n) * eps * s[0]):
+                # r must not move when the total moves by its rounding,
+                # n·eps of itself.
+                if fraction is not None and any(
+                        _energy_rank(s[:r], fraction, total * (1.0 + d)) != r
+                        for d in (-n * eps, n * eps)):
                     return None
-                start = np.hstack([KU, rng.normal_matrix(n, b // 2)])
-                continue
-        # The watched pair (see the docstring); r is None or at least 1.
-        j = (r or _energy_rank(s[:b - 1], fraction, total) or b - 1) - 1
-        if watched != (j, b):
-            watched, history = (j, b), []
-        history.append(res[j] / tol)
-        if len(history) > _TOP_RATE_PASSES and not converged[j]:
-            rate = (history[-1] / history[-1 - _TOP_RATE_PASSES]) ** (
-                1.0 / _TOP_RATE_PASSES)
-            if history[-1] * rate ** (_TOP_RATE_MARGIN * passes_left) > 1.0:
-                return None
-        if r is not None and r <= c and r < b:
-            if settled:
-                if not s[r - 1] - s[r] - res[r] > _TOP_MIN_GAP * s[0]:
-                    return None
-                U, s = U[:, :r], s[:r]
-                return r, ThinSVD(U=U, singular_values=s, V=None,
-                                  numerical_rank=numerical_rank(s, K.shape))
-            settled = True
-        start = KU
+                if settled:
+                    if not s[r - 1] - s[r] - res[r] > _TOP_MIN_GAP * s[0]:
+                        return None
+                    U, s = U[:, :r], s[:r]
+                    return r, ThinSVD(U=U, singular_values=s, V=None,
+                                      numerical_rank=numerical_rank(s, K.shape))
+                settled = True
+        block = KV[:, q:p]
     return None
-
-
-def _energy_out_of_reach(s, res, c, cut):
-    """Whether a block's first b − 1 Ritz values cannot reach energy `cut`.
-
-    The c ≤ b − 1 leading values converged; each later eigenvalue is at
-    most the c-th converged value plus its residual.
-    """
-    bound = s[c - 1] + res[c - 1]
-    return float(np.sum(s[:c] ** 2)) + (s.size - 1 - c) * bound * bound < cut
 
 
 def _energy_rank(values, fraction, total=None):

@@ -405,8 +405,8 @@ def _kernel_config(tmp_path):
 
 
 def _kernel_suite_config(tmp_path):
-    # 160 points: the smallest source whose truth the subspace iteration
-    # may take (its block must stay within n/10).
+    # 160 points: a small source whose truth the Krylov route takes (it
+    # needs 88 columns, and the space's cap at n = 160 is 96).
     data = tmp_path / "suite.csv"
     save_csv(PointDataset(points=SplitMix64(3).normal_matrix(160, 8),
                           name="suite"), data)
@@ -512,13 +512,15 @@ def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
                               l_values=(5, 10, 30), trials=2, data=str(data),
                               kernel="rbf", r_policy="energy")
     assert len(run_experiment(config)) == 18
-    # The truth takes the top eigenpairs by subspace iteration: its only
-    # eigh calls are of 16 x 16 Rayleigh-Ritz blocks. Every other eigh is
-    # one trial's W, one per (trial, l).
-    ritz = eigh_shapes.count((16, 16))
-    assert ritz >= 1 and (300, 300) not in eigh_shapes
+    # The truth takes the top eigenpairs by block Krylov, before any
+    # trial: its only eigh calls are of the Rayleigh-Ritz problems of a
+    # space that grows by 8 columns a pass. Every other eigh is one
+    # trial's W, one per (trial, l).
     sizes = list(config.l_values) * config.trials
-    assert [a for a in eigh_shapes if a != (16, 16)] == [(l, l) for l in sizes]
+    passes = len(eigh_shapes) - len(sizes)
+    assert passes >= 1 and (300, 300) not in eigh_shapes
+    assert eigh_shapes[:passes] == [(8 * i, 8 * i) for i in range(1, passes + 1)]
+    assert eigh_shapes[passes:] == [(l, l) for l in sizes]
 
 
 def _truth_config(**policy):
@@ -554,23 +556,35 @@ def _tied(r, gap=0.0):
     return w
 
 
-@pytest.mark.parametrize("case", ["tie", "near_tie", "block_cap",
-                                  "energy_growth_cap", "pass_cap", "worst_case"])
-def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(monkeypatch,
-                                                              case):
+def _rbf_of_points(points, width_scale):
+    """RBF kernel of `points`, its width a multiple of the median
+    pairwise distance."""
+    dataset = PointDataset(points=points, name="rbf")
+    width = width_scale * default_rbf_width(dataset)
+    return as_dense(build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=width)))
+
+
+@pytest.mark.parametrize("case", ["tie", "near_tie", "cap", "energy_growth_cap",
+                                  "energy_small_gap", "worst_case"])
+def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
     if case == "tie":  # the gap guard
         K, policy = _spectral_matrix(_tied(4)), {"r_policy": "explicit", "r": 4}
     elif case == "near_tie":  # converges, but the gap is 3.4e-4 of lambda_1
         K = _spectral_matrix(_tied(4, gap=1e-3))
         policy = {"r_policy": "explicit", "r": 4}
-    elif case == "block_cap":  # r + 8 columns exceed n/10
-        K, policy = _spectral_matrix(_GEOMETRIC), {"r_policy": "explicit", "r": 13}
-    elif case == "energy_growth_cap":  # the block doubles past n/10
+    elif case == "cap":  # a flat spectrum: the top 4 do not converge
+        K = _spectral_matrix(0.999 ** np.arange(200.0))
+        policy = {"r_policy": "explicit", "r": 4}
+    elif case == "energy_growth_cap":  # 0.9 of the energy needs 176 values
         K = _spectral_matrix(0.999 ** np.arange(200.0))
         policy = {"r_policy": "energy", "energy_fraction": 0.9}
-    elif case == "pass_cap":
-        monkeypatch.setattr(matcoh.linalg, "_TOP_MAX_PASSES", 1)
-        K, policy = _spectral_matrix(_GEOMETRIC), {"r_policy": "explicit", "r": 4}
+    elif case == "energy_small_gap":
+        # RBF of 500 4-dimensional points at 0.5 times the median width:
+        # 0.99 of the energy needs 18 eigenvalues, with a relative gap of
+        # 2.6e-3 after the 18th. A subspace iteration spent 47 passes on
+        # this cut before declining it.
+        K = _rbf_of_points(SplitMix64(2).normal_matrix(500, 4), 0.5)
+        policy = {"r_policy": "energy", "energy_fraction": 0.99}
     else:  # an inflated lambda_1 leaves every later certified gap below 0
         K = as_dense(adversarial_spsd(300, seed=1))
         policy = {"r_policy": "explicit", "r": 3}
@@ -582,17 +596,18 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(monkeypatch,
 
 def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatch):
     # The control for the fall-backs above: the same matrix without a tie,
-    # at the same rank, is taken by the iteration.
+    # at the same rank and at 13, is taken by the Krylov route.
     K = _spectral_matrix(_GEOMETRIC)
-    config = _truth_config(r_policy="explicit", r=4)
-    assert _spsd_top(K, rank=4) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
-    want = _eigh_truth(config, K)
-    assert r == want[0] and abs(gamma - want[1]) <= 1e-14
+    for r in (4, 13):
+        config = _truth_config(r_policy="explicit", r=r)
+        assert _spsd_top(K, rank=r) is not None
+        got = matcoh.experiment._rank_and_truth(config, K, None)
+        want = _eigh_truth(config, K)
+        assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-14
     # r_policy = none needs the whole spectrum and never tries it.
 
     def no_top(*args, **kwargs):
-        raise AssertionError("r_policy none took the subspace iteration")
+        raise AssertionError("r_policy none took the Krylov route")
 
     monkeypatch.setattr(matcoh.experiment, "_spsd_top", no_top)
     config = _truth_config()
@@ -616,7 +631,7 @@ def _ulp_above(x):
 ], ids=["-1e-9", "-ulp", "at", "+ulp", "+1e-9"])
 def test_both_truth_routes_read_one_energy_rank(move, r_want, iterates):
     # The fraction sits at, one value either side of, or 1e-9 away from
-    # the energy share of the top 5 eigenvalues. The iteration's total,
+    # the energy share of the top 5 eigenvalues. The Krylov route's total,
     # ||K||_F^2, differs from the sum of the eigh spectrum's squares by
     # rounding, so at the three closest cuts it declines and eigh gives r;
     # 1e-9 away it takes the cut itself. Where rounding decides between 5
@@ -774,7 +789,7 @@ def test_kernel_suite_emits_method_rows(tmp_path):
     (_wide_config, False),
 ], ids=["synth_exact", "synth_noisy", "kernel_suite", "worst_case", "matrix"])
 def test_csv_byte_determinism(tmp_path, monkeypatch, make_config, iterates):
-    # `iterates`: the kernel truth is the subspace iteration's, not eigh's.
+    # `iterates`: the kernel truth is the Krylov route's, not eigh's.
     tops = []
     real_top = matcoh.experiment._spsd_top
 
@@ -978,6 +993,26 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = config_file(tmp_path, l_values="2,400")
     assert main(["run", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_reports_a_lapack_failure_and_keeps_the_earlier_csv(tmp_path,
+                                                               monkeypatch,
+                                                               capsys):
+    cfg = config_file(tmp_path)
+    assert main(["run", str(cfg)]) == 0
+    raw = tmp_path / "raw.csv"
+    good = raw.read_bytes()
+    capsys.readouterr()
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("matcoh: error: SVD failed on ")
+    assert err.endswith("SVD did not converge\n") and "Traceback" not in err
+    assert raw.read_bytes() == good
 
 
 @pytest.mark.parametrize("policy, rc", [("energy", 2), ("none", 0)])

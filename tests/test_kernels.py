@@ -118,7 +118,7 @@ def test_cli_import_leaves_scipy_io_unloaded():
 
 _IMPORT_GUARD_RUNS = {
     "rbf": "kind = coherence_only\ndata = points.csv\nkernel = rbf\nl_values = 5\n",
-    # 300 points: the truth takes the subspace iteration, not eigh.
+    # 300 points: the truth takes the Krylov route, not eigh.
     "suite300": ("kind = kernel_suite\ndata = points300.csv\nkernel = rbf\n"
                  "r_policy = energy\nl_values = 5, 10\n"),
     "suite": ("kind = kernel_suite\ndata = points.csv\nkernel = rbf\n"

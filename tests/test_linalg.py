@@ -473,7 +473,7 @@ def test_spsd_top_matches_the_dense_eigh_route(n, width_scale, policy):
     if r_want is None:
         r_want = spectrum_energy_rank(dense.singular_values, policy["fraction"])
     top = _spsd_top(K, **policy)
-    assert top is not None  # each case takes the iteration
+    assert top is not None  # each case takes the Krylov route
     r, f = top
     assert r == r_want and f.V is None and f.numerical_rank == r
     np.testing.assert_allclose(f.singular_values, dense.singular_values[:r],
@@ -489,71 +489,95 @@ def test_spsd_top_matches_the_dense_eigh_route(n, width_scale, policy):
 
 
 
-@pytest.mark.parametrize("n, width_scale", [(300, 0.5), (500, 0.5), (800, 0.7)])
-def test_spsd_top_declines_a_cut_inside_a_cluster_early(monkeypatch, n,
-                                                        width_scale):
+@pytest.mark.parametrize("n, width_scale", [(500, 0.5), (800, 0.7)])
+def test_spsd_top_declines_a_cut_inside_a_cluster_by_its_gap(
+        linalg_calls, monkeypatch, n, width_scale):
     # r = 10 cuts the cluster of the RBF kernel's quadratic-order
-    # eigenvalues, where the 10th pair contracts by about 0.8 a pass.
+    # eigenvalues, where the relative gap is below 3e-3. The Krylov space
+    # converges the top 10 before its cap and the gap guard declines the
+    # cut; with the guard off the same passes take it.
     K = _rbf_kernel(n, width_scale)
-    passes = []
-    qr = np.linalg.qr  # one QR of the block a pass
-
-    def counting_qr(*args, **kwargs):
-        passes.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    s = left_svd(K, spsd=True).singular_values
+    assert s[9] - s[10] < 3e-3 * s[0]
+    linalg_calls.clear()  # two QRs of the new block a pass
     assert _spsd_top(K, rank=10) is None
-    assert len(passes) <= 10
-    # Without the early decline, the whole cap runs and declines too.
-    passes.clear()
-    monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
-                        matcoh.linalg._TOP_MAX_PASSES)
-    assert _spsd_top(K, rank=10) is None
-    assert len(passes) == matcoh.linalg._TOP_MAX_PASSES
-
-
-@pytest.mark.parametrize("seed", [301, 302, 303])
-def test_spsd_top_declines_an_energy_cut_past_the_block_early(linalg_calls,
-                                                              monkeypatch, seed):
-    # At 0.5 times the median width, 0.99 of the energy needs 39
-    # eigenvalues, well past the 16-column block and inside the cluster of
-    # quadratic-order eigenvalues that starts at the 10th. The energy rank
-    # read from all 15 leading Ritz values is None, so the 15th pair is
-    # watched, and it contracts by about 0.8 a pass.
-    K = _rbf_kernel(300, 0.5, seed)
-    assert spectrum_energy_rank(left_svd(K, spsd=True).singular_values, 0.99) == 39
-    linalg_calls.clear()  # one QR of the block a pass
-    assert _spsd_top(K, fraction=0.99) is None
-    assert len(linalg_calls) <= 10
-    # Without the early decline, the whole cap runs and declines too.
+    passes = len(linalg_calls) // 2
+    assert passes < _cap(n) // 8
     linalg_calls.clear()
-    monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
-                        matcoh.linalg._TOP_MAX_PASSES)
-    assert _spsd_top(K, fraction=0.99) is None
-    assert len(linalg_calls) == matcoh.linalg._TOP_MAX_PASSES
+    monkeypatch.setattr(matcoh.linalg, "_TOP_MIN_GAP", -np.inf)
+    top = _spsd_top(K, rank=10)
+    assert top is not None and top[0] == 10
+    assert len(linalg_calls) // 2 == passes
 
 
-def test_spsd_top_takes_a_late_energy_cut_while_a_later_pair_is_watched(
-        linalg_calls, monkeypatch):
-    # Eigenvalues 0.99^i up to i = 15, then a drop by 0.3: 0.8506 of the
-    # energy needs 14. While r cannot be read, the energy rank of all 15
-    # leading Ritz values, which lie below the eigenvalues, picks the 15th
-    # pair, and the rate it declines by is read off that pair for two
-    # passes. The iteration takes the cut after 29 passes, with the bits
-    # it has without the early decline.
+def _cap(n):
+    """The columns of `_spsd_top`'s Krylov space at its cap, as the
+    module docstring states it: min(0.6 n, 9 sqrt(n)), down to a
+    multiple of 8."""
+    return int(min(0.6 * n, 9.0 * n ** 0.5)) // 8 * 8
+
+
+@pytest.mark.parametrize("seed, policy", [
+    (None, {"rank": 10}),
+    (301, {"fraction": 0.99}),
+    (302, {"fraction": 0.99}),
+    (303, {"fraction": 0.99}),
+], ids=["rank10", "301", "302", "303"])
+def test_spsd_top_declines_at_its_cap(linalg_calls, seed, policy):
+    # At n = 300 and 0.5 times the median width, r = 10 and the energy
+    # rank 39 at fraction 0.99 both cut the cluster of quadratic-order
+    # eigenvalues. The top r do not converge before the space holds its
+    # cap of columns, and it declines there: 19 passes of 8 columns.
+    K = _rbf_kernel(300, 0.5, seed)
+    if "fraction" in policy:
+        s = left_svd(K, spsd=True).singular_values
+        assert spectrum_energy_rank(s, policy["fraction"]) == 39
+    linalg_calls.clear()  # two QRs of the new block a pass
+    assert _spsd_top(K, **policy) is None
+    assert len(linalg_calls) // 2 == _cap(300) // 8 == 19
+
+
+def test_spsd_top_takes_an_energy_cut_next_to_a_drop():
+    # 14 eigenvalues 0.99^i, then a drop by 0.3 and a tail decaying by
+    # 0.85 an index: the energy cut sits at the drop. A subspace iteration
+    # that declined on its residual's contraction rate lost this cut after
+    # a few passes although it converged later; the Krylov space takes it
+    # within its cap.
     n = 200
     U = np.linalg.qr(SplitMix64(n).normal_matrix(n, n))[0]
-    lam = np.r_[0.99 ** np.arange(16), 0.3 * 0.99 ** 16 * 0.95 ** np.arange(n - 16)]
+    lam = np.r_[0.99 ** np.arange(14), 0.3 * 0.99 ** 14 * 0.85 ** np.arange(n - 14)]
     K = as_dense((U * lam) @ U.T)
-    K = (K + K.T) / 2
-    assert spectrum_energy_rank(lam, 0.850574) == 14
-    linalg_calls.clear()  # one QR of the block a pass
-    r, f = _spsd_top(K, fraction=0.850574)
-    assert r == 14 and len(linalg_calls) > 10
-    monkeypatch.setattr(matcoh.linalg, "_TOP_RATE_PASSES",
-                        matcoh.linalg._TOP_MAX_PASSES)
-    r_all, f_all = _spsd_top(K, fraction=0.850574)
-    assert r_all == r
-    assert np.array_equal(f_all.U, f.U)
-    assert np.array_equal(f_all.singular_values, f.singular_values)
+    K = as_dense((K + K.T) / 2)
+    energies = np.cumsum(lam ** 2)
+    fraction = float(energies[13] / energies[-1]) * (1 - 1e-9)
+    dense = left_svd(K, spsd=True)
+    assert spectrum_energy_rank(dense.singular_values, fraction) == 14
+    r, f = _spsd_top(K, fraction=fraction)
+    assert r == 14
+    np.testing.assert_allclose(f.singular_values, dense.singular_values[:r],
+                               rtol=0, atol=1e-13)
+    gamma = basis_coherence(f.left_basis(r)).gamma
+    assert abs(gamma - basis_coherence(dense.left_basis(r)).gamma) <= 5e-16
+
+
+@pytest.mark.parametrize("policy", [{"rank": 1}, {"rank": 3}, {"fraction": 0.99}])
+def test_spsd_top_keeps_its_basis_orthonormal_once_the_space_is_invariant(policy):
+    # RBF of 300 2-dimensional points at twice the median width: the
+    # eigenvalues fall by 1e5 within the first 14, so the Krylov space is
+    # nearly invariant after a few passes and a new block is mostly
+    # rounding noise, some of its columns far smaller than others. One QR
+    # after projecting such a block lets the basis drift from
+    # orthonormal, and the residuals then never meet their bound; a
+    # second projection and QR keep it, and the cut is taken.
+    points = SplitMix64(30002).normal_matrix(300, 2)
+    dataset = PointDataset(points=points, name="rbf")
+    spec = KernelSpec(kind="rbf", rbf_width=2.0 * default_rbf_width(dataset))
+    K = as_dense(build_kernel(dataset, spec))
+    dense = left_svd(K, spsd=True)
+    r_want = policy.get("rank") or spectrum_energy_rank(dense.singular_values,
+                                                        policy["fraction"])
+    r, f = _spsd_top(K, **policy)
+    assert r == r_want
+    assert matcoh.linalg.orthonormality_defect(f.U) <= 1e-14
+    gamma = basis_coherence(f.left_basis(r)).gamma
+    assert abs(gamma - basis_coherence(dense.left_basis(r)).gamma) <= 5e-16
