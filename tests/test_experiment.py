@@ -556,14 +556,6 @@ def _tied(r, gap=0.0):
     return w
 
 
-def _rbf_of_points(points, width_scale):
-    """RBF kernel of `points`, its width a multiple of the median
-    pairwise distance."""
-    dataset = PointDataset(points=points, name="rbf")
-    width = width_scale * default_rbf_width(dataset)
-    return as_dense(build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=width)))
-
-
 @pytest.mark.parametrize("case", ["tie", "near_tie", "cap", "energy_growth_cap",
                                   "energy_small_gap", "worst_case"])
 def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
@@ -583,9 +575,12 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
         # 0.99 of the energy needs 18 eigenvalues, with a relative gap of
         # 2.6e-3 after the 18th. A subspace iteration spent 47 passes on
         # this cut before declining it.
-        K = _rbf_of_points(SplitMix64(2).normal_matrix(500, 4), 0.5)
+        points = PointDataset(points=SplitMix64(2).normal_matrix(500, 4), name="p")
+        spec = KernelSpec(kind="rbf", rbf_width=0.5 * default_rbf_width(points))
+        K = as_dense(build_kernel(points, spec))
         policy = {"r_policy": "energy", "energy_fraction": 0.99}
-    else:  # an inflated lambda_1 leaves every later certified gap below 0
+    else:  # an inflated lambda_1: the top 3 converge only past the cap,
+        # and their certified gap there, 1e-4 of lambda_1, is below the guard
         K = as_dense(adversarial_spsd(300, seed=1))
         policy = {"r_policy": "explicit", "r": 3}
     config = _truth_config(**policy)
