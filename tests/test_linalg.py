@@ -581,3 +581,39 @@ def test_spsd_top_keeps_its_basis_orthonormal_once_the_space_is_invariant(policy
     assert matcoh.linalg.orthonormality_defect(f.U) <= 1e-14
     gamma = basis_coherence(f.left_basis(r)).gamma
     assert abs(gamma - basis_coherence(dense.left_basis(r)).gamma) <= 5e-16
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["rbf", "polynomial", "linear", "adversarial"]),
+       st.integers(40, 160), st.integers(0, 2**32 - 1),
+       st.one_of(st.tuples(st.just("rank"), st.integers(1, 12)),
+                 st.tuples(st.just("fraction"), st.floats(0.5, 0.9999))))
+def test_spsd_top_differential_against_eigh(kind, n, seed, policy):
+    # Wherever the Krylov route takes a cut of a kernel (repeated points,
+    # exactly low rank) or an adversarial matrix, it gives eigh's rank,
+    # spectrum and truth, with an orthonormal basis.
+    rng = np.random.default_rng(seed)
+    if kind == "adversarial":
+        K = adversarial_spsd(n, seed=seed % 1000, inner_dim=int(rng.integers(1, 20)))
+    else:
+        points = rng.standard_normal((n, int(rng.integers(1, 5))))
+        points = points[rng.integers(0, n, n)]  # repeated points
+        spec = {"rbf": KernelSpec(kind="rbf", rbf_width=float(rng.uniform(0.3, 3.0))),
+                "polynomial": KernelSpec(kind="polynomial", poly_degree=2,
+                                         poly_offset=1.0),
+                "linear": KernelSpec(kind="linear")}[kind]
+        K = build_kernel(PointDataset(points=points, name=kind), spec)
+    K = as_dense(K)
+    top = _spsd_top(K, **dict([policy]))
+    if top is None:
+        return
+    dense = left_svd(K, spsd=True)
+    r_want = policy[1] if policy[0] == "rank" else spectrum_energy_rank(
+        dense.singular_values, policy[1])
+    r, f = top
+    assert r == r_want
+    assert matcoh.linalg.orthonormality_defect(f.U) <= 1e-12
+    np.testing.assert_allclose(f.singular_values, dense.singular_values[:r],
+                               rtol=0, atol=1e-12 * dense.singular_values[0])
+    gamma = basis_coherence(f.left_basis(r)).gamma
+    assert abs(gamma - basis_coherence(dense.left_basis(r)).gamma) <= 1e-10
