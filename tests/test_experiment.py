@@ -591,14 +591,13 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
 
 def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatch):
     # The control for the fall-backs above: the same matrix without a tie,
-    # at the same rank and at 13, is taken by the Krylov route.
+    # at the same rank, is taken by the Krylov route.
     K = _spectral_matrix(_GEOMETRIC)
-    for r in (4, 13):
-        config = _truth_config(r_policy="explicit", r=r)
-        assert _spsd_top(K, rank=r) is not None
-        got = matcoh.experiment._rank_and_truth(config, K, None)
-        want = _eigh_truth(config, K)
-        assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-14
+    config = _truth_config(r_policy="explicit", r=4)
+    assert _spsd_top(K, rank=4) is not None
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    want = _eigh_truth(config, K)
+    assert r == want[0] and abs(gamma - want[1]) <= 1e-14
     # r_policy = none needs the whole spectrum and never tries it.
 
     def no_top(*args, **kwargs):
@@ -607,6 +606,17 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
     monkeypatch.setattr(matcoh.experiment, "_spsd_top", no_top)
     config = _truth_config()
     assert matcoh.experiment._rank_and_truth(config, K, None) == _eigh_truth(config, K)
+
+
+def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
+    # r + 8 = 21 columns exceed n/10 = 20, which a block capped at n/10
+    # could not hold; the Krylov space grows past it and takes the cut.
+    K = _spectral_matrix(_GEOMETRIC)
+    config = _truth_config(r_policy="explicit", r=13)
+    assert _spsd_top(K, rank=13) is not None
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    want = _eigh_truth(config, K)
+    assert r == want[0] and abs(gamma - want[1]) <= 1e-14
 
 
 def _ulp_below(x):
