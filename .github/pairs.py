@@ -14,10 +14,11 @@ workload's set-up config and then its full config, each run a fresh
 order within a pair alternates (old first, then new first), so a drift
 in the host's speed does not favour one side.
 
-It prints the median set-up `cpu_s` and the median full-run `cpu_s` and
-`peak_rss_mb` of each side, in how many of the N pairs the new tree read
-lower on each, and whether the two trees' set-up and full-run CSVs are
-byte-identical. A failed child run stops it with an error.
+It prints the median `cpu_s` and `peak_rss_mb` of each side's set-up and
+full runs (a source's build peak sits in the set-up run), in how many of
+the N pairs the new tree read lower on each, and whether the two trees'
+set-up and full-run CSVs are byte-identical. A failed child run stops it
+with an error.
 """
 
 import argparse
@@ -37,7 +38,7 @@ import workloads  # noqa: E402
 from run import CHILD_TIMEOUT_S, THREAD_VARS  # noqa: E402
 
 # The metrics read from each config's runs, set-up first.
-METRICS = {"setup": ("cpu_s",), "run": ("cpu_s", "peak_rss_mb")}
+METRICS = {run: ("cpu_s", "peak_rss_mb") for run in ("setup", "run")}
 
 
 def child(src: Path, config: str, workdir: Path) -> dict:

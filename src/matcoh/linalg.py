@@ -247,12 +247,13 @@ def _r_factor(A) -> np.ndarray:
 
     The top block has 2k rows, not k, and the whole Gram's factor is
     taken before its certificate, for memory alone: both set where
-    glibc places the final QR's few-MB temporaries. With them, those
-    stay on its heap below R, the noisy build's triangular solve reuses
-    them, and glibc trims the heap once both are freed, as it did the
-    chunk fold's. Peak RSS of a noisy_wide run (glibc 2.36): 86.1 MB
-    with the fold, 86.8 MB as here, 89.3 MB with the certificate first
-    and 91.5 MB with a top block of k rows.
+    glibc placed the final QR's few-MB temporaries while the noisy
+    build held [V | G] beside X. Peak RSS of a noisy_wide run (glibc
+    2.36) then read 86.1 MB with the fold, 86.8 MB as here, 89.3 MB
+    with the certificate first and 91.5 MB with a top block of k rows.
+    Since the build draws [V | G] into X's buffer, the same four read
+    84.0, 69.7, 70.0 and 68.3 MB, and the build's live peak is this
+    final QR's: 1.37 X.nbytes as here and 1.31 with k rows.
 
     Elsewhere (rank-deficient or ill-conditioned rows below, or a column
     that fails the scale test) the rows below row k are compressed one

@@ -26,15 +26,18 @@ source [V | G] is square and its condition number has a heavy tail, so
 the difference is mostly below 1e-13 of max|X| but reached 4.7e-12 at
 condition number 1.1e5.
 
-The build touches each large array once. G is drawn straight into the
-column-major [V | G] buffer, a chunk of normals at a time. R is taken
-from the Gram of [V | G]'s rows below its top 2k, or from row chunks
-where that Gram is ill-conditioned (`linalg._r_factor`), so no QR
-copies the m x k block, and X is formed column-major from column
-blocks of the product, on the exact path as on the noisy one. No
-full-size block of random draws, no copy of [V | G] and no C-ordered
-copy of X is made: at the peak, [V | G] and X are the only arrays of
-X's size.
+The build touches each large array once. [V | G] is drawn into the
+buffer X will occupy, as the transpose of X's top k rows, G a chunk of
+normals at a time. R is taken from the Gram of [V | G]'s rows below its
+top 2k, or from row chunks where that Gram is ill-conditioned
+(`linalg._r_factor`), so no QR copies the m x k block. X is formed
+column-major from column blocks of the product, on the exact path as on
+the noisy one; on the noisy path each block is written over the columns
+of [V | G] it was formed from. No full-size block of random draws, no
+copy of [V | G] and no C-ordered copy of X is made, and [V | G] never
+sits beside X: on a wide source X is the only array of its size. On a
+tall one the completed U and the folded left factor are of X's size
+too, and the folded factor is formed in place.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -65,8 +68,9 @@ __all__ = [
 
 DECAY_RATES = {"slow": 0.01, "medium": 0.1, "fast": 0.5}
 COHERENCE_MULTIPLIERS = {"low": 1.0, "mid": 3.0, "high": 8.0}
-# Entries of X per column block of `_product` (1 MB of float64), and
-# the multiple of columns each block width is rounded to.
+# Entries per block of X's columns in `_product` and of the folded left
+# factor's rows in `_completed_product` (1 MB of float64), and the
+# multiple of columns or rows each block is rounded to (`_aligned_step`).
 _PRODUCT_CHUNK = 1 << 17
 _PRODUCT_ALIGN = 64
 
@@ -169,18 +173,23 @@ def low_rank_source(spec: SynthSpec):
     rng = SplitMix64(spec.seed)
     U, s, V = _factors(spec, rng)
     if spec.noise is None:
-        left = U * s
+        X = _product(U * s, V)
     else:
         k = min(spec.n, spec.m)
         U = _complete_basis(U, k, rng)
         s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-        left, V = _completed_product(U * s, V, rng)
-    X = _product(left, V)
+        X = _completed_product(U, s, V, rng)
     return X, ThinSVD(U=U, singular_values=s, V=None,
                       numerical_rank=numerical_rank(s, X.shape))
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _aligned_step(length: int) -> int:
+    """Vectors of `length` entries per block: about `_PRODUCT_CHUNK`
+    entries in all, in a multiple of `_PRODUCT_ALIGN` vectors."""
+    return max(1, _PRODUCT_CHUNK // length // _PRODUCT_ALIGN) * _PRODUCT_ALIGN
+
+
+def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
     """left @ right.T, column-major, formed one block of columns at a time.
 
     No C-ordered n x m temporary is made and copied. Each block starts
@@ -190,10 +199,15 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     result is then bit-identical to it. At some other shapes the kernel
     sums entries of the last block in another order, and they differ by
     rounding.
+
+    `out`, if given, is the n x m column-major array written instead of
+    a new one. `right` may lie in it, as the transpose of rows of `out`:
+    each block of columns reads only the same columns of `out`, and its
+    product is complete before it is written over them.
     """
     n, m = left.shape[0], right.shape[0]
-    X = np.empty((n, m), order="F")
-    step = max(1, _PRODUCT_CHUNK // n // _PRODUCT_ALIGN) * _PRODUCT_ALIGN
+    X = np.empty((n, m), order="F") if out is None else out
+    step = _aligned_step(n)
     for j in range(0, m, step):
         X[:, j:j + step] = left @ right[j:j + step].T
     return X
@@ -222,11 +236,12 @@ def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
     return np.concatenate([B, Q[:, r:total]], axis=1)
 
 
-def _completed_product(left: np.ndarray, V: np.ndarray, rng: SplitMix64):
-    """(W, block) with W @ block.T == left @ [V | V_perp].T.
+def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
+                       rng: SplitMix64) -> np.ndarray:
+    """(U * s) @ [V | V_perp].T, column-major, in one buffer of X's size.
 
     V_perp is the completion of the m x r orthonormal V to
-    k = left.shape[1] columns that `_complete_basis(V, k, rng)` would
+    k = U.shape[1] columns that `_complete_basis(V, k, rng)` would
     form from the same draw: Q[:, r:] of the QR of block = [V | G], that
     is block @ inv(R)[:, r:]. The k x k triangular R alone applies it:
     inv(R)[:, r:] is folded into the n x k left factor, and no m x k Q
@@ -235,18 +250,37 @@ def _completed_product(left: np.ndarray, V: np.ndarray, rng: SplitMix64):
     block's top 2k, or row chunks, so no QR copies the block either; R
     then differs from the one QR's by rounding, and X by about 1e-16 of
     max|X|.
+
+    The block is drawn into X's own buffer, as the transpose of its top
+    k rows, and X is formed over it (`_product`). The folded left factor
+    W is formed after R, in the buffer of U * s, a block of rows at a
+    time: each row of W reads only its own row of U * s. On a tall
+    source U, W and X are all of X's size.
     """
-    r = V.shape[1]
-    k = left.shape[1]
+    n, k = U.shape
+    m, r = V.shape
     if k == r:
-        return left, V
-    block = _with_normal_columns(V, k, rng)
-    R = _r_factor(block)
+        return _product(U * s, V)
+    X = np.empty((n, m), order="F")
+    block = X[:k].T  # [V | G], row-major with leading dimension n
+    block[:, :r] = V
+    rng._fill_normals(block[:, r:])
     # R is upper triangular, so LU with partial pivoting never swaps a
     # row and this is a triangular solve for the last k - r columns.
-    W = left[:, r:] @ np.linalg.solve(R, np.eye(k)[:, r:]).T
-    W[:, :r] += left[:, :r]
-    return W, block
+    fold = np.linalg.solve(_r_factor(block), np.eye(k)[:, r:]).T
+    W = U * s
+    step = _aligned_step(k)
+    folded = np.empty((min(step, n), k))
+    for i in range(0, n, step):
+        rows = W[i:i + step]
+        part = folded[:len(rows)]
+        np.matmul(rows[:, r:], fold, out=part)
+        part[:, :r] += rows[:, :r]
+        rows[...] = part
+    # Freed before the product's column blocks, which on a tall source
+    # would otherwise add to the peak.
+    del fold, folded, part
+    return _product(W, block, out=X)
 
 
 def add_noise(X, spec: SynthSpec) -> np.ndarray:

@@ -418,18 +418,22 @@ def test_r_factor_routes(linalg_calls, monkeypatch, case, certified,
         A *= 1e160
     elif case == "Gram underflows":
         A *= 1e-150
-    A = np.asfortranarray(A)
-    linalg_calls.clear()
-    R = matcoh.linalg._r_factor(A)
-    # The Cholesky route ends in one QR of the top rows on the factor;
-    # the fold takes one QR per chunk.
-    shapes = [shape for f, shape, mode in linalg_calls if mode == "r"]
-    assert (shapes == [(3 * k, k)]) == certified, shapes
-    assert sum(f == "eigvalsh" for f, _, _ in linalg_calls) == certificates
-    want = np.linalg.qr(A, mode="r")
-    np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
-    bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
-    assert np.max(np.abs(R - want)) <= bound
+    # Column-major, and as a tall noisy build hands it over: the
+    # transpose of the top k rows of a column-major buffer with more rows.
+    buffer = np.empty((k + 3, m), order="F")
+    buffer[:k] = A.T
+    for A in (np.asfortranarray(A), buffer[:k].T):
+        linalg_calls.clear()
+        R = matcoh.linalg._r_factor(A)
+        # The Cholesky route ends in one QR of the top rows on the factor;
+        # the fold takes one QR per chunk.
+        shapes = [shape for f, shape, mode in linalg_calls if mode == "r"]
+        assert (shapes == [(3 * k, k)]) == certified, shapes
+        assert sum(f == "eigvalsh" for f, _, _ in linalg_calls) == certificates
+        want = np.linalg.qr(A, mode="r")
+        np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
+        bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
+        assert np.max(np.abs(R - want)) <= bound
 
 
 @pytest.mark.parametrize("seed", range(5))
