@@ -15,16 +15,16 @@ order within a pair alternates (old first, then new first), so a drift
 in the host's speed does not favour one side.
 
 It prints the median `cpu_s` and `peak_rss_mb` of each side's set-up and
-full runs (a source's build peak sits in the set-up run), in how many of
-the N pairs the new tree read lower on each, and whether the two trees'
-set-up and full-run CSVs are byte-identical. A failed child run stops it
-with an error.
+full runs (a source's build peak sits in the set-up run), each with its
+quartiles, in how many of the N pairs the new tree read lower on each,
+and whether the two trees' set-up and full-run CSVs are byte-identical.
+A gain holds where the medians differ by more than the old tree's
+interquartile spread. A failed child run stops it with an error.
 """
 
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,7 +35,7 @@ PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
-from run import CHILD_TIMEOUT_S, THREAD_VARS  # noqa: E402
+from run import CHILD_TIMEOUT_S, THREAD_VARS, quartiles  # noqa: E402
 
 # The metrics read from each config's runs, set-up first.
 METRICS = {run: ("cpu_s", "peak_rss_mb") for run in ("setup", "run")}
@@ -60,6 +60,12 @@ def child(src: Path, config: str, workdir: Path) -> dict:
         raise SystemExit(f"pairs: matcoh imported from {result['matcoh_file']}, "
                          f"not from {src}")
     return result
+
+
+def summary(values) -> str:
+    """`median [q1, q3]` of `values`."""
+    q1, median, q3 = quartiles(values)
+    return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
 def main(argv=None) -> int:
@@ -106,8 +112,7 @@ def main(argv=None) -> int:
     for key in samples["old"]:
         old, new = samples["old"][key], samples["new"][key]
         lower = sum(b < a for a, b in zip(old, new))
-        print(f"{key[0]} {key[1]}: old {statistics.median(old):.6g}, "
-              f"new {statistics.median(new):.6g}, "
+        print(f"{key[0]} {key[1]}: old {summary(old)}, new {summary(new)}, "
               f"new lower in {lower} of {args.pairs}")
     for run in METRICS:
         same = csv["old", run] == csv["new", run]

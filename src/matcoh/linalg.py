@@ -8,11 +8,11 @@ here so that the higher-level modules agree on one set of tolerances.
 `left_svd`, for the coherence truth, routes by structure: `eigh` if
 SPSD, the SVD of Xᵀ's R factor if wide, else `thin_svd`. The R factor
 of a tall matrix, here and in the noisy synthetic build, comes from
-`_r_factor`, which copies no full-size block: the rows below a top
-block of twice the width enter through the Cholesky factor of their
-Gram where a condition-number certificate holds, first on a head chunk
-of them and then on all, and through a fold of row chunks' QRs
-elsewhere.
+`_r_factor`, which copies no full-size block: the rows below row k
+(k the width) enter through the Cholesky factor of their Gram where a
+condition-number certificate holds, first on a head chunk of them and
+then on all, and through a fold of row chunks' QRs elsewhere; both end
+in one QR of the top k rows on those factors.
 `spsd_pinv_factor`, the package's one pseudoinverse, takes the same
 `eigh` route and keeps the result factored.
 
@@ -76,7 +76,7 @@ ORTHONORMAL_TOL = 1e-10
 ZERO_SPECTRUM_FLOOR = 1e-12
 # Entries of A per row chunk that `_r_factor` compresses (4 MB of float64),
 # the largest condition number of the Gram matrix (unit diagonal) of the
-# rows below its top block for which it takes their Cholesky factor, and,
+# rows below row k for which it takes their Cholesky factor, and,
 # per row, the smallest squared column norm it takes: below it, products
 # that underflow could move that Gram by more than eps of itself.
 _R_CHUNK = 1 << 19
@@ -191,7 +191,7 @@ def left_svd(X, spsd=False) -> ThinSVD:
     `spsd` declares X symmetric positive semidefinite, untested: `eigh`,
     ordered by descending |eigenvalue| (stable sort). A wide X takes the
     SVD of the n x n Rᵀ of Xᵀ = QR (Chan 1982), with R taken from the
-    Gram of Xᵀ's rows below the top 2n where it is well-conditioned, and
+    Gram of Xᵀ's rows below row n where it is well-conditioned, and
     from row chunks of Xᵀ elsewhere (`_r_factor`). The rank threshold is
     X's.
     """
@@ -218,15 +218,14 @@ def _r_factor(A) -> np.ndarray:
     Householder QR takes every pivot from A's top k rows, and an
     orthogonal map of the rows below changes neither those pivots nor
     the norms below them. So R, its diagonal signs included, is the R of
-    A's top rows stacked on any R of the rows below (TSQR; Demmel,
+    A's top k rows stacked on any R of the rows below (TSQR; Demmel,
     Grigori, Hoemmen and Langou 2012). An A of at most one chunk of
     about `_R_CHUNK` entries below its top k rows takes the one QR.
 
-    A taller A takes the R of its rows below the top 2k from the
-    Cholesky factor of their Gram matrix (CholeskyQR): BLAS-3 products
-    over the rows in place, at half a QR's flops, then one QR of the top
-    rows stacked on that factor. Its error grows like eps·κ², κ the
-    condition number of those rows with unit columns (Yamamoto,
+    A taller A takes the R of its rows below row k from the Cholesky
+    factor of their Gram matrix (CholeskyQR): BLAS-3 products over the
+    rows in place, at half a QR's flops. Its error grows like eps·κ², κ
+    the condition number of those rows with unit columns (Yamamoto,
     Nakatsukasa, Yanagisawa and Fukaya 2015), so it is taken only where
     a certificate holds: every column's squares neither vanish,
     underflow nor overflow, and κ², read off `eigvalsh` of the k x k
@@ -236,53 +235,43 @@ def _r_factor(A) -> np.ndarray:
     κ² = 5000).
 
     The certificate is read first off the Gram of a head chunk of
-    max(chunk, 4k) rows below the top block, and only where that holds
-    is the rest added and the whole certified. A low-rank-plus-noise
-    matrix, the kind this package studies, fails at the head, so its
-    fallback pays one chunk's Gram and one `eigvalsh`, not a Gram of
-    all its rows. A head of fewer rows than the whole has the larger κ
-    where the rows are alike (Gaussian rows: κ² ≈ 5.8 at 5.8k rows,
-    2.0 over 9400), so a matrix just inside the bound can fail there and
-    take the fold. 4k rows keep a Gaussian head near κ² = 9.
-
-    The top block has 2k rows, not k, and the whole Gram's factor is
-    taken before its certificate, for memory alone: both set where
-    glibc placed the final QR's few-MB temporaries while the noisy
-    build held [V | G] beside X. Peak RSS of a noisy_wide run (glibc
-    2.36) then read 86.1 MB with the fold, 86.8 MB as here, 89.3 MB
-    with the certificate first and 91.5 MB with a top block of k rows.
-    Since the build draws [V | G] into X's buffer, the same four read
-    84.0, 69.7, 70.0 and 68.3 MB, and the build's live peak is this
-    final QR's: 1.37 X.nbytes as here and 1.31 with k rows.
+    max(chunk, 4k) rows below row k, and only where that holds is the
+    rest added and the whole certified, and only then factored. A
+    low-rank-plus-noise matrix, the kind this package studies, fails at
+    the head, so its fallback pays one chunk's Gram and one `eigvalsh`,
+    not a Gram of all its rows. A head of fewer rows than the whole has
+    the larger κ where the rows are alike (Gaussian rows: κ² ≈ 5.8 at
+    5.8k rows, 2.0 over 9400), so a matrix just inside the bound can
+    fail there and take the fold. 4k rows keep a Gaussian head near
+    κ² = 9.
 
     Elsewhere (rank-deficient or ill-conditioned rows below, or a column
     that fails the scale test) the rows below row k are compressed one
     chunk at a time, and the chunks' R factors are folded into one once
-    they pass a chunk's height. Either way no QR sees more than
-    max(3k, chunk + k) rows, so the temporaries stay O(chunk) whatever
-    m is, and no full-size copy of A is made.
+    they pass a chunk's height. Either route ends in one QR of the top k
+    rows stacked on the R factors of the rows below. No QR sees more
+    than chunk + k rows, so the temporaries stay O(chunk) whatever m is,
+    and no full-size copy of A is made.
     """
     m, k = A.shape
     step = max(k, _R_CHUNK // k)
     if m <= k + step:
         return np.linalg.qr(A, mode="r")
-    below, head = A[2 * k:], max(step, 4 * k)
-    # The head chunk's Gram is certified before the rest is added, and
-    # the factor is taken before the whole is: see the docstring. An
-    # overflow fails the certificate.
-    with np.errstate(over="ignore"):
+    # `stack` takes R factors, of at most k rows each, of the rows below.
+    below, head, stack = A[k:], max(step, 4 * k), []
+    with np.errstate(over="ignore"):  # an overflow fails the certificate
         gram = below[:head].T @ below[:head]  # SYRKs over views, no copy
-        if _gram_certified(gram, m):
+        certified = _gram_certified(gram, m)
+        if certified and len(below) > head:
             gram += below[head:].T @ below[head:]
-            with suppress(np.linalg.LinAlgError):  # not positive definite
-                C = np.linalg.cholesky(gram)
-                if _gram_certified(gram, m):
-                    return np.linalg.qr(np.vstack([A[:2 * k], C.T]), mode="r")
-    stack = []  # R factors of at most k rows each
-    for i in range(k, m, step):
-        stack.append(np.linalg.qr(A[i:i + step], mode="r"))
-        if len(stack) * k > step:
-            stack = [np.linalg.qr(np.vstack(stack), mode="r")]
+            certified = _gram_certified(gram, m)
+    with suppress(np.linalg.LinAlgError):  # not positive definite
+        stack = [np.linalg.cholesky(gram).T] if certified else []
+    if not stack:
+        for i in range(0, len(below), step):
+            stack.append(np.linalg.qr(below[i:i + step], mode="r"))
+            if len(stack) * k > step:
+                stack = [np.linalg.qr(np.vstack(stack), mode="r")]
     return np.linalg.qr(np.vstack([A[:k], *stack]), mode="r")
 
 

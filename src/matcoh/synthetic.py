@@ -28,8 +28,8 @@ condition number 1.1e5.
 
 The build touches each large array once. [V | G] is drawn into the
 buffer X will occupy, as the transpose of X's top k rows, G a chunk of
-normals at a time. R is taken from the Gram of [V | G]'s rows below its
-top 2k, or from row chunks where that Gram is ill-conditioned
+normals at a time. R is taken from the Gram of [V | G]'s rows below row
+k, or from row chunks where that Gram is ill-conditioned
 (`linalg._r_factor`), so no QR copies the m x k block. X is formed
 column-major from column blocks of the product, on the exact path as on
 the noisy one; on the noisy path each block is written over the columns
@@ -247,7 +247,7 @@ def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
     inv(R)[:, r:] is folded into the n x k left factor, and no m x k Q
     is formed. R, with the one QR's diagonal signs, comes from
     `_r_factor`: the Cholesky factor of the Gram of the rows below the
-    block's top 2k, or row chunks, so no QR copies the block either; R
+    block's row k, or row chunks, so no QR copies the block either; R
     then differs from the one QR's by rounding, and X by about 1e-16 of
     max|X|.
 

@@ -354,11 +354,17 @@ def test_r_factor_matches_one_qr(monkeypatch, k, r, chunks, seed):
     rng = np.random.default_rng(seed)  # [V | G] as the noisy build forms it
     V = np.linalg.qr(rng.standard_normal((m, r)))[0]
     A = np.asfortranarray(np.hstack([V, rng.standard_normal((m, k - r))]))
-    R, want = matcoh.linalg._r_factor(A), np.linalg.qr(A, mode="r")
+    _assert_is_one_qr_r(matcoh.linalg._r_factor(A), A)
+
+
+def _assert_is_one_qr_r(R, A):
+    """R is `np.linalg.qr(A, mode="r")` to within m·eps·‖A‖₂, with its
+    diagonal signs: one flipped sign would flip a column of the
+    completion R applies."""
+    want = np.linalg.qr(A, mode="r")
     assert R.shape == want.shape
-    # One flipped sign would flip a column of the completion R applies.
     np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
-    bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
+    bound = A.shape[0] * np.finfo(float).eps * np.linalg.norm(A, 2)
     assert np.max(np.abs(R - want)) <= bound
 
 
@@ -388,18 +394,19 @@ _BOUND = matcoh.linalg._R_MAX_GRAM_COND
 @pytest.mark.parametrize("seed", range(3))
 def test_r_factor_routes(linalg_calls, monkeypatch, case, certified,
                          certificates, seed):
-    # The rows below the top 2k enter through the Cholesky factor of their
+    # The rows below row k enter through the Cholesky factor of their
     # Gram only where its certificate holds, read first off the Gram of
-    # the head chunk below the top block and then off the whole; every
-    # other case takes the chunk fold. A column that fails the scale test
-    # fails before any condition number is read, and a head chunk that
-    # fails leaves the rest out. Either way R is the one QR's, to rounding.
+    # the head chunk below row k and then off the whole, and only then
+    # factored; every other case takes the chunk fold and no Cholesky
+    # factor. A column that fails the scale test fails before any
+    # condition number is read, and a head chunk that fails leaves the
+    # rest out. Either way R is the one QR's, to rounding.
     k, m = 6, 200
     monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", 8 * k)
     head = 4 * k  # max(chunk of 8 rows, 4k)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, k))
-    below = A[2 * k:]
+    below = A[k:]
     if case in ("scaled columns, just below the bound", "just above the bound"):
         # The head chunk and the rest share a Gram, so each has the same
         # condition number, and so does their sum.
@@ -409,7 +416,7 @@ def test_r_factor_routes(linalg_calls, monkeypatch, case, certified,
     elif case == "zero column below the top block":
         below[:, 2] = 0.0
     elif case == "rank-deficient rows below the top block":
-        below[:] = (rng.standard_normal((m - 2 * k, k - 2))
+        below[:] = (rng.standard_normal((m - k, k - 2))
                     @ rng.standard_normal((k - 2, k)))
     elif case == "rows below the head chunk past the bound":
         rest = below[head:]
@@ -425,15 +432,28 @@ def test_r_factor_routes(linalg_calls, monkeypatch, case, certified,
     for A in (np.asfortranarray(A), buffer[:k].T):
         linalg_calls.clear()
         R = matcoh.linalg._r_factor(A)
-        # The Cholesky route ends in one QR of the top rows on the factor;
-        # the fold takes one QR per chunk.
+        # The Cholesky route ends in one QR of the top k rows on the
+        # factor; the fold takes one QR per chunk.
         shapes = [shape for f, shape, mode in linalg_calls if mode == "r"]
-        assert (shapes == [(3 * k, k)]) == certified, shapes
+        assert (shapes == [(2 * k, k)]) == certified, shapes
         assert sum(f == "eigvalsh" for f, _, _ in linalg_calls) == certificates
-        want = np.linalg.qr(A, mode="r")
-        np.testing.assert_array_equal(np.sign(np.diag(R)), np.sign(np.diag(want)))
-        bound = m * np.finfo(float).eps * np.linalg.norm(A, 2)
-        assert np.max(np.abs(R - want)) <= bound
+        assert sum(f == "cholesky" for f, _, _ in linalg_calls) == certified
+        _assert_is_one_qr_r(R, A)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_r_factor_certifies_once_where_the_head_chunk_holds_every_row(
+        linalg_calls, monkeypatch, seed):
+    # Chunks of 8 rows and a head chunk of 4k = 24 rows, which holds all
+    # 22 rows below row k: the head's certificate is the whole Gram's, so
+    # it is read once, and R comes from its Cholesky factor.
+    k, m = 6, 28
+    monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", 8 * k)
+    A = np.random.default_rng(seed).standard_normal((m, k))
+    linalg_calls.clear()
+    R = matcoh.linalg._r_factor(A)
+    assert [f for f, _, _ in linalg_calls] == ["eigvalsh", "cholesky", "qr"]
+    _assert_is_one_qr_r(R, A)
 
 
 @pytest.mark.parametrize("seed", range(5))

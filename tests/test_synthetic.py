@@ -281,10 +281,10 @@ def test_noisy_source_matches_explicit_q_build(spec):
 def test_noisy_build_takes_only_r_of_the_wide_block(linalg_calls, monkeypatch):
     # V's completion needs only R of the m x k block [V | G], and the wide
     # truth only R of Xᵀ. Neither forms an m x k Q, and no QR sees the
-    # whole block: the build's rows below its top 2k enter through the
+    # whole block: the build's rows below row k enter through the
     # Cholesky factor of their k x k Gram, and Xᵀ, whose head chunk below
-    # the top block already fails the Gram's certificate, is compressed in
-    # row chunks instead, with no Gram of the rest and no Cholesky factor.
+    # row k already fails the Gram's certificate, is compressed in row
+    # chunks instead, with no Gram of the rest and no Cholesky factor.
     spec = SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1)
     k, step = 30, 40
     monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", step * k)
@@ -296,7 +296,7 @@ def test_noisy_build_takes_only_r_of_the_wide_block(linalg_calls, monkeypatch):
     assert [shape for f, shape, mode in build if f == "qr" and mode != "r"
             and shape[0] == spec.m] == [(spec.m, spec.rank)]
     assert [(f, shape) for f, shape, mode in build
-            if f == "cholesky" or mode == "r"] == [("cholesky", (k, k)), ("qr", (3 * k, k))]
+            if f == "cholesky" or mode == "r"] == [("cholesky", (k, k)), ("qr", (2 * k, k))]
     assert [f for f, _, _ in linalg_calls if f != "qr"] == ["eigvalsh"]
     assert all(mode == "r" for f, _, mode in linalg_calls if f == "qr")
     rows = [shape[0] for f, shape, _ in linalg_calls if f == "qr"]
@@ -382,8 +382,8 @@ def _fresh_process_output(code):
 
 def test_noisy_wide_build_holds_one_source_sized_array(linalg_calls):
     # [V | G] is drawn in chunks into X's own buffer, as the transpose of
-    # its top k rows, R comes from the Gram of its rows below the top
-    # block, and X is formed over it a column block at a time: no
+    # its top k rows, R comes from the Gram of its rows below row k, and
+    # X is formed over it a column block at a time: no
     # full-size uint64 block, no QR copy of [V | G], no C-ordered copy of
     # X and no [V | G] beside X. At the peak, X is the only array of its
     # size; a second one takes the peak past 2 X.nbytes.
@@ -395,15 +395,17 @@ def test_noisy_wide_build_holds_one_source_sized_array(linalg_calls):
     finally:
         tracemalloc.stop()
     # The benchmark's noisy_wide source: [V | G] is 10 000 x 300, and its
-    # rows below the top 600, scaled to unit columns, have a Gram with
+    # rows below row 300, scaled to unit columns, have a Gram with
     # condition number about 2, far inside the certificate's bound. Its
-    # R comes from one QR of the top 600 rows on the Cholesky factor.
-    assert [shape for _, shape, mode in linalg_calls if mode == "r"] == [(900, 300)]
-    # About 1.37 X.nbytes; [V | G] beside X reads 2.10.
-    assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+    # R comes from one QR of the top 300 rows on the Cholesky factor.
+    assert [shape for _, shape, mode in linalg_calls if mode == "r"] == [(600, 300)]
+    # About 1.31 X.nbytes, set by that final QR; a top block of 600 rows
+    # read 1.37, and [V | G] beside X 2.10.
+    assert peak <= 1.35 * X.nbytes, peak / X.nbytes
     # tracemalloc misses LAPACK's buffers, so the same build runs again in
     # a fresh process, which measures its peak RSS above its start: about
-    # 1.51 X.nbytes, and 2.25 with [V | G] beside X.
+    # 1.42 X.nbytes, 1.51 with a top block of 600 rows, and 2.25 with
+    # [V | G] beside X.
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status to read the peak RSS from")
     rise = float(_fresh_process_output(_PEAK_RSS_CHILD).split()[-1])
@@ -472,8 +474,8 @@ print((status("VmHWM") - before) / X.nbytes)
 
 def test_wide_left_svd_rises_less_than_half_its_matrix():
     # R of Xᵀ for a well-conditioned 300 x 10 000 X comes from the Gram of
-    # its rows below the top 600 and one 900 x 300 QR, and copies no row
-    # chunk: the peak RSS rises 0.45 X.nbytes, against 1.04 when every
+    # its rows below row 300 and one 600 x 300 QR, and copies no row
+    # chunk: the peak RSS rises 0.39 X.nbytes, against 1.04 when every
     # chunk is copied twice by its own QR.
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status to read the peak RSS from")
