@@ -18,11 +18,16 @@ It prints the median `cpu_s` and `peak_rss_mb` of each side's set-up and
 full runs (a source's build peak sits in the set-up run), each with its
 quartiles, in how many of the N pairs the new tree read lower on each,
 and whether the two trees' set-up and full-run CSVs are byte-identical.
-A gain holds where the medians differ by more than the old tree's
+Where they differ, it prints, per `method` (`-` for an estimate row),
+the largest relative move |new - old| / max(|old|, |new|) of each float
+column that moved, and names any other column that changed. A gain
+holds where the medians differ by more than the old tree's
 interquartile spread. A failed child run stops it with an error.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -62,6 +67,45 @@ def child(src: Path, config: str, workdir: Path) -> dict:
     return result
 
 
+def _float_cell(cell):
+    """The cell's value if it is a float that is not an integer, else None."""
+    try:
+        int(cell)
+        return None
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def moves(old: bytes, new: bytes) -> list:
+    """Lines naming what moved between two raw CSVs, row for row."""
+    old_rows, new_rows = (list(csv.DictReader(io.StringIO(b.decode())))
+                          for b in (old, new))
+    if (len(old_rows) != len(new_rows)
+            or any(a.keys() != b.keys() for a, b in zip(old_rows, new_rows))):
+        return [f"rows differ: {len(old_rows)} old, {len(new_rows)} new"]
+    largest, changed = {}, set()
+    for a, b in zip(old_rows, new_rows):
+        for column, cell in a.items():
+            if cell == b[column]:
+                continue
+            x, y = _float_cell(cell), _float_cell(b[column])
+            if x is None or y is None:
+                changed.add(column)
+            elif x != y:  # not 0.0 against -0.0
+                key = (column, a.get("method") or "-")
+                move = abs(y - x) / max(abs(x), abs(y))
+                largest[key] = max(largest.get(key, 0.0), move)
+    lines = [f"{column} [{method}]: largest relative move {move:.3g}"
+             for (column, method), move in sorted(largest.items())]
+    if changed:
+        lines.append(f"other columns changed: {', '.join(sorted(changed))}")
+    return lines
+
+
 def summary(values) -> str:
     """`median [q1, q3]` of `values`."""
     q1, median, q3 = quartiles(values)
@@ -86,7 +130,7 @@ def main(argv=None) -> int:
 
     samples = {side: {(run, m): [] for run, ms in METRICS.items() for m in ms}
                for side in sides}
-    csv = {}
+    outputs = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         workdir = Path(tmp)
         for run in METRICS:  # writes setup.cfg and run.cfg
@@ -105,8 +149,8 @@ def main(argv=None) -> int:
                     result = child(sides[side], f"{run}.cfg", workdir)
                     for m in ms:
                         samples[side][run, m].append(result[m])
-                    csv.setdefault((side, run),
-                                   (workdir / f"{run}.csv").read_bytes())
+                    outputs.setdefault((side, run),
+                                       (workdir / f"{run}.csv").read_bytes())
 
     print(f"{args.workload} seed {args.seed} size {args.size}, {args.pairs} pairs")
     for key in samples["old"]:
@@ -115,8 +159,11 @@ def main(argv=None) -> int:
         print(f"{key[0]} {key[1]}: old {summary(old)}, new {summary(new)}, "
               f"new lower in {lower} of {args.pairs}")
     for run in METRICS:
-        same = csv["old", run] == csv["new", run]
+        same = outputs["old", run] == outputs["new", run]
         print(f"{run} CSV byte-identical: {'yes' if same else 'no'}")
+        if not same:
+            for line in moves(outputs["old", run], outputs["new", run]):
+                print(f"  {run} {line}")
     return 0
 
 

@@ -38,8 +38,9 @@ runs only for a singular value within rounding of the threshold.
 Per trial the cost is one O(n L^2) Householder QR, one SVD per size,
 and O(n k q) to form a q-column basis Q_k W, which a `PrefixFactor`
 does only when asked. The n x L Q is never formed: multiplying it out
-would cost more than the QR itself, and the sweep only ever reads it
-as Q_k W. R is copied out of the QR's copy of the block, and the
+would cost more than the QR itself, and it is only ever applied, as
+Q_k W and, for the column-projection errors (`lowrank`), as Q^T X.
+R is copied out of the QR's copy of the block, and the
 reflectors left there are made its compact WY form Q = I - V T V^T
 (Schreiber and Van Loan 1989) in place. The p x p triangle T,
 p = min(n, L), is the inverse of the UT transform's diag(1/tau) +
@@ -47,9 +48,10 @@ striu(V^T V) (Joffrain, Low, Quintana-Orti, van de Geijn and Van Zee
 2006), at the cost of one Gram of V. Q_k W then takes the same
 O(n k q) product as with Q at hand, plus O(k^2 q). Beyond the QR's
 copy of the block, the sweep holds R, T and the blocks it factors.
-The experiment reads each estimate as `basis_coherence` of its
-factor's left basis, and hands the same factor to
-`lowrank.column_projection`.
+Every factor of one sweep holds the whole V and T. The experiment reads
+each estimate as `basis_coherence` of its factor's left basis, and
+every size's column-projection error off one pass of the sweep's Q
+over the source.
 """
 
 import math
@@ -146,14 +148,16 @@ class PrefixFactor:
     to the block.
 
     Q_k is never formed. It is held in compact WY form (Schreiber and
-    Van Loan 1989), as the first k columns of I - V T V^T: `V` is the
-    n x k unit lower trapezoidal matrix of the first k Householder
-    vectors, and `T` the k x k upper triangular factor of the UT
-    transform (Joffrain, Low, Quintana-Orti, van de Geijn and Van Zee
-    2006). `left_basis` answers as `ThinSVD.left_basis` would on the
-    prefix: for the k x q factor W of `core` it returns Q_k W = [W; 0] -
-    V (T (V[:k]^T W)), at O(n k q + k^2 q), and forms only those q
-    columns.
+    Van Loan 1989), as the first k columns of the sweep's Q = I - V T
+    V^T: `V` is the n x p unit lower trapezoidal matrix of the block's
+    p = min(n, L) Householder vectors, and `T` the p x p upper triangular
+    factor of the UT transform (Joffrain, Low, Quintana-Orti, van de
+    Geijn and Van Zee 2006), both shared by every prefix of the sweep.
+    The first k reflectors alone give Q_k, so V[:, :k] and T[:k, :k]
+    are the prefix's own. `left_basis` answers as `ThinSVD.left_basis`
+    would on the prefix: for the k x q factor W of `core` it returns
+    Q_k W = [W; 0] - V_k (T_k (V_k[:k]^T W)), at O(n k q + k^2 q), and
+    forms only those q columns.
     """
 
     V: np.ndarray
@@ -163,7 +167,8 @@ class PrefixFactor:
     def left_basis(self, rank=None) -> np.ndarray:
         W = self.core.left_basis(rank)
         k = W.shape[0]
-        U = self.V @ (self.T @ (self.V[:k].T @ W))
+        V = self.V[:, :k]
+        U = V @ (self.T[:k, :k] @ (V[:k].T @ W))
         np.negative(U, out=U)
         U[:k] += W
         return U
@@ -253,7 +258,7 @@ def _prefix_factors(columns, sizes):
         if kept is not None or q < s.size:
             dropped = math.hypot(dropped, float(np.linalg.norm(s[q:])))
             kept = (f.U[:, :q] * s[:q], l, dropped)
-        yield PrefixFactor(V[:, :k], T[:k, :k], replace(f, numerical_rank=q))
+        yield PrefixFactor(V, T, replace(f, numerical_rank=q))
 
 
 def _invert_upper(U):

@@ -18,10 +18,16 @@ run, not once per trial. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
 of it (`nested_factors`); that size's factor gives the estimate and, in
 a kernel experiment, the column projection's basis, so no sample is
-factored twice. A `ColumnSample` is made only where a method reads
-one. An estimate row's `wall_time_ms` is that size's step, its SVD
-included, with the trial's QR charged to the first size; a method
-row's is that approximation alone.
+factored twice. A kernel run checks K's symmetry and takes ‖K‖_F once,
+before the truth, and then calls `lowrank`'s private cores, not the
+public methods with their per-call checks. Each trial makes one
+Householder pass over K with its QR's reflectors (4 n² p flops,
+p = min(n, L)), and every size reads its column-projection error off
+it; Nystrom takes one `eigh` of W and a pass over the block-lower half
+of its residual per size. An estimate row's `wall_time_ms` is that
+size's step, its SVD included, with the trial's QR charged to the first
+size; a method row's is that approximation alone, with the trial's
+projection pass charged to the first size's column-projection row.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -46,6 +52,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, get_args
 
+import numpy as np
+
 from .coherence import basis_coherence, nested_factors
 from .kernels import (
     KernelSpec,
@@ -57,8 +65,9 @@ from .kernels import (
     standardize,
 )
 from .linalg import _spsd_top, as_dense, left_svd
-from .lowrank import column_projection, nystrom
-from .sampling import RNG_NAME, ColumnSample, _allowed_pool, _draw_columns
+from .lowrank import (_check_symmetric, _normalized, _nystrom,
+                      _projection_squares, _reflected_rows)
+from .sampling import RNG_NAME, _allowed_pool, _draw_columns
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
 
 __all__ = [
@@ -414,15 +423,21 @@ def run_experiment(config: ExperimentConfig):
     X = as_dense(X)
     allowed = _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
 
+    with_methods = config.kind == "kernel_suite"
+    if with_methods:
+        # The run's one symmetry check and one norm of K, for both methods.
+        _check_symmetric(X, config.l_values[-1])
+        norm = float(np.linalg.norm(X))
+
     r_eff, gamma_true = _rank_and_truth(config, X, factor)
     del factor  # not held through the trials
-    with_methods = config.kind == "kernel_suite"
 
     results = []
     for trial in range(config.trials):
         seed = config.base_seed + trial
         indices, block = _draw_columns(X, allowed, config.l_values[-1], seed)
         factors = nested_factors(block, config.l_values)
+        reflected = None
         for l in config.l_values:
             start = time.perf_counter()
             factor = next(factors)
@@ -436,17 +451,23 @@ def run_experiment(config: ExperimentConfig):
             )
             results.append(TrialResult(
                 **common, wall_time_ms=est_ms if config.timing else None))
-            if with_methods:
-                sample = ColumnSample(indices=indices[:l], submatrix=block[:, :l])
-                for fn, args in ((column_projection, (X, sample, factor)),
-                                 (nystrom, (X, sample))):
-                    start = time.perf_counter()
-                    approx = fn(*args)
-                    method_ms = round((time.perf_counter() - start) * 1000)
-                    results.append(TrialResult(
-                        **common, method=approx.method,
-                        normalized_error=approx.normalized_error,
-                        wall_time_ms=method_ms if config.timing else None))
+            if not with_methods:
+                continue
+            start = time.perf_counter()
+            if reflected is None:  # the trial's one pass over K
+                reflected = _reflected_rows(X, factor.V, factor.T)
+            projection = _projection_squares(*reflected, factor.core.left_basis())
+            projection_ms = round((time.perf_counter() - start) * 1000)
+            start = time.perf_counter()
+            nystrom = _nystrom(X, indices[:l], block[:, :l])[2]
+            nystrom_ms = round((time.perf_counter() - start) * 1000)
+            for method, squares, method_ms in (
+                    ("column_projection", projection, projection_ms),
+                    ("nystrom", nystrom, nystrom_ms)):
+                results.append(TrialResult(
+                    **common, method=method,
+                    normalized_error=_normalized(squares, norm)[1],
+                    wall_time_ms=method_ms if config.timing else None))
 
     if config.output:
         write_raw_csv(resolve_output_path(config.output), results)

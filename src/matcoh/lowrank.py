@@ -6,15 +6,32 @@ U (Uᵀ X) for the rank-truncated left singular vectors U of the
 subsample. The Nystrom reconstruction works for symmetric positive
 semidefinite K: with K1 the sampled columns and W their row/column
 intersection block, approximate K by K1 W⁺ K1ᵀ (Kumar, Mohri and
-Talwalkar 2012), applied through the `eigh` factors of W⁺. Both cost
-O(l^2 n) for l sampled columns, plus O(l n m) for the errors.
+Talwalkar 2012), applied through the `eigh` factors of W⁺, cut at the
+shared rank threshold.
+
+Column projection takes U as Q_k W, from the Householder QR
+Q = I - V T Vᵀ of the sample (`coherence.nested_factors`, O(n l²)) and
+the SVD of its k x l R block, k = min(n, l), with W the k x q core
+basis. Its error comes from one pass of Q over X, Y = Qᵀ X formed a
+column block at a time at 4 n k m flops:
+‖X - U Uᵀ X‖_F² = ‖Y[k:]‖² + ‖(I - W Wᵀ) Y[:k]‖², sums of squares
+with nothing to cancel, the second 0 where q = k. The first k columns
+of one sweep's Q are each prefix's Q_k, so suffix sums of Y's row
+squares give every size's first term: a run pays one pass of O(n m L)
+per trial for all its sizes, not O(n m l) per size, and never forms U
+or Uᵀ X. A public call reads Uᵀ X = Wᵀ Y[:k] off its pass. Nystrom
+costs one `eigh` of W, O(l³), B = K1 U at O(n l q), and a sum over the
+residual K - B diag(d) Bᵀ, which is symmetric, so only its block-lower
+half is formed: O(n² q / 2), column blocks of width l.
 
 A result keeps its approximation factored, approx = left @ rightᵀ with
 at most l columns in each factor, and forms the n x m product only when
-`approx` is read. The Frobenius and normalized errors are computed with
-the approximation, one column block of width l at a time, and the
-symmetry check of Nystrom's input reads K in blocks of the same width,
-so neither method forms an n x m temporary.
+`approx` is read. Both errors are summed one column block at a time,
+and the symmetry check of Nystrom's input reads K's block-lower part
+in blocks of width l, so no method call forms an n x m temporary. A
+run (`experiment`) checks K's symmetry and takes ‖K‖_F once, and calls
+the same private cores as `column_projection` and `nystrom`, each of
+which has one error path.
 """
 
 import math
@@ -23,7 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_dense, spsd_pinv_factor, thin_svd
+from .coherence import nested_factors
+from .linalg import as_dense, spsd_pinv_factor
 from .sampling import ColumnSample
 
 __all__ = [
@@ -68,20 +86,17 @@ class ApproximationResult:
         return approx
 
 
-def _result(X, left, right, method, sample: ColumnSample) -> ApproximationResult:
-    """The result, its errors summed over column blocks of width l."""
-    squares = 0.0
-    for cols in _column_blocks(X.shape[1], sample.size):
-        # Column-major like X, so the sum of squares runs in one fixed order.
-        block = np.subtract(X[:, cols], left @ right[cols].T, order="F")
-        flat = block.ravel(order="K")
-        squares += float(flat.dot(flat))
+def _normalized(squares, norm):
+    """(Frobenius error, normalized error) of a squared error against the
+    input's Frobenius norm `norm`; 0/0 is 0."""
     frob = math.sqrt(squares)
-    norm_x = float(np.linalg.norm(X))
-    if norm_x > 0.0:
-        normalized = frob / norm_x
-    else:
-        normalized = 0.0 if frob == 0.0 else float("inf")
+    if norm > 0.0:
+        return frob, frob / norm
+    return frob, 0.0 if frob == 0.0 else float("inf")
+
+
+def _result(method, left, right, squares, norm) -> ApproximationResult:
+    frob, normalized = _normalized(squares, norm)
     return ApproximationResult(left=left, right=right, method=method,
                                frobenius_error=frob, normalized_error=normalized)
 
@@ -101,23 +116,92 @@ def _check_sample(X, sample: ColumnSample):
     return idx
 
 
+def _check_symmetric(K, width):
+    """Reject a square K that is not symmetric within SYMMETRY_TOL
+    entrywise, reading its block-lower part in column blocks of `width`."""
+    asym = max(float(np.max(np.abs(K[cols.start:, cols] - K[cols, cols.start:].T)))
+               for cols in _column_blocks(K.shape[1], width))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+
+
+def _reflected_rows(X, V, T):
+    """(tail, head) of Y = Qᵀ X for the orthogonal Q = I - V T Vᵀ of p
+    reflectors (`coherence.PrefixFactor`): tail[k] = ‖Y[k:]‖_F² for
+    k = 0..n, suffix sums of Y's row sums of squares, and head = Y[:p].
+
+    Y is formed a column block of width p at a time, as
+    X - V (Tᵀ (Vᵀ X)), at 4 n p m flops in all.
+    """
+    n, p = V.shape
+    rows = np.zeros(n)
+    head = np.empty((p, X.shape[1]), order="F")
+    for cols in _column_blocks(X.shape[1], p):
+        Y = X[:, cols] - V @ (T.T @ (V.T @ X[:, cols]))
+        rows += np.einsum("ij,ij->i", Y, Y)
+        head[:, cols] = Y[:p]
+    tail = np.zeros(n + 1)
+    tail[:n] = np.cumsum(rows[::-1])[::-1]
+    return tail, head
+
+
+def _projection_squares(tail, head, W):
+    """‖X - Q_k W Wᵀ Q_kᵀ X‖_F² from `_reflected_rows` of X, for the
+    k x q core basis W: ‖Y[k:]‖² + ‖(I - W Wᵀ) Y[:k]‖², whose second
+    term is 0 where q = k. Both are sums of squares, so nothing cancels."""
+    k, q = W.shape
+    squares = float(tail[k])
+    if q < k:
+        rest = head[:k] - W @ (W.T @ head[:k])
+        flat = rest.ravel(order="K")
+        squares += float(flat @ flat)
+    return squares
+
+
+def _nystrom(K, idx, columns):
+    """(left, right, squared error) of the Nystrom reconstruction of a
+    symmetric K from its sampled `columns` K[:, idx].
+
+    The residual K - left rightᵀ is symmetric, so its squares are summed
+    over the block-lower part only, one column block of width l at a
+    time: a diagonal block once and the rows below it twice.
+    """
+    U, inverse = spsd_pinv_factor(K[np.ix_(idx, idx)])
+    right = columns @ U
+    left = right * inverse
+    width = len(idx)
+    squares = 0.0
+    for cols in _column_blocks(K.shape[1], width):
+        j = cols.start
+        # Column-major like K, so the sum of squares runs in one fixed order.
+        block = np.subtract(K[j:, cols], left[j:] @ right[cols].T, order="F")
+        diagonal, below = block[:width].ravel(order="K"), block[width:].ravel(order="K")
+        squares += float(diagonal @ diagonal) + 2.0 * float(below @ below)
+    return left, right, squares
+
+
 def column_projection(X, sample: ColumnSample, factor=None) -> ApproximationResult:
     """Project X onto the span of its sampled columns.
 
     The result is U (Uᵀ X) for the rank-truncated left singular vectors U
     of the subsample, so the residual is orthogonal to every sampled
     column. If the sample spans the full column space the projection
-    reproduces X exactly. `factor` is a left factor of
-    `sample.submatrix` that is already at hand: the experiment passes the
-    `coherence.nested_factors` entry of the sample's size. Without one,
-    the subsample takes its own `thin_svd`.
+    reproduces X exactly. `factor` is the sample's
+    `coherence.PrefixFactor`, U = Q_k W: the experiment's sweep gives
+    one for each size. Without one, the subsample is factored through
+    `nested_factors`. The error comes from one Householder pass over X
+    (`_reflected_rows`), and Uᵀ X = Wᵀ (Q_kᵀ X) is read off the same
+    pass.
     """
     X = as_dense(X)
     _check_sample(X, sample)
     if factor is None:
-        factor = thin_svd(sample.submatrix)
-    U = factor.left_basis()
-    return _result(X, U, (U.T @ X).T, "column_projection", sample)
+        factor = next(nested_factors(sample.submatrix, [sample.size]))
+    W = factor.core.left_basis()
+    k = W.shape[0]
+    tail, head = _reflected_rows(X, factor.V[:, :k], factor.T[:k, :k])
+    return _result("column_projection", factor.left_basis(), head[:k].T @ W,
+                   _projection_squares(tail, head, W), float(np.linalg.norm(X)))
 
 
 def nystrom(K, sample: ColumnSample) -> ApproximationResult:
@@ -134,10 +218,6 @@ def nystrom(K, sample: ColumnSample) -> ApproximationResult:
     if K.shape[0] != K.shape[1]:
         raise ValueError(f"matrix must be square, got {K.shape}")
     idx = _check_sample(K, sample)
-    asym = max(float(np.max(np.abs(K[:, cols] - K[cols].T)))
-               for cols in _column_blocks(K.shape[1], len(idx)))
-    if asym > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    U, inverse = spsd_pinv_factor(K[np.ix_(idx, idx)])
-    B = sample.submatrix @ U
-    return _result(K, B * inverse, B, "nystrom", sample)
+    _check_symmetric(K, len(idx))
+    return _result("nystrom", *_nystrom(K, idx, sample.submatrix),
+                   float(np.linalg.norm(K)))

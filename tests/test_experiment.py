@@ -477,7 +477,7 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    for module in (matcoh.linalg, matcoh.coherence, matcoh.lowrank):
+    for module in (matcoh.linalg, matcoh.coherence):
         monkeypatch.setattr(module, "thin_svd", thin_svd)
     data = tmp_path / "pts.csv"
     save_csv(PointDataset(points=SplitMix64(7).normal_matrix(30, 3),
@@ -494,6 +494,59 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     assert [a.shape for a in svd_inputs] == thin_shapes
     assert all(np.array_equal(a, np.triu(a)) for a in svd_inputs)
     assert eigh_shapes == [(30, 30)] + [(l, l) for l in sizes]
+
+
+def test_kernel_suite_checks_its_kernel_once(monkeypatch, tmp_path):
+    # Every as_dense binding in the package is watched, as is the symmetry
+    # scan, so a per-trial or per-method re-check of K would show.
+    scans, checks = [], []
+    real_dense = matcoh.linalg.as_dense
+    real_check = matcoh.lowrank._check_symmetric
+
+    def dense(a):
+        out = real_dense(a)
+        scans.append(out.shape)
+        return out
+
+    def check(K, width):
+        checks.append(K.shape)
+        return real_check(K, width)
+
+    for module in (matcoh.experiment, matcoh.linalg, matcoh.coherence,
+                   matcoh.lowrank, matcoh.sampling, matcoh.kernels,
+                   matcoh.synthetic):
+        if hasattr(module, "as_dense"):
+            monkeypatch.setattr(module, "as_dense", dense)
+        if hasattr(module, "_check_symmetric"):
+            monkeypatch.setattr(module, "_check_symmetric", check)
+    config = _kernel_suite_config(tmp_path)
+    assert len(run_experiment(config)) == 18
+    assert scans.count((160, 160)) == 1
+    assert checks == [(160, 160)]
+
+
+def test_kernel_suite_rejects_an_asymmetric_kernel_before_its_first_trial(
+        monkeypatch, tmp_path):
+    draws, tops = [], []
+    real_build, real_draw = matcoh.experiment.build_kernel, matcoh.experiment._draw_columns
+
+    def asymmetric(dataset, spec):
+        K = real_build(dataset, spec)
+        K[3, 0] += 2e-10
+        return K
+
+    def draw(*args):
+        draws.append(args[-1])
+        return real_draw(*args)
+
+    monkeypatch.setattr(matcoh.experiment, "build_kernel", asymmetric)
+    monkeypatch.setattr(matcoh.experiment, "_draw_columns", draw)
+    monkeypatch.setattr(matcoh.experiment, "_spsd_top",
+                        lambda *args, **kwargs: tops.append(args))
+    with pytest.raises(ValueError, match=r"^matrix is not symmetric "
+                                         r"\(max asymmetry 2\.000e-10\)$"):
+        run_experiment(_kernel_suite_config(tmp_path))
+    assert draws == [] and tops == []
 
 
 def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
@@ -675,7 +728,7 @@ def test_synthetic_truth_factors_no_source(monkeypatch, kind, n, m, extra):
         return real_factors(spec, rng)
 
     monkeypatch.setattr(matcoh.experiment, "left_svd", left_svd)
-    for module in (matcoh.linalg, matcoh.coherence, matcoh.lowrank):
+    for module in (matcoh.linalg, matcoh.coherence):
         monkeypatch.setattr(module, "thin_svd", thin_svd)
     monkeypatch.setattr(matcoh.synthetic, "_factors", factors)
     config = ExperimentConfig(kind=kind, experiment_id="f", l_values=(3, 9),

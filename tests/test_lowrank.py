@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matcoh.coherence import nested_factors
-from matcoh.linalg import thin_svd
-from matcoh.lowrank import column_projection, nystrom
+from matcoh.linalg import as_dense, thin_svd
+from matcoh.lowrank import (_projection_squares, _reflected_rows,
+                            column_projection, nystrom)
 from matcoh.sampling import ColumnSample, nested_samples, uniform_sample
 from matcoh.synthetic import SynthSpec, adversarial_spsd, basis_aligned_matrix, low_rank_matrix
 
@@ -189,8 +192,8 @@ def test_nystrom_mean_error_non_increasing_in_sample_size():
 
 
 def test_results_stay_factored_until_approx_is_read(monkeypatch):
+    import matcoh.coherence
     import matcoh.linalg
-    import matcoh.lowrank
 
     shapes = []
     real = matcoh.linalg.thin_svd
@@ -200,17 +203,18 @@ def test_results_stay_factored_until_approx_is_read(monkeypatch):
         return real(X)
 
     monkeypatch.setattr(matcoh.linalg, "thin_svd", recording)
-    monkeypatch.setattr(matcoh.lowrank, "thin_svd", recording)
+    monkeypatch.setattr(matcoh.coherence, "thin_svd", recording)
     K = spd_kernel(30, 16)
     sample = uniform_sample(K, 6, seed=17)
     results = [column_projection(K, sample), nystrom(K, sample)]
-    # The projection factors its sample, and W goes through `eigh`; both
-    # results stay factored until their approximation is read.
-    assert shapes == [(30, 6)]
+    # The projection factors its sample through one QR and the SVD of
+    # its 6 x 6 R block, and W goes through `eigh`; both results stay
+    # factored until their approximation is read.
+    assert shapes == [(6, 6)]
     assert not any("approx" in vars(res) for res in results)
     first = [res.approx for res in results]
     assert all(res.approx is a for res, a in zip(results, first))
-    assert shapes == [(30, 6)]
+    assert shapes == [(6, 6)]
 
 
 # Differential tests against dense oracles. Each oracle forms the n x n
@@ -307,6 +311,77 @@ def test_column_projection_differential_against_dense_projector(case):
                 and _gap(sample.submatrix) >= 1e-6):
             assert np.max(np.abs(swept.approx - own.approx)) <= 1e-8 * scale
             assert abs(swept.normalized_error - own.normalized_error) <= 1e-8
+
+
+def _carried_case():
+    """Rank 3 in 12 x 20: from l = 4 on, every size factors a carried block."""
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 20))
+    return X, [2, 4, 6, 9, 13, 20], 3, set()
+
+
+def _spanning_case():
+    """Wide generic 5 x 12: from l = 5 on, k = n and the sample spans X."""
+    return np.random.default_rng(22).standard_normal((5, 12)), [2, 5, 9, 11], 4, {0}
+
+
+def _zero_and_duplicate_case():
+    """Rank 2 in 6 x 14, with duplicated and zeroed columns."""
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 14))
+    X = X[:, [0, 1, 1, 2, 3, 3, 3, 4, 5, 6, 7, 8, 8, 9]]
+    X[:, [2, 7, 11]] = 0.0
+    return X, [1, 3, 5, 8, 14], 5, set()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_projection_cases())
+@example(_carried_case())
+@example(_spanning_case())
+@example(_zero_and_duplicate_case())
+def test_trial_projection_errors_differential_against_dense_projector(case):
+    # A run reads every size's error off one Householder pass with the
+    # trial's reflectors; the public method makes the same pass with its
+    # sample's own factor. Both must match the dense projector's error.
+    X, sizes, seed, excluded = case
+    n = X.shape[0]
+    scale = max(1.0, float(np.linalg.norm(X)))
+    samples = nested_samples(X, sizes[-1], seed, excluded=excluded)
+    factors = list(nested_factors(samples[-1].submatrix, sizes))
+    reflected = _reflected_rows(as_dense(X), factors[-1].V, factors[-1].T)
+    for l, factor in zip(sizes, factors):
+        sample = samples[l - 1]
+        want = float(np.linalg.norm(X - projection_oracle(X, sample.submatrix)))
+        own = column_projection(X, sample)
+        assert abs(own.frobenius_error - want) <= 1e-12 * scale
+        swept = math.sqrt(_projection_squares(*reflected, factor.core.left_basis()))
+        assert swept <= math.sqrt(n) * scale
+        if (factor.core.numerical_rank == thin_svd(sample.submatrix).numerical_rank
+                and _gap(sample.submatrix) >= 1e-6):
+            assert abs(swept - want) <= 1e-12 * scale
+        # Where the kept basis spans all n rows, nothing is left: exactly 0.
+        if factor.core.numerical_rank == n:
+            assert swept == 0.0
+        if own.left.shape[1] == n:
+            assert own.frobenius_error == 0.0
+
+
+def test_projection_cases_cover_carried_and_spanning_sizes():
+    # The explicit examples above reach what they are there for.
+    X, sizes, seed, _ = _carried_case()
+    factors = list(nested_factors(nested_samples(X, sizes[-1], seed)[-1].submatrix,
+                                  sizes))
+    assert [f.core.numerical_rank for f in factors] == [2, 3, 3, 3, 3, 3]
+    # From l = 6 on the core is the carried k x (3 + d) block, narrower than k.
+    assert [f.core.U.shape for f in factors[2:]] == [(6, 5), (9, 6), (12, 7), (12, 10)]
+    X, sizes, seed, excluded = _spanning_case()
+    factors = nested_factors(nested_samples(X, sizes[-1], seed, excluded=excluded)[-1]
+                             .submatrix, sizes)
+    assert [f.core.numerical_rank for f in factors] == [2, 5, 5, 5]
+    X, sizes, seed, _ = _zero_and_duplicate_case()
+    block = nested_samples(X, sizes[-1], seed)[-1].submatrix
+    assert np.any(np.all(block == 0.0, axis=0))
+    assert len({tuple(c) for c in block.T}) < block.shape[1]
 
 
 _KERNEL_KINDS = ("full_rank", "low_rank", "duplicates", "zero_columns",
