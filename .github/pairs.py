@@ -21,8 +21,10 @@ and whether the two trees' set-up and full-run CSVs are byte-identical.
 Where they differ, it prints, per `method` (`-` for an estimate row),
 the largest relative move |new - old| / max(|old|, |new|) of each float
 column that moved, and names any other column that changed. A gain
-holds where the medians differ by more than the old tree's
-interquartile spread. A failed child run stops it with an error.
+holds where the new tree reads lower in at least nine of ten pairs and
+its median is lower than the old one by more than the old tree's
+interquartile spread; each metric's line ends with the median move, the
+old spread and that verdict. A failed child run stops it with an error.
 """
 
 import argparse
@@ -156,8 +158,13 @@ def main(argv=None) -> int:
     for key in samples["old"]:
         old, new = samples["old"][key], samples["new"][key]
         lower = sum(b < a for a, b in zip(old, new))
+        q1, old_median, q3 = quartiles(old)
+        move = quartiles(new)[1] - old_median
+        gain = lower >= 0.9 * args.pairs and -move > q3 - q1
         print(f"{key[0]} {key[1]}: old {summary(old)}, new {summary(new)}, "
-              f"new lower in {lower} of {args.pairs}")
+              f"new lower in {lower} of {args.pairs}, median move "
+              f"{move:+.6g} against old spread {q3 - q1:.6g}: "
+              f"gain {'yes' if gain else 'no'}")
     for run in METRICS:
         same = outputs["old", run] == outputs["new", run]
         print(f"{run} CSV byte-identical: {'yes' if same else 'no'}")

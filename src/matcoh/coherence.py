@@ -49,9 +49,9 @@ striu(V^T V) (Joffrain, Low, Quintana-Orti, van de Geijn and Van Zee
 O(n k q) product as with Q at hand, plus O(k^2 q). Beyond the QR's
 copy of the block, the sweep holds R, T and the blocks it factors.
 Every factor of one sweep holds the whole V and T. The experiment reads
-each estimate as `basis_coherence` of its factor's left basis, and
-every size's column-projection error off one pass of the sweep's Q
-over the source.
+each estimate as the gamma of its factor's left basis (`_gamma`, with
+no orthonormality check of a basis the sweep built), and every size's
+column-projection error off one pass of the sweep's Q over the source.
 """
 
 import math
@@ -119,8 +119,7 @@ def basis_coherence(U) -> CoherenceReport:
     n, q = U.shape
     if q == 0:
         return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0, rank_used=0, n=n)
-    # Row norms of U, never the n x n projector: O(nq) instead of O(n^2 q).
-    g = min(float(np.max(np.einsum("ij,ij->i", U, U))), 1.0)
+    g = _gamma(U)
     return CoherenceReport(
         gamma=g,
         mu=math.sqrt(n) * float(np.max(np.abs(U))),
@@ -128,6 +127,14 @@ def basis_coherence(U) -> CoherenceReport:
         rank_used=q,
         n=n,
     )
+
+
+def _gamma(U: np.ndarray) -> float:
+    """`basis_coherence(U).gamma` of a float64 basis, unchecked; 0 for no columns."""
+    if U.shape[1] == 0:
+        return 0.0
+    # Row norms of U, never the n x n projector: O(nq) instead of O(n^2 q).
+    return min(float(np.max(np.einsum("ij,ij->i", U, U))), 1.0)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,18 @@ so each trial's curve is non-decreasing in the sample size. The source
 is checked (`as_dense`) and the sampler's column pool built once per
 run, not once per trial. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
-of it (`nested_factors`); that size's factor gives the estimate and, in
-a kernel experiment, the column projection's basis, so no sample is
-factored twice. A kernel run checks K's symmetry and takes ‖K‖_F once,
-before the truth, and then calls `lowrank`'s private cores, not the
-public methods with their per-call checks. Each trial makes one
-Householder pass over K with its QR's reflectors (4 n² p flops,
-p = min(n, L)), and every size reads its column-projection error off
-it; Nystrom takes one `eigh` of W and a pass over the block-lower half
-of its residual per size. An estimate row's `wall_time_ms` is that
+of it (`nested_factors`); that size's factor gives the estimate (the
+gamma of its left basis, which the sweep built orthonormal and which is
+therefore not re-checked) and, in a kernel experiment, the column
+projection's basis, so no sample is factored twice. An RBF source at
+the default width reads the width off K's own squared distances
+(`kernels._median_rbf_kernel`), so it forms them once. A kernel run
+checks K's symmetry and takes ‖K‖_F once, before the truth, and then
+calls `lowrank`'s private cores, not the public methods with their
+per-call checks. Each trial makes one Householder pass over K with its
+QR's reflectors (4 n² p flops, p = min(n, L)), and every size reads its
+column-projection error off it; Nystrom takes one `eigh` of W and a
+pass over the block-lower half of its residual per size. An estimate row's `wall_time_ms` is that
 size's step, its SVD included, with the trial's QR charged to the first
 size; a method row's is that approximation alone, with the trial's
 projection pass charged to the first size's column-projection row.
@@ -54,11 +57,11 @@ from typing import NamedTuple, get_args
 
 import numpy as np
 
-from .coherence import basis_coherence, nested_factors
+from .coherence import _gamma, basis_coherence, nested_factors
 from .kernels import (
     KernelSpec,
+    _median_rbf_kernel,
     build_kernel,
-    default_rbf_width,
     load_csv,
     load_matrix_market,
     spectrum_energy_rank,
@@ -254,24 +257,26 @@ def _synthetic(config):
     return low_rank_source(_synth_spec(config))
 
 
-def _kernel_spec(config, dataset=None):
-    """The source's KernelSpec; without a dataset, None for a default rbf width."""
+def _kernel_spec(config):
+    """The source's KernelSpec; None for an rbf kernel at the default width."""
     if config.kernel == "linear":
         return KernelSpec(kind="linear")
     if config.kernel == "polynomial":
         return KernelSpec(kind="polynomial", poly_degree=config.poly_degree,
                           poly_offset=config.poly_offset)
-    width = config.rbf_width
-    if width is None and dataset is not None:
-        width = default_rbf_width(dataset)
-    return None if width is None else KernelSpec(kind="rbf", rbf_width=width)
+    if config.rbf_width is None:
+        return None
+    return KernelSpec(kind="rbf", rbf_width=config.rbf_width)
 
 
 def _kernel(config):
     dataset = load_csv(config.data)
     if config.standardize:
         dataset = standardize(dataset)
-    return build_kernel(dataset, _kernel_spec(config, dataset)), None
+    spec = _kernel_spec(config)
+    if spec is None:  # the width and K from one squared-distance matrix
+        return _median_rbf_kernel(dataset), None
+    return build_kernel(dataset, spec), None
 
 
 class _Source(NamedTuple):
@@ -441,13 +446,15 @@ def run_experiment(config: ExperimentConfig):
         for l in config.l_values:
             start = time.perf_counter()
             factor = next(factors)
-            report = basis_coherence(factor.left_basis(r_eff))
+            basis = factor.left_basis(r_eff)
+            r_used, gamma_est = basis.shape[1], _gamma(basis)
+            del basis  # not held through the next size's factor
             est_ms = round((time.perf_counter() - start) * 1000)
             common = dict(
                 experiment_id=config.experiment_id, kind=config.kind,
-                trial=trial, seed=seed, l=l, r_used=report.rank_used,
-                gamma_true=gamma_true, gamma_est=report.gamma,
-                abs_error=abs(gamma_true - report.gamma),
+                trial=trial, seed=seed, l=l, r_used=r_used,
+                gamma_true=gamma_true, gamma_est=gamma_est,
+                abs_error=abs(gamma_true - gamma_est),
             )
             results.append(TrialResult(
                 **common, wall_time_ms=est_ms if config.timing else None))

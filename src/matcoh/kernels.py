@@ -13,6 +13,14 @@ exactly symmetric. Every later kernel step is elementwise or adds
 ‖x_i‖² + ‖x_j‖², whose bits do not depend on the order of the two
 terms, so `build_kernel` returns an exactly symmetric K with no
 symmetrization pass.
+
+An RBF kernel at the default width (`_median_rbf_kernel`) forms one
+squared-distance matrix: the width is read off it, and it is then
+exponentiated in place into K. The median is taken by order statistics
+on the squared distances, from one partition at the middle, and only
+the one or two selected values are square-rooted. sqrt is monotone and
+correctly rounded, so it commutes with order statistics, and the width
+has the bits of `np.median` of the distances.
 """
 
 import csv
@@ -191,30 +199,36 @@ def default_rbf_width(dataset: PointDataset) -> float:
     """
     pts = dataset.points
     n = pts.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points for a pairwise distance")
     if n > _MEDIAN_MAX_POINTS:
         idx = np.unique(np.linspace(0, n - 1, _MEDIAN_MAX_POINTS).round().astype(int))
         pts = pts[idx]
-    d2 = _squared_distances(pts)
-    med = _median(np.sqrt(d2[np.triu_indices(pts.shape[0], k=1)]))
+    return _median_width(_squared_distances(pts))
+
+
+def _median_width(d2: np.ndarray) -> float:
+    """`np.median(np.sqrt(d2[np.triu_indices(n, k=1)]))`, bit for bit.
+
+    `d2` is the n x n matrix of `_squared_distances`, left unchanged.
+    Its strict upper triangle is gathered row slice by row slice and
+    partitioned once, at the middle; for an even pair count the value
+    below the middle is the largest of the lower part. sqrt is monotone
+    and correctly rounded, so it commutes with order statistics, and
+    only the one or two selected squares are square-rooted. The mean of
+    two is formed as `np.mean` forms it, (a + b) / 2.
+    """
+    n = d2.shape[0]
+    if n < 2:
+        raise ValueError("need at least two points for a pairwise distance")
+    upper = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
+    mid = upper.size // 2
+    upper.partition(mid)
+    if upper.size % 2:
+        med = float(np.sqrt(upper[mid]))
+    else:
+        med = float((np.sqrt(upper[:mid].max()) + np.sqrt(upper[mid])) / 2.0)
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (duplicate points)")
     return med
-
-
-def _median(values: np.ndarray) -> float:
-    """`np.median` of a finite 1-D array, bit for bit.
-
-    The middle value, or the mean of the two middle values formed as
-    `np.mean` forms it, (a + b) / 2. `np.median` would also run its NaN
-    check, whose first use imports `numpy.ma`.
-    """
-    mid = values.size // 2
-    if values.size % 2:
-        return float(np.partition(values, mid)[mid])
-    part = np.partition(values, (mid - 1, mid))
-    return float((part[mid - 1] + part[mid]) / 2.0)
 
 
 def _squared_distances(P: np.ndarray) -> np.ndarray:
@@ -245,15 +259,34 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     is returned as its transpose, column-major.
     """
     P = dataset.points
-    K = _squared_distances(P) if spec.kind == "rbf" else P @ P.T
     if spec.kind == "rbf":
-        np.negative(K, out=K)
-        K /= 2.0 * spec.rbf_width**2
-        np.exp(K, out=K)
-    elif spec.kind == "polynomial":
+        return _rbf_in_place(_squared_distances(P), spec.rbf_width)
+    K = P @ P.T
+    if spec.kind == "polynomial":
         K += spec.poly_offset
         K **= spec.poly_degree
     return K.T
+
+
+def _rbf_in_place(d2: np.ndarray, width: float) -> np.ndarray:
+    """exp(-d2 / 2w²) formed in `d2`, returned as its transpose."""
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * width**2
+    np.exp(d2, out=d2)
+    return d2.T
+
+
+def _median_rbf_kernel(dataset: PointDataset) -> np.ndarray:
+    """`build_kernel` of an RBF at `default_rbf_width(dataset)`, bit for bit.
+
+    Where the width reads every point, one squared-distance matrix gives
+    the width and is then exponentiated in place into K.
+    """
+    if dataset.points.shape[0] > _MEDIAN_MAX_POINTS:
+        width = default_rbf_width(dataset)
+        return build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=width))
+    d2 = _squared_distances(dataset.points)
+    return _rbf_in_place(d2, _median_width(d2))
 
 
 def spectrum_energy_rank(singular_values, fraction: float) -> int:

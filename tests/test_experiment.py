@@ -4,6 +4,7 @@ import importlib.util
 import math
 import re
 import statistics
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from matcoh.kernels import (
     load_matrix_market,
     save_csv,
     spectrum_energy_rank,
+    standardize,
 )
 from matcoh.linalg import _spsd_top, as_dense, left_svd, thin_svd
 from matcoh.sampling import SplitMix64, nested_samples
@@ -528,18 +530,19 @@ def test_kernel_suite_checks_its_kernel_once(monkeypatch, tmp_path):
 def test_kernel_suite_rejects_an_asymmetric_kernel_before_its_first_trial(
         monkeypatch, tmp_path):
     draws, tops = [], []
-    real_build, real_draw = matcoh.experiment.build_kernel, matcoh.experiment._draw_columns
+    real_source, real_draw = matcoh.experiment._SOURCES["rbf"], matcoh.experiment._draw_columns
 
-    def asymmetric(dataset, spec):
-        K = real_build(dataset, spec)
+    def asymmetric(config):
+        K, factor = real_source.build(config)
         K[3, 0] += 2e-10
-        return K
+        return K, factor
 
     def draw(*args):
         draws.append(args[-1])
         return real_draw(*args)
 
-    monkeypatch.setattr(matcoh.experiment, "build_kernel", asymmetric)
+    monkeypatch.setitem(matcoh.experiment._SOURCES, "rbf",
+                        real_source._replace(build=asymmetric))
     monkeypatch.setattr(matcoh.experiment, "_draw_columns", draw)
     monkeypatch.setattr(matcoh.experiment, "_spsd_top",
                         lambda *args, **kwargs: tops.append(args))
@@ -811,6 +814,84 @@ def test_energy_policy_rejects_zero_source(tmp_path):
                                          "with nonzero energy, but the source "
                                          "matrix is all zero$"):
         run_experiment(config)
+
+
+def _points_file(tmp_path, n, d, seed):
+    data = tmp_path / "pts.csv"
+    save_csv(PointDataset(points=SplitMix64(seed).normal_matrix(n, d),
+                          name="pts"), data)
+    return data
+
+
+# 1100 points: the width reads an evenly spaced subsample, not every point.
+@pytest.mark.parametrize("n", [60, 1100])
+@pytest.mark.parametrize("standardized", [False, True])
+def test_default_width_rbf_source_builds_the_public_kernel(tmp_path, n,
+                                                          standardized):
+    data = _points_file(tmp_path, n, 4, n)
+    config = ExperimentConfig(kind="coherence_only", experiment_id="k",
+                              l_values=(5,), data=str(data), kernel="rbf",
+                              standardize=standardized)
+    dataset = load_csv(data)
+    if standardized:
+        dataset = standardize(dataset)
+    want = build_kernel(dataset, KernelSpec(kind="rbf",
+                                            rbf_width=default_rbf_width(dataset)))
+    K, factor = matcoh.experiment._SOURCES["rbf"].build(config)
+    assert np.array_equal(K, want) and factor is None
+
+
+@pytest.mark.parametrize("kind", ["coherence_only", "kernel_suite"])
+def test_default_width_rbf_run_writes_the_explicit_width_csv(tmp_path, kind):
+    data = _points_file(tmp_path, 80, 3, 5)
+    common = dict(kind=kind, experiment_id="w", l_values=(5, 20), trials=2,
+                  base_seed=3, data=str(data), kernel="rbf", timing=False,
+                  r_policy="energy", energy_fraction=0.999)
+    width = default_rbf_width(load_csv(data))
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    run_experiment(ExperimentConfig(**common, output=str(default)))
+    run_experiment(ExperimentConfig(**common, rbf_width=width,
+                                    output=str(explicit)))
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+def test_default_width_rbf_build_holds_one_distance_matrix(tmp_path):
+    # The width is read off K's own squared distances, whose upper
+    # triangle the median gathers (half a matrix). Forming the width's
+    # distances apart from K's peaked at 2.52 K.
+    data = _points_file(tmp_path, 400, 8, 7)
+    config = ExperimentConfig(kind="coherence_only", experiment_id="m",
+                              l_values=(5,), data=str(data), kernel="rbf")
+    tracemalloc.start()
+    try:
+        K, _ = matcoh.experiment._SOURCES["rbf"].build(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * K.nbytes
+
+
+def test_run_reads_each_estimate_as_basis_coherence_would(tmp_path):
+    # Only 4 of the 30 columns are nonzero, so some samples have rank 0;
+    # the explicit rank 2 truncates the others.
+    import scipy.io
+
+    X = np.zeros((20, 30))
+    X[:, 26:] = SplitMix64(9).normal_matrix(20, 4)
+    path = tmp_path / "sparse.mtx"
+    scipy.io.mmwrite(str(path), X)
+    sizes = (1, 3, 8, 30)
+    config = ExperimentConfig(kind="coherence_only", experiment_id="g",
+                              l_values=sizes, trials=4, base_seed=1,
+                              matrix=str(path), r_policy="explicit", r=2)
+    want = [basis_coherence(f.left_basis(2)) for trial in range(4)
+            for f in nested_factors(
+                nested_samples(X, 30, 1 + trial)[-1].submatrix, sizes)]
+    rows = run_experiment(config)
+    assert [(r.r_used, r.gamma_est) for r in rows] == [
+        (report.rank_used, report.gamma) for report in want]
+    assert {r.r_used for r in rows} == {0, 1, 2}
+    assert all(r.gamma_est == 0.0 for r in rows if r.r_used == 0)
 
 
 def test_kernel_suite_emits_method_rows(tmp_path):

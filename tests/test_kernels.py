@@ -318,22 +318,54 @@ def test_median_width_positive_and_guarded():
         default_rbf_width(dup)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 40, 500, 1000, 2500])
-def test_median_width_equals_np_median(n):
-    # n (n - 1) / 2 pairs: odd for n = 2, 3, 6, even for n = 4, 5, 8, 40,
-    # 500 and 1000; several row blocks of the in-place distances from
-    # n = 500. Beyond 1000 points the width is the formula's on 1000
-    # evenly spaced ones.
-    pts = cloud(n, d=3, seed=n).points
-    got = default_rbf_width(PointDataset(points=pts, name="c"))
+def np_median_width(pts):
+    """The median width by its definition: `np.median` of every pair's distance."""
+    n = pts.shape[0]
     if n > 1000:
         pts = pts[np.linspace(0, n - 1, 1000).round().astype(int)]
         n = 1000
     sq = np.einsum("ij,ij->i", pts, pts)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    dist = np.sqrt(np.maximum(d2[np.triu_indices(n, k=1)], 0.0))
-    want = np.median(dist)
-    assert np.float64(got).tobytes() == want.tobytes()
+    return np.median(np.sqrt(np.maximum(d2[np.triu_indices(n, k=1)], 0.0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 40, 248, 500, 1000, 2500])
+def test_median_width_equals_np_median(n):
+    # n (n - 1) / 2 pairs: odd for n = 2, 3, 6, even for n = 4, 5, 8, 40,
+    # 248, 500 and 1000; several row blocks of the in-place distances
+    # from n = 500. At n = 248 numpy's partition at the middle leaves a
+    # value below the middle that is not the lower part's largest.
+    # Beyond 1000 points the width is the formula's on 1000 evenly
+    # spaced ones.
+    pts = cloud(n, d=3, seed=n).points
+    got = default_rbf_width(PointDataset(points=pts, name="c"))
+    assert np.float64(got).tobytes() == np_median_width(pts).tobytes()
+
+
+# (points, of which the first `same` coincide). The coordinates are
+# multiples of 1/8, so coinciding points are exactly 0 apart, and those
+# zeros sit inside the partition: 3 of 4 put the value just below the
+# middle of an even pair count at 0, and 5 of 7 leave 10 zeros of 21
+# pairs, one short of an odd count's middle. 1500 points read the
+# subsample.
+@pytest.mark.parametrize("n, same", [(3, 2), (4, 3), (5, 3), (7, 5),
+                                     (40, 20), (1500, 600)])
+def test_median_width_with_duplicate_points_equals_np_median(n, same):
+    pts = np.round(cloud(n, d=3, seed=n).points * 8.0) / 8.0
+    pts[1:same] = pts[0]
+    got = default_rbf_width(PointDataset(points=pts, name="dups"))
+    assert np.float64(got).tobytes() == np_median_width(pts).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 1500])
+def test_median_width_of_identical_points_is_rejected(n):
+    dup = PointDataset(points=np.full((n, 3), 0.25), name="dup")
+    with pytest.raises(ValueError, match=r"^median pairwise distance is zero "
+                                         r"\(duplicate points\)$"):
+        default_rbf_width(dup)
+    with pytest.raises(ValueError, match="^need at least two points for a "
+                                         "pairwise distance$"):
+        default_rbf_width(PointDataset(points=np.ones((1, 3)), name="one"))
 
 
 def test_median_subsample_deterministic():
