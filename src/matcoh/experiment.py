@@ -19,9 +19,11 @@ through the sampler's private draw, and factors every size from one QR
 of it (`nested_factors`); that size's factor gives the estimate (the
 gamma of its left basis, which the sweep built orthonormal and which is
 therefore not re-checked) and, in a kernel experiment, the column
-projection's basis, so no sample is factored twice. An RBF source at
-the default width reads the width off K's own squared distances
-(`kernels._median_rbf_kernel`), so it forms them once. A kernel run
+projection's basis, so no sample is factored twice. Every kernel
+source is one `build_kernel` of its `KernelSpec`; an RBF source with no
+`rbf_width` is at the median pairwise distance, which `build_kernel`
+reads off K's own squared distances. The run looks its `_SOURCES` entry
+up once, and hands its `spsd` flag to the truth. A kernel run
 checks K's symmetry and takes ‖K‖_F once, before the truth, and then
 calls `lowrank`'s private cores, not the public methods with their
 per-call checks. Each trial makes one Householder pass over K with its
@@ -60,7 +62,6 @@ import numpy as np
 from .coherence import _gamma, basis_coherence, nested_factors
 from .kernels import (
     KernelSpec,
-    _median_rbf_kernel,
     build_kernel,
     load_csv,
     load_matrix_market,
@@ -258,14 +259,11 @@ def _synthetic(config):
 
 
 def _kernel_spec(config):
-    """The source's KernelSpec; None for an rbf kernel at the default width."""
     if config.kernel == "linear":
         return KernelSpec(kind="linear")
     if config.kernel == "polynomial":
         return KernelSpec(kind="polynomial", poly_degree=config.poly_degree,
                           poly_offset=config.poly_offset)
-    if config.rbf_width is None:
-        return None
     return KernelSpec(kind="rbf", rbf_width=config.rbf_width)
 
 
@@ -273,10 +271,7 @@ def _kernel(config):
     dataset = load_csv(config.data)
     if config.standardize:
         dataset = standardize(dataset)
-    spec = _kernel_spec(config)
-    if spec is None:  # the width and K from one squared-distance matrix
-        return _median_rbf_kernel(dataset), None
-    return build_kernel(dataset, spec), None
+    return build_kernel(dataset, _kernel_spec(config)), None
 
 
 class _Source(NamedTuple):
@@ -366,8 +361,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
-    """Read a config file, applying `key=value` overrides on top."""
-    raw = parse_config_text(Path(path).read_text())
+    """Read a UTF-8 config file (a leading byte-order mark dropped),
+    applying `key=value` overrides on top."""
+    raw = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
     for item in overrides or ():
         if "=" not in item:
             raise ValueError(f"override must be key=value, got {item!r}")
@@ -378,23 +374,23 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _rank_and_truth(config: ExperimentConfig, X, factor):
+def _rank_and_truth(config: ExperimentConfig, X, factor, spsd):
     """(truncation rank, gamma_true) of the source X from one left factor.
 
-    `factor` is the `ThinSVD` a synthetic source was built from. An SPSD
-    source under an explicit or energy rank takes its top eigenpairs by
-    block Krylov (`_spsd_top`), which also gives the energy rank. Any
-    other source, or one the Krylov route declines (None: a small
-    certified gap at the cut, or a space that reaches its cap of columns
-    first), is factored here by one `left_svd`. The truth is truncated
-    as `estimate_coherence(X, rank)` would be, up to rounding. Where the
+    `factor` is the `ThinSVD` a synthetic source was built from, and
+    `spsd` is the source's `_SOURCES` flag. An SPSD source under an
+    explicit or energy rank takes its top eigenpairs by block Krylov
+    (`_spsd_top`), which also gives the energy rank. Any other source,
+    or one the Krylov route declines (None: a small certified gap at the
+    cut, or a space that reaches its cap of columns first), is factored
+    here by one `left_svd`. The truth is truncated as
+    `estimate_coherence(X, rank)` would be, up to rounding. Where the
     rank splits a tie in the spectrum (a noisy source's equal tail), the
     top subspace is not unique and a built factor gives its own seeded
     basis; the Krylov route declines a cut whose certified gap is small.
     An all-zero source has no energy rank and is rejected here, before
     any trial.
     """
-    spsd = _SOURCES[_source_name(config)].spsd
     r = config.r  # None unless r_policy is explicit
     energy = config.r_policy == "energy"
     top = None
@@ -422,7 +418,8 @@ def run_experiment(config: ExperimentConfig):
     raw CSV is written as well; a failed run leaves any earlier file at
     that path intact.
     """
-    X, factor = _SOURCES[_source_name(config)].build(config)
+    source = _SOURCES[_source_name(config)]
+    X, factor = source.build(config)
     # The run's one check of the source and one build of the sampler's
     # pool, both before the truth is taken; every trial draws from them.
     X = as_dense(X)
@@ -434,7 +431,7 @@ def run_experiment(config: ExperimentConfig):
         _check_symmetric(X, config.l_values[-1])
         norm = float(np.linalg.norm(X))
 
-    r_eff, gamma_true = _rank_and_truth(config, X, factor)
+    r_eff, gamma_true = _rank_and_truth(config, X, factor, source.spsd)
     del factor  # not held through the trials
 
     results = []

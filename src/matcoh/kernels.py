@@ -14,13 +14,18 @@ exactly symmetric. Every later kernel step is elementwise or adds
 terms, so `build_kernel` returns an exactly symmetric K with no
 symmetrization pass.
 
-An RBF kernel at the default width (`_median_rbf_kernel`) forms one
-squared-distance matrix: the width is read off it, and it is then
-exponentiated in place into K. The median is taken by order statistics
-on the squared distances, from one partition at the middle, and only
-the one or two selected values are square-rooted. sqrt is monotone and
-correctly rounded, so it commutes with order statistics, and the width
-has the bits of `np.median` of the distances.
+An RBF spec with no `rbf_width` is at the default width, the median
+pairwise distance (`default_rbf_width`), and `build_kernel` forms one
+squared-distance matrix for it. Up to `_MEDIAN_MAX_POINTS` points the
+width is read off K's own squared distances, which are then
+exponentiated in place into K; beyond that the width's evenly spaced
+subsample is read first, and only then are K's squared distances
+formed. The median is taken by order statistics on the squared
+distances, from one partition at the middle, and only the one or two
+selected values are square-rooted. sqrt is monotone and correctly
+rounded, so it commutes with order statistics, and the width has the
+bits of `np.median` of the distances. Either way K has the bits of the
+build at the explicit width `default_rbf_width(dataset)`.
 """
 
 import csv
@@ -79,7 +84,11 @@ class PointDataset:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice plus exactly the parameters that kind requires."""
+    """Kernel choice plus exactly the parameters that kind requires.
+
+    An RBF kernel with no `rbf_width` is at the default width, the
+    median pairwise distance (`default_rbf_width`).
+    """
 
     kind: str
     rbf_width: float | None = None
@@ -94,13 +103,16 @@ class KernelSpec:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "rbf":
-            if self.rbf_width is None or self.rbf_width <= 0:
+            if self.rbf_width is not None and self.rbf_width <= 0:
                 raise ValueError("rbf kernel needs a positive rbf_width")
             if self.poly_degree is not None or self.poly_offset is not None:
                 raise ValueError("rbf kernel takes no polynomial parameters")
         elif self.kind == "polynomial":
             if self.poly_degree is None or self.poly_degree < 1:
                 raise ValueError("polynomial kernel needs poly_degree >= 1")
+            if self.poly_degree != int(self.poly_degree):
+                raise ValueError("polynomial kernel needs a whole poly_degree, "
+                                 f"got {self.poly_degree}")
             if self.poly_offset is None or self.poly_offset < 0:
                 raise ValueError("polynomial kernel needs poly_offset >= 0")
             if self.rbf_width is not None:
@@ -126,14 +138,15 @@ def _parse_row(tokens, path, lineno):
 def load_csv(path, name=None) -> PointDataset:
     """Read a comma-separated point dataset, one point per row.
 
-    A first row with a token that does not parse as a float is a header
+    The file is read as UTF-8, a leading byte-order mark dropped. A
+    first row with a token that does not parse as a float is a header
     and is skipped. Malformed data rows, the first one included, raise
     ValueError with the line number.
     """
     path = Path(path)
     rows = []
     first_row_seen = False
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, tokens in enumerate(csv.reader(fh), start=1):
             tokens = [t.strip() for t in tokens]
             if not tokens or tokens == [""]:
@@ -254,39 +267,30 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
 
     K is formed in place in the Gram matrix P Pᵀ (`_squared_distances`
     for RBF), with the bits of the whole-array formulas, so the build
-    holds one n x n matrix. The points are C-contiguous, so K is exactly
-    symmetric with no symmetrization pass (see the module docstring) and
-    is returned as its transpose, column-major.
+    holds one n x n matrix. An RBF with no `rbf_width` reads the median
+    pairwise distance off the same squared distances, or off its
+    subsample's beyond `_MEDIAN_MAX_POINTS` points (see the module
+    docstring). The points are C-contiguous, so K is exactly symmetric
+    with no symmetrization pass and is returned as its transpose,
+    column-major.
     """
     P = dataset.points
-    if spec.kind == "rbf":
-        return _rbf_in_place(_squared_distances(P), spec.rbf_width)
-    K = P @ P.T
-    if spec.kind == "polynomial":
-        K += spec.poly_offset
-        K **= spec.poly_degree
+    if spec.kind != "rbf":
+        K = P @ P.T
+        if spec.kind == "polynomial":
+            K += spec.poly_offset
+            K **= spec.poly_degree
+        return K.T
+    width = spec.rbf_width
+    if width is None and P.shape[0] > _MEDIAN_MAX_POINTS:
+        width = default_rbf_width(dataset)  # its distances freed before K's
+    K = _squared_distances(P)
+    if width is None:
+        width = _median_width(K)
+    np.negative(K, out=K)
+    K /= 2.0 * width**2
+    np.exp(K, out=K)
     return K.T
-
-
-def _rbf_in_place(d2: np.ndarray, width: float) -> np.ndarray:
-    """exp(-d2 / 2w²) formed in `d2`, returned as its transpose."""
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * width**2
-    np.exp(d2, out=d2)
-    return d2.T
-
-
-def _median_rbf_kernel(dataset: PointDataset) -> np.ndarray:
-    """`build_kernel` of an RBF at `default_rbf_width(dataset)`, bit for bit.
-
-    Where the width reads every point, one squared-distance matrix gives
-    the width and is then exponentiated in place into K.
-    """
-    if dataset.points.shape[0] > _MEDIAN_MAX_POINTS:
-        width = default_rbf_width(dataset)
-        return build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=width))
-    d2 = _squared_distances(dataset.points)
-    return _rbf_in_place(d2, _median_width(d2))
 
 
 def spectrum_energy_rank(singular_values, fraction: float) -> int:

@@ -180,23 +180,20 @@ def _nystrom(K, idx, columns):
     return left, right, squares
 
 
-def column_projection(X, sample: ColumnSample, factor=None) -> ApproximationResult:
+def column_projection(X, sample: ColumnSample) -> ApproximationResult:
     """Project X onto the span of its sampled columns.
 
     The result is U (Uᵀ X) for the rank-truncated left singular vectors U
     of the subsample, so the residual is orthogonal to every sampled
     column. If the sample spans the full column space the projection
-    reproduces X exactly. `factor` is the sample's
-    `coherence.PrefixFactor`, U = Q_k W: the experiment's sweep gives
-    one for each size. Without one, the subsample is factored through
-    `nested_factors`. The error comes from one Householder pass over X
-    (`_reflected_rows`), and Uᵀ X = Wᵀ (Q_kᵀ X) is read off the same
-    pass.
+    reproduces X exactly. The subsample is factored by its own one-size
+    sweep (`nested_factors`), U = Q_k W. The error comes from one
+    Householder pass over X (`_reflected_rows`), and Uᵀ X = Wᵀ (Q_kᵀ X)
+    is read off the same pass.
     """
     X = as_dense(X)
     _check_sample(X, sample)
-    if factor is None:
-        factor = next(nested_factors(sample.submatrix, [sample.size]))
+    factor = next(nested_factors(sample.submatrix, [sample.size]))
     W = factor.core.left_basis()
     k = W.shape[0]
     tail, head = _reflected_rows(X, factor.V[:, :k], factor.T[:k, :k])

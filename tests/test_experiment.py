@@ -580,8 +580,8 @@ def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
 
 
 def _truth_config(**policy):
-    """A config whose source `_SOURCES` declares SPSD; the tests below
-    hand `_rank_and_truth` the matrix itself."""
+    """A config for `_rank_and_truth`; the tests below hand it the
+    matrix itself, declared SPSD."""
     return ExperimentConfig(kind="worst_case", experiment_id="t",
                             l_values=(1,), n=2, **policy)
 
@@ -642,7 +642,7 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
     config = _truth_config(**policy)
     fraction = config.energy_fraction if config.r_policy == "energy" else None
     assert _spsd_top(K, rank=config.r, fraction=fraction) is None
-    assert matcoh.experiment._rank_and_truth(config, K, None) == _eigh_truth(config, K)
+    assert matcoh.experiment._rank_and_truth(config, K, None, spsd=True) == _eigh_truth(config, K)
 
 
 def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatch):
@@ -651,7 +651,7 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
     K = _spectral_matrix(_GEOMETRIC)
     config = _truth_config(r_policy="explicit", r=4)
     assert _spsd_top(K, rank=4) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, spsd=True)
     want = _eigh_truth(config, K)
     assert r == want[0] and abs(gamma - want[1]) <= 1e-14
     # r_policy = none needs the whole spectrum and never tries it.
@@ -661,7 +661,7 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
 
     monkeypatch.setattr(matcoh.experiment, "_spsd_top", no_top)
     config = _truth_config()
-    assert matcoh.experiment._rank_and_truth(config, K, None) == _eigh_truth(config, K)
+    assert matcoh.experiment._rank_and_truth(config, K, None, spsd=True) == _eigh_truth(config, K)
 
 
 def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
@@ -670,7 +670,7 @@ def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
     K = _spectral_matrix(_GEOMETRIC)
     config = _truth_config(r_policy="explicit", r=13)
     assert _spsd_top(K, rank=13) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, spsd=True)
     want = _eigh_truth(config, K)
     assert r == want[0] and abs(gamma - want[1]) <= 1e-14
 
@@ -701,7 +701,7 @@ def test_both_truth_routes_read_one_energy_rank(move, r_want, iterates):
     energies = np.cumsum(left_svd(K, spsd=True).singular_values ** 2)
     fraction = float(move(energies[4] / energies[-1]))
     config = _truth_config(r_policy="energy", energy_fraction=fraction)
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, spsd=True)
     want = _eigh_truth(config, K)
     assert r == want[0] and r_want in (None, r)
     assert abs(gamma - want[1]) <= 1e-14
@@ -1100,6 +1100,17 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert summary_path.read_text().startswith("experiment_id,")
     assert main(["summarize", str(raw)]) == 0
     assert "experiment_id," in capsys.readouterr().out
+
+
+def test_cli_runs_a_config_with_a_byte_order_mark(tmp_path):
+    # Read as part of the first key, a BOM failed the run with
+    # "unknown key '\ufeffkind'".
+    plain = config_file(tmp_path)
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(cfg) == load_config(plain)
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / "raw.csv").exists()
 
 
 def test_cli_bound():

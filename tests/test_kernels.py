@@ -47,6 +47,17 @@ def test_load_csv_skips_header(tmp_path):
     np.testing.assert_array_equal(ds.points, [[1.0, 2.0]])
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 BOM; read as part of
+    # the first token it made the first data row look like a header.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+    np.testing.assert_array_equal(load_csv(path).points,
+                                  [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n3,4\n")
+    np.testing.assert_array_equal(load_csv(path).points, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_load_csv_reports_line_numbers(tmp_path):
     path = write(tmp_path, "1,2\n3,oops\n")
     with pytest.raises(ValueError, match=r":2:"):
@@ -167,8 +178,16 @@ def test_kernel_spec_rejects_non_finite_parameters(name, params, value):
 
 
 def test_kernel_spec_parameter_discipline():
-    with pytest.raises(ValueError):
-        KernelSpec(kind="rbf")
+    # No rbf_width is the default width, built bit for bit as the
+    # explicit one, on each side of the width's subsample cut (1100
+    # points: the width reads an evenly spaced subsample).
+    for n in (60, 1100):
+        ds = cloud(n=n, seed=n)
+        explicit = KernelSpec(kind="rbf", rbf_width=default_rbf_width(ds))
+        assert np.array_equal(build_kernel(ds, KernelSpec(kind="rbf")),
+                              build_kernel(ds, explicit))
+    with pytest.raises(ValueError, match="rbf kernel needs a positive rbf_width"):
+        KernelSpec(kind="rbf", rbf_width=-1.0)
     with pytest.raises(ValueError):
         KernelSpec(kind="linear", rbf_width=1.0)
     with pytest.raises(ValueError):
@@ -176,6 +195,21 @@ def test_kernel_spec_parameter_discipline():
     with pytest.raises(ValueError):
         KernelSpec(kind="sigmoid")
     KernelSpec(kind="polynomial", poly_degree=2, poly_offset=1.0)
+
+
+def test_kernel_spec_rejects_a_fractional_poly_degree():
+    # (x . y)^2.5 is NaN wherever x . y < 0, so such a degree never builds.
+    with pytest.raises(ValueError, match="whole poly_degree, got 2.5"):
+        KernelSpec(kind="polynomial", poly_degree=2.5, poly_offset=0.0)
+    with pytest.raises(ValueError, match="poly_degree >= 1"):
+        KernelSpec(kind="polynomial", poly_degree=0.5, poly_offset=0.0)
+    # A whole float degree builds as its integer does.
+    ds = cloud(n=5, d=3)
+    assert np.array_equal(
+        build_kernel(ds, KernelSpec(kind="polynomial", poly_degree=2.0,
+                                    poly_offset=0.0)),
+        build_kernel(ds, KernelSpec(kind="polynomial", poly_degree=2,
+                                    poly_offset=0.0)))
 
 
 def cloud(n=20, d=4, seed=0):

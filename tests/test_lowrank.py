@@ -296,21 +296,12 @@ def _gap(S):
 def test_column_projection_differential_against_dense_projector(case):
     X, sizes, seed, excluded = case
     scale = max(1.0, float(np.linalg.norm(X)))
-    for sample, factor in _sweep(X, sizes, seed, excluded):
+    for sample, _ in _sweep(X, sizes, seed, excluded):
         assert not excluded & set(sample.indices)
         want = projection_oracle(X, sample.submatrix)
         own = column_projection(X, sample)
         assert np.max(np.abs(own.approx - want)) <= 1e-12 * scale
         assert abs(own.frobenius_error - np.linalg.norm(X - want)) <= 1e-12 * scale
-        swept = column_projection(X, sample, factor)
-        # A projection never grows the matrix, whichever factor it used.
-        assert swept.normalized_error <= 1.0 + 1e-12
-        # The sweep's factor agrees with the sample's own SVD wherever the
-        # kept subspace is resolved.
-        if (factor.core.numerical_rank == thin_svd(sample.submatrix).numerical_rank
-                and _gap(sample.submatrix) >= 1e-6):
-            assert np.max(np.abs(swept.approx - own.approx)) <= 1e-8 * scale
-            assert abs(swept.normalized_error - own.normalized_error) <= 1e-8
 
 
 def _carried_case():
