@@ -509,7 +509,7 @@ def _write_csv(target, header, rows):
         return
     path = Path(target)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x", newline="")
+    fh = open(tmp, "x", newline="", encoding="utf-8")
     try:
         with fh:
             _write_csv(fh, header, rows)
@@ -536,15 +536,17 @@ _COLUMNS = [(f.name, (get_args(f.type) or (f.type,))[0], bool(get_args(f.type)))
 def read_raw_csv(path):
     """Read a raw CSV back into TrialResult rows; a bad row names `path:line`.
 
-    A row drawn by another generator than `RNG_NAME` is a bad row.
+    The file is read as UTF-8, a leading byte-order mark dropped, and
+    empty rows are skipped. A row drawn by another generator than
+    `RNG_NAME` is a bad row.
     """
     results = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RAW_HEADER:
             raise ValueError(f"{path}: not a raw result file (bad header)")
-        for row in reader:
+        for row in filter(None, reader):
             where = f"{path}:{reader.line_num}"
             if len(row) != len(RAW_HEADER):
                 raise ValueError(f"{where}: expected "

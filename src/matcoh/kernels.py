@@ -170,7 +170,7 @@ def load_csv(path, name=None) -> PointDataset:
 
 def save_csv(dataset: PointDataset, path):
     """Write a dataset as plain CSV (no header); round-trips exactly."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for row in dataset.points:
             writer.writerow([repr(float(v)) for v in row])

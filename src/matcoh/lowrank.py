@@ -162,11 +162,14 @@ def _nystrom(K, idx, columns):
     """(left, right, squared error) of the Nystrom reconstruction of a
     symmetric K from its sampled `columns` K[:, idx].
 
+    W is read off `columns` at the sampled rows, so K itself is read
+    only by the residual's column blocks.
+
     The residual K - left rightᵀ is symmetric, so its squares are summed
     over the block-lower part only, one column block of width l at a
     time: a diagonal block once and the rows below it twice.
     """
-    U, inverse = spsd_pinv_factor(K[np.ix_(idx, idx)])
+    U, inverse = spsd_pinv_factor(columns[list(idx)])
     right = columns @ U
     left = right * inverse
     width = len(idx)

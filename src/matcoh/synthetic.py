@@ -8,8 +8,11 @@ column sampling cannot recover), and an adversarial SPSD matrix with one
 hugely inflated diagonal entry, exactly symmetric as built.
 
 A low-rank matrix is built as X = U diag(s) Vᵀ from orthonormal U and V,
-so its exact thin SVD exists before X does: `low_rank_source`, the one
-builder, returns X with that left factor, and nothing factors X again.
+so its exact thin SVD exists before X does: `low_rank_source` returns X
+with that left factor, and nothing factors X again. Both kinds take one
+route: the noisy kind first completes its bases, and then each X is
+allocated and formed by `_completed_product`, which for the exact kind
+has nothing to complete and is the product (U * s) Vᵀ alone.
 `rank` is the structural rank, the number of structural singular
 values. A fast decay can push the trailing ones below X's rank
 threshold, and then the numerical rank is lower.
@@ -28,16 +31,17 @@ condition number 1.1e5.
 
 The build touches each large array once. [V | G] is drawn into the
 buffer X will occupy, as the transpose of X's top k rows, G a chunk of
-normals at a time. R is taken from the Gram of [V | G]'s rows below row
-k, or from row chunks where that Gram is ill-conditioned
-(`linalg._r_factor`), so no QR copies the m x k block. X is formed
-column-major from column blocks of the product, on the exact path as on
-the noisy one; on the noisy path each block is written over the columns
-of [V | G] it was formed from. No full-size block of random draws, no
-copy of [V | G] and no C-ordered copy of X is made, and [V | G] never
-sits beside X: on a wide source X is the only array of its size. On a
-tall one the completed U and the folded left factor are of X's size
-too, and the folded factor is formed in place.
+normals at a time, by the same fill (`_with_normal_columns`) that draws
+[B | G] into a new array to complete a basis. R is taken from the Gram
+of [V | G]'s rows below row k, or from row chunks where that Gram is
+ill-conditioned (`linalg._r_factor`), so no QR copies the m x k block.
+Every X is formed column-major, in place, from column blocks of the
+product (`_product`); on a noisy build each block is written over the
+columns of [V | G] it was formed from. No full-size block of random
+draws, no copy of [V | G] and no C-ordered copy of X is made, and
+[V | G] never sits beside X: on a wide source X is the only array of
+its size. On a tall one the completed U and the folded left factor are
+of X's size too, and the folded factor is formed in place.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -172,13 +176,11 @@ def low_rank_source(spec: SynthSpec):
     """
     rng = SplitMix64(spec.seed)
     U, s, V = _factors(spec, rng)
-    if spec.noise is None:
-        X = _product(U * s, V)
-    else:
+    if spec.noise is not None:
         k = min(spec.n, spec.m)
         U = _complete_basis(U, k, rng)
         s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-        X = _completed_product(U, s, V, rng)
+    X = _completed_product(U, s, V, rng)
     return X, ThinSVD(U=U, singular_values=s, V=None,
                       numerical_rank=numerical_rank(s, X.shape))
 
@@ -189,8 +191,9 @@ def _aligned_step(length: int) -> int:
     return max(1, _PRODUCT_CHUNK // length // _PRODUCT_ALIGN) * _PRODUCT_ALIGN
 
 
-def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
-    """left @ right.T, column-major, formed one block of columns at a time.
+def _product(left: np.ndarray, right: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """left @ right.T, written into the n x m column-major X one block of
+    columns at a time.
 
     No C-ordered n x m temporary is made and copied. Each block starts
     at a multiple of `_PRODUCT_ALIGN` columns, so every column sits at the
@@ -200,26 +203,23 @@ def _product(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
     sums entries of the last block in another order, and they differ by
     rounding.
 
-    `out`, if given, is the n x m column-major array written instead of
-    a new one. `right` may lie in it, as the transpose of rows of `out`:
-    each block of columns reads only the same columns of `out`, and its
-    product is complete before it is written over them.
+    `right` may lie in X, as the transpose of rows of X: each block of
+    columns reads only the same columns of X, and its product is
+    complete before it is written over them.
     """
-    n, m = left.shape[0], right.shape[0]
-    X = np.empty((n, m), order="F") if out is None else out
-    step = _aligned_step(n)
-    for j in range(0, m, step):
+    step = _aligned_step(X.shape[0])
+    for j in range(0, X.shape[1], step):
         X[:, j:j + step] = left @ right[j:j + step].T
     return X
 
 
-def _with_normal_columns(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
-    """[B | G] column-major: B (n x r) and n x (total - r) seeded normals G.
+def _with_normal_columns(B: np.ndarray, rng: SplitMix64, block: np.ndarray) -> np.ndarray:
+    """`block` (n x total) filled with [B | G]: B (n x r) and n x (total - r)
+    seeded normals G.
 
     G holds `rng.normal_matrix(n, total - r)`, drawn straight into place.
     """
-    n, r = B.shape
-    block = np.empty((n, total), order="F")
+    r = B.shape[1]
     block[:, :r] = B
     rng._fill_normals(block[:, r:])
     return block
@@ -227,10 +227,10 @@ def _with_normal_columns(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarr
 
 def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
     """Extend orthonormal B (n x r) to n x total, keeping B's columns."""
-    r = B.shape[1]
+    n, r = B.shape
     if total == r:
         return B
-    Q = np.linalg.qr(_with_normal_columns(B, total, rng))[0]
+    Q = np.linalg.qr(_with_normal_columns(B, rng, np.empty((n, total), order="F")))[0]
     # QR reproduces B only up to sign and roundoff: keep B exactly and
     # take from Q only the new columns, which stay orthogonal to it.
     return np.concatenate([B, Q[:, r:total]], axis=1)
@@ -240,7 +240,11 @@ def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
                        rng: SplitMix64) -> np.ndarray:
     """(U * s) @ [V | V_perp].T, column-major, in one buffer of X's size.
 
-    V_perp is the completion of the m x r orthonormal V to
+    X is allocated first, and every low-rank X is formed here. Where U
+    has V's r columns (an exact source, or a noisy one of full rank)
+    there is nothing to complete, and X is `_product(U * s, V, X)`.
+
+    Otherwise V_perp is the completion of the m x r orthonormal V to
     k = U.shape[1] columns that `_complete_basis(V, k, rng)` would
     form from the same draw: Q[:, r:] of the QR of block = [V | G], that
     is block @ inv(R)[:, r:]. The k x k triangular R alone applies it:
@@ -259,12 +263,11 @@ def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
     """
     n, k = U.shape
     m, r = V.shape
-    if k == r:
-        return _product(U * s, V)
     X = np.empty((n, m), order="F")
-    block = X[:k].T  # [V | G], row-major with leading dimension n
-    block[:, :r] = V
-    rng._fill_normals(block[:, r:])
+    if k == r:
+        return _product(U * s, V, X)
+    # [V | G], row-major with leading dimension n
+    block = _with_normal_columns(V, rng, X[:k].T)
     # R is upper triangular, so LU with partial pivoting never swaps a
     # row and this is a triangular solve for the last k - r columns.
     fold = np.linalg.solve(_r_factor(block), np.eye(k)[:, r:]).T
@@ -280,7 +283,7 @@ def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
     # Freed before the product's column blocks, which on a tall source
     # would otherwise add to the peak.
     del fold, folded, part
-    return _product(W, block, out=X)
+    return _product(W, block, X)
 
 
 def add_noise(X, spec: SynthSpec) -> np.ndarray:

@@ -1199,6 +1199,21 @@ def test_cli_rejects_complex_matrix_market_source(tmp_path, capsys):
     assert not (tmp_path / "raw.csv").exists()
 
 
+# Before the raw reader dropped a BOM and skipped empty rows, a BOM was
+# read as part of the first header name ("not a raw result file (bad
+# header)") and a trailing blank line as a row of no fields ("expected
+# 13 fields, got 0").
+@pytest.mark.parametrize("prefix, suffix", [(b"\xef\xbb\xbf", b""), (b"", b"\n")],
+                         ids=["byte_order_mark", "trailing_blank_line"])
+def test_cli_summarizes_an_edited_raw_csv(tmp_path, prefix, suffix):
+    assert main(["run", str(config_file(tmp_path))]) == 0
+    plain = tmp_path / "raw.csv"
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes(prefix + plain.read_bytes() + suffix)
+    assert read_raw_csv(edited) == read_raw_csv(plain)
+    assert main(["summarize", str(edited)]) == 0
+
+
 def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(",".join(RAW_HEADER) + "\n"

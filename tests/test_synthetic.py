@@ -310,10 +310,10 @@ def _product_operands(monkeypatch, spec):
     seen = []
     product = synthetic._product
 
-    def spy(left, right, out=None):
-        # A noisy build's `right` lies in `out` and is written over.
+    def spy(left, right, X):
+        # A noisy build's `right` lies in X and is written over.
         seen.append((left, np.copy(right, order="K")))
-        return product(left, right, out=out)
+        return product(left, right, X)
 
     monkeypatch.setattr(synthetic, "_product", spy)
     X = low_rank_source(spec)[0]
@@ -436,12 +436,12 @@ def _two_array_source(spec):
     k = min(spec.n, spec.m)
     U = synthetic._complete_basis(U, k, rng)
     s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-    block = synthetic._with_normal_columns(V, k, rng)
+    block = synthetic._with_normal_columns(V, rng, np.empty((spec.m, k), order="F"))
     fold = np.linalg.solve(matcoh.linalg._r_factor(block), np.eye(k)[:, spec.rank:]).T
     left = U * s
     W = left[:, spec.rank:] @ fold
     W[:, :spec.rank] += left[:, :spec.rank]
-    return synthetic._product(W, block)
+    return synthetic._product(W, block, np.empty((spec.n, spec.m), order="F"))
 
 
 # The matrix seeds the benchmark derives for noisy_wide from its seeds
