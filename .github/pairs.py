@@ -24,7 +24,11 @@ column that moved, and names any other column that changed. A gain
 holds where the new tree reads lower in at least nine of ten pairs and
 its median is lower than the old one by more than the old tree's
 interquartile spread; each metric's line ends with the median move, the
-old spread and that verdict. A failed child run stops it with an error.
+median move within each half of the pairs (a drift of the host within
+the batch shows as halves that disagree), the old spread and that
+verdict. Below `MIN_GAIN_PAIRS` pairs the verdict is "unresolved": so
+few pairs cannot tell a gain from the host's drift. A failed child run
+stops it with an error.
 """
 
 import argparse
@@ -32,6 +36,7 @@ import csv
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,6 +51,8 @@ from run import CHILD_TIMEOUT_S, THREAD_VARS, quartiles  # noqa: E402
 
 # The metrics read from each config's runs, set-up first.
 METRICS = {run: ("cpu_s", "peak_rss_mb") for run in ("setup", "run")}
+# The fewest pairs that can give a gain verdict.
+MIN_GAIN_PAIRS = 10
 
 
 def child(src: Path, config: str, workdir: Path) -> dict:
@@ -160,11 +167,19 @@ def main(argv=None) -> int:
         lower = sum(b < a for a, b in zip(old, new))
         q1, old_median, q3 = quartiles(old)
         move = quartiles(new)[1] - old_median
-        gain = lower >= 0.9 * args.pairs and -move > q3 - q1
+        halves = ", ".join(
+            f"{statistics.median(new[part]) - statistics.median(old[part]):+.6g}"
+            for part in (slice(None, args.pairs // 2), slice(args.pairs // 2, None))
+            if old[part])
+        if args.pairs < MIN_GAIN_PAIRS:
+            verdict = f"unresolved (fewer than {MIN_GAIN_PAIRS} pairs)"
+        else:
+            gain = lower >= 0.9 * args.pairs and -move > q3 - q1
+            verdict = "yes" if gain else "no"
         print(f"{key[0]} {key[1]}: old {summary(old)}, new {summary(new)}, "
               f"new lower in {lower} of {args.pairs}, median move "
-              f"{move:+.6g} against old spread {q3 - q1:.6g}: "
-              f"gain {'yes' if gain else 'no'}")
+              f"{move:+.6g} (halves {halves}) against old spread "
+              f"{q3 - q1:.6g}: gain {verdict}")
     for run in METRICS:
         same = outputs["old", run] == outputs["new", run]
         print(f"{run} CSV byte-identical: {'yes' if same else 'no'}")

@@ -84,33 +84,23 @@ class CoherenceReport:
     For an n x q basis U with orthonormal columns:
     - gamma = max_i ||U_(i)||^2, the maximum leverage score, in [q/n, 1];
     - mu = sqrt(n) * max |U_ij|, the entry coherence;
-    - mu0 = (n/q) * max_i ||U_(i)||^2, the row coherence, which puts a
-      perfectly spread basis at 1 and a basis-aligned one at n/q, so
-      gamma = (q/n) * mu0.
+    - mu0 = (n/q) * gamma, the row coherence, derived from gamma: it puts
+      a perfectly spread basis at 1 and a basis-aligned one at n/q.
     rank_used is q, the number of basis columns the statistics were
     computed from (0 for an all-zero input, in which case every statistic
-    is 0).
+    is 0). Reports come from `basis_coherence`, which computes each field
+    once from one checked basis, so the relations between them are not
+    re-checked here.
     """
 
     gamma: float
     mu: float
-    mu0: float
     rank_used: int
     n: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma {self.gamma} outside [0, 1]")
-        if self.rank_used > 0:
-            slack = 1e-9
-            if not self.mu0 <= self.mu**2 + slack:
-                raise ValueError("coherence chain violated: mu0 > mu^2")
-            if not self.mu**2 / self.rank_used <= self.mu0 + slack:
-                raise ValueError("coherence chain violated: mu0 < mu^2/q")
-            if not 1.0 - slack <= self.mu0 <= self.n / self.rank_used + slack:
-                raise ValueError(f"mu0 {self.mu0} outside [1, n/q]")
-            if abs(self.gamma - self.rank_used / self.n * self.mu0) > 1e-12:
-                raise ValueError("gamma and mu0 disagree")
+    @property
+    def mu0(self) -> float:
+        return self.gamma * (self.n / self.rank_used) if self.rank_used else 0.0
 
 
 def basis_coherence(U) -> CoherenceReport:
@@ -118,12 +108,10 @@ def basis_coherence(U) -> CoherenceReport:
     U = _checked_basis(U)
     n, q = U.shape
     if q == 0:
-        return CoherenceReport(gamma=0.0, mu=0.0, mu0=0.0, rank_used=0, n=n)
-    g = _gamma(U)
+        return CoherenceReport(gamma=0.0, mu=0.0, rank_used=0, n=n)
     return CoherenceReport(
-        gamma=g,
+        gamma=_gamma(U),
         mu=math.sqrt(n) * float(np.max(np.abs(U))),
-        mu0=g * (n / q),
         rank_used=q,
         n=n,
     )

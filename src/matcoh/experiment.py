@@ -16,14 +16,17 @@ so each trial's curve is non-decreasing in the sample size. The source
 is checked (`as_dense`) and the sampler's column pool built once per
 run, not once per trial. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
-of it (`nested_factors`); that size's factor gives the estimate (the
-gamma of its left basis, which the sweep built orthonormal and which is
-therefore not re-checked) and, in a kernel experiment, the column
-projection's basis, so no sample is factored twice. Every kernel
-source is one `build_kernel` of its `KernelSpec`; an RBF source with no
-`rbf_width` is at the median pairwise distance, which `build_kernel`
-reads off K's own squared distances. The run looks its `_SOURCES` entry
-up once, and hands its `spsd` flag to the truth. A kernel run
+of it through the sweep's private core (`coherence._prefix_factors`,
+which `nested_factors` wraps in its checks: the block comes from the
+checked source and the config has checked `l_values`); that size's
+factor gives the estimate (the gamma of its left basis, which the sweep
+built orthonormal and which is therefore not re-checked) and, in a
+kernel experiment, the column projection's basis, so no sample is
+factored twice. Every kernel source is one `build_kernel` of its
+`KernelSpec`; an RBF source with no `rbf_width` is at the median
+pairwise distance, which `build_kernel` reads off K's own squared
+distances. The run looks its `_SOURCES` entry up once, and hands its
+`spsd` flag to the truth. A kernel run
 checks K's symmetry and takes ‖K‖_F once, before the truth, and then
 calls `lowrank`'s private cores, not the public methods with their
 per-call checks. Each trial makes one Householder pass over K with its
@@ -59,7 +62,7 @@ from typing import NamedTuple, get_args
 
 import numpy as np
 
-from .coherence import _gamma, basis_coherence, nested_factors
+from .coherence import _gamma, _prefix_factors, basis_coherence
 from .kernels import (
     KernelSpec,
     build_kernel,
@@ -414,9 +417,11 @@ def _rank_and_truth(config: ExperimentConfig, X, factor, spsd):
 def run_experiment(config: ExperimentConfig):
     """Execute all trials and return the result rows in deterministic order.
 
-    Rows are ordered by (trial, l, method). If `config.output` is set the
-    raw CSV is written as well; a failed run leaves any earlier file at
-    that path intact.
+    Rows are ordered by (trial, l, method). The source is checked once
+    and each trial's block is drawn and swept by the private cores
+    (`sampling._draw_columns`, `coherence._prefix_factors`), which check
+    nothing again. If `config.output` is set the raw CSV is written as
+    well; a failed run leaves any earlier file at that path intact.
     """
     source = _SOURCES[_source_name(config)]
     X, factor = source.build(config)
@@ -438,7 +443,7 @@ def run_experiment(config: ExperimentConfig):
     for trial in range(config.trials):
         seed = config.base_seed + trial
         indices, block = _draw_columns(X, allowed, config.l_values[-1], seed)
-        factors = nested_factors(block, config.l_values)
+        factors = _prefix_factors(block, config.l_values)
         reflected = None
         for l in config.l_values:
             start = time.perf_counter()

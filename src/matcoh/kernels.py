@@ -67,7 +67,6 @@ class PointDataset:
     """
 
     points: np.ndarray
-    name: str
 
     def __post_init__(self):
         pts = self.points
@@ -135,13 +134,14 @@ def _parse_row(tokens, path, lineno):
     return values
 
 
-def load_csv(path, name=None) -> PointDataset:
+def load_csv(path) -> PointDataset:
     """Read a comma-separated point dataset, one point per row.
 
-    The file is read as UTF-8, a leading byte-order mark dropped. A
-    first row with a token that does not parse as a float is a header
-    and is skipped. Malformed data rows, the first one included, raise
-    ValueError with the line number.
+    The file is read as UTF-8, a leading byte-order mark dropped, and
+    blank lines are skipped. A first row with a token that does not
+    parse as a float is a header and is skipped. Malformed data rows,
+    the first one included, raise ValueError with the line number. The
+    dataset holds the points only; the file's name is not kept.
     """
     path = Path(path)
     rows = []
@@ -165,7 +165,7 @@ def load_csv(path, name=None) -> PointDataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     points = np.array(rows, dtype=np.float64)
-    return PointDataset(points=points, name=name or path.stem)
+    return PointDataset(points=points)
 
 
 def save_csv(dataset: PointDataset, path):
@@ -200,7 +200,7 @@ def standardize(dataset: PointDataset) -> PointDataset:
     mean = pts.mean(axis=0)
     std = pts.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    return PointDataset(points=(pts - mean) / std, name=dataset.name)
+    return PointDataset(points=(pts - mean) / std)
 
 
 def default_rbf_width(dataset: PointDataset) -> float:

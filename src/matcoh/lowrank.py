@@ -71,7 +71,6 @@ class ApproximationResult:
 
     left: np.ndarray
     right: np.ndarray
-    method: str
     frobenius_error: float
     normalized_error: float
 
@@ -95,10 +94,10 @@ def _normalized(squares, norm):
     return frob, 0.0 if frob == 0.0 else float("inf")
 
 
-def _result(method, left, right, squares, norm) -> ApproximationResult:
+def _result(left, right, squares, norm) -> ApproximationResult:
     frob, normalized = _normalized(squares, norm)
-    return ApproximationResult(left=left, right=right, method=method,
-                               frobenius_error=frob, normalized_error=normalized)
+    return ApproximationResult(left=left, right=right, frobenius_error=frob,
+                               normalized_error=normalized)
 
 
 def _check_sample(X, sample: ColumnSample):
@@ -190,17 +189,17 @@ def column_projection(X, sample: ColumnSample) -> ApproximationResult:
     of the subsample, so the residual is orthogonal to every sampled
     column. If the sample spans the full column space the projection
     reproduces X exactly. The subsample is factored by its own one-size
-    sweep (`nested_factors`), U = Q_k W. The error comes from one
-    Householder pass over X (`_reflected_rows`), and Uᵀ X = Wᵀ (Q_kᵀ X)
-    is read off the same pass.
+    sweep (`nested_factors`), whose k = min(n, l) reflectors all belong
+    to U = Q_k W. The error comes from one Householder pass of them over
+    X (`_reflected_rows`), and Uᵀ X = Wᵀ (Q_kᵀ X) is read off the same
+    pass.
     """
     X = as_dense(X)
     _check_sample(X, sample)
     factor = next(nested_factors(sample.submatrix, [sample.size]))
     W = factor.core.left_basis()
-    k = W.shape[0]
-    tail, head = _reflected_rows(X, factor.V[:, :k], factor.T[:k, :k])
-    return _result("column_projection", factor.left_basis(), head[:k].T @ W,
+    tail, head = _reflected_rows(X, factor.V, factor.T)
+    return _result(factor.left_basis(), head.T @ W,
                    _projection_squares(tail, head, W), float(np.linalg.norm(X)))
 
 
@@ -219,5 +218,4 @@ def nystrom(K, sample: ColumnSample) -> ApproximationResult:
         raise ValueError(f"matrix must be square, got {K.shape}")
     idx = _check_sample(K, sample)
     _check_symmetric(K, len(idx))
-    return _result("nystrom", *_nystrom(K, idx, sample.submatrix),
-                   float(np.linalg.norm(K)))
+    return _result(*_nystrom(K, idx, sample.submatrix), float(np.linalg.norm(K)))

@@ -182,7 +182,7 @@ def test_criterion_7_kernel_coherence_predicts_nystrom_quality(tmp_path):
         gamma_true = {}
         for name, pts in (("low", base), ("high", outlier)):
             path = tmp_path / f"{name}.csv"
-            save_csv(PointDataset(points=pts, name=name), path)
+            save_csv(PointDataset(points=pts), path)
             config = ExperimentConfig(
                 kind="kernel_suite", experiment_id=name, l_values=(50,),
                 trials=10, base_seed=100, data=str(path), kernel="rbf",

@@ -39,6 +39,13 @@ def test_max_leverage_spread_vector():
     assert basis_coherence(u).gamma == pytest.approx(0.25)
 
 
+def test_one_dimensional_basis_is_one_column():
+    rep = basis_coherence(np.array([0.6, 0.8]))
+    assert (rep.n, rep.rank_used) == (2, 1)
+    assert rep.gamma == pytest.approx(0.64)
+    assert rep.mu0 == rep.gamma * 2.0
+
+
 def test_max_leverage_matches_explicit_projector():
     U = thin_svd(np.random.default_rng(7).standard_normal((12, 3))).left_basis()
     diag = np.diagonal(projector(U))
@@ -87,6 +94,7 @@ def test_estimate_zero_columns_is_degenerate_zero():
     zeros = X[:, 5:9]  # none of the basis columns
     rep = estimate_coherence(zeros)
     assert rep.gamma == 0.0 and rep.rank_used == 0
+    assert rep.mu == 0.0 and rep.mu0 == 0.0
     assert basis_coherence(thin_svd(X).left_basis()).gamma == 1.0
 
 

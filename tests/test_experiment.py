@@ -182,6 +182,23 @@ def test_config_checks_source_values_before_reading_data(tmp_path, raw, message)
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"kind": "synth_fancy"}, "unknown experiment kind 'synth_fancy'"),
+    ({"l_values": ""}, "l_values must not be empty"),
+    ({"l_values": "0, 5"}, "l values must be >= 1"),
+    ({"r_policy": "sometimes"}, "unknown r_policy 'sometimes'"),
+    ({"r_policy": "energy", "energy_fraction": "1.5"},
+     "energy_fraction must be in (0, 1]"),
+    ({"timing": "maybe"}, "config key 'timing': not a boolean: 'maybe'"),
+    ({"colour": "red"}, "unknown config key 'colour'"),
+], ids=["kind", "empty_l_values", "l_value_0", "r_policy", "energy_fraction",
+        "timing", "unknown_key"])
+def test_config_rejects_a_bad_run_setting(extra, message):
+    raw = {**SYNTH, "l_values": "2", **extra}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
                                  if f.type in (float, float | None)])
@@ -316,7 +333,7 @@ def test_gamma_true_is_the_truncated_full_estimate(tmp_path, policy):
 
 def test_sweep_factors_each_trial_once(monkeypatch):
     sweeps, factored = [], []
-    real_nested = matcoh.experiment.nested_factors
+    real_nested = matcoh.experiment._prefix_factors
     real_svd = matcoh.experiment.left_svd
 
     def nested(columns, sizes):
@@ -327,7 +344,7 @@ def test_sweep_factors_each_trial_once(monkeypatch):
         factored.append(X.shape)
         return real_svd(X, spsd)
 
-    monkeypatch.setattr(matcoh.experiment, "nested_factors", nested)
+    monkeypatch.setattr(matcoh.experiment, "_prefix_factors", nested)
     monkeypatch.setattr(matcoh.experiment, "left_svd", svd)
     config = ExperimentConfig(kind="synth_exact", experiment_id="s",
                               l_values=(3, 8, 12), trials=3, base_seed=5,
@@ -399,8 +416,7 @@ def _worst_case_config(tmp_path):
 
 def _kernel_config(tmp_path):
     data = tmp_path / "pts.csv"
-    save_csv(PointDataset(points=SplitMix64(6).normal_matrix(20, 3),
-                          name="pts"), data)
+    save_csv(PointDataset(points=SplitMix64(6).normal_matrix(20, 3)), data)
     return ExperimentConfig(kind="coherence_only", experiment_id="k",
                             l_values=(4, 10), data=str(data), kernel="rbf",
                             r_policy="energy")
@@ -410,8 +426,7 @@ def _kernel_suite_config(tmp_path):
     # 160 points: a small source whose truth the Krylov route takes (it
     # needs 88 columns, and the space's cap at n = 160 is 96).
     data = tmp_path / "suite.csv"
-    save_csv(PointDataset(points=SplitMix64(3).normal_matrix(160, 8),
-                          name="suite"), data)
+    save_csv(PointDataset(points=SplitMix64(3).normal_matrix(160, 8)), data)
     return ExperimentConfig(kind="kernel_suite", experiment_id="s",
                             l_values=(10, 20, 40), trials=2, data=str(data),
                             kernel="rbf", r_policy="energy",
@@ -482,8 +497,7 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     for module in (matcoh.linalg, matcoh.coherence):
         monkeypatch.setattr(module, "thin_svd", thin_svd)
     data = tmp_path / "pts.csv"
-    save_csv(PointDataset(points=SplitMix64(7).normal_matrix(30, 3),
-                          name="pts"), data)
+    save_csv(PointDataset(points=SplitMix64(7).normal_matrix(30, 3)), data)
     config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
                               l_values=(4, 10, 30), trials=2, data=str(data),
                               kernel="rbf", r_policy="energy")
@@ -562,8 +576,7 @@ def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     data = tmp_path / "pts.csv"
-    save_csv(PointDataset(points=SplitMix64(7).normal_matrix(300, 3),
-                          name="pts"), data)
+    save_csv(PointDataset(points=SplitMix64(7).normal_matrix(300, 3)), data)
     config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
                               l_values=(5, 10, 30), trials=2, data=str(data),
                               kernel="rbf", r_policy="energy")
@@ -631,7 +644,7 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
         # 0.99 of the energy needs 18 eigenvalues, with a relative gap of
         # 2.6e-3 after the 18th. A subspace iteration spent 47 passes on
         # this cut before declining it.
-        points = PointDataset(points=SplitMix64(2).normal_matrix(500, 4), name="p")
+        points = PointDataset(points=SplitMix64(2).normal_matrix(500, 4))
         spec = KernelSpec(kind="rbf", rbf_width=0.5 * default_rbf_width(points))
         K = as_dense(build_kernel(points, spec))
         policy = {"r_policy": "energy", "energy_fraction": 0.99}
@@ -775,7 +788,7 @@ def test_energy_policy_runs():
 def test_energy_policy_factors_source_once_with_same_rank_and_truth(tmp_path):
     pts = SplitMix64(4).normal_matrix(60, 3)
     data = tmp_path / "pts.csv"
-    save_csv(PointDataset(points=pts, name="pts"), data)
+    save_csv(PointDataset(points=pts), data)
     config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
                               l_values=(5, 20), trials=2, base_seed=2,
                               data=str(data), kernel="rbf",
@@ -816,10 +829,33 @@ def test_energy_policy_rejects_zero_source(tmp_path):
         run_experiment(config)
 
 
+@pytest.mark.parametrize("kind", ["coherence_only", "kernel_suite"])
+def test_energy_policy_rejects_a_zero_spsd_source(tmp_path, monkeypatch, kind):
+    # 40 points: the Krylov route has room for the cut, and declines the
+    # all-zero kernel itself.
+    data = tmp_path / "zero.csv"
+    save_csv(PointDataset(points=np.zeros((40, 3))), data)
+    declined = []
+    real_top = matcoh.experiment._spsd_top
+
+    def top(X, **kwargs):
+        result = real_top(X, **kwargs)
+        declined.append(result is None)
+        return result
+
+    monkeypatch.setattr(matcoh.experiment, "_spsd_top", top)
+    config = ExperimentConfig(kind=kind, experiment_id="z", l_values=(2,),
+                              data=str(data), kernel="linear", r_policy="energy")
+    with pytest.raises(ValueError, match="^r_policy energy needs a source "
+                                         "with nonzero energy, but the source "
+                                         "matrix is all zero$"):
+        run_experiment(config)
+    assert declined == [True]
+
+
 def _points_file(tmp_path, n, d, seed):
     data = tmp_path / "pts.csv"
-    save_csv(PointDataset(points=SplitMix64(seed).normal_matrix(n, d),
-                          name="pts"), data)
+    save_csv(PointDataset(points=SplitMix64(seed).normal_matrix(n, d)), data)
     return data
 
 
@@ -897,7 +933,7 @@ def test_run_reads_each_estimate_as_basis_coherence_would(tmp_path):
 def test_kernel_suite_emits_method_rows(tmp_path):
     pts = SplitMix64(3).normal_matrix(40, 3)
     data = tmp_path / "pts.csv"
-    save_csv(PointDataset(points=pts, name="pts"), data)
+    save_csv(PointDataset(points=pts), data)
     config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
                               l_values=(5, 10), trials=2, base_seed=0,
                               data=str(data), kernel="rbf",
@@ -1037,6 +1073,11 @@ def test_summarize_single_trial_std_zero():
     assert all(s["trials"] == 1 for s in summary)
 
 
+def test_summarize_rejects_no_rows():
+    with pytest.raises(ValueError, match="^no results to summarize$"):
+        summarize([])
+
+
 def test_summarize_forced_arithmetic():
     rows = [
         TrialResult(experiment_id="x", kind="synth_exact", trial=t, seed=t,
@@ -1085,6 +1126,8 @@ def test_load_config_with_overrides(tmp_path):
     assert config.coherence == "mid"
     with pytest.raises(ValueError, match="unknown override"):
         load_config(path, overrides=["nope=1"])
+    with pytest.raises(ValueError, match="^override must be key=value, got 'trials'$"):
+        load_config(path, overrides=["trials"])
     # 8 / sqrt(25) > 1: the override is applied before the values are checked.
     with pytest.raises(ValueError, match="coherence multiplier infeasible"):
         load_config(path, overrides=["coherence=high"])
@@ -1100,6 +1143,14 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert summary_path.read_text().startswith("experiment_id,")
     assert main(["summarize", str(raw)]) == 0
     assert "experiment_id," in capsys.readouterr().out
+
+
+def test_cli_output_flag_replaces_the_config_output(tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    assert main(["run", str(config_file(tmp_path)), "--output", str(other)]) == 0
+    assert capsys.readouterr().out == f"wrote 4 rows to {other}\n"
+    assert [r.l for r in read_raw_csv(other)] == [2, 4, 2, 4]
+    assert not (tmp_path / "raw.csv").exists()
 
 
 def test_cli_runs_a_config_with_a_byte_order_mark(tmp_path):
@@ -1214,6 +1265,15 @@ def test_cli_summarizes_an_edited_raw_csv(tmp_path, prefix, suffix):
     assert main(["summarize", str(edited)]) == 0
 
 
+def test_read_raw_csv_rejects_a_summary_file(tmp_path):
+    assert main(["run", str(config_file(tmp_path))]) == 0
+    summary = tmp_path / "summary.csv"
+    write_summary_csv(summary, summarize(read_raw_csv(tmp_path / "raw.csv")))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(summary))}: not a raw "
+                                         r"result file \(bad header\)$"):
+        read_raw_csv(summary)
+
+
 def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(",".join(RAW_HEADER) + "\n"
@@ -1230,6 +1290,7 @@ def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
     ("0.5,0.4,0.3,,,splitmix64,", "abs_error does not match |gamma_true - gamma_est|"),
     ("0.5,0.4,0.1,,,pcg64,",
      "rows drawn by rng 'pcg64', not 'splitmix64', cannot be pooled"),
+    ("nan,0.4,0.1,,,splitmix64,", "result values must be finite"),
 ], ids=lambda value: value.removesuffix(",,,splitmix64,"))
 def test_cli_summarize_names_the_line_of_a_bad_value(tmp_path, capsys,
                                                      values, message):

@@ -1,0 +1,68 @@
+"""Each library input check rejects its bad input with its own message."""
+
+import re
+
+import numpy as np
+import pytest
+
+from matcoh.coherence import sample_size_bound, update_projector
+from matcoh.kernels import KernelSpec, PointDataset
+from matcoh.lowrank import column_projection, nystrom
+from matcoh.sampling import ColumnSample, SplitMix64
+from matcoh.synthetic import (SynthSpec, adversarial_spsd, add_noise,
+                              basis_aligned_matrix)
+
+X = np.arange(12.0).reshape(4, 3)
+K = np.eye(4)
+
+
+def sample(indices, rows=4):
+    return ColumnSample(indices=indices, submatrix=np.zeros((rows, len(indices))))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PointDataset(points=np.zeros(3)),
+                 "need an n x d point array, got shape (3,)", id="points-1d"),
+    pytest.param(lambda: PointDataset(points=np.zeros((0, 2))),
+                 "need an n x d point array, got shape (0, 2)", id="points-empty"),
+    pytest.param(lambda: PointDataset(points=np.array([[1.0, np.inf]])),
+                 "dataset contains non-finite values", id="points-non-finite"),
+    pytest.param(lambda: KernelSpec(kind="rbf", poly_degree=2),
+                 "rbf kernel takes no polynomial parameters", id="rbf-poly"),
+    pytest.param(lambda: KernelSpec(kind="polynomial", poly_degree=2,
+                                    poly_offset=1.0, rbf_width=1.0),
+                 "polynomial kernel takes no rbf_width", id="polynomial-width"),
+    pytest.param(lambda: column_projection(X, sample((0,), rows=5)),
+                 "sample has 5 rows, matrix has 4", id="projection-rows"),
+    pytest.param(lambda: nystrom(K, sample((0,), rows=5)),
+                 "sample has 5 rows, matrix has 4", id="nystrom-rows"),
+    pytest.param(lambda: column_projection(X, sample(())),
+                 "sample has no columns", id="projection-empty"),
+    pytest.param(lambda: nystrom(K, sample(())),
+                 "sample has no columns", id="nystrom-empty"),
+    pytest.param(lambda: column_projection(X, sample((3,))),
+                 "sample indices out of range for this matrix", id="projection-past-end"),
+    pytest.param(lambda: nystrom(K, sample((-1,))),
+                 "sample indices out of range for this matrix", id="nystrom-negative"),
+    pytest.param(lambda: nystrom(X, sample((0,))),
+                 "matrix must be square, got (4, 3)", id="nystrom-not-square"),
+    pytest.param(lambda: SplitMix64(0).normals(-1),
+                 "count must be non-negative", id="normals-negative"),
+    pytest.param(lambda: ColumnSample(indices=(0, 1), submatrix=np.zeros((4, 1))),
+                 "submatrix width does not match index count", id="sample-width"),
+    pytest.param(lambda: SynthSpec(n=10, m=10, rank=2, coherence="extreme"),
+                 "unknown coherence level 'extreme'", id="synth-coherence"),
+    pytest.param(lambda: add_noise(np.zeros((10, 10)), SynthSpec(n=10, m=10, rank=2)),
+                 "spec.noise must be set to add noise", id="add-noise-without-noise"),
+    pytest.param(lambda: basis_aligned_matrix(5, 5, 0),
+                 "rank 0 out of range for 5x5", id="aligned-rank-0"),
+    pytest.param(lambda: adversarial_spsd(5, seed=0, inner_dim=0),
+                 "inner_dim must be >= 1", id="adversarial-inner-dim-0"),
+    pytest.param(lambda: update_projector(np.zeros((3, 2)), np.zeros((3, 1))),
+                 "projector must be square, got (3, 2)", id="projector-not-square"),
+    pytest.param(lambda: sample_size_bound(0, 1.0, 0.1, 1.0, 1.0),
+                 "rank must be >= 1", id="bound-rank-0"),
+])
+def test_library_input_check_names_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -36,7 +36,11 @@ def test_load_csv_basic(tmp_path):
     ds = load_csv(write(tmp_path, "1,2\n3,4\n"))
     assert ds.points.shape == (2, 2)
     np.testing.assert_array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
-    assert ds.name == "data"
+
+
+def test_load_csv_skips_blank_lines(tmp_path):
+    ds = load_csv(write(tmp_path, "1,2\n\n3,4\n \n\n"))
+    np.testing.assert_array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_skips_header(tmp_path):
@@ -87,7 +91,7 @@ def test_load_csv_empty_file(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    ds = PointDataset(points=rng.standard_normal((7, 3)), name="pts")
+    ds = PointDataset(points=rng.standard_normal((7, 3)))
     path = tmp_path / "pts.csv"
     save_csv(ds, path)
     back = load_csv(path)
@@ -213,8 +217,7 @@ def test_kernel_spec_rejects_a_fractional_poly_degree():
 
 
 def cloud(n=20, d=4, seed=0):
-    return PointDataset(points=np.random.default_rng(seed).standard_normal((n, d)),
-                        name="cloud")
+    return PointDataset(points=np.random.default_rng(seed).standard_normal((n, d)))
 
 
 def _formula_kernel(dataset, spec):
@@ -253,7 +256,7 @@ def test_in_place_build_gives_the_formulas_bits(n, spec):
     for points in (cloud(n, d=5, seed=n).points,
                    SplitMix64(n).normal_matrix(n, 5),
                    cloud(n, d=10, seed=n).points[:, ::2]):
-        dataset = PointDataset(points=points, name="p")
+        dataset = PointDataset(points=points)
         K = build_kernel(dataset, spec)
         assert K.flags.f_contiguous
         assert np.array_equal(K, _formula_kernel(dataset, spec))
@@ -278,9 +281,9 @@ def test_build_kernel_holds_one_n_by_n_matrix(spec):
 
 def test_point_dataset_stores_its_points_c_contiguous():
     points = np.random.default_rng(0).standard_normal((9, 6))
-    assert PointDataset(points=points, name="c").points is points
+    assert PointDataset(points=points).points is points
     for other in (np.asfortranarray(points), points[:, ::2], points[::2]):
-        stored = PointDataset(points=other, name="p").points
+        stored = PointDataset(points=other).points
         assert stored.flags.c_contiguous and not stored.flags.writeable
         assert np.array_equal(stored, other)
 
@@ -292,12 +295,12 @@ def test_point_dataset_stores_real_points_as_float64(spec):
     # floats; complex ones would lose their imaginary parts.
     points = np.arange(-6, 6).reshape(4, 3)
     for other in (points, points > 0):
-        got = build_kernel(PointDataset(points=other, name="p"), spec)
-        want = build_kernel(PointDataset(points=other.astype(float), name="f"), spec)
+        got = build_kernel(PointDataset(points=other), spec)
+        want = build_kernel(PointDataset(points=other.astype(float)), spec)
         assert got.dtype == np.float64 and np.array_equal(got, want)
     with pytest.raises(ValueError, match=r"^dataset points must be real, "
                                          r"got dtype complex128$"):
-        PointDataset(points=points + 1j, name="c")
+        PointDataset(points=points + 1j)
 
 
 def test_rbf_diagonal_is_one():
@@ -307,7 +310,7 @@ def test_rbf_diagonal_is_one():
 
 def test_linear_kernel_orthogonal_rows():
     pts = np.diag([2.0, 3.0, 4.0])
-    K = build_kernel(PointDataset(points=pts, name="o"), KernelSpec(kind="linear"))
+    K = build_kernel(PointDataset(points=pts), KernelSpec(kind="linear"))
     np.testing.assert_allclose(K, np.diag([4.0, 9.0, 16.0]), atol=1e-14)
 
 
@@ -333,12 +336,12 @@ def test_kernel_permutation_equivariance():
     spec = KernelSpec(kind="rbf", rbf_width=2.0)
     K = build_kernel(ds, spec)
     perm = np.random.default_rng(6).permutation(12)
-    K_perm = build_kernel(PointDataset(points=ds.points[perm], name="p"), spec)
+    K_perm = build_kernel(PointDataset(points=ds.points[perm]), spec)
     np.testing.assert_allclose(K_perm, K[np.ix_(perm, perm)], atol=1e-12)
 
 
 def test_standardize():
-    ds = PointDataset(points=np.array([[1.0, 5.0], [3.0, 5.0]]), name="s")
+    ds = PointDataset(points=np.array([[1.0, 5.0], [3.0, 5.0]]))
     out = standardize(ds).points
     np.testing.assert_allclose(out.mean(axis=0), [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(out[:, 0].std(), 1.0)
@@ -347,7 +350,7 @@ def test_standardize():
 
 def test_median_width_positive_and_guarded():
     assert default_rbf_width(cloud()) > 0.0
-    dup = PointDataset(points=np.ones((4, 2)), name="dup")
+    dup = PointDataset(points=np.ones((4, 2)))
     with pytest.raises(ValueError):
         default_rbf_width(dup)
 
@@ -372,7 +375,7 @@ def test_median_width_equals_np_median(n):
     # Beyond 1000 points the width is the formula's on 1000 evenly
     # spaced ones.
     pts = cloud(n, d=3, seed=n).points
-    got = default_rbf_width(PointDataset(points=pts, name="c"))
+    got = default_rbf_width(PointDataset(points=pts))
     assert np.float64(got).tobytes() == np_median_width(pts).tobytes()
 
 
@@ -387,28 +390,26 @@ def test_median_width_equals_np_median(n):
 def test_median_width_with_duplicate_points_equals_np_median(n, same):
     pts = np.round(cloud(n, d=3, seed=n).points * 8.0) / 8.0
     pts[1:same] = pts[0]
-    got = default_rbf_width(PointDataset(points=pts, name="dups"))
+    got = default_rbf_width(PointDataset(points=pts))
     assert np.float64(got).tobytes() == np_median_width(pts).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 5, 1500])
 def test_median_width_of_identical_points_is_rejected(n):
-    dup = PointDataset(points=np.full((n, 3), 0.25), name="dup")
+    dup = PointDataset(points=np.full((n, 3), 0.25))
     with pytest.raises(ValueError, match=r"^median pairwise distance is zero "
                                          r"\(duplicate points\)$"):
         default_rbf_width(dup)
     with pytest.raises(ValueError, match="^need at least two points for a "
                                          "pairwise distance$"):
-        default_rbf_width(PointDataset(points=np.ones((1, 3)), name="one"))
+        default_rbf_width(PointDataset(points=np.ones((1, 3))))
 
 
 def test_median_subsample_deterministic():
-    ds = PointDataset(points=np.random.default_rng(7).standard_normal((2500, 3)),
-                      name="big")
+    ds = PointDataset(points=np.random.default_rng(7).standard_normal((2500, 3)))
     assert default_rbf_width(ds) == default_rbf_width(ds)
     # Beyond 1000 points the width is read off 1000 evenly spaced ones.
-    sub = PointDataset(points=ds.points[np.linspace(0, 2499, 1000).round().astype(int)],
-                       name="sub")
+    sub = PointDataset(points=ds.points[np.linspace(0, 2499, 1000).round().astype(int)])
     assert default_rbf_width(ds) == default_rbf_width(sub)
 
 

@@ -267,7 +267,7 @@ def _truth_cases(draw):
     else:
         spec = KernelSpec(kind="polynomial", poly_degree=draw(st.integers(1, 3)),
                           poly_offset=draw(st.floats(0.0, 2.0)))
-    return build_kernel(PointDataset(points=points, name=kind), spec), True
+    return build_kernel(PointDataset(points=points), spec), True
 
 
 def _truth(f, policy):
@@ -475,7 +475,7 @@ def _rbf_kernel(n, width_scale, seed=None):
     """RBF kernel of n 8-dimensional Gaussian points (seed n by default),
     its width a multiple of the median pairwise distance."""
     points = SplitMix64(n if seed is None else seed).normal_matrix(n, 8)
-    dataset = PointDataset(points=points, name="rbf")
+    dataset = PointDataset(points=points)
     width = width_scale * default_rbf_width(dataset)
     return as_dense(build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=width)))
 
@@ -620,7 +620,7 @@ def test_spsd_top_keeps_its_basis_orthonormal_once_the_space_is_invariant(policy
     # orthonormal, and the residuals then never meet their bound; a
     # second projection and QR keep it, and the cut is taken.
     points = SplitMix64(30002).normal_matrix(300, 2)
-    dataset = PointDataset(points=points, name="rbf")
+    dataset = PointDataset(points=points)
     spec = KernelSpec(kind="rbf", rbf_width=2.0 * default_rbf_width(dataset))
     K = as_dense(build_kernel(dataset, spec))
     dense = left_svd(K, spsd=True)
@@ -652,7 +652,7 @@ def test_spsd_top_differential_against_eigh(kind, n, seed, policy):
                 "polynomial": KernelSpec(kind="polynomial", poly_degree=2,
                                          poly_offset=1.0),
                 "linear": KernelSpec(kind="linear")}[kind]
-        K = build_kernel(PointDataset(points=points, name=kind), spec)
+        K = build_kernel(PointDataset(points=points), spec)
     K = as_dense(K)
     top = _spsd_top(K, **dict([policy]))
     if top is None:

@@ -180,7 +180,7 @@ def test_nystrom_mean_error_non_increasing_in_sample_size():
     from matcoh.sampling import SplitMix64
 
     pts = SplitMix64(17).normal_matrix(80, 6)
-    K = build_kernel(PointDataset(points=pts, name="c"),
+    K = build_kernel(PointDataset(points=pts),
                      KernelSpec(kind="rbf", rbf_width=3.0))
     means = []
     for size in (5, 10, 20, 40):
@@ -444,8 +444,7 @@ def test_method_call_forms_no_square_temporary(method):
     from matcoh.kernels import KernelSpec, PointDataset, build_kernel
     from matcoh.sampling import SplitMix64
 
-    K = build_kernel(PointDataset(points=SplitMix64(3).normal_matrix(400, 5),
-                                  name="p"), KernelSpec(kind="rbf", rbf_width=2.0))
+    K = build_kernel(PointDataset(points=SplitMix64(3).normal_matrix(400, 5)), KernelSpec(kind="rbf", rbf_width=2.0))
     sample = uniform_sample(K, 20, seed=1)
     tracemalloc.start()
     try:

@@ -108,6 +108,12 @@ def test_normal_matrix_across_full_size_chunks():
         assert got.tobytes(order="C") == ref.tobytes(), (rows, cols)
 
 
+def test_normal_matrix_with_no_columns_draws_nothing():
+    rng = SplitMix64(4)
+    assert rng.normal_matrix(3, 0).shape == (3, 0)
+    assert rng.normals(5).tobytes() == SplitMix64(4).normals(5).tobytes()
+
+
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).below(0)
