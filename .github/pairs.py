@@ -6,9 +6,12 @@ Usage, from the root of a checkout:
         [--size toy] [--seed S]
 
 OLD_SRC and NEW_SRC are directories that hold a `matcoh` package (the
-`src` of two checkouts). The workload's inputs are written once, by
-`perfbench/workloads.py`, into a temporary directory. After one untimed
-set-up run of each tree, N pairs follow. In each, each tree runs the
+`src` of two checkouts). Each is copied, without `__pycache__`, into a
+temporary directory, as `old/src` and `new/src`, and both sides run from
+those copies: paths of equal length, because the trees' paths alone can
+move a child's peak RSS by 0.1 MB. The workload's inputs are written
+once, by `perfbench/workloads.py`, into the same directory. After one
+untimed set-up run of each tree, N pairs follow. In each, each tree runs the
 workload's set-up config and then its full config, each run a fresh
 `perfbench/child.py` process with the thread variables pinned to 1. The
 order within a pair alternates (old first, then new first), so a drift
@@ -36,6 +39,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -141,7 +145,11 @@ def main(argv=None) -> int:
                for side in sides}
     outputs = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        workdir = Path(tmp)
+        workdir = Path(tmp).resolve()
+        for side, src in sides.items():
+            sides[side] = workdir / side / "src"
+            shutil.copytree(src, sides[side],
+                            ignore=shutil.ignore_patterns("__pycache__"))
         for run in METRICS:  # writes setup.cfg and run.cfg
             cfg = workloads.config_values(args.workload, args.seed, args.size,
                                           setup=run == "setup")

@@ -23,16 +23,18 @@ factor gives the estimate (the gamma of its left basis, which the sweep
 built orthonormal and which is therefore not re-checked) and, in a
 kernel experiment, the column projection's basis, so no sample is
 factored twice. Every kernel source is one `build_kernel` of its
-`KernelSpec`; an RBF source with no `rbf_width` is at the median
-pairwise distance, which `build_kernel` reads off K's own squared
-distances. The run looks its `_SOURCES` entry up once, and hands its
-`spsd` flag to the truth. A kernel run
-checks K's symmetry and takes ‖K‖_F once, before the truth, and then
-calls `lowrank`'s private cores, not the public methods with their
-per-call checks. Each trial makes one Householder pass over K with its
-QR's reflectors (4 n² p flops, p = min(n, L)), and every size reads its
-column-projection error off it; Nystrom takes one `eigh` of W and a
-pass over the block-lower half of its residual per size. An estimate row's `wall_time_ms` is that
+`KernelSpec`, whose parameters are the config keys of the same names
+that `kernels._KERNEL_PARAMS` lists for its kind; an RBF source with no
+`rbf_width` is at the median pairwise distance, which `build_kernel`
+reads off K's own squared distances. The run looks its `_SOURCES` entry
+up once, and hands its `spsd` flag to the truth. `build_kernel` makes K
+exactly symmetric, so a kernel run does not scan it for asymmetry: it
+takes ‖K‖_F once, before the truth, and then calls `lowrank`'s private
+cores, not the public methods with their per-call checks. Each trial
+makes one Householder pass over K with its QR's reflectors (4 n² p
+flops, p = min(n, L)), and every size reads its column-projection error
+off it; Nystrom takes one `eigh` of W and a pass over the block-lower
+half of its residual per size. An estimate row's `wall_time_ms` is that
 size's step, its SVD included, with the trial's QR charged to the first
 size; a method row's is that approximation alone, with the trial's
 projection pass charged to the first size's column-projection row.
@@ -64,16 +66,15 @@ import numpy as np
 
 from .coherence import _gamma, _prefix_factors, basis_coherence
 from .kernels import (
+    _KERNEL_PARAMS,
     KernelSpec,
     build_kernel,
     load_csv,
     load_matrix_market,
-    spectrum_energy_rank,
     standardize,
 )
-from .linalg import _spsd_top, as_dense, left_svd
-from .lowrank import (_check_symmetric, _normalized, _nystrom,
-                      _projection_squares, _reflected_rows)
+from .linalg import _energy_rank, _spsd_top, as_dense, left_svd
+from .lowrank import _normalized, _nystrom, _projection_squares, _reflected_rows
 from .sampling import RNG_NAME, _allowed_pool, _draw_columns
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
 
@@ -141,6 +142,9 @@ class TrialResult:
                 raise ValueError("result values must be finite")
         if abs(self.abs_error - abs(self.gamma_true - self.gamma_est)) > 1e-15:
             raise ValueError("abs_error does not match |gamma_true - gamma_est|")
+        if not 0.0 <= (self.normalized_error or 0.0) < math.inf:  # None passes
+            raise ValueError("normalized_error must be finite and >= 0, "
+                             f"got {self.normalized_error}")
 
 
 RAW_HEADER = [f.name for f in fields(TrialResult)]
@@ -262,12 +266,8 @@ def _synthetic(config):
 
 
 def _kernel_spec(config):
-    if config.kernel == "linear":
-        return KernelSpec(kind="linear")
-    if config.kernel == "polynomial":
-        return KernelSpec(kind="polynomial", poly_degree=config.poly_degree,
-                          poly_offset=config.poly_offset)
-    return KernelSpec(kind="rbf", rbf_width=config.rbf_width)
+    return KernelSpec(kind=config.kernel, **{
+        p: getattr(config, p) for p in _KERNEL_PARAMS[config.kernel]})
 
 
 def _kernel(config):
@@ -292,7 +292,8 @@ _KERNEL_KEYS = ("data", "kernel", "standardize")
 _KERNEL_REQUIRES = ("data", "kernel")
 
 # Keys each source reads and requires, its builder and the spec that checks
-# its values. A kernel source is named by the `kernel` key (`_source_name`).
+# its values. A kernel source is named by the `kernel` key (`_source_name`)
+# and reads the config keys named as its kind's `KernelSpec` parameters.
 # worst_case has no spec: `adversarial_spsd` checks its values first.
 _SOURCES = {
     "synth_exact": _Source(_SYNTH_KEYS, ("n", "m", "rank"), _synthetic, _synth_spec),
@@ -304,14 +305,11 @@ _SOURCES = {
                                     inflation=c.inflation,
                                     inner_dim=c.inner_dim), None),
         spsd=True),
-    "rbf": _Source(_KERNEL_KEYS + ("rbf_width",), _KERNEL_REQUIRES,
-                   _kernel, _kernel_spec, spsd=True),
-    "polynomial": _Source(_KERNEL_KEYS + ("poly_degree", "poly_offset"),
-                          _KERNEL_REQUIRES, _kernel, _kernel_spec, spsd=True),
-    "linear": _Source(_KERNEL_KEYS, _KERNEL_REQUIRES, _kernel, _kernel_spec, spsd=True),
     "matrix": _Source(("matrix",), ("matrix",),
                       lambda c: (load_matrix_market(c.matrix), None)),
-}
+} | {kind: _Source(_KERNEL_KEYS + params, _KERNEL_REQUIRES, _kernel,
+                   _kernel_spec, spsd=True)
+     for kind, params in _KERNEL_PARAMS.items()}
 # r is read only under the explicit policy, energy_fraction only under energy.
 _POLICY_KEYS = {"none": (), "explicit": ("r",), "energy": ("energy_fraction",)}
 
@@ -406,8 +404,7 @@ def _rank_and_truth(config: ExperimentConfig, X, factor, spsd):
         if factor is None:
             factor = left_svd(X, spsd=spsd)
         if energy:
-            r = spectrum_energy_rank(factor.singular_values,
-                                     config.energy_fraction)
+            r = _energy_rank(factor.singular_values, config.energy_fraction)
             if r == 0:
                 raise ValueError("r_policy energy needs a source with nonzero "
                                  "energy, but the source matrix is all zero")
@@ -420,8 +417,10 @@ def run_experiment(config: ExperimentConfig):
     Rows are ordered by (trial, l, method). The source is checked once
     and each trial's block is drawn and swept by the private cores
     (`sampling._draw_columns`, `coherence._prefix_factors`), which check
-    nothing again. If `config.output` is set the raw CSV is written as
-    well; a failed run leaves any earlier file at that path intact.
+    nothing again. A kernel run's K, exactly symmetric as built, is not
+    checked for symmetry, and its Frobenius norm is taken once. If
+    `config.output` is set the raw CSV is written as well; a failed run
+    leaves any earlier file at that path intact.
     """
     source = _SOURCES[_source_name(config)]
     X, factor = source.build(config)
@@ -432,8 +431,8 @@ def run_experiment(config: ExperimentConfig):
 
     with_methods = config.kind == "kernel_suite"
     if with_methods:
-        # The run's one symmetry check and one norm of K, for both methods.
-        _check_symmetric(X, config.l_values[-1])
+        # The run's one norm of K, for both methods. K is built exactly
+        # symmetric (`build_kernel`), so it is not scanned for asymmetry.
         norm = float(np.linalg.norm(X))
 
     r_eff, gamma_true = _rank_and_truth(config, X, factor, source.spsd)

@@ -5,7 +5,9 @@ is not a number is a header. Matrices can also be read directly from
 Matrix Market files. Kernels: linear (x . y), RBF (exp(-||x - y||^2 /
 2w^2), w by default the median pairwise distance) and polynomial
 ((x . y + c)^d with c >= 0), all of which are symmetric positive
-semidefinite by construction.
+semidefinite by construction. One table, `_KERNEL_PARAMS`, lists each
+kind with the `KernelSpec` parameters it reads; the experiment config's
+kernel keys and specs are read off it.
 
 A `PointDataset` holds its points as C-contiguous float64, so numpy
 forms the Gram matrix P Pᵀ by a symmetric rank-k update and it is
@@ -50,7 +52,10 @@ __all__ = [
     "spectrum_energy_rank",
 ]
 
-KERNEL_KINDS = ("linear", "rbf", "polynomial")
+# Each kernel kind and the `KernelSpec` parameters it reads, in one table.
+_KERNEL_PARAMS = {"linear": (), "rbf": ("rbf_width",),
+                  "polynomial": ("poly_degree", "poly_offset")}
+KERNEL_KINDS = tuple(_KERNEL_PARAMS)
 
 # `default_rbf_width` reads at most this many evenly spaced points.
 _MEDIAN_MAX_POINTS = 1000

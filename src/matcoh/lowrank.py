@@ -10,7 +10,8 @@ Talwalkar 2012), applied through the `eigh` factors of W⁺, cut at the
 shared rank threshold.
 
 Column projection takes U as Q_k W, from the Householder QR
-Q = I - V T Vᵀ of the sample (`coherence.nested_factors`, O(n l²)) and
+Q = I - V T Vᵀ of the sample (the sweep's core that
+`coherence.nested_factors` wraps, O(n l²)) and
 the SVD of its k x l R block, k = min(n, l), with W the k x q core
 basis. Its error comes from one pass of Q over X, Y = Qᵀ X formed a
 column block at a time at 4 n k m flops:
@@ -29,9 +30,10 @@ at most l columns in each factor, and forms the n x m product only when
 `approx` is read. Both errors are summed one column block at a time,
 and the symmetry check of Nystrom's input reads K's block-lower part
 in blocks of width l, so no method call forms an n x m temporary. A
-run (`experiment`) checks K's symmetry and takes ‖K‖_F once, and calls
-the same private cores as `column_projection` and `nystrom`, each of
-which has one error path.
+run (`experiment`) takes ‖K‖_F once and calls the same private cores as
+`column_projection` and `nystrom`, each of which has one error path; its
+K is built exactly symmetric, so only the public `nystrom` checks the
+symmetry of its input.
 """
 
 import math
@@ -40,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import nested_factors
+from .coherence import _prefix_factors
 from .linalg import as_dense, spsd_pinv_factor
 from .sampling import ColumnSample
 
@@ -188,15 +190,17 @@ def column_projection(X, sample: ColumnSample) -> ApproximationResult:
     The result is U (Uᵀ X) for the rank-truncated left singular vectors U
     of the subsample, so the residual is orthogonal to every sampled
     column. If the sample spans the full column space the projection
-    reproduces X exactly. The subsample is factored by its own one-size
-    sweep (`nested_factors`), whose k = min(n, l) reflectors all belong
-    to U = Q_k W. The error comes from one Householder pass of them over
-    X (`_reflected_rows`), and Uᵀ X = Wᵀ (Q_kᵀ X) is read off the same
-    pass.
+    reproduces X exactly. The sampled columns of the checked X, which
+    `_check_sample` has matched to the sample entry for entry, are
+    factored by the sweep's core (`coherence._prefix_factors`, which
+    `nested_factors` wraps in its checks) at the one size l, and its
+    k = min(n, l) reflectors all belong to U = Q_k W. The error comes
+    from one Householder pass of them over X (`_reflected_rows`), and
+    Uᵀ X = Wᵀ (Q_kᵀ X) is read off the same pass.
     """
     X = as_dense(X)
-    _check_sample(X, sample)
-    factor = next(nested_factors(sample.submatrix, [sample.size]))
+    idx = _check_sample(X, sample)
+    factor = next(_prefix_factors(X[:, idx], [len(idx)]))
     W = factor.core.left_basis()
     tail, head = _reflected_rows(X, factor.V, factor.T)
     return _result(factor.left_basis(), head.T @ W,

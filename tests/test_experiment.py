@@ -514,7 +514,8 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
 
 def test_kernel_suite_checks_its_kernel_once(monkeypatch, tmp_path):
     # Every as_dense binding in the package is watched, as is the symmetry
-    # scan, so a per-trial or per-method re-check of K would show.
+    # scan, so a per-trial or per-method re-check of K would show. K is
+    # built exactly symmetric, so the run makes no symmetry scan at all.
     scans, checks = [], []
     real_dense = matcoh.linalg.as_dense
     real_check = matcoh.lowrank._check_symmetric
@@ -538,32 +539,7 @@ def test_kernel_suite_checks_its_kernel_once(monkeypatch, tmp_path):
     config = _kernel_suite_config(tmp_path)
     assert len(run_experiment(config)) == 18
     assert scans.count((160, 160)) == 1
-    assert checks == [(160, 160)]
-
-
-def test_kernel_suite_rejects_an_asymmetric_kernel_before_its_first_trial(
-        monkeypatch, tmp_path):
-    draws, tops = [], []
-    real_source, real_draw = matcoh.experiment._SOURCES["rbf"], matcoh.experiment._draw_columns
-
-    def asymmetric(config):
-        K, factor = real_source.build(config)
-        K[3, 0] += 2e-10
-        return K, factor
-
-    def draw(*args):
-        draws.append(args[-1])
-        return real_draw(*args)
-
-    monkeypatch.setitem(matcoh.experiment._SOURCES, "rbf",
-                        real_source._replace(build=asymmetric))
-    monkeypatch.setattr(matcoh.experiment, "_draw_columns", draw)
-    monkeypatch.setattr(matcoh.experiment, "_spsd_top",
-                        lambda *args, **kwargs: tops.append(args))
-    with pytest.raises(ValueError, match=r"^matrix is not symmetric "
-                                         r"\(max asymmetry 2\.000e-10\)$"):
-        run_experiment(_kernel_suite_config(tmp_path))
-    assert draws == [] and tops == []
+    assert checks == []
 
 
 def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
@@ -875,6 +851,28 @@ def test_default_width_rbf_source_builds_the_public_kernel(tmp_path, n,
                                             rbf_width=default_rbf_width(dataset)))
     K, factor = matcoh.experiment._SOURCES["rbf"].build(config)
     assert np.array_equal(K, want) and factor is None
+
+
+# Each kind's parameters away from the config's defaults, so a parameter
+# that did not reach the build would show.
+@pytest.mark.parametrize("keys, spec", [
+    ({"kernel": "linear"}, KernelSpec(kind="linear")),
+    ({"kernel": "rbf", "rbf_width": 2.0}, KernelSpec(kind="rbf", rbf_width=2.0)),
+    ({"kernel": "polynomial", "poly_degree": 3, "poly_offset": 0.5},
+     KernelSpec(kind="polynomial", poly_degree=3, poly_offset=0.5)),
+], ids=["linear", "rbf", "polynomial"])
+@pytest.mark.parametrize("standardized", [False, True])
+def test_kernel_source_builds_the_spec_of_its_config_keys(tmp_path, keys, spec,
+                                                          standardized):
+    data = _points_file(tmp_path, 60, 4, 11)
+    config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
+                              l_values=(5,), data=str(data),
+                              standardize=standardized, **keys)
+    dataset = load_csv(data)
+    if standardized:
+        dataset = standardize(dataset)
+    K, factor = matcoh.experiment._SOURCES[keys["kernel"]].build(config)
+    assert np.array_equal(K, build_kernel(dataset, spec)) and factor is None
 
 
 @pytest.mark.parametrize("kind", ["coherence_only", "kernel_suite"])
@@ -1291,6 +1289,10 @@ def test_cli_summarize_rejects_truncated_raw_row(tmp_path, capsys):
     ("0.5,0.4,0.1,,,pcg64,",
      "rows drawn by rng 'pcg64', not 'splitmix64', cannot be pooled"),
     ("nan,0.4,0.1,,,splitmix64,", "result values must be finite"),
+    ("0.5,0.4,0.1,nystrom,nan,splitmix64,",
+     "normalized_error must be finite and >= 0, got nan"),
+    ("0.5,0.4,0.1,nystrom,-0.5,splitmix64,",
+     "normalized_error must be finite and >= 0, got -0.5"),
 ], ids=lambda value: value.removesuffix(",,,splitmix64,"))
 def test_cli_summarize_names_the_line_of_a_bad_value(tmp_path, capsys,
                                                      values, message):
