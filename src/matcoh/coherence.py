@@ -39,7 +39,7 @@ Per trial the cost is one O(n L^2) Householder QR, one SVD per size,
 and O(n k q) to form a q-column basis Q_k W, which a `PrefixFactor`
 does only when asked. The n x L Q is never formed: multiplying it out
 would cost more than the QR itself, and it is only ever applied, as
-Q_k W and, for the column-projection errors (`lowrank`), as Q^T X.
+Q_k W and, for both approximations' errors (`lowrank`), as Q^T X.
 R is copied out of the QR's copy of the block, and the
 reflectors left there are made its compact WY form Q = I - V T V^T
 (Schreiber and Van Loan 1989) in place. The p x p triangle T,
@@ -51,7 +51,9 @@ copy of the block, the sweep holds R, T and the blocks it factors.
 Every factor of one sweep holds the whole V and T. The experiment reads
 each estimate as the gamma of its factor's left basis (`_gamma`, with
 no orthonormality check of a basis the sweep built), and every size's
-column-projection error off one pass of the sweep's Q over the source.
+column-projection and Nystrom errors off one pass of the sweep's Q over
+the source. `_householder` is the QR step alone, for the public
+`nystrom`, which needs Q but no SVD.
 """
 
 import math
@@ -206,8 +208,9 @@ def nested_factors(columns, sizes):
     return _prefix_factors(columns[:, :sizes[-1]], sizes)
 
 
-def _prefix_factors(columns, sizes):
-    n = columns.shape[0]
+def _householder(columns):
+    """(R, V, T): the Householder QR of `columns`, with its Q = I - V T Vᵀ
+    in compact WY form (see `PrefixFactor`)."""
     # LAPACK's compact QR: R on and above the diagonal, the Householder
     # vectors below it. R is `np.linalg.qr`'s own, bit for bit.
     A, tau = np.linalg.qr(columns, mode="raw")
@@ -225,6 +228,12 @@ def _prefix_factors(columns, sizes):
     T = np.triu(V.T @ V, 1)
     np.fill_diagonal(T, 1.0 / np.where(trivial, 1.0, tau))
     _invert_upper(T)
+    return R, V, T
+
+
+def _prefix_factors(columns, sizes):
+    n = columns.shape[0]
+    R, V, T = _householder(columns)
     eps = np.finfo(np.float64).eps
     # From the first prefix that dropped a direction on: the last prefix's
     # kept factor U_q diag(s_q), its width, and the bound on the 2-norm of
@@ -305,7 +314,8 @@ def sample_size_bound(rank: int, mu0: float, failure_prob: float,
     caller; no defaults are defensible. For rank 1 the log(rank) factor
     is floored at 1 so it cannot zero out the bound. Values of
     failure_prob in [1, 3) are degenerate as probabilities but keep the
-    log term positive and are accepted.
+    log term positive and are accepted. Finite inputs whose bound
+    overflows a float raise ValueError.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -320,4 +330,6 @@ def sample_size_bound(rank: int, mu0: float, failure_prob: float,
             raise ValueError(f"constant {name} must be finite and positive, got {c}")
     log_rank = math.log(rank) if rank > 1 else 1.0
     value = rank * rank * mu0 * max(c1 * log_rank, c2 * math.log(3.0 / failure_prob))
+    if not math.isfinite(value):
+        raise ValueError("sample size bound overflows a float for these inputs")
     return math.ceil(value)

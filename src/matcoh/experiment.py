@@ -30,14 +30,17 @@ reads off K's own squared distances. The run looks its `_SOURCES` entry
 up once, and hands its `spsd` flag to the truth. `build_kernel` makes K
 exactly symmetric, so a kernel run does not scan it for asymmetry: it
 takes ‖K‖_F once, before the truth, and then calls `lowrank`'s private
-cores, not the public methods with their per-call checks. Each trial
+readers, not the public methods with their per-call checks. Each trial
 makes one Householder pass over K with its QR's reflectors (4 n² p
-flops, p = min(n, L)), and every size reads its column-projection error
-off it; Nystrom takes one `eigh` of W and a pass over the block-lower
-half of its residual per size. An estimate row's `wall_time_ms` is that
+flops, p = min(n, L)) and forms G = Qᵀ K Q's top p rows from it
+(4 n p² flops), and K is read nowhere else in the trial but its sampled
+columns. Every size reads both errors off them: column projection
+through its core basis, Nystrom through one `eigh` of W, read off the
+sampled columns, per size. An estimate row's `wall_time_ms` is that
 size's step, its SVD included, with the trial's QR charged to the first
-size; a method row's is that approximation alone, with the trial's
-projection pass charged to the first size's column-projection row.
+size; a method row's is that approximation alone, with the trial's pass
+charged to the first size's column-projection row and G to the first
+size's Nystrom row.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -443,7 +446,7 @@ def run_experiment(config: ExperimentConfig):
         seed = config.base_seed + trial
         indices, block = _draw_columns(X, allowed, config.l_values[-1], seed)
         factors = _prefix_factors(block, config.l_values)
-        reflected = None
+        head = G = None
         for l in config.l_values:
             start = time.perf_counter()
             factor = next(factors)
@@ -462,12 +465,14 @@ def run_experiment(config: ExperimentConfig):
             if not with_methods:
                 continue
             start = time.perf_counter()
-            if reflected is None:  # the trial's one pass over K
-                reflected = _reflected_rows(X, factor.V, factor.T)
-            projection = _projection_squares(*reflected, factor.core.left_basis())
+            if head is None:  # the trial's one pass over K
+                tail, head = _reflected_rows(X, factor.V, factor.T)
+            projection = _projection_squares(tail, head, factor.core.left_basis())
             projection_ms = round((time.perf_counter() - start) * 1000)
             start = time.perf_counter()
-            nystrom = _nystrom(X, indices[:l], block[:, :l])[2]
+            if G is None:  # head Q, read by every size's Nystrom error
+                G = head - ((head @ factor.V) @ factor.T) @ factor.V.T
+            nystrom = _nystrom(tail, head, G, list(indices[:l]), block[:, :l])[2]
             nystrom_ms = round((time.perf_counter() - start) * 1000)
             for method, squares, method_ms in (
                     ("column_projection", projection, projection_ms),

@@ -9,31 +9,36 @@ intersection block, approximate K by K1 W⁺ K1ᵀ (Kumar, Mohri and
 Talwalkar 2012), applied through the `eigh` factors of W⁺, cut at the
 shared rank threshold.
 
-Column projection takes U as Q_k W, from the Householder QR
-Q = I - V T Vᵀ of the sample (the sweep's core that
-`coherence.nested_factors` wraps, O(n l²)) and
-the SVD of its k x l R block, k = min(n, l), with W the k x q core
-basis. Its error comes from one pass of Q over X, Y = Qᵀ X formed a
-column block at a time at 4 n k m flops:
-‖X - U Uᵀ X‖_F² = ‖Y[k:]‖² + ‖(I - W Wᵀ) Y[:k]‖², sums of squares
-with nothing to cancel, the second 0 where q = k. The first k columns
-of one sweep's Q are each prefix's Q_k, so suffix sums of Y's row
-squares give every size's first term: a run pays one pass of O(n m L)
-per trial for all its sizes, not O(n m l) per size, and never forms U
-or Uᵀ X. A public call reads Uᵀ X = Wᵀ Y[:k] off its pass. Nystrom
-costs one `eigh` of W, O(l³), B = K1 U at O(n l q), and a sum over the
-residual K - B diag(d) Bᵀ, which is symmetric, so only its block-lower
-half is formed: O(n² q / 2), column blocks of width l.
+Both errors come from one Householder pass. Let Q = I - V T Vᵀ be the
+Householder QR of the sample (the sweep's core that
+`coherence.nested_factors` wraps, O(n l²)), with p reflectors and
+k = min(n, l), and let Y = Qᵀ X, formed a column block at a time at
+4 n p m flops (`_reflected_rows`). Column projection takes U as Q_k Z,
+for the k x q core basis Z from the SVD of the k x l R block, and
+‖X - U Uᵀ X‖_F² = ‖Y[k:]‖² + ‖(I - Z Zᵀ) Y[:k]‖², the second term 0
+where q = k. For Nystrom, Qᵀ K1 is R's first k rows and zero below, so
+with G = Y[:p] Q, the top rows of Qᵀ K Q (4 n p² flops more),
+W⁺ = U diag(1/λ) Uᵀ and B = Y[:k, idx] U,
+‖K - K1 W⁺ K1ᵀ‖_F² = ‖Y[k:]‖² + ‖G[:k, k:]‖² + ‖G[:k, :k] - B diag(1/λ) Bᵀ‖².
+Every term is a sum of squares, so nothing cancels. The first k
+columns of one sweep's Q are each prefix's Q_k, and suffix sums of Y's
+row squares give every size's ‖Y[k:]‖²: a run pays one pass and one G,
+O(n m L + n L²), per trial for all its sizes and both methods. Each
+size then adds O(n k q) for column projection and, for Nystrom, one
+`eigh` of W (O(l³)) and O(n k + k l q) for B and the sums. Neither
+method forms U, Uᵀ X or the residual; a public call reads
+Uᵀ X = Zᵀ Y[:k] off its pass.
 
 A result keeps its approximation factored, approx = left @ rightᵀ with
 at most l columns in each factor, and forms the n x m product only when
-`approx` is read. Both errors are summed one column block at a time,
-and the symmetry check of Nystrom's input reads K's block-lower part
-in blocks of width l, so no method call forms an n x m temporary. A
-run (`experiment`) takes ‖K‖_F once and calls the same private cores as
-`column_projection` and `nystrom`, each of which has one error path; its
-K is built exactly symmetric, so only the public `nystrom` checks the
-symmetry of its input.
+`approx` is read. The pass forms Y a column block at a time, and the
+symmetry check of Nystrom's input reads K's block-lower part in blocks
+of width l, so a method call holds nothing larger than Y's top p rows
+(and G): no n x m temporary where l < n. A run (`experiment`) takes
+‖K‖_F once and calls the same private readers as `column_projection`
+and `nystrom`, each of which has one error path; its K is built exactly
+symmetric, so only the public `nystrom` checks the symmetry of its
+input.
 """
 
 import math
@@ -42,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import _prefix_factors
+from .coherence import _householder, _prefix_factors
 from .linalg import as_dense, spsd_pinv_factor
 from .sampling import ColumnSample
 
@@ -141,9 +146,13 @@ def _reflected_rows(X, V, T):
         Y = X[:, cols] - V @ (T.T @ (V.T @ X[:, cols]))
         rows += np.einsum("ij,ij->i", Y, Y)
         head[:, cols] = Y[:p]
-    tail = np.zeros(n + 1)
-    tail[:n] = np.cumsum(rows[::-1])[::-1]
-    return tail, head
+    return np.append(np.cumsum(rows[::-1])[::-1], 0.0), head
+
+
+def _squares(A):
+    """‖A‖_F², summed in A's memory order."""
+    flat = A.ravel(order="K")
+    return float(flat @ flat)
 
 
 def _projection_squares(tail, head, W):
@@ -153,35 +162,27 @@ def _projection_squares(tail, head, W):
     k, q = W.shape
     squares = float(tail[k])
     if q < k:
-        rest = head[:k] - W @ (W.T @ head[:k])
-        flat = rest.ravel(order="K")
-        squares += float(flat @ flat)
+        squares += _squares(head[:k] - W @ (W.T @ head[:k]))
     return squares
 
 
-def _nystrom(K, idx, columns):
-    """(left, right, squared error) of the Nystrom reconstruction of a
-    symmetric K from its sampled `columns` K[:, idx].
+def _nystrom(tail, head, G, idx, columns):
+    """(U, 1/λ, ‖K - C W⁺ Cᵀ‖_F²) for the sampled `columns` C = K[:, idx]
+    (idx a list) and W = K[idx, idx], read off C, with W⁺ = U diag(1/λ) Uᵀ
+    from `linalg.spsd_pinv_factor`.
 
-    W is read off `columns` at the sampled rows, so K itself is read
-    only by the residual's column blocks.
-
-    The residual K - left rightᵀ is symmetric, so its squares are summed
-    over the block-lower part only, one column block of width l at a
-    time: a diagonal block once and the rows below it twice.
+    `tail, head` are `_reflected_rows` of K, Y = Qᵀ K, for the reflectors
+    Q = I - V T Vᵀ of a Householder QR whose first l columns are C, and
+    G = head Q holds the top rows of Qᵀ K Q. Qᵀ C is R's first
+    k = min(n, l) rows and zero below, so for B = head[:k, idx] U the
+    error is ‖Y[k:]‖² + ‖G[:k, k:]‖² + ‖G[:k, :k] - B diag(1/λ) Bᵀ‖²:
+    sums of squares, with nothing to cancel.
     """
-    U, inverse = spsd_pinv_factor(columns[list(idx)])
-    right = columns @ U
-    left = right * inverse
-    width = len(idx)
-    squares = 0.0
-    for cols in _column_blocks(K.shape[1], width):
-        j = cols.start
-        # Column-major like K, so the sum of squares runs in one fixed order.
-        block = np.subtract(K[j:, cols], left[j:] @ right[cols].T, order="F")
-        diagonal, below = block[:width].ravel(order="K"), block[width:].ravel(order="K")
-        squares += float(diagonal @ diagonal) + 2.0 * float(below @ below)
-    return left, right, squares
+    U, inverse = spsd_pinv_factor(columns[idx])
+    k = min(G.shape[1], len(idx))
+    B = head[:k, idx] @ U
+    return U, inverse, (float(tail[k]) + _squares(G[:k, k:])
+                        + _squares(G[:k, :k] - (B * inverse) @ B.T))
 
 
 def column_projection(X, sample: ColumnSample) -> ApproximationResult:
@@ -215,11 +216,19 @@ def nystrom(K, sample: ColumnSample) -> ApproximationResult:
     performed). Its pseudoinverse U diag(d) Uᵀ comes from
     `linalg.spsd_pinv_factor`, cut at the shared rank threshold, so
     linearly dependent sampled columns are handled. The result is kept
-    as (B diag(d)) Bᵀ with B = K1 U.
+    as (B diag(d)) Bᵀ with B = K1 U. The error takes `column_projection`'s
+    route without its SVD: one Householder QR of the sample
+    (`coherence._householder`), one pass of its reflectors over K
+    (`_reflected_rows`) and `_nystrom`'s identity.
     """
     K = as_dense(K)
     if K.shape[0] != K.shape[1]:
         raise ValueError(f"matrix must be square, got {K.shape}")
     idx = _check_sample(K, sample)
     _check_symmetric(K, len(idx))
-    return _result(*_nystrom(K, idx, sample.submatrix), float(np.linalg.norm(K)))
+    _, V, T = _householder(sample.submatrix)
+    tail, head = _reflected_rows(K, V, T)
+    G = head - ((head @ V) @ T) @ V.T
+    U, inverse, squares = _nystrom(tail, head, G, idx, sample.submatrix)
+    right = sample.submatrix @ U
+    return _result(right * inverse, right, squares, float(np.linalg.norm(K)))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import inspect
 import math
 import re
 import statistics
@@ -492,6 +493,22 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
         thin_shapes.append(np.shape(X))
         return real_thin(X)
 
+    # Every function of `lowrank`, under the module's names and the
+    # experiment's, records its arguments.
+    lowrank_calls = []
+
+    def spy(name, real):
+        def recording(*args, **kwargs):
+            lowrank_calls.append((name, args + tuple(kwargs.values())))
+            return real(*args, **kwargs)
+        return recording
+
+    for name, real in list(vars(matcoh.lowrank).items()):
+        if inspect.isfunction(real) and real.__module__ == "matcoh.lowrank":
+            for module in (matcoh.lowrank, matcoh.experiment):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy(name, real))
+
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     for module in (matcoh.linalg, matcoh.coherence):
@@ -502,6 +519,16 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
                               l_values=(4, 10, 30), trials=2, data=str(data),
                               kernel="rbf", r_policy="energy")
     assert len(run_experiment(config)) == 18
+    # K is read by one Householder pass per trial, and no other `lowrank`
+    # function receives it or a view of it.
+    passes = [args for name, args in lowrank_calls if name == "_reflected_rows"]
+    assert len(passes) == config.trials
+    K = passes[0][0]
+    assert K.shape == (30, 30) and all(args[0] is K for args in passes)
+    assert {"_projection_squares", "_nystrom"} <= {name for name, _ in lowrank_calls}
+    assert not any(isinstance(a, np.ndarray) and np.may_share_memory(a, K)
+                   for name, args in lowrank_calls if name != "_reflected_rows"
+                   for a in args)
     # One SVD per (trial, l), of the upper triangular block R[:l, :l] of
     # the trial's QR: no n x l sample and no W is put through an SVD. The
     # truth and every W take `eigh`.
@@ -1183,6 +1210,17 @@ def test_cli_bound_rejects_a_non_finite_argument(capsys, flag, value):
     assert main(["bound", *(tok for item in args.items() for tok in item)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("matcoh: error: ") and f"{flag[2:]} must be finite" in err
+
+
+@pytest.mark.parametrize("mu0, delta, c1", [("1e300", "0.1", "1e300"),
+                                             ("2", "1e-320", "1")])
+def test_cli_bound_rejects_finite_arguments_that_overflow_it(capsys, mu0, delta, c1):
+    # Finite inputs whose bound overflows a float used to end in an
+    # OverflowError traceback from math.ceil(inf).
+    assert main(["bound", "--r", "10", "--mu0", mu0, "--delta", delta,
+                 "--c1", c1, "--c2", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("matcoh: error: ") and "overflows" in err
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from matcoh.coherence import nested_factors
 from matcoh.linalg import as_dense, thin_svd
-from matcoh.lowrank import (_projection_squares, _reflected_rows,
+from matcoh.lowrank import (_nystrom, _projection_squares, _reflected_rows,
                             column_projection, nystrom)
 from matcoh.sampling import ColumnSample, nested_samples, uniform_sample
 from matcoh.synthetic import SynthSpec, adversarial_spsd, basis_aligned_matrix, low_rank_matrix
@@ -409,15 +409,47 @@ def _nystrom_cases(draw):
     return K, sizes, draw(st.integers(0, 1000)), excluded
 
 
+def _duplicate_kernel_case():
+    """Rank 3 in 10 x 10 from four distinct points: every sample of five
+    or more columns repeats one, so its W is rank deficient."""
+    F = np.random.default_rng(31).standard_normal((4, 3))[[0, 0, 1, 1, 1, 2, 2, 3, 3, 3]]
+    return F @ F.T, [2, 5, 9], 6, set()
+
+
+def _zero_kernel_case():
+    """12 x 12 with six zero rows and columns: a sample of seven or more
+    columns takes a zero one."""
+    F = np.random.default_rng(32).standard_normal((12, 5))
+    F[[0, 2, 3, 7, 8, 11]] = 0.0
+    return F @ F.T, [3, 7, 12], 7, set()
+
+
+def _full_kernel_case():
+    """Full rank 7 x 7, sampled up to l = n."""
+    F = np.random.default_rng(33).standard_normal((7, 9))
+    return F @ F.T, [2, 4, 7], 8, set()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_nystrom_cases())
+@example(_duplicate_kernel_case())
+@example(_zero_kernel_case())
+@example(_full_kernel_case())
 def test_nystrom_differential_against_dense_pseudoinverse(case):
+    # The public method reads its error off its own sample's pass; a run
+    # reads every size's off one pass with the largest sample's
+    # reflectors. Both must match the dense reconstruction's error.
     K, sizes, seed, excluded = case
-    for sample, _ in _sweep(K, sizes, seed, excluded):
+    swept = _sweep(K, sizes, seed, excluded)
+    V, T = swept[-1][1].V, swept[-1][1].T
+    tail, head = _reflected_rows(K, V, T)
+    G = head - ((head @ V) @ T) @ V.T
+    for sample, _ in swept:
         idx = list(sample.indices)
         assert not excluded & set(idx)
         want = nystrom_oracle(K, idx)
         got = nystrom(K, sample)
+        trial = math.sqrt(_nystrom(tail, head, G, idx, K[:, idx])[2])
         s = np.linalg.svd(K[np.ix_(idx, idx)], compute_uv=False)
         q = _kept(s, (len(idx), len(idx)))
         if got.left.shape[1] != q:
@@ -428,13 +460,30 @@ def test_nystrom_differential_against_dense_pseudoinverse(case):
             continue
         if q == 0:
             assert np.all(got.approx == 0.0) and np.all(want == 0.0)
+            # Nothing is subtracted: the error is ‖K‖ to rounding.
+            tol = 100 * EPS * np.max(np.abs(K))
+            assert abs(trial - np.linalg.norm(K)) <= K.shape[0] * tol
             continue
         # Forward error of the dense oracle: rounding in K1 and W is
         # magnified by |W^+| = 1/s_q.
         tol = 100 * EPS * (np.linalg.norm(K[:, idx], 2) ** 2 / s[q - 1]
                            + np.max(np.abs(K)))
         assert np.max(np.abs(got.approx - want)) <= tol
-        assert abs(got.frobenius_error - np.linalg.norm(K - want)) <= K.shape[0] * tol
+        for error in (got.frobenius_error, trial):
+            assert abs(error - np.linalg.norm(K - want)) <= K.shape[0] * tol
+
+
+def test_nystrom_cases_cover_duplicate_zero_and_full_samples():
+    # The explicit examples above reach what they are there for.
+    K, sizes, seed, _ = _duplicate_kernel_case()
+    idx = list(nested_samples(K, sizes[-1], seed)[-1].indices)
+    assert len({tuple(K[:, j]) for j in idx}) < len(idx)
+    assert np.linalg.matrix_rank(K[np.ix_(idx, idx)]) < len(idx)
+    K, sizes, seed, _ = _zero_kernel_case()
+    block = nested_samples(K, sizes[1], seed)[-1].submatrix
+    assert np.any(np.all(block == 0.0, axis=0))
+    K, sizes, _, _ = _full_kernel_case()
+    assert sizes[-1] == K.shape[0]
 
 
 @pytest.mark.parametrize("method", [column_projection, nystrom])
