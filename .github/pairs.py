@@ -32,6 +32,13 @@ the batch shows as halves that disagree), the old spread and that
 verdict. Below `MIN_GAIN_PAIRS` pairs the verdict is "unresolved": so
 few pairs cannot tell a gain from the host's drift. A failed child run
 stops it with an error.
+
+After the pairs, each tree runs each config once more, untimed, in a
+`live_peak.py` child that traces the run with `tracemalloc`, and a
+`peak_live_mb old → new` line gives each config's traced peak. That
+peak is deterministic to about 1 KB, so it needs no pair statistics,
+and a `peak_rss_mb` move with an unchanged `peak_live_mb` is where the
+allocator placed the heap, not memory.
 """
 
 import argparse
@@ -48,6 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+LIVE_PEAK = Path(__file__).resolve().parent / "live_peak.py"
 sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
@@ -59,15 +67,17 @@ METRICS = {run: ("cpu_s", "peak_rss_mb") for run in ("setup", "run")}
 MIN_GAIN_PAIRS = 10
 
 
-def child(src: Path, config: str, workdir: Path) -> dict:
-    """One `matcoh run` of `config` in a fresh process importing `src`."""
+def child(src: Path, config: str, workdir: Path,
+          script: Path = PERFBENCH / "child.py") -> dict:
+    """One `matcoh run` of `config` in a fresh process importing `src`,
+    through `script` (`perfbench/child.py`, or `live_peak.py`)."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "MATCOH_OUTPUT_DIR")}
     env.update(THREAD_VARS, PYTHONPATH=str(src))
     result_path = workdir / "child.json"
     result_path.unlink(missing_ok=True)
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), config, str(result_path)],
+        [sys.executable, str(script), config, str(result_path)],
         cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True, timeout=CHILD_TIMEOUT_S)
     if proc.returncode != 0 or not result_path.exists():
@@ -143,7 +153,7 @@ def main(argv=None) -> int:
 
     samples = {side: {(run, m): [] for run, ms in METRICS.items() for m in ms}
                for side in sides}
-    outputs = {}
+    outputs, live = {}, {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         workdir = Path(tmp).resolve()
         for side, src in sides.items():
@@ -168,6 +178,10 @@ def main(argv=None) -> int:
                         samples[side][run, m].append(result[m])
                     outputs.setdefault((side, run),
                                        (workdir / f"{run}.csv").read_bytes())
+        for side, src in sides.items():
+            for run in METRICS:
+                live[side, run] = child(src, f"{run}.cfg", workdir,
+                                        LIVE_PEAK)["peak_live_mb"]
 
     print(f"{args.workload} seed {args.seed} size {args.size}, {args.pairs} pairs")
     for key in samples["old"]:
@@ -188,6 +202,9 @@ def main(argv=None) -> int:
               f"new lower in {lower} of {args.pairs}, median move "
               f"{move:+.6g} (halves {halves}) against old spread "
               f"{q3 - q1:.6g}: gain {verdict}")
+    for run in METRICS:
+        print(f"{run} peak_live_mb: {live['old', run]:.4f} → "
+              f"{live['new', run]:.4f}")
     for run in METRICS:
         same = outputs["old", run] == outputs["new", run]
         print(f"{run} CSV byte-identical: {'yes' if same else 'no'}")

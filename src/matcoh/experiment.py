@@ -28,19 +28,21 @@ that `kernels._KERNEL_PARAMS` lists for its kind; an RBF source with no
 `rbf_width` is at the median pairwise distance, which `build_kernel`
 reads off K's own squared distances. The run looks its `_SOURCES` entry
 up once, and hands its `spsd` flag to the truth. `build_kernel` makes K
-exactly symmetric, so a kernel run does not scan it for asymmetry: it
-takes ‖K‖_F once, before the truth, and then calls `lowrank`'s private
-readers, not the public methods with their per-call checks. Each trial
-makes one Householder pass over K with its QR's reflectors (4 n² p
-flops, p = min(n, L)) and forms G = Qᵀ K Q's top p rows from it
-(4 n p² flops), and K is read nowhere else in the trial but its sampled
-columns. Every size reads both errors off them: column projection
-through its core basis, Nystrom through one `eigh` of W, read off the
-sampled columns, per size. An estimate row's `wall_time_ms` is that
-size's step, its SVD included, with the trial's QR charged to the first
-size; a method row's is that approximation alone, with the trial's pass
-charged to the first size's column-projection row and G to the first
-size's Nystrom row.
+exactly symmetric, so a kernel run does not scan it for asymmetry. A run
+reads ‖X‖_F² once (`linalg._squares`), before the truth, and only where
+it is used: by the Krylov energy cut of an SPSD source, which otherwise
+reads K only through products K·Q, and by both method errors of a kernel
+run, which calls `lowrank`'s private readers, not the public methods
+with their per-call checks. Each trial makes one Householder pass over K
+with its QR's reflectors (4 n² p flops, p = min(n, L)) and forms
+G = Qᵀ K Q's top p rows from it (4 n p² flops), and K is read nowhere
+else in the trial but its sampled columns. Every size reads both errors
+off them: column projection through its core basis, Nystrom through one
+`eigh` of W, read off the sampled columns, per size. An estimate row's
+`wall_time_ms` is that size's step, its SVD included, with the trial's
+QR charged to the first size; a method row's is that approximation
+alone, with the trial's pass charged to the first size's
+column-projection row and G to the first size's Nystrom row.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -65,8 +67,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, get_args
 
-import numpy as np
-
 from .coherence import _gamma, _prefix_factors, basis_coherence
 from .kernels import (
     _KERNEL_PARAMS,
@@ -76,7 +76,7 @@ from .kernels import (
     load_matrix_market,
     standardize,
 )
-from .linalg import _energy_rank, _spsd_top, as_dense, left_svd
+from .linalg import _energy_rank, _spsd_top, _squares, as_dense, left_svd
 from .lowrank import _normalized, _nystrom, _projection_squares, _reflected_rows
 from .sampling import RNG_NAME, _allowed_pool, _draw_columns
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
@@ -200,6 +200,14 @@ class ExperimentConfig:
             raise ValueError("l values must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # SplitMix64 seeds are 64-bit: a seed outside [0, 2**64) would
+        # draw the rows of another seed under its own name.
+        if not 0 <= self.base_seed <= 2**64 - self.trials:
+            raise ValueError(f"base_seed must be in [0, 2**64 - trials] = "
+                             f"[0, {2**64 - self.trials}], got {self.base_seed}")
+        if self.matrix_seed is not None and not 0 <= self.matrix_seed < 2**64:
+            raise ValueError(f"matrix_seed must be in [0, 2**64), "
+                             f"got {self.matrix_seed}")
         if self.r_policy not in _POLICY_KEYS:
             raise ValueError(f"unknown r_policy {self.r_policy!r}")
         if self.r_policy == "explicit" and (self.r is None or self.r < 1):
@@ -378,28 +386,32 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _rank_and_truth(config: ExperimentConfig, X, factor, spsd):
+def _rank_and_truth(config: ExperimentConfig, X, factor, spsd, total):
     """(truncation rank, gamma_true) of the source X from one left factor.
 
     `factor` is the `ThinSVD` a synthetic source was built from, and
     `spsd` is the source's `_SOURCES` flag. An SPSD source under an
     explicit or energy rank takes its top eigenpairs by block Krylov
-    (`_spsd_top`), which also gives the energy rank. Any other source,
-    or one the Krylov route declines (None: a small certified gap at the
-    cut, or a space that reaches its cap of columns first), is factored
-    here by one `left_svd`. The truth is truncated as
-    `estimate_coherence(X, rank)` would be, up to rounding. Where the
-    rank splits a tie in the spectrum (a noisy source's equal tail), the
-    top subspace is not unique and a built factor gives its own seeded
-    basis; the Krylov route declines a cut whose certified gap is small.
-    An all-zero source has no energy rank and is rejected here, before
-    any trial.
+    (`_spsd_top`, which reads X only through products), which also gives the
+    energy rank against `total`, the run's one ‖X‖_F² (read by the caller
+    wherever the energy cut or the methods use it, else None; the explicit
+    rank does not read it). Any other source, or one the Krylov route
+    declines (None: a small certified gap at the cut, or a space that
+    reaches its cap of columns first), is factored here by one `left_svd`,
+    whose energy rank is read off the sum of its own squared values, so a
+    fraction of 1 is reached through rounding. The truth is truncated as
+    `estimate_coherence(X, rank)` would be, up to rounding. Where the rank
+    splits a tie in the spectrum (a noisy source's equal tail), the top
+    subspace is not unique and a built factor gives its own seeded basis;
+    the Krylov route declines a cut whose certified gap is small. An
+    all-zero source has no energy rank and is rejected here, before any
+    trial.
     """
     r = config.r  # None unless r_policy is explicit
     energy = config.r_policy == "energy"
     top = None
     if factor is None and spsd and config.r_policy != "none":
-        top = _spsd_top(X, rank=r,
+        top = _spsd_top(X, rank=r, total=total,
                         fraction=config.energy_fraction if energy else None)
     if top is not None:
         r, factor = top
@@ -421,7 +433,8 @@ def run_experiment(config: ExperimentConfig):
     and each trial's block is drawn and swept by the private cores
     (`sampling._draw_columns`, `coherence._prefix_factors`), which check
     nothing again. A kernel run's K, exactly symmetric as built, is not
-    checked for symmetry, and its Frobenius norm is taken once. If
+    checked for symmetry. ‖X‖_F² is read once, and only where the Krylov
+    energy cut or a kernel run's method errors use it. If
     `config.output` is set the raw CSV is written as well; a failed run
     leaves any earlier file at that path intact.
     """
@@ -433,12 +446,13 @@ def run_experiment(config: ExperimentConfig):
     allowed = _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
 
     with_methods = config.kind == "kernel_suite"
-    if with_methods:
-        # The run's one norm of K, for both methods. K is built exactly
-        # symmetric (`build_kernel`), so it is not scanned for asymmetry.
-        norm = float(np.linalg.norm(X))
+    # The run's one read of ‖X‖_F², for an SPSD source's Krylov energy cut
+    # and both methods' errors. K is built exactly symmetric
+    # (`build_kernel`), so it is not scanned for asymmetry.
+    energy_cut = source.spsd and config.r_policy == "energy"
+    total = _squares(X) if with_methods or energy_cut else None
 
-    r_eff, gamma_true = _rank_and_truth(config, X, factor, source.spsd)
+    r_eff, gamma_true = _rank_and_truth(config, X, factor, source.spsd, total)
     del factor  # not held through the trials
 
     results = []
@@ -479,7 +493,7 @@ def run_experiment(config: ExperimentConfig):
                     ("nystrom", nystrom, nystrom_ms)):
                 results.append(TrialResult(
                     **common, method=method,
-                    normalized_error=_normalized(squares, norm)[1],
+                    normalized_error=_normalized(squares, math.sqrt(total))[1],
                     wall_time_ms=method_ms if config.timing else None))
 
     if config.output:

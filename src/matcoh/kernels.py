@@ -277,14 +277,21 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     subsample's beyond `_MEDIAN_MAX_POINTS` points (see the module
     docstring). The points are C-contiguous, so K is exactly symmetric
     with no symmetrization pass and is returned as its transpose,
-    column-major.
+    column-major. A polynomial kernel whose power overflows float64
+    raises ValueError naming its `poly_degree` and `poly_offset`.
     """
     P = dataset.points
     if spec.kind != "rbf":
         K = P @ P.T
         if spec.kind == "polynomial":
-            K += spec.poly_offset
-            K **= spec.poly_degree
+            try:
+                with np.errstate(over="raise"):
+                    K += spec.poly_offset
+                    K **= spec.poly_degree
+            except FloatingPointError:
+                raise ValueError(
+                    f"polynomial kernel overflows float64 at poly_degree "
+                    f"{spec.poly_degree} and poly_offset {spec.poly_offset}") from None
         return K.T
     width = spec.rbf_width
     if width is None and P.shape[0] > _MEDIAN_MAX_POINTS:

@@ -21,16 +21,17 @@ energy rank), `_spsd_top` takes them by block Krylov with Rayleigh–Ritz
 (block Lanczos with full reorthogonalization; Golub and Underwood 1977,
 Musco and Musco 2015) from a fixed SplitMix64 start block, so reruns
 give the same bits. The space grows by `_TOP_BLOCK` columns a pass, at
-one K @ Q of b columns each, not `eigh`'s O(n³). It stops one pass
-after each of the top r Ritz pairs has ‖K u − θu‖ ≤ √n·eps·θ₁. An
-energy rank is read from converged Ritz values only, against ‖K‖_F² as
-the total, through the one rule `spectrum_energy_rank` also reads
-(`_energy_rank`). The helper gives up (None, and the caller takes the
-dense `eigh`) where the certified gap (θ_r − θ_{r+1} − res_{r+1})/θ₁ at
-the cut is below `_TOP_MIN_GAP` (a Ritz basis is only as accurate as
-residual/gap, Davis and Kahan 1970), where rounding of the total could
-move the energy cut, and where the space reaches its cap before the
-top r settle.
+one K @ Q of b columns each, not `eigh`'s O(n³), and K is read only
+through those products and its shape. It stops one pass after each of
+the top r Ritz pairs has ‖K u − θu‖ ≤ √n·eps·θ₁. An energy rank is read
+from converged Ritz values only, against the total ‖K‖_F² given by the
+caller (a run reads it once, `_squares`), through the one rule
+`spectrum_energy_rank` also reads (`_energy_rank`). The helper gives up
+(None, and the caller takes the dense `eigh`) where the certified gap
+(θ_r − θ_{r+1} − res_{r+1})/θ₁ at the cut is below `_TOP_MIN_GAP` (a
+Ritz basis is only as accurate as residual/gap, Davis and Kahan 1970),
+where rounding of the total could move the energy cut, and where the
+space reaches its cap before the top r settle.
 
 The cap is min(0.6·n, 9·√n) columns, down to a multiple of b. The
 columns a cut needs follow its spectrum more than n: over a
@@ -286,20 +287,21 @@ def _gram_certified(gram, m) -> bool:
     return False
 
 
-def _spsd_top(K, rank=None, fraction=None):
+def _spsd_top(K, rank=None, fraction=None, total=None):
     """(r, top-r `ThinSVD` with V None) of an SPSD K, or None for `eigh`.
 
-    K is symmetric positive semidefinite and already checked (`as_dense`).
-    With `rank`, r is that rank; with `fraction`, r is the energy rank
-    `spectrum_energy_rank` would give, the total taken as ‖K‖_F². Block
-    Krylov with Rayleigh–Ritz (Golub and Underwood 1977): the basis V
-    starts from a fixed SplitMix64 block of `_TOP_BLOCK` columns, and
-    each pass appends K times the last block, projected off V and
-    orthonormalized twice (full reorthogonalization), keeps K V beside
-    V, and takes the Ritz pairs of Vᵀ K V by descending |θ| (stable
-    sort). Under `fraction`, r is the energy rank of all Ritz values but
-    the last, which lie below K's eigenvalues, so r is at or after K's
-    cut until the top r converge, and K's cut then.
+    K is symmetric positive semidefinite and already checked (`as_dense`),
+    and is read only through `K.shape` and `K @ block`. With `rank`, r is
+    that rank; with `fraction`, r is the energy rank `spectrum_energy_rank`
+    would give, against `total`, ‖K‖_F² given by the caller. Block Krylov
+    with Rayleigh–Ritz (Golub and Underwood 1977): the basis V starts from
+    a fixed SplitMix64 block of `_TOP_BLOCK` columns, and each pass appends
+    K times the last block, projected off V and orthonormalized twice (full
+    reorthogonalization), keeps K V beside V, and takes the Ritz pairs of
+    Vᵀ K V by descending |θ| (stable sort). Under `fraction`, r is the
+    energy rank of all Ritz values but the last, which lie below K's
+    eigenvalues, so r is at or after K's cut until the top r converge, and
+    K's cut then.
 
     The top r + 1 Ritz pairs get their residuals ‖K u − θu‖. Once the
     top r all meet √n·eps·θ₁, one more pass settles them: the smaller
@@ -321,11 +323,8 @@ def _spsd_top(K, rank=None, fraction=None):
     cap = int(min(0.6 * n, 9.0 * n ** 0.5)) // b * b  # see the module docstring
     if (rank or b) + b >= cap:  # no room for the cut and a settling block
         return None
-    if fraction is not None:
-        flat = K.ravel(order="K")
-        total = float(flat @ flat)
-        if total == 0.0:
-            return None
+    if fraction is not None and total == 0.0:
+        return None
     eps = np.finfo(np.float64).eps
     V = np.empty((n, cap), order="F")
     KV = np.empty((n, cap), order="F")
@@ -367,6 +366,13 @@ def _spsd_top(K, rank=None, fraction=None):
                 settled = True
         block = KV[:, q:p]
     return None
+
+
+def _squares(A):
+    """‖A‖_F², summed in A's memory order as `np.linalg.norm(A)` sums it,
+    so its square root is that norm bit for bit."""
+    flat = A.ravel(order="K")
+    return float(flat @ flat)
 
 
 def _energy_rank(values, fraction, total=None):

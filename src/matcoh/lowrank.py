@@ -34,11 +34,11 @@ at most l columns in each factor, and forms the n x m product only when
 `approx` is read. The pass forms Y a column block at a time, and the
 symmetry check of Nystrom's input reads K's block-lower part in blocks
 of width l, so a method call holds nothing larger than Y's top p rows
-(and G): no n x m temporary where l < n. A run (`experiment`) takes
-‖K‖_F once and calls the same private readers as `column_projection`
-and `nystrom`, each of which has one error path; its K is built exactly
-symmetric, so only the public `nystrom` checks the symmetry of its
-input.
+(and G): no n x m temporary where l < n. A run (`experiment`) reads
+‖K‖_F² once (`linalg._squares`, shared with its truth) and calls the
+same private readers as `column_projection` and `nystrom`, each of which
+has one error path; its K is built exactly symmetric, so only the public
+`nystrom` checks the symmetry of its input.
 """
 
 import math
@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .coherence import _householder, _prefix_factors
-from .linalg import as_dense, spsd_pinv_factor
+from .linalg import _squares, as_dense, spsd_pinv_factor
 from .sampling import ColumnSample
 
 __all__ = [
@@ -147,12 +147,6 @@ def _reflected_rows(X, V, T):
         rows += np.einsum("ij,ij->i", Y, Y)
         head[:, cols] = Y[:p]
     return np.append(np.cumsum(rows[::-1])[::-1], 0.0), head
-
-
-def _squares(A):
-    """‖A‖_F², summed in A's memory order."""
-    flat = A.ravel(order="K")
-    return float(flat @ flat)
 
 
 def _projection_squares(tail, head, W):

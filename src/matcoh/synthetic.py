@@ -329,7 +329,9 @@ def adversarial_spsd(n: int, seed: int, inflation: float = 1e3,
     transpose is the same matrix, column-major, with no copy. Inflating
     a diagonal entry of an SPSD matrix keeps it SPSD, and the top
     eigenvector becomes essentially e_0, so the matrix has near-maximal
-    coherence that a sampler excluding column 0 can never detect.
+    coherence that a sampler excluding column 0 can never detect. An
+    `inflation` whose product with that entry overflows float64 is
+    rejected.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -342,5 +344,9 @@ def adversarial_spsd(n: int, seed: int, inflation: float = 1e3,
         raise ValueError("inner_dim must be >= 1")
     G = SplitMix64(seed).normal_matrix(k, n)
     K = G.T @ G
-    K[0, 0] = inflation * float(np.max(np.diagonal(K)))
+    largest = float(np.max(np.diagonal(K)))
+    if not math.isfinite(inflation * largest):
+        raise ValueError(f"inflation {inflation:g} times the largest diagonal "
+                         f"entry ({largest:.6g}) overflows float64")
+    K[0, 0] = inflation * largest
     return K.T

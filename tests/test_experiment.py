@@ -48,7 +48,7 @@ from matcoh.kernels import (
     spectrum_energy_rank,
     standardize,
 )
-from matcoh.linalg import _spsd_top, as_dense, left_svd, thin_svd
+from matcoh.linalg import _spsd_top, _squares, as_dense, left_svd, thin_svd
 from matcoh.sampling import SplitMix64, nested_samples
 from matcoh.synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
 
@@ -192,12 +192,31 @@ def test_config_checks_source_values_before_reading_data(tmp_path, raw, message)
      "energy_fraction must be in (0, 1]"),
     ({"timing": "maybe"}, "config key 'timing': not a boolean: 'maybe'"),
     ({"colour": "red"}, "unknown config key 'colour'"),
+    ({"base_seed": "-1"},
+     "base_seed must be in [0, 2**64 - trials] = [0, 18446744073709551615], got -1"),
+    ({"base_seed": "18446744073709551615", "trials": "2"},
+     "base_seed must be in [0, 2**64 - trials] = [0, 18446744073709551614], "
+     "got 18446744073709551615"),
+    ({"base_seed": "18446744073709551617"},
+     "base_seed must be in [0, 2**64 - trials] = [0, 18446744073709551615], "
+     "got 18446744073709551617"),
+    ({"matrix_seed": "-1"}, "matrix_seed must be in [0, 2**64), got -1"),
+    ({"matrix_seed": "18446744073709551616"},
+     "matrix_seed must be in [0, 2**64), got 18446744073709551616"),
 ], ids=["kind", "empty_l_values", "l_value_0", "r_policy", "energy_fraction",
-        "timing", "unknown_key"])
+        "timing", "unknown_key", "base_seed_negative", "base_seed_last_trial",
+        "base_seed_aliases", "matrix_seed_negative", "matrix_seed_past_64_bits"])
 def test_config_rejects_a_bad_run_setting(extra, message):
     raw = {**SYNTH, "l_values": "2", **extra}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         config_from_dict(raw)
+
+
+def test_config_takes_the_largest_seeds_splitmix64_keeps():
+    config = config_from_dict({**SYNTH, "l_values": "2", "trials": "2",
+                               "base_seed": str(2**64 - 2),
+                               "matrix_seed": str(2**64 - 1)})
+    assert (config.base_seed, config.matrix_seed) == (2**64 - 2, 2**64 - 1)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -657,8 +676,10 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
         policy = {"r_policy": "explicit", "r": 3}
     config = _truth_config(**policy)
     fraction = config.energy_fraction if config.r_policy == "energy" else None
-    assert _spsd_top(K, rank=config.r, fraction=fraction) is None
-    assert matcoh.experiment._rank_and_truth(config, K, None, spsd=True) == _eigh_truth(config, K)
+    total = _squares(K)
+    assert _spsd_top(K, rank=config.r, fraction=fraction, total=total) is None
+    assert (matcoh.experiment._rank_and_truth(config, K, None, True, total)
+            == _eigh_truth(config, K))
 
 
 def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatch):
@@ -667,7 +688,7 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
     K = _spectral_matrix(_GEOMETRIC)
     config = _truth_config(r_policy="explicit", r=4)
     assert _spsd_top(K, rank=4) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, spsd=True)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, True, _squares(K))
     want = _eigh_truth(config, K)
     assert r == want[0] and abs(gamma - want[1]) <= 1e-14
     # r_policy = none needs the whole spectrum and never tries it.
@@ -677,7 +698,8 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
 
     monkeypatch.setattr(matcoh.experiment, "_spsd_top", no_top)
     config = _truth_config()
-    assert matcoh.experiment._rank_and_truth(config, K, None, spsd=True) == _eigh_truth(config, K)
+    assert (matcoh.experiment._rank_and_truth(config, K, None, True, None)
+            == _eigh_truth(config, K))
 
 
 def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
@@ -686,7 +708,7 @@ def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
     K = _spectral_matrix(_GEOMETRIC)
     config = _truth_config(r_policy="explicit", r=13)
     assert _spsd_top(K, rank=13) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, spsd=True)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, True, _squares(K))
     want = _eigh_truth(config, K)
     assert r == want[0] and abs(gamma - want[1]) <= 1e-14
 
@@ -717,11 +739,11 @@ def test_both_truth_routes_read_one_energy_rank(move, r_want, iterates):
     energies = np.cumsum(left_svd(K, spsd=True).singular_values ** 2)
     fraction = float(move(energies[4] / energies[-1]))
     config = _truth_config(r_policy="energy", energy_fraction=fraction)
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, spsd=True)
+    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, True, _squares(K))
     want = _eigh_truth(config, K)
     assert r == want[0] and r_want in (None, r)
     assert abs(gamma - want[1]) <= 1e-14
-    assert (_spsd_top(K, fraction=fraction) is not None) == iterates
+    assert (_spsd_top(K, fraction=fraction, total=_squares(K)) is not None) == iterates
 
 
 @pytest.mark.parametrize("kind, n, m, extra", [
@@ -860,6 +882,52 @@ def _points_file(tmp_path, n, d, seed):
     data = tmp_path / "pts.csv"
     save_csv(PointDataset(points=SplitMix64(seed).normal_matrix(n, d)), data)
     return data
+
+
+@pytest.mark.parametrize("kind, policy, reads", [
+    ("kernel_suite", {"r_policy": "energy", "energy_fraction": 0.999}, 1),
+    ("coherence_only", {"r_policy": "energy", "energy_fraction": 0.999}, 1),
+    ("kernel_suite", {"r_policy": "explicit", "r": 9}, 1),
+    ("coherence_only", {"r_policy": "explicit", "r": 9}, 0),
+], ids=["kernel_suite-energy", "coherence_only-energy", "kernel_suite-explicit",
+        "coherence_only-explicit"])
+def test_a_run_reduces_the_squares_of_k_once_where_they_are_read(
+        monkeypatch, tmp_path, kind, policy, reads):
+    # ||K||_F^2 is read by the Krylov energy cut and by both method
+    # errors, and a run that has either reduces K's squares exactly once;
+    # a run with neither reduces none. The Krylov route takes each cut.
+    built, reduced, tops = [], [], []
+    real_build, real_norm = matcoh.experiment.build_kernel, np.linalg.norm
+    real_squares, real_top = matcoh.linalg._squares, matcoh.experiment._spsd_top
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def squares(A):
+        reduced.append(A)
+        return real_squares(A)
+
+    def norm(x, *args, **kwargs):
+        reduced.append(x)
+        return real_norm(x, *args, **kwargs)
+
+    def top(*args, **kwargs):
+        tops.append(real_top(*args, **kwargs))
+        return tops[-1]
+
+    monkeypatch.setattr(matcoh.experiment, "build_kernel", build)
+    for module in (matcoh.linalg, matcoh.lowrank, matcoh.experiment):
+        monkeypatch.setattr(module, "_squares", squares)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(matcoh.experiment, "_spsd_top", top)
+    config = ExperimentConfig(kind=kind, experiment_id="e", l_values=(10, 20),
+                              data=str(_points_file(tmp_path, 300, 8, 7)),
+                              kernel="rbf", **policy)
+    run_experiment(config)
+    (K,) = built
+    assert len(tops) == 1 and tops[0] is not None and tops[0][0] == 9
+    assert sum(np.may_share_memory(a, K) for a in reduced) == reads
 
 
 # 1100 points: the width reads an evenly spaced subsample, not every point.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from matcoh.coherence import sample_size_bound, update_projector
-from matcoh.kernels import KernelSpec, PointDataset
+from matcoh.kernels import KernelSpec, PointDataset, build_kernel
 from matcoh.lowrank import column_projection, nystrom
 from matcoh.sampling import ColumnSample, SplitMix64
 from matcoh.synthetic import (SynthSpec, adversarial_spsd, add_noise,
@@ -58,6 +58,14 @@ def sample(indices, rows=4):
                  "rank 0 out of range for 5x5", id="aligned-rank-0"),
     pytest.param(lambda: adversarial_spsd(5, seed=0, inner_dim=0),
                  "inner_dim must be >= 1", id="adversarial-inner-dim-0"),
+    pytest.param(lambda: adversarial_spsd(20, seed=0, inflation=1e308),
+                 "inflation 1e+308 times the largest diagonal entry (29.1618) "
+                 "overflows float64", id="adversarial-inflation-overflows"),
+    pytest.param(lambda: build_kernel(
+        PointDataset(points=SplitMix64(0).normal_matrix(30, 3)),
+        KernelSpec(kind="polynomial", poly_degree=400, poly_offset=100.0)),
+                 "polynomial kernel overflows float64 at poly_degree 400 and "
+                 "poly_offset 100.0", id="polynomial-overflows"),
     pytest.param(lambda: update_projector(np.zeros((3, 2)), np.zeros((3, 1))),
                  "projector must be square, got (3, 2)", id="projector-not-square"),
     pytest.param(lambda: sample_size_bound(0, 1.0, 0.1, 1.0, 1.0),

@@ -14,6 +14,7 @@ from matcoh.kernels import (
 )
 from matcoh.linalg import (
     _spsd_top,
+    _squares,
     as_dense,
     left_svd,
     numerical_rank,
@@ -496,7 +497,7 @@ def test_spsd_top_matches_the_dense_eigh_route(n, width_scale, policy):
     r_want = policy.get("rank")
     if r_want is None:
         r_want = spectrum_energy_rank(dense.singular_values, policy["fraction"])
-    top = _spsd_top(K, **policy)
+    top = _spsd_top(K, total=_squares(K), **policy)
     assert top is not None  # each case takes the Krylov route
     r, f = top
     assert r == r_want and f.V is None and f.numerical_rank == r
@@ -507,10 +508,35 @@ def test_spsd_top_matches_the_dense_eigh_route(n, width_scale, policy):
     gamma = basis_coherence(f.left_basis(r)).gamma
     assert abs(gamma - basis_coherence(dense.left_basis(r)).gamma) <= 1e-15
     # The start block is fixed, so a rerun gives the same bits.
-    again = _spsd_top(K, **policy)[1]
+    again = _spsd_top(K, total=_squares(K), **policy)[1]
     assert np.array_equal(again.U, f.U)
     assert np.array_equal(again.singular_values, f.singular_values)
 
+
+
+class _Products:
+    """An SPSD operator seen only through its shape and products K @ block."""
+
+    def __init__(self, K):
+        self.shape = K.shape
+        self._K = K
+
+    def __matmul__(self, block):
+        return self._K @ block
+
+
+@pytest.mark.parametrize("policy", [{"rank": 9}, {"fraction": 0.999}])
+def test_spsd_top_reads_k_only_through_products(policy):
+    # The Krylov truth reads no entry of K but through K @ block: an
+    # operator with nothing but `shape` and `@` gives the bits of K
+    # itself, the energy cut's total coming from the caller.
+    K = _rbf_kernel(300, 1.0, seed=7)
+    want = _spsd_top(K, total=_squares(K), **policy)
+    assert want is not None and want[0] == 9  # the cut is taken
+    r, f = _spsd_top(_Products(K), total=_squares(K), **policy)
+    assert r == want[0]
+    assert np.array_equal(f.U, want[1].U)
+    assert np.array_equal(f.singular_values, want[1].singular_values)
 
 
 @pytest.mark.parametrize("n, width_scale", [(500, 0.5), (800, 0.7)])
@@ -583,7 +609,7 @@ def test_spsd_top_declines_at_its_cap(linalg_calls, seed, policy):
         s = left_svd(K, spsd=True).singular_values
         assert spectrum_energy_rank(s, policy["fraction"]) == 39
     linalg_calls.clear()  # two QRs of the new block a pass
-    assert _spsd_top(K, **policy) is None
+    assert _spsd_top(K, total=_squares(K), **policy) is None
     assert len(linalg_calls) // 2 == _cap(300) // 8 == 19
 
 
@@ -602,7 +628,7 @@ def test_spsd_top_takes_an_energy_cut_next_to_a_drop():
     fraction = float(energies[13] / energies[-1]) * (1 - 1e-9)
     dense = left_svd(K, spsd=True)
     assert spectrum_energy_rank(dense.singular_values, fraction) == 14
-    r, f = _spsd_top(K, fraction=fraction)
+    r, f = _spsd_top(K, fraction=fraction, total=_squares(K))
     assert r == 14
     np.testing.assert_allclose(f.singular_values, dense.singular_values[:r],
                                rtol=0, atol=1e-13)
@@ -626,7 +652,7 @@ def test_spsd_top_keeps_its_basis_orthonormal_once_the_space_is_invariant(policy
     dense = left_svd(K, spsd=True)
     r_want = policy.get("rank") or spectrum_energy_rank(dense.singular_values,
                                                         policy["fraction"])
-    r, f = _spsd_top(K, **policy)
+    r, f = _spsd_top(K, total=_squares(K), **policy)
     assert r == r_want
     assert matcoh.linalg.orthonormality_defect(f.U) <= 1e-14
     gamma = basis_coherence(f.left_basis(r)).gamma
@@ -654,7 +680,7 @@ def test_spsd_top_differential_against_eigh(kind, n, seed, policy):
                 "linear": KernelSpec(kind="linear")}[kind]
         K = build_kernel(PointDataset(points=points), spec)
     K = as_dense(K)
-    top = _spsd_top(K, **dict([policy]))
+    top = _spsd_top(K, total=_squares(K), **dict([policy]))
     if top is None:
         return
     dense = left_svd(K, spsd=True)
