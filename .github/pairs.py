@@ -38,7 +38,10 @@ After the pairs, each tree runs each config once more, untimed, in a
 `peak_live_mb old → new` line gives each config's traced peak. That
 peak is deterministic to about 1 KB, so it needs no pair statistics,
 and a `peak_rss_mb` move with an unchanged `peak_live_mb` is where the
-allocator placed the heap, not memory.
+allocator placed the heap, not memory: a `peak_rss_mb` gain holds only
+where the same config's `peak_live_mb` also falls by more than
+`LIVE_GAIN_MB`, and otherwise reads "no (peak_live_mb unchanged: heap
+placement)".
 """
 
 import argparse
@@ -65,6 +68,10 @@ from run import CHILD_TIMEOUT_S, THREAD_VARS, quartiles  # noqa: E402
 METRICS = {run: ("cpu_s", "peak_rss_mb") for run in ("setup", "run")}
 # The fewest pairs that can give a gain verdict.
 MIN_GAIN_PAIRS = 10
+# How far a config's `peak_live_mb` must fall for its `peak_rss_mb` gain
+# to count as memory rather than heap placement (the live peak is
+# deterministic to about 1 KB).
+LIVE_GAIN_MB = 0.01
 
 
 def child(src: Path, config: str, workdir: Path,
@@ -198,6 +205,9 @@ def main(argv=None) -> int:
         else:
             gain = lower >= 0.9 * args.pairs and -move > q3 - q1
             verdict = "yes" if gain else "no"
+            if (gain and key[1] == "peak_rss_mb"
+                    and live["old", key[0]] - live["new", key[0]] <= LIVE_GAIN_MB):
+                verdict = "no (peak_live_mb unchanged: heap placement)"
         print(f"{key[0]} {key[1]}: old {summary(old)}, new {summary(new)}, "
               f"new lower in {lower} of {args.pairs}, median move "
               f"{move:+.6g} (halves {halves}) against old spread "

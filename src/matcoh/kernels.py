@@ -28,6 +28,12 @@ selected values are square-rooted. sqrt is monotone and correctly
 rounded, so it commutes with order statistics, and the width has the
 bits of `np.median` of the distances. Either way K has the bits of the
 build at the explicit width `default_rbf_width(dataset)`.
+
+Every kind is built through one flow, the Gram matrix and then the
+kind's elementwise steps, under one float64 guard that turns an
+overflow, a division by zero or an invalid value into ValueError
+"<kind> kernel overflows float64 at ...", naming the parameters the
+build was at (or the points' largest entry where it has none yet).
 """
 
 import csv
@@ -220,7 +226,7 @@ def default_rbf_width(dataset: PointDataset) -> float:
     if n > _MEDIAN_MAX_POINTS:
         idx = np.unique(np.linspace(0, n - 1, _MEDIAN_MAX_POINTS).round().astype(int))
         pts = pts[idx]
-    return _median_width(_squared_distances(pts))
+    return _median_width(_squared_distances(pts, pts @ pts.T))
 
 
 def _median_width(d2: np.ndarray) -> float:
@@ -249,13 +255,13 @@ def _median_width(d2: np.ndarray) -> float:
     return med
 
 
-def _squared_distances(P: np.ndarray) -> np.ndarray:
+def _squared_distances(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """max(‖x_i‖² + ‖x_j‖² − 2 x_i·x_j, 0) over the rows of C-contiguous P.
 
-    Formed in place in P Pᵀ, with the bits of the whole-array formula;
-    the row sums are formed one block of `_BUILD_CHUNK` entries at a time.
+    Formed in place in their Gram matrix D = P Pᵀ, which is returned,
+    with the bits of the whole-array formula; the row sums are formed
+    one block of `_BUILD_CHUNK` entries at a time.
     """
-    D = P @ P.T
     n = D.shape[0]
     sq = np.einsum("ij,ij->i", P, P)
     D *= 2.0
@@ -277,31 +283,44 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     subsample's beyond `_MEDIAN_MAX_POINTS` points (see the module
     docstring). The points are C-contiguous, so K is exactly symmetric
     with no symmetrization pass and is returned as its transpose,
-    column-major. A polynomial kernel whose power overflows float64
-    raises ValueError naming its `poly_degree` and `poly_offset`.
+    column-major.
+
+    Every kind is built under one float64 guard: an overflow, division
+    by zero or invalid operation anywhere in the build, or an RBF width
+    whose square overflows a Python float, raises ValueError
+    "<kind> kernel overflows float64 at ...", naming the kind's
+    `_KERNEL_PARAMS` (an unset `rbf_width` as the median width the build
+    reached) or, where none is known (a linear kernel, or an unset width
+    the build had not yet read), the points' largest entry. Only the
+    RBF exponent's overflow is let through: exp maps its -inf to the
+    exact 0, so a width of 1e-160 builds the identity.
     """
     P = dataset.points
-    if spec.kind != "rbf":
-        K = P @ P.T
-        if spec.kind == "polynomial":
-            try:
-                with np.errstate(over="raise"):
-                    K += spec.poly_offset
-                    K **= spec.poly_degree
-            except FloatingPointError:
-                raise ValueError(
-                    f"polynomial kernel overflows float64 at poly_degree "
-                    f"{spec.poly_degree} and poly_offset {spec.poly_offset}") from None
-        return K.T
     width = spec.rbf_width
-    if width is None and P.shape[0] > _MEDIAN_MAX_POINTS:
-        width = default_rbf_width(dataset)  # its distances freed before K's
-    K = _squared_distances(P)
-    if width is None:
-        width = _median_width(K)
-    np.negative(K, out=K)
-    K /= 2.0 * width**2
-    np.exp(K, out=K)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if spec.kind == "rbf" and width is None and len(P) > _MEDIAN_MAX_POINTS:
+                width = default_rbf_width(dataset)  # its distances freed before K's
+            K = P @ P.T
+            if spec.kind == "polynomial":
+                K += spec.poly_offset
+                K **= spec.poly_degree
+            elif spec.kind == "rbf":
+                _squared_distances(P, K)
+                if width is None:
+                    width = _median_width(K)
+                # d² / -(2w²) has the bits of (-d²) / (2w²), since rounding
+                # is symmetric in sign; exp maps an exponent that overflows
+                # to -inf to the exact 0.
+                with np.errstate(over="ignore"):
+                    K /= -(2.0 * width**2)
+                np.exp(K, out=K)
+    except (FloatingPointError, OverflowError):
+        values = {**vars(spec), "rbf_width": width}
+        at = [f"{name} {values[name]}" for name in _KERNEL_PARAMS[spec.kind]
+              if values[name] is not None] or [f"point entries up to {abs(P).max():g}"]
+        raise ValueError(f"{spec.kind} kernel overflows float64 at "
+                         f"{' and '.join(at)}") from None
     return K.T
 
 

@@ -185,9 +185,9 @@ def column_projection(X, sample: ColumnSample) -> ApproximationResult:
     The result is U (Uᵀ X) for the rank-truncated left singular vectors U
     of the subsample, so the residual is orthogonal to every sampled
     column. If the sample spans the full column space the projection
-    reproduces X exactly. The sampled columns of the checked X, which
-    `_check_sample` has matched to the sample entry for entry, are
-    factored by the sweep's core (`coherence._prefix_factors`, which
+    reproduces X exactly. The sample's own columns, which `_check_sample`
+    has matched to the checked X entry for entry, are factored by the
+    sweep's core (`coherence._prefix_factors`, which
     `nested_factors` wraps in its checks) at the one size l, and its
     k = min(n, l) reflectors all belong to U = Q_k W. The error comes
     from one Householder pass of them over X (`_reflected_rows`), and
@@ -195,7 +195,7 @@ def column_projection(X, sample: ColumnSample) -> ApproximationResult:
     """
     X = as_dense(X)
     idx = _check_sample(X, sample)
-    factor = next(_prefix_factors(X[:, idx], [len(idx)]))
+    factor = next(_prefix_factors(sample.submatrix, [len(idx)]))
     W = factor.core.left_basis()
     tail, head = _reflected_rows(X, factor.V, factor.T)
     return _result(factor.left_basis(), head.T @ W,

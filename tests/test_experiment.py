@@ -1320,6 +1320,28 @@ def test_cli_reports_a_lapack_failure_and_keeps_the_earlier_csv(tmp_path,
     assert raw.read_bytes() == good
 
 
+# Before every kernel was built under one float64 guard, rbf_width 1e200
+# ended in an OverflowError traceback, and the other two in the generic
+# "matrix entries must be finite (no NaN/Inf)".
+@pytest.mark.parametrize("scale, kernel, message", [
+    (1.0, "kernel = rbf\nrbf_width = 1e200", "rbf kernel overflows float64 at "
+     "rbf_width 1e+200"),
+    (1.0, "kernel = rbf\nrbf_width = 1e-200", "rbf kernel overflows float64 at "
+     "rbf_width 1e-200"),
+    (1e160, "kernel = linear", "linear kernel overflows float64 at point entries "
+     "up to 1e+161"),
+], ids=["rbf-wide", "rbf-narrow", "linear-huge-points"])
+def test_cli_names_a_kernel_that_overflows(tmp_path, capsys, scale, kernel, message):
+    data = tmp_path / "pts.csv"
+    save_csv(PointDataset(points=scale * np.arange(1.0, 11.0).reshape(5, 2)), data)
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text(f"kind = coherence_only\ndata = {data}\n{kernel}\n"
+                   f"l_values = 2\noutput = {tmp_path / 'raw.csv'}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"matcoh: error: {message}\n"
+    assert not (tmp_path / "raw.csv").exists()
+
+
 @pytest.mark.parametrize("policy, rc", [("energy", 2), ("none", 0)])
 def test_cli_all_zero_source(tmp_path, capsys, policy, rc):
     import scipy.io

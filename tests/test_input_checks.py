@@ -14,6 +14,10 @@ from matcoh.synthetic import (SynthSpec, adversarial_spsd, add_noise,
 
 X = np.arange(12.0).reshape(4, 3)
 K = np.eye(4)
+# Points whose Gram matrix overflows float64 (one row negated, so they
+# are not all one point), and ordinary points.
+HUGE = PointDataset(points=np.vstack([[-1e160, -1e160], np.full((4, 2), 1e160)]))
+SMALL = PointDataset(points=SplitMix64(0).normal_matrix(5, 2))
 
 
 def sample(indices, rows=4):
@@ -66,6 +70,22 @@ def sample(indices, rows=4):
         KernelSpec(kind="polynomial", poly_degree=400, poly_offset=100.0)),
                  "polynomial kernel overflows float64 at poly_degree 400 and "
                  "poly_offset 100.0", id="polynomial-overflows"),
+    pytest.param(lambda: build_kernel(HUGE, KernelSpec(kind="linear")),
+                 "linear kernel overflows float64 at point entries up to 1e+160",
+                 id="linear-gram-overflows"),
+    pytest.param(lambda: build_kernel(HUGE, KernelSpec(kind="rbf")),
+                 "rbf kernel overflows float64 at point entries up to 1e+160",
+                 id="rbf-distances-overflow"),
+    pytest.param(lambda: build_kernel(
+        HUGE, KernelSpec(kind="polynomial", poly_degree=1, poly_offset=0.0)),
+                 "polynomial kernel overflows float64 at poly_degree 1 and "
+                 "poly_offset 0.0", id="polynomial-gram-overflows"),
+    pytest.param(lambda: build_kernel(SMALL, KernelSpec(kind="rbf", rbf_width=1e-200)),
+                 "rbf kernel overflows float64 at rbf_width 1e-200",
+                 id="rbf-width-square-underflows"),
+    pytest.param(lambda: build_kernel(SMALL, KernelSpec(kind="rbf", rbf_width=1e200)),
+                 "rbf kernel overflows float64 at rbf_width 1e+200",
+                 id="rbf-width-square-overflows"),
     pytest.param(lambda: update_projector(np.zeros((3, 2)), np.zeros((3, 1))),
                  "projector must be square, got (3, 2)", id="projector-not-square"),
     pytest.param(lambda: sample_size_bound(0, 1.0, 0.1, 1.0, 1.0),

@@ -303,6 +303,15 @@ def test_point_dataset_stores_real_points_as_float64(spec):
         PointDataset(points=points + 1j)
 
 
+def test_rbf_of_a_tiny_width_is_the_identity():
+    # -d²/(2w²) overflows to -inf off the diagonal, and exp maps it to the
+    # exact 0 (before, with a RuntimeWarning). Whole coordinates keep the
+    # diagonal's squared distances exactly 0.
+    points = PointDataset(points=np.arange(12.0).reshape(6, 2))
+    K = build_kernel(points, KernelSpec(kind="rbf", rbf_width=1e-160))
+    assert np.array_equal(K, np.eye(6))
+
+
 def test_rbf_diagonal_is_one():
     K = build_kernel(cloud(), KernelSpec(kind="rbf", rbf_width=2.0))
     np.testing.assert_allclose(np.diagonal(K), 1.0, atol=1e-14)
