@@ -10,8 +10,16 @@ traced peak is written as `peak_live_mb` (MiB). Unlike the peak RSS it
 does not move with where the allocator places the heap, so it tells
 memory from placement. Tracing slows the run, which is why it is not
 timed.
+
+The cyclic garbage collector is disabled before tracing starts. Where
+it runs depends on how many container objects the process has made, so
+a change to code the run never calls could move a collection, and with
+it the traced peak (by 0.017 MB on a workload that builds no kernel,
+above `pairs.py`'s `LIVE_GAIN_MB`). With it off the peak is the same
+from one tree to the next wherever the run's allocations are.
 """
 
+import gc
 import json
 import sys
 import tracemalloc
@@ -21,6 +29,7 @@ from pathlib import Path
 def main(argv) -> int:
     config, result_path = argv[0], Path(argv[1])
     import matcoh.cli
+    gc.disable()
     tracemalloc.start()
     rc = matcoh.cli.main(["run", config])
     peak = tracemalloc.get_traced_memory()[1]

@@ -6,15 +6,18 @@ Matrix Market files. Kernels: linear (x . y), RBF (exp(-||x - y||^2 /
 2w^2), w by default the median pairwise distance) and polynomial
 ((x . y + c)^d with c >= 0), all of which are symmetric positive
 semidefinite by construction. One table, `_KERNEL_PARAMS`, lists each
-kind with the `KernelSpec` parameters it reads; the experiment config's
-kernel keys and specs are read off it.
+kind with the `KernelSpec` parameters it reads; `KernelSpec` rejects any
+other, and the experiment config's kernel keys and specs are read off
+it.
 
 A `PointDataset` holds its points as C-contiguous float64, so numpy
 forms the Gram matrix P Pᵀ by a symmetric rank-k update and it is
 exactly symmetric. Every later kernel step is elementwise or adds
 ‖x_i‖² + ‖x_j‖², whose bits do not depend on the order of the two
 terms, so `build_kernel` returns an exactly symmetric K with no
-symmetrization pass.
+symmetrization pass. The RBF's ‖x_i‖² are read off the Gram matrix's
+own diagonal, so each point's squared distance from itself is exactly
+0 and every RBF K has an exactly-1 diagonal, at any width.
 
 An RBF spec with no `rbf_width` is at the default width, the median
 pairwise distance (`default_rbf_width`), and `build_kernel` forms one
@@ -32,8 +35,10 @@ build at the explicit width `default_rbf_width(dataset)`.
 Every kind is built through one flow, the Gram matrix and then the
 kind's elementwise steps, under one float64 guard that turns an
 overflow, a division by zero or an invalid value into ValueError
-"<kind> kernel overflows float64 at ...", naming the parameters the
-build was at (or the points' largest entry where it has none yet).
+"<kind> kernel overflows float64 at ...", naming the stage that failed:
+the points' largest entry for the steps read off the points alone (the
+Gram matrix, the RBF's squared distances and median width), the kind's
+parameters for the steps after them.
 """
 
 import csv
@@ -96,8 +101,10 @@ class PointDataset:
 class KernelSpec:
     """Kernel choice plus exactly the parameters that kind requires.
 
-    An RBF kernel with no `rbf_width` is at the default width, the
-    median pairwise distance (`default_rbf_width`).
+    A parameter that the kind's `_KERNEL_PARAMS` entry does not list is
+    rejected as "<kind> kernel takes no <name>". An RBF kernel with no
+    `rbf_width` is at the default width, the median pairwise distance
+    (`default_rbf_width`).
     """
 
     kind: str
@@ -110,14 +117,13 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         for name in ("rbf_width", "poly_degree", "poly_offset"):
             value = getattr(self, name)
+            if value is not None and name not in _KERNEL_PARAMS[self.kind]:
+                raise ValueError(f"{self.kind} kernel takes no {name}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.kind == "rbf":
-            if self.rbf_width is not None and self.rbf_width <= 0:
-                raise ValueError("rbf kernel needs a positive rbf_width")
-            if self.poly_degree is not None or self.poly_offset is not None:
-                raise ValueError("rbf kernel takes no polynomial parameters")
-        elif self.kind == "polynomial":
+        if self.rbf_width is not None and self.rbf_width <= 0:
+            raise ValueError("rbf kernel needs a positive rbf_width")
+        if self.kind == "polynomial":
             if self.poly_degree is None or self.poly_degree < 1:
                 raise ValueError("polynomial kernel needs poly_degree >= 1")
             if self.poly_degree != int(self.poly_degree):
@@ -125,11 +131,6 @@ class KernelSpec:
                                  f"got {self.poly_degree}")
             if self.poly_offset is None or self.poly_offset < 0:
                 raise ValueError("polynomial kernel needs poly_offset >= 0")
-            if self.rbf_width is not None:
-                raise ValueError("polynomial kernel takes no rbf_width")
-        else:
-            if (self.rbf_width, self.poly_degree, self.poly_offset) != (None,) * 3:
-                raise ValueError("linear kernel takes no parameters")
 
 
 def _parse_row(tokens, path, lineno):
@@ -226,7 +227,7 @@ def default_rbf_width(dataset: PointDataset) -> float:
     if n > _MEDIAN_MAX_POINTS:
         idx = np.unique(np.linspace(0, n - 1, _MEDIAN_MAX_POINTS).round().astype(int))
         pts = pts[idx]
-    return _median_width(_squared_distances(pts, pts @ pts.T))
+    return _median_width(_squared_distances(pts @ pts.T))
 
 
 def _median_width(d2: np.ndarray) -> float:
@@ -255,15 +256,16 @@ def _median_width(d2: np.ndarray) -> float:
     return med
 
 
-def _squared_distances(P: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """max(‖x_i‖² + ‖x_j‖² − 2 x_i·x_j, 0) over the rows of C-contiguous P.
+def _squared_distances(D: np.ndarray) -> np.ndarray:
+    """max(‖x_i‖² + ‖x_j‖² − 2 x_i·x_j, 0) from the Gram matrix D = P Pᵀ.
 
-    Formed in place in their Gram matrix D = P Pᵀ, which is returned,
-    with the bits of the whole-array formula; the row sums are formed
-    one block of `_BUILD_CHUNK` entries at a time.
+    Formed in place in D, which is returned, with the bits of the
+    whole-array formula; the row sums are formed one block of
+    `_BUILD_CHUNK` entries at a time. ‖x_i‖² is read off D's own
+    diagonal, so each point is exactly 0 from itself.
     """
     n = D.shape[0]
-    sq = np.einsum("ij,ij->i", P, P)
+    sq = np.diagonal(D).copy()
     D *= 2.0
     step = max(1, _BUILD_CHUNK // n)
     for i in range(0, n, step):
@@ -288,27 +290,31 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
     Every kind is built under one float64 guard: an overflow, division
     by zero or invalid operation anywhere in the build, or an RBF width
     whose square overflows a Python float, raises ValueError
-    "<kind> kernel overflows float64 at ...", naming the kind's
-    `_KERNEL_PARAMS` (an unset `rbf_width` as the median width the build
-    reached) or, where none is known (a linear kernel, or an unset width
-    the build had not yet read), the points' largest entry. Only the
-    RBF exponent's overflow is let through: exp maps its -inf to the
-    exact 0, so a width of 1e-160 builds the identity.
+    "<kind> kernel overflows float64 at ...", naming the stage that
+    failed. A failure in P Pᵀ, the RBF's squared distances or its median
+    width names `point entries up to <max |P|>`; one after them names
+    the kind's `_KERNEL_PARAMS` values (an unset `rbf_width` as the
+    median width read). Only the RBF exponent's overflow is let
+    through: exp maps its -inf to the exact 0, so a small enough width
+    builds the identity.
     """
     P = dataset.points
     width = spec.rbf_width
+    params = None  # the parameter values, once the points' steps are done
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if spec.kind == "rbf" and width is None and len(P) > _MEDIAN_MAX_POINTS:
                 width = default_rbf_width(dataset)  # its distances freed before K's
             K = P @ P.T
+            if spec.kind == "rbf":
+                _squared_distances(K)
+                if width is None:
+                    width = _median_width(K)
+            params = {**vars(spec), "rbf_width": width}
             if spec.kind == "polynomial":
                 K += spec.poly_offset
                 K **= spec.poly_degree
             elif spec.kind == "rbf":
-                _squared_distances(P, K)
-                if width is None:
-                    width = _median_width(K)
                 # d² / -(2w²) has the bits of (-d²) / (2w²), since rounding
                 # is symmetric in sign; exp maps an exponent that overflows
                 # to -inf to the exact 0.
@@ -316,11 +322,9 @@ def build_kernel(dataset: PointDataset, spec: KernelSpec) -> np.ndarray:
                     K /= -(2.0 * width**2)
                 np.exp(K, out=K)
     except (FloatingPointError, OverflowError):
-        values = {**vars(spec), "rbf_width": width}
-        at = [f"{name} {values[name]}" for name in _KERNEL_PARAMS[spec.kind]
-              if values[name] is not None] or [f"point entries up to {abs(P).max():g}"]
-        raise ValueError(f"{spec.kind} kernel overflows float64 at "
-                         f"{' and '.join(at)}") from None
+        at = (" and ".join(f"{p} {params[p]}" for p in _KERNEL_PARAMS[spec.kind])
+              if params else f"point entries up to {abs(P).max():g}")
+        raise ValueError(f"{spec.kind} kernel overflows float64 at {at}") from None
     return K.T
 
 

@@ -1330,7 +1330,9 @@ def test_cli_reports_a_lapack_failure_and_keeps_the_earlier_csv(tmp_path,
      "rbf_width 1e-200"),
     (1e160, "kernel = linear", "linear kernel overflows float64 at point entries "
      "up to 1e+161"),
-], ids=["rbf-wide", "rbf-narrow", "linear-huge-points"])
+    (1e160, "kernel = rbf\nrbf_width = 1.0", "rbf kernel overflows float64 at "
+     "point entries up to 1e+161"),
+], ids=["rbf-wide", "rbf-narrow", "linear-huge-points", "rbf-huge-points"])
 def test_cli_names_a_kernel_that_overflows(tmp_path, capsys, scale, kernel, message):
     data = tmp_path / "pts.csv"
     save_csv(PointDataset(points=scale * np.arange(1.0, 11.0).reshape(5, 2)), data)

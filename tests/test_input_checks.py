@@ -32,7 +32,7 @@ def sample(indices, rows=4):
     pytest.param(lambda: PointDataset(points=np.array([[1.0, np.inf]])),
                  "dataset contains non-finite values", id="points-non-finite"),
     pytest.param(lambda: KernelSpec(kind="rbf", poly_degree=2),
-                 "rbf kernel takes no polynomial parameters", id="rbf-poly"),
+                 "rbf kernel takes no poly_degree", id="rbf-poly"),
     pytest.param(lambda: KernelSpec(kind="polynomial", poly_degree=2,
                                     poly_offset=1.0, rbf_width=1.0),
                  "polynomial kernel takes no rbf_width", id="polynomial-width"),
@@ -78,8 +78,11 @@ def sample(indices, rows=4):
                  id="rbf-distances-overflow"),
     pytest.param(lambda: build_kernel(
         HUGE, KernelSpec(kind="polynomial", poly_degree=1, poly_offset=0.0)),
-                 "polynomial kernel overflows float64 at poly_degree 1 and "
-                 "poly_offset 0.0", id="polynomial-gram-overflows"),
+                 "polynomial kernel overflows float64 at point entries up to 1e+160",
+                 id="polynomial-gram-overflows"),
+    pytest.param(lambda: build_kernel(HUGE, KernelSpec(kind="rbf", rbf_width=1.0)),
+                 "rbf kernel overflows float64 at point entries up to 1e+160",
+                 id="rbf-gram-overflows"),
     pytest.param(lambda: build_kernel(SMALL, KernelSpec(kind="rbf", rbf_width=1e-200)),
                  "rbf kernel overflows float64 at rbf_width 1e-200",
                  id="rbf-width-square-underflows"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+import scipy.spatial.distance
 
 import matcoh
 from matcoh.kernels import (
@@ -227,7 +228,7 @@ def _formula_kernel(dataset, spec):
     if spec.kind == "linear":
         K = gram
     elif spec.kind == "rbf":
-        sq = np.einsum("ij,ij->i", P, P)
+        sq = np.diagonal(gram)
         d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
         K = np.exp(-d2 / (2.0 * spec.rbf_width**2))
     else:
@@ -305,16 +306,35 @@ def test_point_dataset_stores_real_points_as_float64(spec):
 
 def test_rbf_of_a_tiny_width_is_the_identity():
     # -d²/(2w²) overflows to -inf off the diagonal, and exp maps it to the
-    # exact 0 (before, with a RuntimeWarning). Whole coordinates keep the
-    # diagonal's squared distances exactly 0.
+    # exact 0 (before, with a RuntimeWarning). The diagonal's squared
+    # distances are exactly 0, so it stays 1.
     points = PointDataset(points=np.arange(12.0).reshape(6, 2))
     K = build_kernel(points, KernelSpec(kind="rbf", rbf_width=1e-160))
     assert np.array_equal(K, np.eye(6))
 
 
 def test_rbf_diagonal_is_one():
-    K = build_kernel(cloud(), KernelSpec(kind="rbf", rbf_width=2.0))
-    np.testing.assert_allclose(np.diagonal(K), 1.0, atol=1e-14)
+    # ‖x_i‖² is read off the Gram matrix's own diagonal, so each point is
+    # exactly 0 from itself, at any width (row norms summed in another
+    # order left 95 of these 500 entries off 1 at the median width, and
+    # 110 at a width of 1e-9, some of them 0).
+    dataset = PointDataset(points=SplitMix64(300).normal_matrix(500, 8))
+    K = build_kernel(dataset, KernelSpec(kind="rbf"))
+    assert np.all(np.diagonal(K) == 1.0) and np.array_equal(K, K.T)
+    K = build_kernel(dataset, KernelSpec(kind="rbf", rbf_width=1e-9))
+    assert np.array_equal(K, np.eye(500))
+
+
+def test_rbf_matches_scipy_pairwise_distances():
+    # An oracle independent of the Gram matrix: scipy's pairwise
+    # distances, off the diagonal.
+    points = SplitMix64(300).normal_matrix(500, 8)
+    width = default_rbf_width(PointDataset(points=points))
+    K = build_kernel(PointDataset(points=points), KernelSpec(kind="rbf"))
+    d2 = scipy.spatial.distance.pdist(points, "sqeuclidean")
+    want = np.exp(-d2 / (2.0 * width**2))
+    got = K[np.triu_indices(500, k=1)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_linear_kernel_orthogonal_rows():
@@ -370,8 +390,9 @@ def np_median_width(pts):
     if n > 1000:
         pts = pts[np.linspace(0, n - 1, 1000).round().astype(int)]
         n = 1000
-    sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    gram = pts @ pts.T
+    sq = np.diagonal(gram)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     return np.median(np.sqrt(np.maximum(d2[np.triu_indices(n, k=1)], 0.0)))
 
 
