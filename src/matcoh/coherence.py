@@ -35,9 +35,24 @@ it over many is thus kept where the prefix's SVD keeps it. On an
 exactly low-rank sample delta stays at rounding level, so the fallback
 runs only for a singular value within rounding of the threshold.
 
-Per trial the cost is one O(n L^2) Householder QR, one SVD per size,
-and O(n k q) to form a q-column basis Q_k W, which a `PrefixFactor`
-does only when asked. The n x L Q is never formed: multiplying it out
+A run that truncates at a rank r reads only the top r left singular
+vectors, never V nor the singular values to full relative accuracy.
+So, until its trial drops a direction and where r < k, a size of the
+private core (`_prefix_factors` with a rank) tries R's own block B =
+R[:k, :l] through one `eigh` of its Gram B B^T, a SYRK at O(k^2 l), and
+keeps it where two bounds hold, for the Gram's rounding delta_G =
+(k + l) eps tr(B B^T). The smallest eigenvalue above 4 delta_G puts
+s_min far above the rank threshold, so the SVD's rank is k too; delta_G
+over the certified gap lambda_r - lambda_(r+1) - 2 delta_G at most
+1e-10 bounds the angle between the two top-r subspaces (Davis and Kahan
+1970), and with it the move of gamma. A size that fails either takes
+the SVD of B. The carried blocks, the public `nested_factors`, which
+passes no rank, and every untruncated run keep the SVD bit for bit.
+
+Per trial the cost is one O(n L^2) Householder QR, one SVD or, where
+the bounds hold, one Gram and its `eigh` per size, and O(n k q) to form
+a q-column basis Q_k W, which a `PrefixFactor` does only when asked.
+The n x L Q is never formed: multiplying it out
 would cost more than the QR itself, and it is only ever applied, as
 Q_k W and, for both approximations' errors (`lowrank`), as Q^T X.
 R is copied out of the QR's copy of the block, and the
@@ -61,8 +76,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (ThinSVD, _checked_basis, as_dense, numerical_rank,
-                     rank_threshold, thin_svd)
+from .linalg import (ThinSVD, _checked_basis, _eigh_by_magnitude, as_dense,
+                     numerical_rank, rank_threshold, thin_svd)
 
 __all__ = [
     "CoherenceReport",
@@ -77,6 +92,15 @@ __all__ = [
 # Residual norms at or below this (relative) level count as "already in
 # the span" for the incremental projector update.
 RESIDUAL_RTOL = 1e-10
+# `_gram_core`: the multiple of the Gram's rounding the smallest eigenvalue
+# must exceed, and the largest certified angle between the top-r subspaces.
+_GRAM_FLOOR = 4.0
+_GRAM_MAX_ANGLE = 1e-10
+
+
+def _is_integer(x):
+    """Python or numpy integer, bool excluded (True would pass as 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -142,7 +166,11 @@ class PrefixFactor:
     carried block each singular value is within the dropped norm delta
     of the prefix's, and the kept subspace within an angle of about
     delta over the gap to the dropped values (Wedin). `core.V` belongs
-    to the block.
+    to the block. Where a truncating run's sweep certified R's own block
+    through its Gram (see the module docstring), `core` is that `eigh`'s:
+    U by descending eigenvalue, singular values their square roots,
+    V None and numerical rank k, and its top-r subspace is within an
+    angle of 1e-10 of the prefix's.
 
     Q_k is never formed. It is held in compact WY form (Schreiber and
     Van Loan 1989), as the first k columns of the sweep's Q = I - V T
@@ -181,8 +209,11 @@ def estimate_coherence(columns, rank=None) -> CoherenceReport:
     matters only when the matrix carries noise. An all-zero subsample
     yields the rank-0 report with gamma 0 rather than an error.
     """
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank parameter must be >= 1, got {rank}")
+    if rank is not None:
+        if not _is_integer(rank):
+            raise ValueError(f"rank parameter must be an integer, got {rank}")
+        if rank < 1:
+            raise ValueError(f"rank parameter must be >= 1, got {rank}")
     return basis_coherence(thin_svd(columns).left_basis(rank))
 
 
@@ -194,13 +225,16 @@ def nested_factors(columns, sizes):
     each size takes one SVD: of its leading block of R, or, once a prefix
     has dropped a direction, of the kept factor beside its new columns of
     R, plus the SVD of R's block where that one's spectrum comes within
-    the dropped norm of the rank threshold. `sizes` (strictly ascending,
-    within [1, l] for an n x l `columns`) is checked on the call; the QR
-    runs when the first factor is requested.
+    the dropped norm of the rank threshold. It passes no rank, so no
+    size takes the truncating run's Gram route. `sizes` (strictly
+    ascending integers, within [1, l] for an n x l `columns`) is checked
+    on the call; the QR runs when the first factor is requested.
     """
     columns = as_dense(columns)
     sizes = list(sizes)
     width = columns.shape[1]
+    if not all(_is_integer(l) for l in sizes):
+        raise ValueError(f"sizes must be integers, got {sizes}")
     if not sizes or sizes != sorted(set(sizes)):
         raise ValueError(f"sizes must be non-empty and strictly ascending, got {sizes}")
     if sizes[0] < 1 or sizes[-1] > width:
@@ -231,7 +265,34 @@ def _householder(columns):
     return R, V, T
 
 
-def _prefix_factors(columns, sizes):
+def _gram_core(B, rank):
+    """The left factor of the k x l block B read off one `eigh` of its
+    Gram B Bᵀ, or None where a bound fails.
+
+    δ = (k + l)·eps·tr(B Bᵀ) bounds the Gram's rounding and the `eigh`'s
+    backward error. λ̂_min > `_GRAM_FLOOR`·δ puts σ_min far above the
+    rank threshold, so the SVD's rank would be k too; δ over the certified
+    gap λ̂_r − λ̂_{r+1} − 2δ at most `_GRAM_MAX_ANGLE` bounds the angle
+    between the top-r subspaces of B and of the Gram (Davis and Kahan
+    1970), and with it the move of gamma. A δ that underflows or
+    overflows certifies nothing.
+    """
+    k, l = B.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # delta is then inf
+        G = B @ B.T  # SYRK
+        delta = (k + l) * np.finfo(np.float64).eps * float(np.trace(G))
+    if not np.finfo(np.float64).tiny <= delta < np.inf:
+        return None
+    w, U = _eigh_by_magnitude(G)
+    if not w[-1] > _GRAM_FLOOR * delta:
+        return None
+    if not delta <= _GRAM_MAX_ANGLE * (w[rank - 1] - w[rank] - 2.0 * delta):
+        return None
+    return ThinSVD(U=U, singular_values=np.sqrt(w), V=None,
+                   numerical_rank=k)
+
+
+def _prefix_factors(columns, sizes, rank=None):
     n = columns.shape[0]
     R, V, T = _householder(columns)
     eps = np.finfo(np.float64).eps
@@ -255,6 +316,8 @@ def _prefix_factors(columns, sizes):
             margin = dropped * (1.0 + max(n, l) * eps)
             if np.any(np.abs(s - rank_threshold(s, (n, l))) <= margin):
                 f = None
+        elif rank is not None and rank < k:
+            f = _gram_core(R[:k, :l], rank)
         if f is None:
             f, dropped = thin_svd(R[:k, :l]), 0.0
         s = f.singular_values
@@ -317,6 +380,8 @@ def sample_size_bound(rank: int, mu0: float, failure_prob: float,
     log term positive and are accepted. Finite inputs whose bound
     overflows a float raise ValueError.
     """
+    if not _is_integer(rank):
+        raise ValueError(f"rank must be an integer, got {rank}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if not (math.isfinite(mu0) and mu0 >= 1.0):

@@ -18,13 +18,18 @@ run, not once per trial. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
 of it through the sweep's private core (`coherence._prefix_factors`,
 which `nested_factors` wraps in its checks: the block comes from the
-checked source and the config has checked `l_values`); that size's
-factor gives the estimate (the gamma of its left basis, which the sweep
-built orthonormal and which is therefore not re-checked) and, in a
-kernel experiment, the column projection's basis, so no sample is
-factored twice. Every kernel source is one `build_kernel` of its
-`KernelSpec`, whose parameters are the config keys of the same names
-that `kernels._KERNEL_PARAMS` lists for its kind; an RBF source with no
+checked source and the config has checked `l_values`). The run hands
+the core its rank r, so where r truncates, a size whose R block is
+certified full rank with a resolved gap at r takes one `eigh` of the
+block's Gram instead of its SVD (the `coherence` module docstring gives
+the two bounds); an untruncated run takes the SVDs that
+`nested_factors` takes. That size's factor gives the estimate (the
+gamma of its left basis, which the sweep built orthonormal and which is
+therefore not re-checked) and, in a kernel experiment, the column
+projection's basis, so no sample is factored twice. Every kernel
+source is one `build_kernel` of its `KernelSpec`, whose parameters are
+the config keys of the same names that `kernels._KERNEL_PARAMS` lists
+for its kind; an RBF source with no
 `rbf_width` is at the median pairwise distance, which `build_kernel`
 reads off K's own squared distances. The run looks its `_SOURCES` entry
 up once, and hands its `spsd` flag to the truth. `build_kernel` makes K
@@ -39,7 +44,7 @@ G = Qᵀ K Q's top p rows from it (4 n p² flops), and K is read nowhere
 else in the trial but its sampled columns. Every size reads both errors
 off them: column projection through its core basis, Nystrom through one
 `eigh` of W, read off the sampled columns, per size. An estimate row's
-`wall_time_ms` is that size's step, its SVD included, with the trial's
+`wall_time_ms` is that size's step, its SVD or `eigh` included, with the trial's
 QR charged to the first size; a method row's is that approximation
 alone, with the trial's pass charged to the first size's
 column-projection row and G to the first size's Nystrom row.
@@ -459,7 +464,7 @@ def run_experiment(config: ExperimentConfig):
     for trial in range(config.trials):
         seed = config.base_seed + trial
         indices, block = _draw_columns(X, allowed, config.l_values[-1], seed)
-        factors = _prefix_factors(block, config.l_values)
+        factors = _prefix_factors(block, config.l_values, r_eff)
         head = G = None
         for l in config.l_values:
             start = time.perf_counter()

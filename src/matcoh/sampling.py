@@ -65,10 +65,15 @@ class SplitMix64:
 
     All draws, scalar or vectorized, consume the same counter, so any
     interleaving of calls is reproducible from (seed, call sequence).
+    The seed is an integer (numpy's included, bool not) in [0, 2**64):
+    any other value would draw another seed's stream under its own name.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+                and 0 <= seed <= _MASK64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+        self.seed = int(seed)
         self._counter = 0
 
     def next_uint64(self) -> int:

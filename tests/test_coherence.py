@@ -6,12 +6,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matcoh.coherence
 import matcoh.linalg
 from matcoh.coherence import (
+    _GRAM_MAX_ANGLE,
+    _gamma,
+    _gram_core,
+    _prefix_factors,
     basis_coherence,
     estimate_coherence,
     nested_factors,
@@ -422,6 +426,96 @@ def test_deflated_sweep_of_a_rank_deficient_sample():
         want = estimate_coherence(X[:, :l])
         assert basis_coherence(factor.left_basis()).gamma == pytest.approx(
             want.gamma, abs=1e-12)
+
+
+def _rank_deficient_sample():
+    # Rank 4, 20 x 12: sizes 3 and 4 take the Gram route, size 5 fails
+    # its full-rank bound and drops a direction, and the sizes after it
+    # carry the kept factor.
+    rng = np.random.default_rng(12)
+    return (rng.standard_normal((20, 4)) @ rng.standard_normal((4, 12)),
+            list(range(2, 13)), 2)
+
+
+def _tiny_sigma_min_sample():
+    # Full rank (the SVD keeps every direction), but sigma_min / sigma_1
+    # = 1e-10, so sigma_min^2 lies inside the Gram's rounding.
+    rng = np.random.default_rng(13)
+    U = np.linalg.qr(rng.standard_normal((30, 8)))[0]
+    V = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    return (U * np.geomspace(1.0, 1e-10, 8)) @ V.T, [6, 8], 3
+
+
+def _tie_at_the_cut_sample():
+    # Orthonormal columns: every singular value is 1, so the cut at 2
+    # splits an exact tie.
+    rng = np.random.default_rng(14)
+    return np.linalg.qr(rng.standard_normal((25, 6)))[0], [4, 6], 2
+
+
+def _huge_sample():
+    # Entries of 1e160: the Gram overflows, and delta with it.
+    rng = np.random.default_rng(15)
+    return 1e160 * rng.standard_normal((30, 20)), [5, 20], 2
+
+
+@st.composite
+def _ranked_prefix_cases(draw):
+    """`_prefix_cases` with a rank parameter always set."""
+    X, sizes, rank = draw(_prefix_cases())
+    return X, sizes, rank or draw(st.integers(1, X.shape[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ranked_prefix_cases())
+@example(_rank_deficient_sample())
+@example(_tiny_sigma_min_sample())
+@example(_tie_at_the_cut_sample())
+@example(_huge_sample())
+def test_gram_route_differential_against_the_svd_sweep(case):
+    # The sweep of a truncating run against the SVD sweep, which passes no
+    # rank: the same numerical rank and r_used at every size, gamma within
+    # the Gram route's certified angle plus the SVD's own (2 x the
+    # tolerance), and every size that takes the SVD factored bit for bit
+    # as in the SVD sweep.
+    X, sizes, rank = case
+    X = np.asfortranarray(X)
+    ranked = _prefix_factors(X[:, :sizes[-1]], sizes, rank)
+    plain = _prefix_factors(X[:, :sizes[-1]], sizes)
+    for f, g in zip(ranked, plain, strict=True):
+        assert f.core.numerical_rank == g.core.numerical_rank
+        got, want = f.left_basis(rank), g.left_basis(rank)
+        assert got.shape == want.shape
+        assert abs(_gamma(got) - _gamma(want)) <= 2 * _GRAM_MAX_ANGLE
+        if f.core.V is not None:
+            for a, b in ((f.core.U, g.core.U), (f.core.V, g.core.V),
+                         (f.core.singular_values, g.core.singular_values)):
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sample, verdicts", [
+    (_rank_deficient_sample, [((3, 3), True), ((4, 4), True), ((5, 5), False)]),
+    (_tiny_sigma_min_sample, [((6, 6), False), ((8, 8), False)]),
+    (_tie_at_the_cut_sample, [((4, 4), False), ((6, 6), False)]),
+    (_huge_sample, [((5, 5), False), ((20, 20), False)]),
+], ids=["rank-deficient", "tiny-sigma-min", "tie-at-the-cut", "huge"])
+def test_gram_route_declines_each_example_as_stated(sample, verdicts):
+    # (block shape, taken) of each `_gram_core` call on the samples the
+    # differential test takes as examples: every size with rank < k tries
+    # the route until its trial drops a direction, and a size it declines
+    # takes the SVD.
+    X, sizes, rank = sample()
+    seen = []
+
+    def recording(B, rank):
+        core = _gram_core(B, rank)
+        seen.append((B.shape, core is not None))
+        return core
+
+    with mock.patch.object(matcoh.coherence, "_gram_core", recording):
+        factors = list(_prefix_factors(np.asfortranarray(X), sizes, rank))
+    assert seen == verdicts
+    assert sum(f.core.V is None for f in factors) == sum(t for _, t in seen)
 
 
 def _wy_case(kind):

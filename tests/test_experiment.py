@@ -356,9 +356,9 @@ def test_sweep_factors_each_trial_once(monkeypatch):
     real_nested = matcoh.experiment._prefix_factors
     real_svd = matcoh.experiment.left_svd
 
-    def nested(columns, sizes):
-        sweeps.append((columns.shape, tuple(sizes)))
-        return real_nested(columns, sizes)
+    def nested(columns, sizes, rank=None):
+        sweeps.append((columns.shape, tuple(sizes), rank))
+        return real_nested(columns, sizes, rank)
 
     def svd(X, spsd=False):
         factored.append(X.shape)
@@ -371,9 +371,10 @@ def test_sweep_factors_each_trial_once(monkeypatch):
                               n=30, m=20, rank=4)
     results = run_experiment(config)
     assert len(results) == 9
-    # One sweep per trial over its largest sample, and no other
-    # factorization: the truth comes from the generator's own factor.
-    assert sweeps == [((30, 12), (3, 8, 12))] * 3
+    # One sweep per trial over its largest sample, with no rank (r_policy
+    # none), and no other factorization: the truth comes from the
+    # generator's own factor.
+    assert sweeps == [((30, 12), (3, 8, 12), None)] * 3
     assert factored == []
     # The experiment reads the same estimates off the factors that
     # `nested_factors` gives.
@@ -460,6 +461,13 @@ def _noisy_wide_config(tmp_path):
                             exclude=(0, 1, 2, 3))
 
 
+# The R blocks each config's sweep factors through one eigh of its Gram:
+# every size whose k exceeds the run's rank (3 for the wide source, 4 for
+# the kernel; worst_case truncates nowhere).
+_SWEEP_GRAMS = {_wide_config: [(4, 4), (10, 10)], _worst_case_config: [],
+                _kernel_config: [(10, 10)]}
+
+
 @pytest.mark.parametrize("make_config, n, spsd", [
     (_wide_config, 12, False), (_worst_case_config, 20, True),
     (_kernel_config, 20, True)])
@@ -485,14 +493,14 @@ def test_truth_of_wide_and_spsd_sources_forms_no_right_factor(
     assert run_experiment(make_config(tmp_path))
     # The truth takes one eigh of the n x n SPSD source, or the SVD of the
     # n x n triangular factor of a wide one; the sweep factors only small
-    # blocks of its samples' R factors. No SVD sees the source or its
-    # transpose.
+    # blocks of its samples' R factors, some through their Gram's eigh.
+    # No SVD sees the source or its transpose.
     shape = (n, n) if spsd else (n, _WIDE_COLUMNS)
     assert shape not in svd_shapes and shape[::-1] not in svd_shapes
     if spsd:
-        assert eigh_shapes == [(n, n)]
+        assert eigh_shapes == [(n, n)] + _SWEEP_GRAMS[make_config]
     else:
-        assert eigh_shapes == [] and (n, n) in svd_shapes
+        assert eigh_shapes == _SWEEP_GRAMS[make_config] and (n, n) in svd_shapes
 
 
 def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
@@ -511,6 +519,13 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     def thin_svd(X):
         thin_shapes.append(np.shape(X))
         return real_thin(X)
+
+    gram_inputs, real_gram = [], matcoh.coherence._gram_core
+
+    def gram_core(B, rank):
+        core = real_gram(B, rank)
+        gram_inputs.append((np.array(B), core is not None))
+        return core
 
     # Every function of `lowrank`, under the module's names and the
     # experiment's, records its arguments.
@@ -532,12 +547,14 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     for module in (matcoh.linalg, matcoh.coherence):
         monkeypatch.setattr(module, "thin_svd", thin_svd)
+    monkeypatch.setattr(matcoh.coherence, "_gram_core", gram_core)
     data = tmp_path / "pts.csv"
     save_csv(PointDataset(points=SplitMix64(7).normal_matrix(30, 3)), data)
     config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
                               l_values=(4, 10, 30), trials=2, data=str(data),
                               kernel="rbf", r_policy="energy")
-    assert len(run_experiment(config)) == 18
+    results = run_experiment(config)
+    assert len(results) == 18 and {row.r_used for row in results} == {4}
     # K is read by one Householder pass per trial, and no other `lowrank`
     # function receives it or a view of it.
     passes = [args for name, args in lowrank_calls if name == "_reflected_rows"]
@@ -548,14 +565,18 @@ def test_kernel_suite_factors_each_sample_once(monkeypatch, tmp_path):
     assert not any(isinstance(a, np.ndarray) and np.may_share_memory(a, K)
                    for name, args in lowrank_calls if name != "_reflected_rows"
                    for a in args)
-    # One SVD per (trial, l), of the upper triangular block R[:l, :l] of
-    # the trial's QR: no n x l sample and no W is put through an SVD. The
-    # truth and every W take `eigh`.
-    sizes = list(config.l_values) * config.trials
-    assert thin_shapes == [(l, l) for l in sizes]
+    # Each (trial, l) factors the upper triangular block R[:l, :l] of the
+    # trial's QR once: by one SVD at l = 4, which the rank 4 does not
+    # truncate, and by one eigh of its Gram at l = 10 and 30, which every
+    # such block takes. No n x l sample and no W is put through an SVD or
+    # a Gram. The truth and every W take `eigh`.
+    assert thin_shapes == [(4, 4)] * config.trials
     assert [a.shape for a in svd_inputs] == thin_shapes
     assert all(np.array_equal(a, np.triu(a)) for a in svd_inputs)
-    assert eigh_shapes == [(30, 30)] + [(l, l) for l in sizes]
+    assert [B.shape for B, _ in gram_inputs] == [(10, 10), (30, 30)] * config.trials
+    assert all(taken and np.array_equal(B, np.triu(B)) for B, taken in gram_inputs)
+    assert eigh_shapes == [(30, 30)] + [(4, 4), (10, 10), (10, 10), (30, 30),
+                                        (30, 30)] * config.trials
 
 
 def test_kernel_suite_checks_its_kernel_once(monkeypatch, tmp_path):
@@ -602,16 +623,18 @@ def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
     config = ExperimentConfig(kind="kernel_suite", experiment_id="k",
                               l_values=(5, 10, 30), trials=2, data=str(data),
                               kernel="rbf", r_policy="energy")
-    assert len(run_experiment(config)) == 18
+    results = run_experiment(config)
+    assert len(results) == 18 and {row.r_used for row in results} == {4}
     # The truth takes the top eigenpairs by block Krylov, before any
     # trial: its only eigh calls are of the Rayleigh-Ritz problems of a
     # space that grows by 8 columns a pass. Every other eigh is one
-    # trial's W, one per (trial, l).
+    # trial's, two per (trial, l): the Gram of R's l x l block, which the
+    # rank 4 truncates at every size, then W.
     sizes = list(config.l_values) * config.trials
-    passes = len(eigh_shapes) - len(sizes)
+    passes = len(eigh_shapes) - 2 * len(sizes)
     assert passes >= 1 and (300, 300) not in eigh_shapes
     assert eigh_shapes[:passes] == [(8 * i, 8 * i) for i in range(1, passes + 1)]
-    assert eigh_shapes[passes:] == [(l, l) for l in sizes]
+    assert eigh_shapes[passes:] == [(l, l) for l in sizes for _ in range(2)]
 
 
 def _truth_config(**policy):

@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from matcoh.coherence import sample_size_bound, update_projector
+from matcoh.coherence import (estimate_coherence, nested_factors,
+                              sample_size_bound, update_projector)
 from matcoh.kernels import KernelSpec, PointDataset, build_kernel
 from matcoh.lowrank import column_projection, nystrom
-from matcoh.sampling import ColumnSample, SplitMix64
+from matcoh.sampling import ColumnSample, SplitMix64, uniform_sample
 from matcoh.synthetic import (SynthSpec, adversarial_spsd, add_noise,
-                              basis_aligned_matrix)
+                              basis_aligned_matrix, low_rank_matrix)
 
 X = np.arange(12.0).reshape(4, 3)
 K = np.eye(4)
@@ -93,6 +94,29 @@ def sample(indices, rows=4):
                  "projector must be square, got (3, 2)", id="projector-not-square"),
     pytest.param(lambda: sample_size_bound(0, 1.0, 0.1, 1.0, 1.0),
                  "rank must be >= 1", id="bound-rank-0"),
+    pytest.param(lambda: sample_size_bound(2.5, 1.0, 0.1, 1, 1),
+                 "rank must be an integer, got 2.5", id="bound-rank-float"),
+    pytest.param(lambda: estimate_coherence(X, 2.5),
+                 "rank parameter must be an integer, got 2.5", id="estimate-rank-float"),
+    pytest.param(lambda: nested_factors(X, [2.0, 4.0]),
+                 "sizes must be integers, got [2.0, 4.0]", id="sizes-float"),
+    pytest.param(lambda: uniform_sample(X, 3, 1.5),
+                 "seed must be an integer in [0, 2**64), got 1.5", id="sample-seed-float"),
+    pytest.param(lambda: uniform_sample(X, 3, -1),
+                 "seed must be an integer in [0, 2**64), got -1", id="sample-seed-negative"),
+    pytest.param(lambda: low_rank_matrix(SynthSpec(n=10, m=10, rank=2, seed=1.5)),
+                 "seed must be an integer in [0, 2**64), got 1.5", id="synth-seed-float"),
+    pytest.param(lambda: adversarial_spsd(4, 2.7),
+                 "seed must be an integer in [0, 2**64), got 2.7",
+                 id="adversarial-seed-float"),
+    pytest.param(lambda: SplitMix64(True),
+                 "seed must be an integer in [0, 2**64), got True", id="seed-bool"),
+    pytest.param(lambda: estimate_coherence(X, True),
+                 "rank parameter must be an integer, got True", id="estimate-rank-bool"),
+    pytest.param(lambda: nested_factors(X, [True]),
+                 "sizes must be integers, got [True]", id="sizes-bool"),
+    pytest.param(lambda: sample_size_bound(True, 1.0, 0.1, 1, 1),
+                 "rank must be an integer, got True", id="bound-rank-bool"),
 ])
 def test_library_input_check_names_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

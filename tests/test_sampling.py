@@ -31,6 +31,14 @@ def test_splitmix_golden_values():
     ]
 
 
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+def test_splitmix_takes_numpy_integer_seeds(seed):
+    # A numpy integer seed draws the stream of the Python int it equals.
+    want = SplitMix64(seed).next_uint64()
+    for kind in (np.uint64, np.int64) if seed < 2**63 else (np.uint64,):
+        assert SplitMix64(kind(seed)).next_uint64() == want
+
+
 def test_splitmix_vector_matches_scalar():
     scalar = SplitMix64(99)
     vector = SplitMix64(99)
