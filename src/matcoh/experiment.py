@@ -12,9 +12,15 @@ eigenpairs by block Krylov (`linalg._spsd_top`) unless that declines.
 Any other source takes one `left_svd`: `eigh` for an SPSD
 source, the QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
 seed = base_seed + trial, and per-trial estimates share one permutation
-so each trial's curve is non-decreasing in the sample size. The source
-is checked (`as_dense`) and the sampler's column pool built once per
-run, not once per trial. Each trial extracts its largest sample once,
+so each trial's curve is non-decreasing in the sample size. Each
+`_SOURCES` build returns one `_Source`: its shape, its built factor and
+`columns(indices)`. A dense source (a kernel, `worst_case`, a Matrix
+Market file) keeps X, checked (`as_dense`) once at its build, and a
+trial's columns are X's. A synthetic source keeps only its two factors
+(`synthetic.low_rank_factors`), so a run never forms or scans its
+n x m X: each trial forms the n x L block it samples, left @
+right[indices]ᵀ, and checks that block once. The sampler's column pool
+is built once per run. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
 of it through the sweep's private core (`coherence._prefix_factors`,
 which `nested_factors` wraps in its checks: the block comes from the
@@ -81,10 +87,10 @@ from .kernels import (
     load_matrix_market,
     standardize,
 )
-from .linalg import _energy_rank, _spsd_top, _squares, as_dense, left_svd
+from .linalg import ThinSVD, _energy_rank, _spsd_top, _squares, as_dense, left_svd
 from .lowrank import _normalized, _nystrom, _projection_squares, _reflected_rows
 from .sampling import RNG_NAME, _allowed_pool, _draw_columns
-from .synthetic import SynthSpec, adversarial_spsd, low_rank_source
+from .synthetic import SynthSpec, adversarial_spsd, low_rank_factors
 
 __all__ = [
     "RAW_HEADER",
@@ -277,8 +283,32 @@ def _synth_spec(config) -> SynthSpec:
                      noise=config.noise, seed=_matrix_seed(config))
 
 
-def _synthetic(config):
-    return low_rank_source(_synth_spec(config))
+class _Source(NamedTuple):
+    """A run's source, as the run reads it.
+
+    `columns(indices)` is X[:, indices], finite and column-major. A
+    dense source keeps X in `matrix`, checked once at its build; a
+    synthetic one keeps only its two factors (`low_rank_factors`) and
+    has no `matrix`, so a run forms only the columns it samples, and
+    checks each block as it forms it. `factor` is the `ThinSVD` the
+    source was built from, or None.
+    """
+
+    shape: tuple
+    columns: Callable
+    factor: ThinSVD | None = None
+    matrix: object = None  # X, an ndarray, or None
+
+
+def _dense(X) -> _Source:
+    X = as_dense(X)  # the run's one scan of a dense source
+    return _Source(X.shape, lambda indices: X[:, indices], matrix=X)
+
+
+def _synthetic(config) -> _Source:
+    left, right, factor = low_rank_factors(_synth_spec(config))
+    return _Source((len(left), len(right)),
+                   lambda indices: as_dense(left @ right[indices].T), factor)
 
 
 def _kernel_spec(config):
@@ -290,13 +320,13 @@ def _kernel(config):
     dataset = load_csv(config.data)
     if config.standardize:
         dataset = standardize(dataset)
-    return build_kernel(dataset, _kernel_spec(config)), None
+    return _dense(build_kernel(dataset, _kernel_spec(config)))
 
 
-class _Source(NamedTuple):
+class _SourceKind(NamedTuple):
     reads: tuple       # keys read beyond _COMMON_KEYS
     requires: tuple    # keys that must be set
-    build: Callable    # config -> (source matrix, its ThinSVD or None)
+    build: Callable    # config -> its checked `_Source`
     spec: Callable | None = None  # config -> its spec, which checks the values
     spsd: bool = False  # SPSD by construction: an exactly symmetric Gram matrix
 
@@ -312,19 +342,20 @@ _KERNEL_REQUIRES = ("data", "kernel")
 # and reads the config keys named as its kind's `KernelSpec` parameters.
 # worst_case has no spec: `adversarial_spsd` checks its values first.
 _SOURCES = {
-    "synth_exact": _Source(_SYNTH_KEYS, ("n", "m", "rank"), _synthetic, _synth_spec),
-    "synth_noisy": _Source(_SYNTH_KEYS + ("noise",), ("n", "m", "rank", "noise"),
-                           _synthetic, _synth_spec),
-    "worst_case": _Source(
+    "synth_exact": _SourceKind(_SYNTH_KEYS, ("n", "m", "rank"), _synthetic,
+                               _synth_spec),
+    "synth_noisy": _SourceKind(_SYNTH_KEYS + ("noise",), ("n", "m", "rank", "noise"),
+                               _synthetic, _synth_spec),
+    "worst_case": _SourceKind(
         ("n", "inflation", "inner_dim", "matrix_seed"), ("n",),
-        lambda c: (adversarial_spsd(c.n, seed=_matrix_seed(c),
-                                    inflation=c.inflation,
-                                    inner_dim=c.inner_dim), None),
+        lambda c: _dense(adversarial_spsd(c.n, seed=_matrix_seed(c),
+                                          inflation=c.inflation,
+                                          inner_dim=c.inner_dim)),
         spsd=True),
-    "matrix": _Source(("matrix",), ("matrix",),
-                      lambda c: (load_matrix_market(c.matrix), None)),
-} | {kind: _Source(_KERNEL_KEYS + params, _KERNEL_REQUIRES, _kernel,
-                   _kernel_spec, spsd=True)
+    "matrix": _SourceKind(("matrix",), ("matrix",),
+                          lambda c: _dense(load_matrix_market(c.matrix))),
+} | {kind: _SourceKind(_KERNEL_KEYS + params, _KERNEL_REQUIRES, _kernel,
+                       _kernel_spec, spsd=True)
      for kind, params in _KERNEL_PARAMS.items()}
 # r is read only under the explicit policy, energy_fraction only under energy.
 _POLICY_KEYS = {"none": (), "explicit": ("r",), "energy": ("energy_fraction",)}
@@ -394,7 +425,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 def _rank_and_truth(config: ExperimentConfig, X, factor, spsd, total):
     """(truncation rank, gamma_true) of the source X from one left factor.
 
-    `factor` is the `ThinSVD` a synthetic source was built from, and
+    `factor` is the `ThinSVD` a synthetic source was built from (X is
+    then None: it is never read), and
     `spsd` is the source's `_SOURCES` flag. An SPSD source under an
     explicit or energy rank takes its top eigenpairs by block Krylov
     (`_spsd_top`, which reads X only through products), which also gives the
@@ -434,7 +466,8 @@ def _rank_and_truth(config: ExperimentConfig, X, factor, spsd, total):
 def run_experiment(config: ExperimentConfig):
     """Execute all trials and return the result rows in deterministic order.
 
-    Rows are ordered by (trial, l, method). The source is checked once
+    Rows are ordered by (trial, l, method). The source is built and
+    checked once (a synthetic source's blocks as each trial forms them),
     and each trial's block is drawn and swept by the private cores
     (`sampling._draw_columns`, `coherence._prefix_factors`), which check
     nothing again. A kernel run's K, exactly symmetric as built, is not
@@ -443,27 +476,29 @@ def run_experiment(config: ExperimentConfig):
     `config.output` is set the raw CSV is written as well; a failed run
     leaves any earlier file at that path intact.
     """
-    source = _SOURCES[_source_name(config)]
-    X, factor = source.build(config)
-    # The run's one check of the source and one build of the sampler's
+    kind = _SOURCES[_source_name(config)]
+    # The run's one build of the checked source and of the sampler's
     # pool, both before the truth is taken; every trial draws from them.
-    X = as_dense(X)
-    allowed = _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
+    source = kind.build(config)
+    allowed = _allowed_pool(source.shape[1], config.exclude, config.l_values[-1])
+    # None for a synthetic source: only dense sources' steps read X.
+    X = source.matrix
 
     with_methods = config.kind == "kernel_suite"
     # The run's one read of ‖X‖_F², for an SPSD source's Krylov energy cut
     # and both methods' errors. K is built exactly symmetric
     # (`build_kernel`), so it is not scanned for asymmetry.
-    energy_cut = source.spsd and config.r_policy == "energy"
+    energy_cut = kind.spsd and config.r_policy == "energy"
     total = _squares(X) if with_methods or energy_cut else None
 
-    r_eff, gamma_true = _rank_and_truth(config, X, factor, source.spsd, total)
-    del factor  # not held through the trials
+    r_eff, gamma_true = _rank_and_truth(config, X, source.factor, kind.spsd, total)
+    source = source._replace(factor=None)  # not held through the trials
 
     results = []
     for trial in range(config.trials):
         seed = config.base_seed + trial
-        indices, block = _draw_columns(X, allowed, config.l_values[-1], seed)
+        indices, block = _draw_columns(source.columns, allowed,
+                                       config.l_values[-1], seed)
         factors = _prefix_factors(block, config.l_values, r_eff)
         head = G = None
         for l in config.l_values:

@@ -215,15 +215,16 @@ def _allowed_pool(m: int, excluded, size: int) -> list:
     return allowed
 
 
-def _draw_columns(X, allowed: list, size: int, seed: int):
-    """(indices, block): `size` seeded draws from `allowed` and X's columns there.
+def _draw_columns(columns, allowed: list, size: int, seed: int):
+    """(indices, block): `size` seeded draws from `allowed` and the source's
+    columns there.
 
-    X must have passed `as_dense` and `allowed` come from `_allowed_pool`
-    for `size`; nothing is checked here. The block is a read-only,
-    column-major copy of X[:, indices].
+    `columns(indices)` gives the source's checked columns X[:, indices],
+    and `allowed` must come from `_allowed_pool` for `size`; nothing is
+    checked here. The block is made read-only and column-major.
     """
     indices = _fisher_yates_prefix(allowed, size, SplitMix64(seed))
-    block = np.asfortranarray(X[:, indices])
+    block = np.asfortranarray(columns(indices))
     block.setflags(write=False)
     return tuple(indices), block
 
@@ -236,7 +237,8 @@ def uniform_sample(X, size: int, seed: int, excluded=()) -> ColumnSample:
     allowed columns is equally likely under the seeded generator.
     """
     X = as_dense(X)
-    indices, block = _draw_columns(X, _allowed_pool(X.shape[1], excluded, size),
+    indices, block = _draw_columns(lambda idx: X[:, idx],
+                                   _allowed_pool(X.shape[1], excluded, size),
                                    size, seed)
     return ColumnSample(indices=indices, submatrix=block)
 

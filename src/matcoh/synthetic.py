@@ -8,11 +8,15 @@ column sampling cannot recover), and an adversarial SPSD matrix with one
 hugely inflated diagonal entry, exactly symmetric as built.
 
 A low-rank matrix is built as X = U diag(s) Vᵀ from orthonormal U and V,
-so its exact thin SVD exists before X does: `low_rank_source` returns X
-with that left factor, and nothing factors X again. Both kinds take one
-route: the noisy kind first completes its bases, and then each X is
-allocated and formed by `_completed_product`, which for the exact kind
-has nothing to complete and is the product (U * s) Vᵀ alone.
+so its exact thin SVD exists before X does. One factor step
+(`_built_factor`, then `_completed_factors`) gives X as left @ rightᵀ
+and the left factor X was built from: (U·s, V) for the exact kind, and
+for the noisy kind the folded W and [V | G] below. `low_rank_factors`
+returns that step's two factors, so a reader of some columns of X forms
+only those, and `low_rank_source` forms all of X from them in X's own
+buffer (`_product`) and returns it with the factor; nothing factors X
+again. Both take the same step on the same seeded stream, so X's
+columns and the gathered products are the same product.
 `rank` is the structural rank, the number of structural singular
 values. A fast decay can push the trailing ones below X's rank
 threshold, and then the numerical rank is lower.
@@ -29,19 +33,22 @@ source [V | G] is square and its condition number has a heavy tail, so
 the difference is mostly below 1e-13 of max|X| but reached 4.7e-12 at
 condition number 1.1e5.
 
-The build touches each large array once. [V | G] is drawn into the
-buffer X will occupy, as the transpose of X's top k rows, G a chunk of
+The build touches each large array once. [V | G] is drawn, G a chunk of
 normals at a time, by the same fill (`_with_normal_columns`) that draws
-[B | G] into a new array to complete a basis. R is taken from the Gram
-of [V | G]'s rows below row k, or from row chunks where that Gram is
-ill-conditioned (`linalg._r_factor`), so no QR copies the m x k block.
-Every X is formed column-major, in place, from column blocks of the
-product (`_product`); on a noisy build each block is written over the
-columns of [V | G] it was formed from. No full-size block of random
+[B | G] into a new array to complete a basis: by `low_rank_factors` into
+an m x k array it returns, and by `low_rank_source` into the buffer X
+will occupy, as the transpose of X's top k rows. R is taken from the
+Gram of [V | G]'s rows below row k, or from row chunks where that Gram
+is ill-conditioned (`linalg._r_factor`), so no QR copies the m x k
+block. Every X is formed column-major, in place, from column blocks of
+the product (`_product`); on a noisy build each block is written over
+the columns of [V | G] it was formed from. No full-size block of random
 draws, no copy of [V | G] and no C-ordered copy of X is made, and
 [V | G] never sits beside X: on a wide source X is the only array of
 its size. On a tall one the completed U and the folded left factor are
-of X's size too, and the folded factor is formed in place.
+of X's size too, and the folded factor is formed in place. X is
+allocated after U's completion, whose QR would otherwise add X to a
+tall build's peak.
 
 Coherence is injected by hand-building one unit singular vector with a
 peaked coordinate (multiplier / sqrt(n) at coordinate 0, the remaining
@@ -65,6 +72,7 @@ __all__ = [
     "singular_spectrum",
     "low_rank_matrix",
     "low_rank_source",
+    "low_rank_factors",
     "add_noise",
     "basis_aligned_matrix",
     "adversarial_spsd",
@@ -73,7 +81,7 @@ __all__ = [
 DECAY_RATES = {"slow": 0.01, "medium": 0.1, "fast": 0.5}
 COHERENCE_MULTIPLIERS = {"low": 1.0, "mid": 3.0, "high": 8.0}
 # Entries per block of X's columns in `_product` and of the folded left
-# factor's rows in `_completed_product` (1 MB of float64), and the
+# factor's rows in `_completed_factors` (1 MB of float64), and the
 # multiple of columns or rows each block is rounded to (`_aligned_step`).
 _PRODUCT_CHUNK = 1 << 17
 _PRODUCT_ALIGN = 64
@@ -175,14 +183,44 @@ def low_rank_source(spec: SynthSpec):
     factor gives the generator's seeded one.
     """
     rng = SplitMix64(spec.seed)
+    factor, V = _built_factor(spec, rng)
+    # After U's completion, whose QR would add X to a tall build's peak,
+    # and before [V | G], which is drawn into X's top rows.
+    X = np.empty((spec.n, spec.m), order="F")
+    top = X[:factor.U.shape[1]].T
+    return _product(*_completed_factors(factor, V, rng, top), X), factor
+
+
+def low_rank_factors(spec: SynthSpec):
+    """(left, right, factor): `low_rank_matrix(spec)` is left @ right.T.
+
+    Without noise, left is U * s and right is V, of `spec.rank` columns.
+    With it, left is the n x k folded factor and right the m x k
+    [V | G], k = min(n, m) (U * s and V again at full rank). `factor` is
+    `low_rank_source`'s. Column j of X is left @ right[j], so a reader of
+    some columns forms only those: `left @ right[indices].T`. At the
+    benchmark's shapes a block of five or more columns equals those
+    columns of `low_rank_matrix(spec)` bit for bit; a narrower one, or
+    one at another shape, is within rounding of the same product.
+    """
+    rng = SplitMix64(spec.seed)
+    factor, V = _built_factor(spec, rng)
+    return (*_completed_factors(factor, V, rng, None), factor)
+
+
+def _built_factor(spec: SynthSpec, rng: SplitMix64):
+    """(factor, V): the `ThinSVD` X is built from, and X's right basis V.
+
+    A noisy spec completes U to min(n, m) columns and extends s by its
+    equal tail; V is completed later, through R (`_completed_factors`).
+    """
     U, s, V = _factors(spec, rng)
     if spec.noise is not None:
         k = min(spec.n, spec.m)
         U = _complete_basis(U, k, rng)
         s = np.concatenate([s, np.full(k - spec.rank, spec.noise * s[-1])])
-    X = _completed_product(U, s, V, rng)
-    return X, ThinSVD(U=U, singular_values=s, V=None,
-                      numerical_rank=numerical_rank(s, X.shape))
+    return ThinSVD(U=U, singular_values=s, V=None,
+                   numerical_rank=numerical_rank(s, (spec.n, spec.m))), V
 
 
 def _aligned_step(length: int) -> int:
@@ -236,38 +274,35 @@ def _complete_basis(B: np.ndarray, total: int, rng: SplitMix64) -> np.ndarray:
     return np.concatenate([B, Q[:, r:total]], axis=1)
 
 
-def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
-                       rng: SplitMix64) -> np.ndarray:
-    """(U * s) @ [V | V_perp].T, column-major, in one buffer of X's size.
+def _completed_factors(factor: ThinSVD, V: np.ndarray, rng: SplitMix64,
+                       out) -> tuple:
+    """(left, right) with left @ right.T = (U * s) @ [V | V_perp].T, for
+    the `factor` (U, s) built with V.
 
-    X is allocated first, and every low-rank X is formed here. Where U
-    has V's r columns (an exact source, or a noisy one of full rank)
-    there is nothing to complete, and X is `_product(U * s, V, X)`.
+    Where U has V's r columns (an exact source, or a noisy one of full
+    rank) there is nothing to complete, and they are (U * s, V).
 
     Otherwise V_perp is the completion of the m x r orthonormal V to
     k = U.shape[1] columns that `_complete_basis(V, k, rng)` would
     form from the same draw: Q[:, r:] of the QR of block = [V | G], that
     is block @ inv(R)[:, r:]. The k x k triangular R alone applies it:
-    inv(R)[:, r:] is folded into the n x k left factor, and no m x k Q
+    inv(R)[:, r:] is folded into the n x k left factor W, and no m x k Q
     is formed. R, with the one QR's diagonal signs, comes from
     `_r_factor`: the Cholesky factor of the Gram of the rows below the
     block's row k, or row chunks, so no QR copies the block either; R
     then differs from the one QR's by rounding, and X by about 1e-16 of
-    max|X|.
+    max|X|. They are (W, block), the block drawn into `out` (a new
+    m x k array if None).
 
-    The block is drawn into X's own buffer, as the transpose of its top
-    k rows, and X is formed over it (`_product`). The folded left factor
     W is formed after R, in the buffer of U * s, a block of rows at a
-    time: each row of W reads only its own row of U * s. On a tall
-    source U, W and X are all of X's size.
+    time: each row of W reads only its own row of U * s.
     """
+    U, s = factor.U, factor.singular_values
     n, k = U.shape
     m, r = V.shape
-    X = np.empty((n, m), order="F")
     if k == r:
-        return _product(U * s, V, X)
-    # [V | G], row-major with leading dimension n
-    block = _with_normal_columns(V, rng, X[:k].T)
+        return U * s, V
+    block = _with_normal_columns(V, rng, np.empty((m, k)) if out is None else out)
     # R is upper triangular, so LU with partial pivoting never swaps a
     # row and this is a triangular solve for the last k - r columns.
     fold = np.linalg.solve(_r_factor(block), np.eye(k)[:, r:]).T
@@ -280,10 +315,7 @@ def _completed_product(U: np.ndarray, s: np.ndarray, V: np.ndarray,
         np.matmul(rows[:, r:], fold, out=part)
         part[:, :r] += rows[:, :r]
         rows[...] = part
-    # Freed before the product's column blocks, which on a tall source
-    # would otherwise add to the peak.
-    del fold, folded, part
-    return _product(W, block, X)
+    return W, block
 
 
 def add_noise(X, spec: SynthSpec) -> np.ndarray:

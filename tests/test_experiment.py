@@ -49,7 +49,7 @@ from matcoh.kernels import (
     standardize,
 )
 from matcoh.linalg import _spsd_top, _squares, as_dense, left_svd, thin_svd
-from matcoh.sampling import SplitMix64, nested_samples
+from matcoh.sampling import SplitMix64, nested_samples, uniform_sample
 from matcoh.synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
 
 
@@ -385,7 +385,7 @@ def test_sweep_factors_each_trial_once(monkeypatch):
             nested_samples(X, 12, 5 + trial)[-1].submatrix, (3, 8, 12))]
 
 
-def test_run_checks_its_source_and_builds_its_pool_once(monkeypatch):
+def test_run_checks_its_source_and_builds_its_pool_once(monkeypatch, tmp_path):
     # Every as_dense binding in the package is watched, so a per-trial
     # re-check of the n x m source would show wherever it came from.
     scans, pools = [], []
@@ -412,8 +412,82 @@ def test_run_checks_its_source_and_builds_its_pool_once(monkeypatch):
                               rank=5, noise=0.1, r_policy="explicit", r=5,
                               exclude=(0, 1, 2, 3))
     assert len(run_experiment(config)) == 60
-    assert scans.count((30, 400)) == 1
+    # A synthetic source is held as its two factors: the run forms no
+    # 30 x 400 array and scans none, and checks each trial's 30 x 20
+    # block once, as it forms it.
+    assert [shape for shape in scans if shape[0] == 30] == [(30, 20)] * 20
     assert pools == [(400, (0, 1, 2, 3), 20)]
+    # A dense source is scanned once, at its build, and its trials take
+    # K's columns unchecked. Every other scan is of a small R block.
+    scans.clear()
+    assert len(run_experiment(_kernel_suite_config(tmp_path))) == 18
+    assert [shape for shape in scans if shape[0] == 160] == [(160, 160)]
+
+
+@pytest.mark.parametrize("n, m", [(30, 120), (80, 40), (50, 50)],
+                         ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("kind, extra", [
+    ("synth_exact", {}),
+    ("synth_noisy", dict(noise=0.1, r_policy="explicit", r=4)),
+], ids=["exact", "noisy"])
+@pytest.mark.parametrize("l_values, exclude", [((1,), ()),
+                                               ((3, 10, 25), (0, 2, 7))],
+                         ids=["l1", "exclude"])
+def test_factored_source_run_matches_a_dense_reference(monkeypatch, n, m, kind,
+                                                       extra, l_values, exclude):
+    # A synthetic run forms each trial's block from the source's two
+    # factors. Each block is read against the columns of the dense X at
+    # the indices the public sampler draws from X, and each row against
+    # the estimate of those columns. Block and columns are two roundings
+    # of one product, each within k * eps * (|left| |right|ᵀ) of it: a
+    # block of one to three columns runs as another BLAS kernel. On a
+    # square or tall noisy source, whose folded factor cancels, that
+    # moved entries by up to 3.7e-14 of max|X| (at most 0.125 of the
+    # bound); elsewhere by at most 1.4e-15 of it.
+    drawn = []
+    real_draw = matcoh.experiment._draw_columns
+
+    def draw(columns, allowed, size, seed):
+        drawn.append(real_draw(columns, allowed, size, seed))
+        return drawn[-1]
+
+    monkeypatch.setattr(matcoh.experiment, "_draw_columns", draw)
+    config = ExperimentConfig(kind=kind, experiment_id="d", l_values=l_values,
+                              trials=3, base_seed=11, n=n, m=m, rank=4,
+                              exclude=exclude, **extra)
+    rows = run_experiment(config)
+    spec = matcoh.experiment._synth_spec(config)
+    X = low_rank_matrix(spec)
+    left, right, _ = matcoh.synthetic.low_rank_factors(spec)
+    assert len(drawn) == config.trials
+    for trial, (indices, block) in enumerate(drawn):
+        seed = config.base_seed + trial
+        assert indices == uniform_sample(X, l_values[-1], seed, exclude).indices
+        assert block.flags.f_contiguous and not block.flags.writeable
+        columns = X[:, list(indices)]
+        bound = (2 * left.shape[1] * np.finfo(np.float64).eps
+                 * (np.abs(left) @ np.abs(right[list(indices)]).T))
+        assert np.all(np.abs(block - columns) <= bound)
+        for row, l in zip(rows[trial * len(l_values):], l_values):
+            want = estimate_coherence(X[:, list(indices[:l])], rank=config.r)
+            assert (row.trial, row.seed, row.l) == (trial, seed, l)
+            assert row.r_used == want.rank_used
+            assert abs(row.gamma_est - want.gamma) <= 1e-13
+
+
+def test_factored_source_run_holds_no_source_sized_array():
+    # X would be 4000 x 2000 (64 MB). The run holds the rank-40 factors
+    # and, per trial, one 4000 x 100 block and its sweep.
+    config = ExperimentConfig(kind="synth_exact", experiment_id="big",
+                              l_values=(10, 50, 100), trials=2, n=4000,
+                              m=2000, rank=40, coherence="high")
+    tracemalloc.start()
+    try:
+        assert len(run_experiment(config)) == 6
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 2000 * 8 / 4, peak
 
 
 _WIDE_COLUMNS = 40
@@ -967,8 +1041,8 @@ def test_default_width_rbf_source_builds_the_public_kernel(tmp_path, n,
         dataset = standardize(dataset)
     want = build_kernel(dataset, KernelSpec(kind="rbf",
                                             rbf_width=default_rbf_width(dataset)))
-    K, factor = matcoh.experiment._SOURCES["rbf"].build(config)
-    assert np.array_equal(K, want) and factor is None
+    source = matcoh.experiment._SOURCES["rbf"].build(config)
+    assert np.array_equal(source.matrix, want) and source.factor is None
 
 
 # Each kind's parameters away from the config's defaults, so a parameter
@@ -989,8 +1063,9 @@ def test_kernel_source_builds_the_spec_of_its_config_keys(tmp_path, keys, spec,
     dataset = load_csv(data)
     if standardized:
         dataset = standardize(dataset)
-    K, factor = matcoh.experiment._SOURCES[keys["kernel"]].build(config)
-    assert np.array_equal(K, build_kernel(dataset, spec)) and factor is None
+    source = matcoh.experiment._SOURCES[keys["kernel"]].build(config)
+    assert (np.array_equal(source.matrix, build_kernel(dataset, spec))
+            and source.factor is None)
 
 
 @pytest.mark.parametrize("kind", ["coherence_only", "kernel_suite"])
@@ -1016,7 +1091,7 @@ def test_default_width_rbf_build_holds_one_distance_matrix(tmp_path):
                               l_values=(5,), data=str(data), kernel="rbf")
     tracemalloc.start()
     try:
-        K, _ = matcoh.experiment._SOURCES["rbf"].build(config)
+        K = matcoh.experiment._SOURCES["rbf"].build(config).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
