@@ -76,8 +76,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (ThinSVD, _checked_basis, _eigh_by_magnitude, as_dense,
-                     numerical_rank, rank_threshold, thin_svd)
+from .linalg import (ThinSVD, _check_integer, _checked_basis, _eigh_by_magnitude,
+                     _is_integer, as_dense, numerical_rank, rank_threshold, thin_svd)
 
 __all__ = [
     "CoherenceReport",
@@ -96,11 +96,6 @@ RESIDUAL_RTOL = 1e-10
 # must exceed, and the largest certified angle between the top-r subspaces.
 _GRAM_FLOOR = 4.0
 _GRAM_MAX_ANGLE = 1e-10
-
-
-def _is_integer(x):
-    """Python or numpy integer, bool excluded (True would pass as 1)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -210,8 +205,7 @@ def estimate_coherence(columns, rank=None) -> CoherenceReport:
     yields the rank-0 report with gamma 0 rather than an error.
     """
     if rank is not None:
-        if not _is_integer(rank):
-            raise ValueError(f"rank parameter must be an integer, got {rank}")
+        _check_integer("rank parameter", rank)
         if rank < 1:
             raise ValueError(f"rank parameter must be >= 1, got {rank}")
     return basis_coherence(thin_svd(columns).left_basis(rank))
@@ -380,8 +374,7 @@ def sample_size_bound(rank: int, mu0: float, failure_prob: float,
     log term positive and are accepted. Finite inputs whose bound
     overflows a float raise ValueError.
     """
-    if not _is_integer(rank):
-        raise ValueError(f"rank must be an integer, got {rank}")
+    _check_integer("rank", rank)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if not (math.isfinite(mu0) and mu0 >= 1.0):

@@ -4,23 +4,20 @@ An experiment builds one matrix (synthetic, adversarial, kernel from a
 point file, or a Matrix Market file), then for every trial draws a
 nested column-sample family and records the coherence estimate at each
 requested sample size; kernel experiments additionally record both
-low-rank approximation errors. The truth (`gamma_true` and the rank)
-comes from one left factor of the source. A synthetic source brings the
-factor it was built from, so it is never factored. A source `_SOURCES`
-declares SPSD, under an explicit or energy rank, takes its top
-eigenpairs by block Krylov (`linalg._spsd_top`) unless that declines.
-Any other source takes one `left_svd`: `eigh` for an SPSD
-source, the QR of Xᵀ for a wide one, one thin SVD otherwise. Trials use
-seed = base_seed + trial, and per-trial estimates share one permutation
-so each trial's curve is non-decreasing in the sample size. Each
-`_SOURCES` build returns one `_Source`: its shape, its built factor and
-`columns(indices)`. A dense source (a kernel, `worst_case`, a Matrix
-Market file) keeps X, checked (`as_dense`) once at its build, and a
-trial's columns are X's. A synthetic source keeps only its two factors
-(`synthetic.low_rank_factors`), so a run never forms or scans its
-n x m X: each trial forms the n x L block it samples, left @
-right[indices]ᵀ, and checks that block once. The sampler's column pool
-is built once per run. Each trial extracts its largest sample once,
+low-rank approximation errors. Trials use seed = base_seed + trial, and
+per-trial estimates share one permutation so each trial's curve is
+non-decreasing in the sample size. Each `_SOURCES` build returns one
+finished `_Source`: `columns(indices)`, the sampler's column pool (built
+once per run, before the truth) and the truth (`gamma_true` and the
+rank), read off one left factor of the source; the factor is not held
+through the trials. How each kind of source gets its truth is its
+builder's: `_synthetic` reads it off the factor the source was built
+from, and `_dense` factors X. A dense source (a kernel, `worst_case`, a
+Matrix Market file) keeps X, checked (`as_dense`) once at its build, and
+a trial's columns are X's. A synthetic source keeps only its two factors
+(`synthetic.low_rank_factors`), so a run never forms or scans its n x m
+X: each trial forms the n x L block it samples, left @ right[indices]ᵀ,
+and checks that block once. Each trial extracts its largest sample once,
 through the sampler's private draw, and factors every size from one QR
 of it through the sweep's private core (`coherence._prefix_factors`,
 which `nested_factors` wraps in its checks: the block comes from the
@@ -35,25 +32,22 @@ therefore not re-checked) and, in a kernel experiment, the column
 projection's basis, so no sample is factored twice. Every kernel
 source is one `build_kernel` of its `KernelSpec`, whose parameters are
 the config keys of the same names that `kernels._KERNEL_PARAMS` lists
-for its kind; an RBF source with no
-`rbf_width` is at the median pairwise distance, which `build_kernel`
-reads off K's own squared distances. The run looks its `_SOURCES` entry
-up once, and hands its `spsd` flag to the truth. `build_kernel` makes K
-exactly symmetric, so a kernel run does not scan it for asymmetry. A run
-reads ‖X‖_F² once (`linalg._squares`), before the truth, and only where
-it is used: by the Krylov energy cut of an SPSD source, which otherwise
-reads K only through products K·Q, and by both method errors of a kernel
-run, which calls `lowrank`'s private readers, not the public methods
-with their per-call checks. Each trial makes one Householder pass over K
-with its QR's reflectors (4 n² p flops, p = min(n, L)) and forms
-G = Qᵀ K Q's top p rows from it (4 n p² flops), and K is read nowhere
-else in the trial but its sampled columns. Every size reads both errors
-off them: column projection through its core basis, Nystrom through one
-`eigh` of W, read off the sampled columns, per size. An estimate row's
-`wall_time_ms` is that size's step, its SVD or `eigh` included, with the trial's
-QR charged to the first size; a method row's is that approximation
-alone, with the trial's pass charged to the first size's
-column-projection row and G to the first size's Nystrom row.
+for its kind; an RBF source with no `rbf_width` is at the median
+pairwise distance, which `build_kernel` reads off K's own squared
+distances. `build_kernel` makes K exactly symmetric, so a kernel run
+does not scan it for asymmetry, and its builder declares it SPSD to
+`_dense`. A kernel run's ‖X‖_F², read once at the build, serves both
+method errors, which call `lowrank`'s private readers, not the public
+methods with their per-call checks. Each trial makes one Householder
+pass over K with its QR's reflectors (4 n² p flops, p = min(n, L)) and
+forms G = Qᵀ K Q's top p rows from it (4 n p² flops), and K is read
+nowhere else in the trial but its sampled columns. Every size reads
+both errors off them: column projection through its core basis, Nystrom
+through one `eigh` of W, read off the sampled columns, per size. An
+estimate row's `wall_time_ms` is that size's step, its SVD or `eigh`
+included, with the trial's QR charged to the first size; a method row's
+is that approximation alone, with the trial's pass charged to the first
+size's column-projection row and G to the first size's Nystrom row.
 
 Config files are flat `key = value` text. '#' starts a comment at the
 start of a line or after whitespace, so a value such as the path
@@ -87,7 +81,7 @@ from .kernels import (
     load_matrix_market,
     standardize,
 )
-from .linalg import ThinSVD, _energy_rank, _spsd_top, _squares, as_dense, left_svd
+from .linalg import _energy_rank, _spsd_top, _squares, as_dense, left_svd
 from .lowrank import _normalized, _nystrom, _projection_squares, _reflected_rows
 from .sampling import RNG_NAME, _allowed_pool, _draw_columns
 from .synthetic import SynthSpec, adversarial_spsd, low_rank_factors
@@ -284,31 +278,85 @@ def _synth_spec(config) -> SynthSpec:
 
 
 class _Source(NamedTuple):
-    """A run's source, as the run reads it.
+    """A run's finished source, as the run reads it.
 
-    `columns(indices)` is X[:, indices], finite and column-major. A
-    dense source keeps X in `matrix`, checked once at its build; a
-    synthetic one keeps only its two factors (`low_rank_factors`) and
-    has no `matrix`, so a run forms only the columns it samples, and
-    checks each block as it forms it. `factor` is the `ThinSVD` the
-    source was built from, or None.
+    `columns(indices)` is X[:, indices], finite and column-major;
+    `allowed` is the sampler's pool (`_allowed_pool`), built before the
+    truth; `rank` (None for an untruncated run) and `gamma_true` are the
+    truth. A dense source keeps X in `matrix`, checked once at its build,
+    and ‖X‖_F² in `total` where a kernel run's methods or an SPSD energy
+    cut read it. A synthetic one keeps only its two factors
+    (`low_rank_factors`) and has no `matrix`, so a run forms only the
+    columns it samples, and checks each block as it forms it. No source
+    holds the factor its truth was read off.
     """
 
-    shape: tuple
     columns: Callable
-    factor: ThinSVD | None = None
+    allowed: list
+    rank: int | None
+    gamma_true: float
     matrix: object = None  # X, an ndarray, or None
+    total: float | None = None
 
 
-def _dense(X) -> _Source:
+def _truth(config, factor, r):
+    """(r, gamma_true) of a source from its left `factor`, truncated at r.
+
+    Under the energy policy an r not yet read (None) is read off the
+    factor's own singular values, so a fraction of 1 is reached through
+    rounding. An all-zero source has no energy rank and is rejected here,
+    before any trial.
+    """
+    if r is None and config.r_policy == "energy":
+        r = _energy_rank(factor.singular_values, config.energy_fraction)
+        if r == 0:
+            raise ValueError("r_policy energy needs a source with nonzero "
+                             "energy, but the source matrix is all zero")
+    return r, basis_coherence(factor.left_basis(r)).gamma
+
+
+def _dense(config, X, spsd=False) -> _Source:
+    """The finished source of a dense X: SPSD by construction if `spsd`
+    (an exactly symmetric Gram matrix).
+
+    X is checked (`as_dense`) once, here. ‖X‖_F² is read once
+    (`_squares`), and only where it is used: by the Krylov energy cut of
+    an SPSD source, which otherwise reads X only through products X·Q,
+    and by both method errors of a kernel run. An SPSD source under an
+    explicit or energy rank takes its top eigenpairs by block Krylov
+    (`_spsd_top`), which also gives the energy rank against that total.
+    Any other source, or one the Krylov route declines (a small certified
+    gap at the cut, or a space that reaches its cap of columns first),
+    takes one `left_svd`: `eigh` for an SPSD source, the QR of Xᵀ for a
+    wide one, one thin SVD otherwise. The truth is truncated as
+    `estimate_coherence(X, rank)` would be, up to rounding.
+    """
     X = as_dense(X)  # the run's one scan of a dense source
-    return _Source(X.shape, lambda indices: X[:, indices], matrix=X)
+    allowed = _allowed_pool(X.shape[1], config.exclude, config.l_values[-1])
+    energy = config.r_policy == "energy"
+    total = (_squares(X) if config.kind == "kernel_suite" or (spsd and energy)
+             else None)
+    top = None
+    if spsd and config.r_policy != "none":
+        top = _spsd_top(X, rank=config.r, total=total,
+                        fraction=config.energy_fraction if energy else None)
+    r, factor = top or (config.r, left_svd(X, spsd=spsd))
+    return _Source(lambda indices: X[:, indices], allowed,
+                   *_truth(config, factor, r), matrix=X, total=total)
 
 
 def _synthetic(config) -> _Source:
+    """The finished source of a synthetic config, held as its two factors.
+
+    The truth is read off the `ThinSVD` X was built from, so X is never
+    formed nor factored. Where the rank splits a tie in the spectrum (a
+    noisy source's equal tail), the top subspace is not unique and that
+    factor gives the generator's seeded basis.
+    """
     left, right, factor = low_rank_factors(_synth_spec(config))
-    return _Source((len(left), len(right)),
-                   lambda indices: as_dense(left @ right[indices].T), factor)
+    allowed = _allowed_pool(len(right), config.exclude, config.l_values[-1])
+    return _Source(lambda indices: as_dense(left @ right[indices].T), allowed,
+                   *_truth(config, factor, config.r))
 
 
 def _kernel_spec(config):
@@ -320,15 +368,14 @@ def _kernel(config):
     dataset = load_csv(config.data)
     if config.standardize:
         dataset = standardize(dataset)
-    return _dense(build_kernel(dataset, _kernel_spec(config)))
+    return _dense(config, build_kernel(dataset, _kernel_spec(config)), spsd=True)
 
 
 class _SourceKind(NamedTuple):
     reads: tuple       # keys read beyond _COMMON_KEYS
     requires: tuple    # keys that must be set
-    build: Callable    # config -> its checked `_Source`
+    build: Callable    # config -> its finished `_Source`
     spec: Callable | None = None  # config -> its spec, which checks the values
-    spsd: bool = False  # SPSD by construction: an exactly symmetric Gram matrix
 
 
 _COMMON_KEYS = ("kind", "experiment_id", "l_values", "trials", "base_seed",
@@ -348,14 +395,14 @@ _SOURCES = {
                                _synthetic, _synth_spec),
     "worst_case": _SourceKind(
         ("n", "inflation", "inner_dim", "matrix_seed"), ("n",),
-        lambda c: _dense(adversarial_spsd(c.n, seed=_matrix_seed(c),
-                                          inflation=c.inflation,
-                                          inner_dim=c.inner_dim)),
-        spsd=True),
+        lambda c: _dense(c, adversarial_spsd(c.n, seed=_matrix_seed(c),
+                                             inflation=c.inflation,
+                                             inner_dim=c.inner_dim),
+                         spsd=True)),
     "matrix": _SourceKind(("matrix",), ("matrix",),
-                          lambda c: _dense(load_matrix_market(c.matrix))),
+                          lambda c: _dense(c, load_matrix_market(c.matrix))),
 } | {kind: _SourceKind(_KERNEL_KEYS + params, _KERNEL_REQUIRES, _kernel,
-                       _kernel_spec, spsd=True)
+                       _kernel_spec)
      for kind, params in _KERNEL_PARAMS.items()}
 # r is read only under the explicit policy, energy_fraction only under energy.
 _POLICY_KEYS = {"none": (), "explicit": ("r",), "energy": ("energy_fraction",)}
@@ -422,47 +469,6 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _rank_and_truth(config: ExperimentConfig, X, factor, spsd, total):
-    """(truncation rank, gamma_true) of the source X from one left factor.
-
-    `factor` is the `ThinSVD` a synthetic source was built from (X is
-    then None: it is never read), and
-    `spsd` is the source's `_SOURCES` flag. An SPSD source under an
-    explicit or energy rank takes its top eigenpairs by block Krylov
-    (`_spsd_top`, which reads X only through products), which also gives the
-    energy rank against `total`, the run's one ‖X‖_F² (read by the caller
-    wherever the energy cut or the methods use it, else None; the explicit
-    rank does not read it). Any other source, or one the Krylov route
-    declines (None: a small certified gap at the cut, or a space that
-    reaches its cap of columns first), is factored here by one `left_svd`,
-    whose energy rank is read off the sum of its own squared values, so a
-    fraction of 1 is reached through rounding. The truth is truncated as
-    `estimate_coherence(X, rank)` would be, up to rounding. Where the rank
-    splits a tie in the spectrum (a noisy source's equal tail), the top
-    subspace is not unique and a built factor gives its own seeded basis;
-    the Krylov route declines a cut whose certified gap is small. An
-    all-zero source has no energy rank and is rejected here, before any
-    trial.
-    """
-    r = config.r  # None unless r_policy is explicit
-    energy = config.r_policy == "energy"
-    top = None
-    if factor is None and spsd and config.r_policy != "none":
-        top = _spsd_top(X, rank=r, total=total,
-                        fraction=config.energy_fraction if energy else None)
-    if top is not None:
-        r, factor = top
-    else:
-        if factor is None:
-            factor = left_svd(X, spsd=spsd)
-        if energy:
-            r = _energy_rank(factor.singular_values, config.energy_fraction)
-            if r == 0:
-                raise ValueError("r_policy energy needs a source with nonzero "
-                                 "energy, but the source matrix is all zero")
-    return r, basis_coherence(factor.left_basis(r)).gamma
-
-
 def run_experiment(config: ExperimentConfig):
     """Execute all trials and return the result rows in deterministic order.
 
@@ -471,48 +477,35 @@ def run_experiment(config: ExperimentConfig):
     and each trial's block is drawn and swept by the private cores
     (`sampling._draw_columns`, `coherence._prefix_factors`), which check
     nothing again. A kernel run's K, exactly symmetric as built, is not
-    checked for symmetry. ‖X‖_F² is read once, and only where the Krylov
-    energy cut or a kernel run's method errors use it. If
+    checked for symmetry. If
     `config.output` is set the raw CSV is written as well; a failed run
     leaves any earlier file at that path intact.
     """
-    kind = _SOURCES[_source_name(config)]
-    # The run's one build of the checked source and of the sampler's
-    # pool, both before the truth is taken; every trial draws from them.
-    source = kind.build(config)
-    allowed = _allowed_pool(source.shape[1], config.exclude, config.l_values[-1])
-    # None for a synthetic source: only dense sources' steps read X.
-    X = source.matrix
-
+    # The run's one build of its source: the checked source, the
+    # sampler's pool (before the truth) and the truth. Every trial draws
+    # from them.
+    source = _SOURCES[_source_name(config)].build(config)
     with_methods = config.kind == "kernel_suite"
-    # The run's one read of ‖X‖_F², for an SPSD source's Krylov energy cut
-    # and both methods' errors. K is built exactly symmetric
-    # (`build_kernel`), so it is not scanned for asymmetry.
-    energy_cut = kind.spsd and config.r_policy == "energy"
-    total = _squares(X) if with_methods or energy_cut else None
-
-    r_eff, gamma_true = _rank_and_truth(config, X, source.factor, kind.spsd, total)
-    source = source._replace(factor=None)  # not held through the trials
 
     results = []
     for trial in range(config.trials):
         seed = config.base_seed + trial
-        indices, block = _draw_columns(source.columns, allowed,
+        indices, block = _draw_columns(source.columns, source.allowed,
                                        config.l_values[-1], seed)
-        factors = _prefix_factors(block, config.l_values, r_eff)
+        factors = _prefix_factors(block, config.l_values, source.rank)
         head = G = None
         for l in config.l_values:
             start = time.perf_counter()
             factor = next(factors)
-            basis = factor.left_basis(r_eff)
+            basis = factor.left_basis(source.rank)
             r_used, gamma_est = basis.shape[1], _gamma(basis)
             del basis  # not held through the next size's factor
             est_ms = round((time.perf_counter() - start) * 1000)
             common = dict(
                 experiment_id=config.experiment_id, kind=config.kind,
                 trial=trial, seed=seed, l=l, r_used=r_used,
-                gamma_true=gamma_true, gamma_est=gamma_est,
-                abs_error=abs(gamma_true - gamma_est),
+                gamma_true=source.gamma_true, gamma_est=gamma_est,
+                abs_error=abs(source.gamma_true - gamma_est),
             )
             results.append(TrialResult(
                 **common, wall_time_ms=est_ms if config.timing else None))
@@ -520,7 +513,7 @@ def run_experiment(config: ExperimentConfig):
                 continue
             start = time.perf_counter()
             if head is None:  # the trial's one pass over K
-                tail, head = _reflected_rows(X, factor.V, factor.T)
+                tail, head = _reflected_rows(source.matrix, factor.V, factor.T)
             projection = _projection_squares(tail, head, factor.core.left_basis())
             projection_ms = round((time.perf_counter() - start) * 1000)
             start = time.perf_counter()
@@ -533,7 +526,7 @@ def run_experiment(config: ExperimentConfig):
                     ("nystrom", nystrom, nystrom_ms)):
                 results.append(TrialResult(
                     **common, method=method,
-                    normalized_error=_normalized(squares, math.sqrt(total))[1],
+                    normalized_error=_normalized(squares, math.sqrt(source.total))[1],
                     wall_time_ms=method_ms if config.timing else None))
 
     if config.output:

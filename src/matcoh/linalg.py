@@ -94,6 +94,17 @@ class DecompositionError(RuntimeError):
     """Raised when an underlying matrix factorization fails to converge."""
 
 
+def _is_integer(x):
+    """Python or numpy integer, bool excluded (True would pass as 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_integer(name, value):
+    """Reject a `value` that is not `_is_integer`, naming it as `name`."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def as_dense(a) -> np.ndarray:
     """Coerce input to a finite float64 column-major matrix.
 
@@ -143,7 +154,7 @@ class ThinSVD:
 
     U is n x q and V is m x q (None from `left_svd`) with orthonormal
     columns, q = min(n, m), and the singular values are sorted descending.
-    A factor built with its matrix (`synthetic.low_rank_source`) may hold
+    A factor built with its matrix (`synthetic.low_rank_factors`) may hold
     only the q < min(n, m) columns of the nonzero singular values, and
     one from `_spsd_top` only the top r eigenpairs.
     `numerical_rank` is the count of singular values above the rank

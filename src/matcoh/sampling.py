@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_dense
+from .linalg import _check_integer, _is_integer, as_dense
 
 __all__ = [
     "RNG_NAME",
@@ -70,8 +70,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-                and 0 <= seed <= _MASK64):
+        if not (_is_integer(seed) and 0 <= seed <= _MASK64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         self.seed = int(seed)
         self._counter = 0
@@ -201,8 +200,14 @@ def _fisher_yates_prefix(pool, size, rng) -> list:
 def _allowed_pool(m: int, excluded, size: int) -> list:
     """Ascending columns of 0..m-1 not `excluded`; at least `size` of them.
 
-    An excluded index outside [0, m) is an error, not silently dropped.
+    `size` and the excluded indices are integers (numpy's included, bool
+    not): a float or bool would be truncated to another index. An
+    excluded index outside [0, m) is an error, not silently dropped.
     """
+    _check_integer("sample size", size)
+    excluded = list(excluded)
+    if not all(_is_integer(j) for j in excluded):
+        raise ValueError(f"excluded column indices must be integers, got {excluded}")
     excluded = {int(j) for j in excluded}
     outside = sorted(j for j in excluded if not 0 <= j < m)
     if outside:

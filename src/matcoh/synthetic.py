@@ -12,10 +12,10 @@ so its exact thin SVD exists before X does. One factor step
 (`_built_factor`, then `_completed_factors`) gives X as left @ rightᵀ
 and the left factor X was built from: (U·s, V) for the exact kind, and
 for the noisy kind the folded W and [V | G] below. `low_rank_factors`
-returns that step's two factors, so a reader of some columns of X forms
-only those, and `low_rank_source` forms all of X from them in X's own
-buffer (`_product`) and returns it with the factor; nothing factors X
-again. Both take the same step on the same seeded stream, so X's
+returns that step's two factors and the left factor, so a reader of some
+columns of X forms only those and nothing factors X, and
+`low_rank_matrix` forms all of X from them in X's own buffer
+(`_product`). Both take the same step on the same seeded stream, so X's
 columns and the gathered products are the same product.
 `rank` is the structural rank, the number of structural singular
 values. A fast decay can push the trailing ones below X's rank
@@ -36,7 +36,7 @@ condition number 1.1e5.
 The build touches each large array once. [V | G] is drawn, G a chunk of
 normals at a time, by the same fill (`_with_normal_columns`) that draws
 [B | G] into a new array to complete a basis: by `low_rank_factors` into
-an m x k array it returns, and by `low_rank_source` into the buffer X
+an m x k array it returns, and by `low_rank_matrix` into the buffer X
 will occupy, as the transpose of X's top k rows. R is taken from the
 Gram of [V | G]'s rows below row k, or from row chunks where that Gram
 is ill-conditioned (`linalg._r_factor`), so no QR copies the m x k
@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import ThinSVD, _r_factor, as_dense, numerical_rank
+from .linalg import ThinSVD, _check_integer, _r_factor, as_dense, numerical_rank
 from .sampling import SplitMix64
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "SynthSpec",
     "singular_spectrum",
     "low_rank_matrix",
-    "low_rank_source",
     "low_rank_factors",
     "add_noise",
     "basis_aligned_matrix",
@@ -93,7 +92,7 @@ class SynthSpec:
 
     `rank` is the structural rank: the number of structural singular
     values, not necessarily the numerical rank of the matrix (see
-    `low_rank_source`). `noise`, when set, is the fraction of the
+    `low_rank_factors`). `noise`, when set, is the fraction of the
     smallest structural singular value given to every trailing singular
     value of the noisy extension; None means exactly low-rank.
     """
@@ -107,6 +106,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "rank"):
+            _check_integer(name, getattr(self, name))
         if self.rank < 1 or self.rank > min(self.n, self.m):
             raise ValueError(f"rank {self.rank} out of range for {self.n}x{self.m}")
         if self.decay not in DECAY_RATES:
@@ -165,22 +166,8 @@ def low_rank_matrix(spec: SynthSpec) -> np.ndarray:
     QR on the same seeded stream, so the top-rank subspaces are
     unchanged. V's completion is applied through the R factor of that
     QR and never formed (see the module docstring for the rounding this
-    costs against an explicit-Q build).
-    """
-    return low_rank_source(spec)[0]
-
-
-def low_rank_source(spec: SynthSpec):
-    """(X, its left factor): `low_rank_matrix(spec)` and a `ThinSVD` of it.
-
-    The factor is the one X was built from, with V = None: U is n x rank
-    without noise and the completed n x min(n, m) basis with it, where
-    the singular values carry the equal noise tail. Its numerical rank
-    is taken at X's shape, so it is below `spec.rank` when the trailing
-    structural values fall under X's rank threshold (a fast decay at a
-    rank near min(n, m)); an SVD of X finds the same lower rank. A rank
-    that splits the noise tail's tie has no unique top subspace; the
-    factor gives the generator's seeded one.
+    costs against an explicit-Q build). Its left factor is
+    `low_rank_factors(spec)[2]`.
     """
     rng = SplitMix64(spec.seed)
     factor, V = _built_factor(spec, rng)
@@ -188,7 +175,7 @@ def low_rank_source(spec: SynthSpec):
     # and before [V | G], which is drawn into X's top rows.
     X = np.empty((spec.n, spec.m), order="F")
     top = X[:factor.U.shape[1]].T
-    return _product(*_completed_factors(factor, V, rng, top), X), factor
+    return _product(*_completed_factors(factor, V, rng, top), X)
 
 
 def low_rank_factors(spec: SynthSpec):
@@ -197,11 +184,19 @@ def low_rank_factors(spec: SynthSpec):
     Without noise, left is U * s and right is V, of `spec.rank` columns.
     With it, left is the n x k folded factor and right the m x k
     [V | G], k = min(n, m) (U * s and V again at full rank). `factor` is
-    `low_rank_source`'s. Column j of X is left @ right[j], so a reader of
-    some columns forms only those: `left @ right[indices].T`. At the
-    benchmark's shapes a block of five or more columns equals those
-    columns of `low_rank_matrix(spec)` bit for bit; a narrower one, or
-    one at another shape, is within rounding of the same product.
+    the `ThinSVD` X was built from, with V = None: U is n x rank without
+    noise and the completed n x min(n, m) basis with it, where the
+    singular values carry the equal noise tail. Its numerical rank is
+    taken at X's shape, so it is below `spec.rank` when the trailing
+    structural values fall under X's rank threshold (a fast decay at a
+    rank near min(n, m)); an SVD of X finds the same lower rank. A rank
+    that splits the noise tail's tie has no unique top subspace; the
+    factor gives the generator's seeded one. Column j of X is
+    left @ right[j], so a reader of some columns forms only those:
+    `left @ right[indices].T`. At the benchmark's shapes a block of five
+    or more columns equals those columns of `low_rank_matrix(spec)` bit
+    for bit; a narrower one, or one at another shape, is within rounding
+    of the same product.
     """
     rng = SplitMix64(spec.seed)
     factor, V = _built_factor(spec, rng)
@@ -343,6 +338,7 @@ def basis_aligned_matrix(n: int, m: int, rank: int) -> np.ndarray:
     that misses any of the basis columns cannot see that direction at
     all.
     """
+    _check_integer("rank", rank)
     if rank < 1 or rank > min(n, m):
         raise ValueError(f"rank {rank} out of range for {n}x{m}")
     X = np.zeros((n, m), order="F")
@@ -365,13 +361,15 @@ def adversarial_spsd(n: int, seed: int, inflation: float = 1e3,
     `inflation` whose product with that entry overflows float64 is
     rejected.
     """
+    _check_integer("n", n)
     if n < 2:
         raise ValueError("need n >= 2")
     if not math.isfinite(inflation):
         raise ValueError(f"inflation must be finite, got {inflation}")
     if inflation <= 1.0:
         raise ValueError("inflation must exceed 1")
-    k = n if inner_dim is None else int(inner_dim)
+    k = n if inner_dim is None else inner_dim
+    _check_integer("inner_dim", k)
     if k < 1:
         raise ValueError("inner_dim must be >= 1")
     G = SplitMix64(seed).normal_matrix(k, n)

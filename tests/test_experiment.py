@@ -48,7 +48,8 @@ from matcoh.kernels import (
     spectrum_energy_rank,
     standardize,
 )
-from matcoh.linalg import _spsd_top, _squares, as_dense, left_svd, thin_svd
+from matcoh.linalg import (ThinSVD, _spsd_top, _squares, as_dense, left_svd,
+                           numerical_rank, thin_svd)
 from matcoh.sampling import SplitMix64, nested_samples, uniform_sample
 from matcoh.synthetic import SynthSpec, adversarial_spsd, low_rank_matrix
 
@@ -712,10 +713,16 @@ def test_kernel_suite_truth_takes_no_n_by_n_eigh(monkeypatch, tmp_path):
 
 
 def _truth_config(**policy):
-    """A config for `_rank_and_truth`; the tests below hand it the
-    matrix itself, declared SPSD."""
+    """A config for `_dense`; the tests below hand it the matrix itself,
+    declared SPSD."""
     return ExperimentConfig(kind="worst_case", experiment_id="t",
                             l_values=(1,), n=2, **policy)
+
+
+def _dense_truth(config, K):
+    """(rank, gamma_true) of the dense source K built as SPSD."""
+    source = matcoh.experiment._dense(config, K, spsd=True)
+    return source.rank, source.gamma_true
 
 
 def _eigh_truth(config, K):
@@ -775,8 +782,7 @@ def test_each_dense_fall_back_gives_the_eigh_route_bit_for_bit(case):
     fraction = config.energy_fraction if config.r_policy == "energy" else None
     total = _squares(K)
     assert _spsd_top(K, rank=config.r, fraction=fraction, total=total) is None
-    assert (matcoh.experiment._rank_and_truth(config, K, None, True, total)
-            == _eigh_truth(config, K))
+    assert _dense_truth(config, K) == _eigh_truth(config, K)
 
 
 def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatch):
@@ -785,7 +791,7 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
     K = _spectral_matrix(_GEOMETRIC)
     config = _truth_config(r_policy="explicit", r=4)
     assert _spsd_top(K, rank=4) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, True, _squares(K))
+    r, gamma = _dense_truth(config, K)
     want = _eigh_truth(config, K)
     assert r == want[0] and abs(gamma - want[1]) <= 1e-14
     # r_policy = none needs the whole spectrum and never tries it.
@@ -795,8 +801,7 @@ def test_untied_spectrum_takes_the_iteration_and_none_policy_does_not(monkeypatc
 
     monkeypatch.setattr(matcoh.experiment, "_spsd_top", no_top)
     config = _truth_config()
-    assert (matcoh.experiment._rank_and_truth(config, K, None, True, None)
-            == _eigh_truth(config, K))
+    assert _dense_truth(config, K) == _eigh_truth(config, K)
 
 
 def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
@@ -805,7 +810,7 @@ def test_a_rank_past_n_over_10_minus_8_takes_the_krylov_route():
     K = _spectral_matrix(_GEOMETRIC)
     config = _truth_config(r_policy="explicit", r=13)
     assert _spsd_top(K, rank=13) is not None
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, True, _squares(K))
+    r, gamma = _dense_truth(config, K)
     want = _eigh_truth(config, K)
     assert r == want[0] and abs(gamma - want[1]) <= 1e-14
 
@@ -836,11 +841,65 @@ def test_both_truth_routes_read_one_energy_rank(move, r_want, iterates):
     energies = np.cumsum(left_svd(K, spsd=True).singular_values ** 2)
     fraction = float(move(energies[4] / energies[-1]))
     config = _truth_config(r_policy="energy", energy_fraction=fraction)
-    r, gamma = matcoh.experiment._rank_and_truth(config, K, None, True, _squares(K))
+    r, gamma = _dense_truth(config, K)
     want = _eigh_truth(config, K)
     assert r == want[0] and r_want in (None, r)
     assert abs(gamma - want[1]) <= 1e-14
     assert (_spsd_top(K, fraction=fraction, total=_squares(K)) is not None) == iterates
+
+
+def _source_keys(tmp_path, name):
+    """Config keys of one source: each `_SOURCES` entry, and the Matrix
+    Market one wide and tall."""
+    import scipy.io
+
+    if name.startswith("matrix"):
+        shape = (30, 45) if name == "matrix-wide" else (45, 30)
+        path = tmp_path / f"{name}.mtx"
+        scipy.io.mmwrite(str(path), SplitMix64(8).normal_matrix(*shape))
+        return {"kind": "coherence_only", "matrix": str(path)}
+    if name in ("linear", "rbf", "polynomial"):
+        return {"kind": "kernel_suite", "kernel": name,
+                "data": str(_points_file(tmp_path, 80, 3, 4))}
+    return {"worst_case": {"kind": "worst_case", "n": 40, "inner_dim": 6},
+            "synth_exact": {"kind": "synth_exact", "n": 40, "m": 30, "rank": 5},
+            "synth_noisy-wide": {"kind": "synth_noisy", "n": 30, "m": 50,
+                                 "rank": 6, "noise": 0.1},
+            "synth_noisy-tall": {"kind": "synth_noisy", "n": 50, "m": 30,
+                                 "rank": 6, "noise": 0.1}}[name]
+
+
+@pytest.mark.parametrize("policy", [
+    {}, {"r_policy": "explicit", "r": 3},
+    {"r_policy": "energy", "energy_fraction": 0.9}], ids=["none", "explicit", "energy"])
+@pytest.mark.parametrize("name", [
+    "matrix-wide", "matrix-tall", "worst_case", "linear", "rbf", "polynomial",
+    "synth_exact", "synth_noisy-wide", "synth_noisy-tall"])
+def test_every_source_builds_the_truth_of_a_dense_svd(tmp_path, name, policy):
+    # The reference takes np.linalg.svd of the dense X and reads the rank
+    # and the energy rank by the package's rules. `worst_case` at
+    # inner_dim 6 is rank deficient (7, with the inflated entry), as are
+    # the linear and polynomial kernels of 3-dimensional points; the
+    # singular values nearest the rank threshold lie 80 times or more
+    # from it. On the noisy sources each cut is at or above the equal
+    # tail, so no cut splits its tie.
+    config = ExperimentConfig(experiment_id="t", l_values=(2,),
+                              **_source_keys(tmp_path, name), **policy)
+    source = matcoh.experiment._SOURCES[
+        matcoh.experiment._source_name(config)].build(config)
+    X = source.matrix
+    if X is None:
+        X = low_rank_matrix(matcoh.experiment._synth_spec(config))
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    r = config.r
+    if config.r_policy == "energy":
+        r = spectrum_energy_rank(s, config.energy_fraction)
+    if config.kind == "synth_noisy":
+        assert r is None or r <= config.rank
+    q = numerical_rank(s, X.shape)
+    q = q if r is None else min(r, q)
+    assert source.rank == r
+    assert abs(source.gamma_true - np.max(np.sum(U[:, :q] ** 2, axis=1))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind, n, m, extra", [
@@ -889,7 +948,7 @@ def test_rank_splitting_the_noise_tie_reports_the_generator_basis():
                               l_values=(20,), n=40, m=90, rank=4, noise=0.1,
                               r_policy="explicit", r=10)
     spec = matcoh.experiment._synth_spec(config)
-    X, factor = matcoh.synthetic.low_rank_source(spec)
+    X, factor = low_rank_matrix(spec), matcoh.synthetic.low_rank_factors(spec)[2]
     [row] = run_experiment(config)
     assert row.gamma_true == basis_coherence(factor.U[:, :10]).gamma
     # An SVD of X picks some other top-10 basis between the same bounds.
@@ -1042,7 +1101,8 @@ def test_default_width_rbf_source_builds_the_public_kernel(tmp_path, n,
     want = build_kernel(dataset, KernelSpec(kind="rbf",
                                             rbf_width=default_rbf_width(dataset)))
     source = matcoh.experiment._SOURCES["rbf"].build(config)
-    assert np.array_equal(source.matrix, want) and source.factor is None
+    assert np.array_equal(source.matrix, want)
+    assert not any(isinstance(field, ThinSVD) for field in source)
 
 
 # Each kind's parameters away from the config's defaults, so a parameter
@@ -1064,8 +1124,8 @@ def test_kernel_source_builds_the_spec_of_its_config_keys(tmp_path, keys, spec,
     if standardized:
         dataset = standardize(dataset)
     source = matcoh.experiment._SOURCES[keys["kernel"]].build(config)
-    assert (np.array_equal(source.matrix, build_kernel(dataset, spec))
-            and source.factor is None)
+    assert np.array_equal(source.matrix, build_kernel(dataset, spec))
+    assert not any(isinstance(field, ThinSVD) for field in source)
 
 
 @pytest.mark.parametrize("kind", ["coherence_only", "kernel_suite"])
@@ -1082,20 +1142,28 @@ def test_default_width_rbf_run_writes_the_explicit_width_csv(tmp_path, kind):
     assert default.read_bytes() == explicit.read_bytes()
 
 
-def test_default_width_rbf_build_holds_one_distance_matrix(tmp_path):
+def test_default_width_rbf_build_holds_one_distance_matrix(tmp_path, monkeypatch):
     # The width is read off K's own squared distances, whose upper
     # triangle the median gathers (half a matrix). Forming the width's
-    # distances apart from K's peaked at 2.52 K.
+    # distances apart from K's peaked at 2.52 K. The peak is read as K
+    # reaches `_dense`, before the source's truth is taken.
     data = _points_file(tmp_path, 400, 8, 7)
     config = ExperimentConfig(kind="coherence_only", experiment_id="m",
                               l_values=(5,), data=str(data), kernel="rbf")
+    peaks = []
+    real_dense = matcoh.experiment._dense
+
+    def dense(config, X, spsd=False):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return real_dense(config, X, spsd)
+
+    monkeypatch.setattr(matcoh.experiment, "_dense", dense)
     tracemalloc.start()
     try:
         K = matcoh.experiment._SOURCES["rbf"].build(config).matrix
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * K.nbytes
+    assert peaks[0] <= 2.25 * K.nbytes
 
 
 def test_run_reads_each_estimate_as_basis_coherence_would(tmp_path):

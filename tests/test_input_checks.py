@@ -9,7 +9,7 @@ from matcoh.coherence import (estimate_coherence, nested_factors,
                               sample_size_bound, update_projector)
 from matcoh.kernels import KernelSpec, PointDataset, build_kernel
 from matcoh.lowrank import column_projection, nystrom
-from matcoh.sampling import ColumnSample, SplitMix64, uniform_sample
+from matcoh.sampling import ColumnSample, SplitMix64, nested_samples, uniform_sample
 from matcoh.synthetic import (SynthSpec, adversarial_spsd, add_noise,
                               basis_aligned_matrix, low_rank_matrix)
 
@@ -117,6 +117,28 @@ def sample(indices, rows=4):
                  "sizes must be integers, got [True]", id="sizes-bool"),
     pytest.param(lambda: sample_size_bound(True, 1.0, 0.1, 1, 1),
                  "rank must be an integer, got True", id="bound-rank-bool"),
+    pytest.param(lambda: uniform_sample(X, 2, 0, excluded=[1.5]),
+                 "excluded column indices must be integers, got [1.5]",
+                 id="sample-excluded-float"),
+    pytest.param(lambda: uniform_sample(X, 2, 0, excluded=[True]),
+                 "excluded column indices must be integers, got [True]",
+                 id="sample-excluded-bool"),
+    pytest.param(lambda: uniform_sample(X, True, 0),
+                 "sample size must be an integer, got True", id="sample-size-bool"),
+    pytest.param(lambda: uniform_sample(X, 2.5, 0),
+                 "sample size must be an integer, got 2.5", id="sample-size-float"),
+    pytest.param(lambda: nested_samples(X, 2.0, 0),
+                 "sample size must be an integer, got 2.0", id="nested-size-float"),
+    pytest.param(lambda: adversarial_spsd(5, 0, inner_dim=2.7),
+                 "inner_dim must be an integer, got 2.7", id="adversarial-inner-dim-float"),
+    pytest.param(lambda: adversarial_spsd(5.0, 0),
+                 "n must be an integer, got 5.0", id="adversarial-n-float"),
+    pytest.param(lambda: SynthSpec(n=6, m=5, rank=True),
+                 "rank must be an integer, got True", id="synth-rank-bool"),
+    pytest.param(lambda: SynthSpec(n=6.0, m=5, rank=2),
+                 "n must be an integer, got 6.0", id="synth-n-float"),
+    pytest.param(lambda: basis_aligned_matrix(5, 5, True),
+                 "rank must be an integer, got True", id="aligned-rank-bool"),
 ])
 def test_library_input_check_names_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -25,8 +25,8 @@ from matcoh.synthetic import (
     add_noise,
     adversarial_spsd,
     basis_aligned_matrix,
+    low_rank_factors,
     low_rank_matrix,
-    low_rank_source,
     singular_spectrum,
 )
 
@@ -62,7 +62,7 @@ def test_generated_matrix_matches_spectrum():
 
 def test_factors_are_orthonormal_with_peak_in_place():
     spec = SynthSpec(n=80, m=70, rank=8, coherence="high", seed=2)
-    U = low_rank_source(spec)[1].U
+    U = low_rank_factors(spec)[2].U
     # V is not returned: its columns are X's right singular vectors, up
     # to sign, as the spectrum has no ties.
     V = thin_svd(low_rank_matrix(spec)).V[:, :8]
@@ -77,14 +77,14 @@ def test_low_coherence_stays_near_floor():
     # needs paper-sized rank: max leverage of a random completion
     # concentrates at (rank/n) * (1 + ~sqrt(8/rank))
     for n, r in ((1000, 50), (600, 60)):
-        U = low_rank_source(SynthSpec(n=n, m=n, rank=r, seed=3))[1].U
+        U = low_rank_factors(SynthSpec(n=n, m=n, rank=r, seed=3))[2].U
         assert basis_coherence(U).gamma <= 2 * r / n
 
 
 def test_high_coherence_hits_multiplier_floor():
-    U = low_rank_source(
+    U = low_rank_factors(
         SynthSpec(n=1000, m=1000, rank=50, coherence="high", seed=4)
-    )[1].U
+    )[2].U
     assert basis_coherence(U).gamma >= 0.9 * 64 / 1000
 
 
@@ -93,8 +93,8 @@ def test_coherence_level_ordering(seed):
     # low vs mid can invert by ~1e-4 of completion-leverage noise at
     # desk scale, hence the small slack
     gammas = [
-        basis_coherence(low_rank_source(
-            SynthSpec(n=1000, m=1000, rank=50, coherence=level, seed=seed))[1].U).gamma
+        basis_coherence(low_rank_factors(
+            SynthSpec(n=1000, m=1000, rank=50, coherence=level, seed=seed))[2].U).gamma
         for level in ("low", "mid", "high")
     ]
     assert gammas[0] <= gammas[1] + 1e-3
@@ -149,7 +149,7 @@ def _gap_tol(gap):
                  st.tuples(st.just("explicit"), st.integers(1, 72)),
                  st.tuples(st.just("energy"), st.floats(0.5, 1.0))))
 def test_generator_factor_matches_left_svd(spec, policy):
-    X, gen = low_rank_source(spec)
+    X, gen = low_rank_matrix(spec), low_rank_factors(spec)[2]
     assert X.tobytes() == low_rank_matrix(spec).tobytes()
     got = left_svd(X)
     k = min(spec.n, spec.m)
@@ -264,7 +264,7 @@ def _noisy_specs(draw):
 @example(SynthSpec(n=100, m=12000, rank=20, decay="slow", noise=0.3, seed=0))
 @example(SynthSpec(n=64, m=20000, rank=1, coherence="high", noise=0.1, seed=1))
 def test_noisy_source_matches_explicit_q_build(spec):
-    X, f = low_rank_source(spec)
+    X, f = low_rank_matrix(spec), low_rank_factors(spec)[2]
     X_ref, U_ref, s_ref, kappa = _explicit_q_source(spec)
     np.testing.assert_array_equal(f.U, U_ref)
     np.testing.assert_array_equal(f.singular_values, s_ref)
@@ -288,7 +288,7 @@ def test_noisy_build_takes_only_r_of_the_wide_block(linalg_calls, monkeypatch):
     spec = SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1)
     k, step = 30, 40
     monkeypatch.setattr(matcoh.linalg, "_R_CHUNK", step * k)
-    X = low_rank_source(spec)[0]
+    X = low_rank_matrix(spec)
     build = list(linalg_calls)
     linalg_calls.clear()
     left_svd(X)
@@ -305,7 +305,7 @@ def test_noisy_build_takes_only_r_of_the_wide_block(linalg_calls, monkeypatch):
 
 
 def _product_operands(monkeypatch, spec):
-    """(X, left, right) of `low_rank_source(spec)`: X and the two factors
+    """(X, left, right) of `low_rank_matrix(spec)`: X and the two factors
     its streamed product `_product` formed it from."""
     seen = []
     product = synthetic._product
@@ -316,7 +316,7 @@ def _product_operands(monkeypatch, spec):
         return product(left, right, X)
 
     monkeypatch.setattr(synthetic, "_product", spy)
-    X = low_rank_source(spec)[0]
+    X = low_rank_matrix(spec)
     assert len(seen) == 1
     return (X, *seen[0])
 
@@ -354,7 +354,7 @@ def test_streamed_product_is_within_rounding_elsewhere(monkeypatch, n, m, rank, 
 
 
 _PEAK_RSS_CHILD = """
-from matcoh.synthetic import SynthSpec, low_rank_source
+from matcoh.synthetic import SynthSpec, low_rank_matrix
 
 def status(key):
     with open("/proc/self/status") as f:
@@ -362,9 +362,9 @@ def status(key):
             if line.startswith(key + ":"):
                 return int(line.split()[1]) * 1024
 
-low_rank_source(SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1))  # warm-up
+low_rank_matrix(SynthSpec(n=30, m=200, rank=4, noise=0.2, seed=1))  # warm-up
 before = status("VmRSS")
-X = low_rank_source(SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5))[0]
+X = low_rank_matrix(SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5))
 print((status("VmHWM") - before) / X.nbytes)
 """
 
@@ -390,7 +390,7 @@ def test_noisy_wide_build_holds_one_source_sized_array(linalg_calls):
     spec = SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=5)
     tracemalloc.start()
     try:
-        X = low_rank_source(spec)[0]
+        X = low_rank_matrix(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -420,7 +420,7 @@ def test_tall_noisy_build_peak_holds():
     spec = SynthSpec(n=2000, m=600, rank=40, noise=0.1, seed=3)
     tracemalloc.start()
     try:
-        X = low_rank_source(spec)[0]
+        X = low_rank_matrix(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -449,7 +449,7 @@ def _two_array_source(spec):
 @pytest.mark.parametrize("seed", [846566326, 14399832])
 def test_noisy_wide_source_equals_two_array_build(seed):
     spec = SynthSpec(n=300, m=10000, rank=20, noise=0.1, seed=seed)
-    X = low_rank_source(spec)[0]
+    X = low_rank_matrix(spec)
     assert X.flags.f_contiguous
     assert np.array_equal(X, _two_array_source(spec))
 
@@ -487,7 +487,7 @@ def test_structural_rank_can_exceed_numerical_rank():
     # e^(-0.5 i) falls below the rank threshold 80 * eps * s_1 after
     # i = 64: the spec is accepted, and its numerical rank is 64.
     spec = SynthSpec(n=80, m=80, rank=70, decay="fast")
-    X, f = low_rank_source(spec)
+    X, f = low_rank_matrix(spec), low_rank_factors(spec)[2]
     assert f.singular_values.size == 70
     assert f.numerical_rank == 64
     assert left_svd(X).numerical_rank == 64
@@ -514,7 +514,7 @@ class TestAddNoise:
         np.testing.assert_allclose(s[6:], s[6], rtol=1e-10)
 
     def test_top_subspace_preserved(self):
-        U = low_rank_source(replace(self.spec, noise=None))[1].U
+        U = low_rank_factors(replace(self.spec, noise=None))[2].U
         U_noisy = thin_svd(add_noise(self.base(), self.spec)).left_basis(6)
         # principal angles: all singular values of U^T U_noisy near 1
         overlap = np.linalg.svd(U.T @ U_noisy, compute_uv=False)
