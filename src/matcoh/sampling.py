@@ -23,10 +23,15 @@ allowed pool on every call, then draws through a private core
 (`_draw_columns`) that a caller which has already checked its source
 calls once per trial instead.
 
-Normal deviates come in row-major order. `normal_matrix` draws them in
-chunks of whole rows, each starting on a Box-Muller pair, straight into
-its column-major result, so its temporaries are the size of one chunk,
-not of the matrix; `_fill_normals` fills any given buffer the same way.
+Normal deviates come in row-major order, a Box-Muller pair from each
+two draws. `_box_muller` reads each pair's cos and sin off one
+t = tan(theta / 2): numpy's float64 `tan`, like its `log`, is SIMD,
+where `sin` and `cos` run through scalar libm at several times the
+cost. The deviates' bits thus belong to one numpy build and the CPU
+features it dispatches on. `normal_matrix` draws them in chunks of whole
+rows, each starting on a pair, straight into its column-major result,
+so its temporaries are the size of one chunk, not of the matrix;
+`_fill_normals` fills any given buffer the same way.
 """
 
 from dataclasses import dataclass
@@ -60,6 +65,34 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Pairs (r cos theta, r sin theta) of the uniforms u1 in (0, 1] and
+    u2 in [0, 1), as a (pairs, 2) array; overwrites u1 and u2.
+
+    r = sqrt(-2 ln u1) and theta = 2 pi u2, with cos theta and sin theta
+    read off t = tan(theta / 2): cos theta = (1 - t^2) / (1 + t^2) and
+    sin theta = 2t / (1 + t^2). Doubling pi is exact, so theta / 2 is
+    exactly half the rounded theta, and each pair is the exact
+    (r cos, r sin) of an angle within a few ulps of it. u2 = 1/2 gives
+    t = 1.6e16, whose square is finite. 1 - t^2 is taken directly:
+    2 - (1 + t^2) would add the rounding of 1 + t^2 to it.
+    """
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)            # r
+    u2 *= np.pi
+    np.tan(u2, out=u2)             # t
+    t2 = np.square(u2)
+    out = np.empty((len(u1), 2))
+    np.subtract(1.0, t2, out=out[:, 0])
+    t2 += 1.0
+    u1 /= t2                       # r / (1 + t^2)
+    out[:, 0] *= u1                # r cos(theta)
+    u2 *= 2.0
+    np.multiply(u1, u2, out=out[:, 1])     # r sin(theta)
+    return out
+
+
 class SplitMix64:
     """Counter-based SplitMix64 stream seeded by a single integer.
 
@@ -80,9 +113,18 @@ class SplitMix64:
         return _mix64((self.seed + self._counter * _GOLDEN) & _MASK64)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, n), unbiased via rejection.
+
+        `n` is an integer in [1, 2**64]: above that no draw lies below
+        the rejection limit, and the loop would never end.
+        """
+        _check_integer("bound", n)
+        if not 1 <= n <= _MASK64 + 1:
+            raise ValueError(f"bound must be in [1, 2**64], got {n}")
+        return self._below(int(n))
+
+    def _below(self, n: int) -> int:
+        # `below` without its checks, for a caller whose n is in range.
         span = _MASK64 + 1
         limit = span - span % n
         while True:
@@ -107,8 +149,11 @@ class SplitMix64:
         """`count` standard normal deviates via Box-Muller on stream pairs.
 
         Consumes 2 * ceil(count / 2) draws; pair j yields
-        (r cos t, r sin t) with r = sqrt(-2 ln u1) and t = 2 pi u2.
+        (r cos theta, r sin theta) with r = sqrt(-2 ln u1) and
+        theta = 2 pi u2, both read off t = tan(theta / 2) by
+        `_box_muller`.
         """
+        _check_integer("count", count)
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
@@ -116,25 +161,13 @@ class SplitMix64:
         pairs = (count + 1) // 2
         block = self._uint64_block(2 * pairs)
         block >>= np.uint64(11)
-        # Rows u1 and u2, each contiguous; computed in place, and the two
-        # products written straight into the interleaved result.
+        # Rows u1 and u2, each contiguous and computed in place.
         u = np.empty((2, pairs))
         u[0], u[1] = block[0::2], block[1::2]
         del block
-        u1, u2 = u
-        u1 += 1.0
-        u1 *= 2.0**-53
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        np.sqrt(u1, out=u1)            # radius
-        u2 *= 2.0**-53
-        u2 *= 2.0 * np.pi              # theta
-        cos = np.cos(u2)
-        np.sin(u2, out=u2)
-        out = np.empty((pairs, 2))
-        np.multiply(u1, cos, out=out[:, 0])    # radius cos(theta)
-        np.multiply(u1, u2, out=out[:, 1])     # radius sin(theta)
-        return out.ravel()[:count]
+        u[0] += 1.0
+        u *= 2.0**-53                  # u1 in (0, 1], u2 in [0, 1)
+        return _box_muller(*u).ravel()[:count]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """rows x cols standard normal matrix filled in row-major order.
@@ -142,6 +175,8 @@ class SplitMix64:
         Column-major, with the values and stream use of
         `normals(rows * cols)`.
         """
+        _check_integer("rows", rows)
+        _check_integer("cols", cols)
         out = np.empty((rows, cols), order="F")
         self._fill_normals(out)
         return out
@@ -192,7 +227,7 @@ def _fisher_yates_prefix(pool, size, rng) -> list:
     a = list(pool)
     steps = min(size, len(a) - 1)
     for i in range(steps):
-        j = i + rng.below(len(a) - i)
+        j = i + rng._below(len(a) - i)
         a[i], a[j] = a[j], a[i]
     return a[:size]
 

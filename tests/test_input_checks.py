@@ -53,6 +53,23 @@ def sample(indices, rows=4):
                  "matrix must be square, got (4, 3)", id="nystrom-not-square"),
     pytest.param(lambda: SplitMix64(0).normals(-1),
                  "count must be non-negative", id="normals-negative"),
+    pytest.param(lambda: SplitMix64(0).normals(True),
+                 "count must be an integer, got True", id="normals-bool"),
+    pytest.param(lambda: SplitMix64(0).normals(2.5),
+                 "count must be an integer, got 2.5", id="normals-float"),
+    pytest.param(lambda: SplitMix64(0).normal_matrix(2.5, 3),
+                 "rows must be an integer, got 2.5", id="normal-matrix-rows-float"),
+    pytest.param(lambda: SplitMix64(0).normal_matrix(3, True),
+                 "cols must be an integer, got True", id="normal-matrix-cols-bool"),
+    pytest.param(lambda: SplitMix64(0).below(0),
+                 "bound must be in [1, 2**64], got 0", id="below-zero"),
+    pytest.param(lambda: SplitMix64(0).below(2**64 + 1),
+                 "bound must be in [1, 2**64], got 18446744073709551617",
+                 id="below-past-2-to-the-64"),
+    pytest.param(lambda: SplitMix64(0).below(2.5),
+                 "bound must be an integer, got 2.5", id="below-float"),
+    pytest.param(lambda: SplitMix64(0).below(True),
+                 "bound must be an integer, got True", id="below-bool"),
     pytest.param(lambda: ColumnSample(indices=(0, 1), submatrix=np.zeros((4, 1))),
                  "submatrix width does not match index count", id="sample-width"),
     pytest.param(lambda: SynthSpec(n=10, m=10, rank=2, coherence="extreme"),

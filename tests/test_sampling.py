@@ -65,10 +65,11 @@ def _reference_normals(seed, counter, count):
     u1 = ((x[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (x[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
+    t = np.tan(np.pi * u2)  # tan(theta / 2), theta = 2 pi u2
+    scale = radius / (1.0 + t * t)
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(theta)
-    out[1::2] = radius * np.sin(theta)
+    out[0::2] = scale * (1.0 - t * t)
+    out[1::2] = scale * (2.0 * t)
     return out[:count]
 
 
@@ -122,9 +123,51 @@ def test_normal_matrix_with_no_columns_draws_nothing():
     assert rng.normals(5).tobytes() == SplitMix64(4).normals(5).tobytes()
 
 
+def _norm_residual(z0, z1, r):
+    """z0**2 + z1**2 - r**2 to within a few eps**2 r**2, where a plain
+    float64 sum would add its own eps r**2: each square is split into its
+    rounded value and its exact error (Dekker), and the sum of two
+    rounded squares keeps its error (Knuth's two-sum)."""
+    def square(a):
+        hi = a * a
+        c = a * (2.0**27 + 1.0)
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        return hi, ((a_hi * a_hi - hi) + 2.0 * a_hi * a_lo) + a_lo * a_lo
+
+    (h0, l0), (h1, l1), (hr, lr) = square(z0), square(z1), square(r)
+    s = h0 + h1
+    b = s - h0
+    e = (h0 - (s - b)) + (h1 - b)
+    return (s - hr) + (e + l0 + l1 - lr)
+
+
+def test_box_muller_matches_the_cos_sin_form():
+    # 2**20 stream uniforms and the edges: u2 = 1/2 puts tan(theta / 2)
+    # at 1.6e16, u1 = 2**-53 gives the largest radius and u1 = 1 none.
+    eps = np.finfo(float).eps
+    k = SplitMix64(2024)._uint64_block(2**20) >> np.uint64(11)
+    u1 = np.concatenate([(k[0::2] + 1.0) * 2.0**-53, np.repeat([2.0**-53, 1.0], 5)])
+    u2 = np.concatenate([k[1::2] * 2.0**-53, np.tile([0, 0.25, 0.5, 0.75, 1 - 2.0**-53], 2)])
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = sampling._box_muller(u1.copy(), u2.copy())
+    assert np.isfinite(z).all()
+    classic = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    assert (np.abs(z - classic) <= 4 * eps * r[:, None]).all()
+    assert (np.abs(_norm_residual(z[:, 0], z[:, 1], r)) <= 4 * eps * r**2).all()
+
+
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).below(0)
+
+
+def test_below_takes_every_bound_up_to_2_to_the_64():
+    # At 2**64 every draw is accepted, and is the value itself.
+    assert SplitMix64(3).below(2**64) == SplitMix64(3).next_uint64()
+    assert SplitMix64(3).below(np.uint64(7)) == SplitMix64(3).below(7)
+    assert SplitMix64(3).below(1) == 0
 
 
 def test_uniform_sample_deterministic():
